@@ -12,7 +12,7 @@ import numpy as np
 
 from .model import FermionHamiltonian
 from .pauli import PauliString, jw_string_remover
-from .statevector import GateOp, StateVector, apply_gate_inplace
+from .statevector import GateOp, StateVector, apply_gate_inplace, shot_stderr
 
 __all__ = [
     "Circuit",
@@ -112,7 +112,6 @@ class TrotterPlan:
 
     dtau: float
     steps: int
-    term_order: str = "interaction-then-hopping"
 
     def __post_init__(self):
         if self.steps < 1:
@@ -148,6 +147,12 @@ def _string_remover_gates(m: int, n: int) -> list[GateOp]:
     return [GateOp(name, targets) for name, targets in jw_string_remover(m, n).gates]
 
 
+def _hopping_gates(m: int, n: int, theta: float, n_qubits: int) -> tuple[GateOp, ...]:
+    """Hopping slice on JW mode qubits m < n: Z-string remover, pair block, remover."""
+    remover = tuple(_string_remover_gates(m, n))
+    return remover + hopping_pair_block(m, n, theta, n_qubits).gates + remover
+
+
 def hopping_step(i: int, j: int, sigma: str, theta: float, n_sites: int) -> Circuit:
     """One Trotter slice exp(-i theta h) of the hopping term h = c^dag_i c_j + h.c.
 
@@ -162,24 +167,14 @@ def hopping_step(i: int, j: int, sigma: str, theta: float, n_sites: int) -> Circ
             raise ValueError(f"site {s} out of range for {n_sites} sites")
     off = 0 if sigma == "up" else 1
     m, n = sorted((2 * (i - 1) + off, 2 * (j - 1) + off))
-    n_qubits = 2 * n_sites
-    remover = _string_remover_gates(m, n)
-    inner = hopping_pair_block(m, n, theta, n_qubits)
-    return Circuit(n_qubits, tuple(remover) + inner.gates + tuple(remover))
+    return Circuit(2 * n_sites, _hopping_gates(m, n, theta, 2 * n_sites))
 
 
 def repulsion_step(i: int, theta: float, n_sites: int) -> Circuit:
     """exp(-i theta n_up n_dn) on site i (1-based), site-major ordering."""
     if not 1 <= i <= n_sites:
         raise ValueError(f"site {i} out of range for {n_sites} sites")
-    a, b = 2 * (i - 1), 2 * i - 1
-    gates = [
-        GateOp("GPHASE", (), -theta / 4),
-        GateOp("RZ", (a,), -theta / 2),
-        GateOp("RZ", (b,), -theta / 2),
-        *_zz_rotation(a, b, theta / 2),
-    ]
-    return Circuit(2 * n_sites, tuple(gates))
+    return Circuit(2 * n_sites, tuple(repulsion_pair_gates(2 * (i - 1), 2 * i - 1, theta)))
 
 
 def repulsion_pair_gates(a: int, b: int, theta: float) -> list[GateOp]:
@@ -234,26 +229,19 @@ def trotter_evolution(h: FermionHamiltonian, plan: TrotterPlan) -> Circuit:
     variational circuit.
     """
     n_qubits = h.n_modes
-    out = Circuit(n_qubits)
-    one = Circuit(n_qubits)
+    gates: list[GateOp] = []
     for rep in sorted(h.repulsions, key=lambda r: r.site):
         a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
-        one = one + Circuit(n_qubits, tuple(repulsion_pair_gates(a, b, rep.strength * plan.dtau)))
+        gates += repulsion_pair_gates(a, b, rep.strength * plan.dtau)
     for sh in sorted(h.shifts, key=lambda s: s.site):
         # exp(-i dtau v n) = GPHASE-free diagonal: PHASE(-v dtau) on each mode qubit
         for spin in ("up", "down"):
-            q = h.mode_of(sh.site, spin)
-            one = one + Circuit(n_qubits, (GateOp("PHASE", (q,), -sh.value * plan.dtau),))
+            gates.append(GateOp("PHASE", (h.mode_of(sh.site, spin),), -sh.value * plan.dtau))
     for spin in ("up", "down"):
         for hop in sorted(h.hoppings, key=lambda b: (min(b.i, b.j), max(b.i, b.j))):
             m, n = sorted((h.mode_of(hop.i, spin), h.mode_of(hop.j, spin)))
-            theta = hop.amplitude * plan.dtau
-            remover = _string_remover_gates(m, n)
-            inner = hopping_pair_block(m, n, theta, n_qubits)
-            one = one + Circuit(n_qubits, tuple(remover) + inner.gates + tuple(remover))
-    for _ in range(plan.steps):
-        out = out + one
-    return out
+            gates += _hopping_gates(m, n, hop.amplitude * plan.dtau, n_qubits)
+    return Circuit(n_qubits, tuple(gates) * plan.steps)
 
 
 # -- measurement bases ----------------------------------------------------------
@@ -291,8 +279,7 @@ def horizontal_hop_value(counts: dict[str, int]) -> tuple[float, float]:
     p_plus = counts.get("10", 0) / shots
     p_minus = counts.get("01", 0) / shots
     mean = p_plus - p_minus
-    var = max(0.0, p_plus + p_minus - mean * mean)
-    return mean, float(np.sqrt(var / shots))
+    return mean, shot_stderr(mean, shots, p_plus + p_minus)
 
 
 # -- Pauli-string gadgets --------------------------------------------------------

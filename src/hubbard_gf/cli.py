@@ -19,7 +19,12 @@ from .circuit import TrotterPlan, dimer_trotter_step, hopping_step, repulsion_st
 from .greens import (
     DIMER_ANALYTIC_REF,
     DIMER_PAIRS,
+    LAMBDA_BY_KIND,
+    CorrelatorSpec,
+    advanced_hadamard_test,
+    dimer_ground_circuit,
     dimer_suite,
+    hadamard_test,
     time_grid,
 )
 from .noise import MitigationConfig, NO_MITIGATION, NoiseModel, noisy_dimer_series, zne
@@ -154,6 +159,9 @@ def cmd_correlator(args) -> int:
     if args.shots and args.seed is None:
         print("error: --seed is required for shot-mode runs", file=sys.stderr)
         return 2
+    if args.noise_model and args.protocol != "direct":
+        print("error: --noise-model runs the direct protocol only", file=sys.stderr)
+        return 2
     out = _outdir(args)
     seed = args.seed or 0
     plan = TrotterPlan(args.dtau, args.steps)
@@ -171,52 +179,62 @@ def cmd_correlator(args) -> int:
         header["noise_model"] = args.noise_model
         for name in pairs:
             _, values = noisy_dimer_series(
-                name, args.t, args.u, plan, args.phi, args.shots, seed, model, config
+                name, args.t, args.u, plan, args.phi, args.shots, seed, model, config,
+                lam=LAMBDA_BY_KIND[args.kind],
             )
             csv_path = os.path.join(out, f"{name}_noisy.csv")
             write_csv(csv_path, dict(header, correlator=name),
                       ["tau", "estimate"], list(zip(taus, values)))
-            analytic = 2 * np.real(dimer_analytic(DIMER_ANALYTIC_REF[name], args.t, args.u, dense))
             correlator_svg(
                 os.path.join(out, f"{name}_noisy.svg"),
                 f"{name} under noise (mitigated={config is not NO_MITIGATION})",
-                taus, values, np.zeros_like(taus), dense, analytic,
+                taus, values, np.zeros_like(taus), dense,
+                _analytic(name, args.kind, args.t, args.u, dense),
                 config_lines=(f"shots={args.shots} seed={seed}",),
             )
             print(f"wrote {csv_path}")
         return 0
-    if args.protocol != "direct":
-        from .greens import CorrelatorSpec, advanced_hadamard_test, dimer_ground_circuit, hadamard_test
-
+    del header["protocol"]  # each record CSV names the protocol that produced it
+    if args.protocol == "direct":
+        records = dimer_suite(args.t, args.u, plan, args.phi, args.shots, seed, kind=args.kind)
+    else:
         ground = dimer_ground_circuit(args.t, args.u)
         proto = args.protocol.replace("-", "_")
+        runner = hadamard_test if proto == "hadamard" else advanced_hadamard_test
+        records = {}
         for name in pairs:
             source, probe = DIMER_PAIRS[name]
             spec = CorrelatorSpec(source, probe, tuple(taus), kind=args.kind, protocol=proto)
-            runner = hadamard_test if proto == "hadamard" else advanced_hadamard_test
-            rec = runner(spec, ground, plan, args.shots, seed, t=args.t, u=args.u)
-            _write_series(out, name, rec, header, args, taus, dense, scale=2.0)
-        return 0
-    suite = dimer_suite(args.t, args.u, plan, args.phi, args.shots, seed, kind=args.kind)
+            records[name] = runner(spec, ground, plan, args.shots, seed, t=args.t, u=args.u)
     for name in pairs:
-        _write_series(out, name, suite[name], header, args, taus, dense, scale=1.0)
+        _write_series(out, name, records[name], header, args, taus, dense)
     return 0
 
 
-def _write_series(out, name, rec, header, args, taus, dense, scale) -> None:
-    estimates = np.array(rec.estimates) * scale
-    stderrs = np.array(rec.stderrs) * scale
+def _analytic(name, kind, t, u, taus) -> np.ndarray:
+    """Closed-form full (anti)commutator: 2 Re (retarded) or 2 Im (keldysh) of the correlator."""
+    series = dimer_analytic(DIMER_ANALYTIC_REF[name], t, u, np.asarray(taus, dtype=float))
+    return 2 * (np.real(series) if kind == "retarded" else np.imag(series))
+
+
+def _full_scale(protocol) -> float:
+    """Factor from a CSV's estimates to the full (anti)commutator.
+
+    Direct-protocol CSVs hold the full value; the Hadamard protocols record
+    their native estimate, half of it.
+    """
+    return 2.0 if protocol in ("hadamard", "advanced_hadamard") else 1.0
+
+
+def _write_series(out, name, rec, header, args, taus, dense) -> None:
+    scale = _full_scale(rec.protocol)
     csv_path = os.path.join(out, f"{name}.csv")
     write_measurement_csv(csv_path, name, rec, header)
-    ref = DIMER_ANALYTIC_REF[name]
-    if args.kind == "retarded":
-        analytic = 2 * np.real(dimer_analytic(ref, args.t, args.u, dense))
-    else:
-        analytic = 2 * np.imag(dimer_analytic(ref, args.t, args.u, dense))
     correlator_svg(
         os.path.join(out, f"{name}.svg"),
         f"{name} {args.kind} ({rec.protocol})",
-        taus, estimates, stderrs, dense, analytic,
+        taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense,
+        _analytic(name, args.kind, args.t, args.u, dense),
         config_lines=(
             f"dtau={args.dtau} steps={args.steps}",
             f"phi={args.phi:.4f} shots={args.shots} seed={rec.seed}",
@@ -237,27 +255,20 @@ def cmd_compare(args) -> int:
             return 2
         t, u = float(header["t"]), float(header["u"])
         kind = header.get("kind", "retarded")
+        scale = _full_scale(header.get("protocol"))
         taus = np.array([float(r[columns.index("tau")]) for r in rows])
-        est = np.array([float(r[columns.index("estimate")]) for r in rows])
+        est = scale * np.array([float(r[columns.index("estimate")]) for r in rows])
         shots = int(float(header.get("shots", 0)))
-        series = dimer_analytic(DIMER_ANALYTIC_REF[name], t, u, taus)
-        analytic = 2 * (np.real(series) if kind == "retarded" else np.imag(series))
-        # the protocol-native record stores half the anticommutator for the
-        # hadamard protocols; dimer_suite output is already scaled
-        if header.get("protocol") in ("hadamard", "advanced_hadamard"):
-            est = est * 2
-        dev = np.abs(est - analytic)
+        dev = np.abs(est - _analytic(name, kind, t, u, taus))
         if shots == 0:
-            tol = args.tol_exact if args.tol_exact is not None else _trotter_bound(header, name, taus)
+            tol = args.tol_exact if args.tol_exact is not None else _trotter_bound(header, name)
             ok = bool(np.max(dev) <= tol)
             reports.append({"csv": path, "max_dev": float(np.max(dev)),
                             "mean_dev": float(np.mean(dev)), "tol": float(tol),
                             "status": "PASS" if ok else "FAIL"})
         else:
-            err = np.array([float(r[columns.index("stderr")]) for r in rows])
-            if header.get("protocol") in ("hadamard", "advanced_hadamard"):
-                err = err * 2
-            bound = _trotter_bound(header, name, taus)
+            err = scale * np.array([float(r[columns.index("stderr")]) for r in rows])
+            bound = _trotter_bound(header, name)
             within = dev <= args.sigma * np.maximum(err, 1e-12) + bound
             ok = bool(np.mean(within) >= args.coverage)
             reports.append({"csv": path, "max_dev": float(np.max(dev)),
@@ -270,13 +281,14 @@ def cmd_compare(args) -> int:
     return 3 if failures else 0
 
 
-def _trotter_bound(header, name, taus) -> float:
+def _trotter_bound(header, name) -> float:
     """Measured first-order Trotter deviation of the exact pipeline at these settings."""
     t, u = float(header["t"]), float(header["u"])
+    kind = header.get("kind", "retarded")
     plan = TrotterPlan(float(header["dtau"]), int(float(header["steps"])))
-    suite = dimer_suite(t, u, plan, math.pi / 2, shots=0, seed=0)
-    analytic = 2 * np.real(dimer_analytic(DIMER_ANALYTIC_REF[name], t, u, np.array(suite[name].taus)))
-    return float(np.max(np.abs(np.array(suite[name].estimates) - analytic))) + 1e-9
+    rec = dimer_suite(t, u, plan, math.pi / 2, shots=0, seed=0, kind=kind)[name]
+    analytic = _analytic(name, kind, t, u, rec.taus)
+    return float(np.max(np.abs(np.array(rec.estimates) - analytic))) + 1e-9
 
 
 def cmd_zne_demo(args) -> int:

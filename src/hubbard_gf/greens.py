@@ -13,7 +13,7 @@ exactly at any Phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -33,7 +33,9 @@ from .statevector import (
     apply_gate,
     apply_pauli,
     expectation_pauli,
+    parity_expectation,
     sample_counts,
+    shot_stderr,
 )
 
 LAMBDA_BY_KIND = {"retarded": math.pi / 2, "keldysh": 0.0}
@@ -80,9 +82,10 @@ class MeasurementRecord:
     histograms: tuple[dict, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
-        for v in self.estimates:
-            if abs(v) > 2 + 1e-9:
-                raise ValueError(f"estimate {v} violates the Majorana norm bound")
+        if self.shots == 0:  # a shot estimate divided by sin Phi may exceed the bound
+            for v in self.estimates:
+                if abs(v) > 2 + 1e-9:
+                    raise ValueError(f"estimate {v} violates the Majorana norm bound")
         for s in self.stderrs:
             if s < 0:
                 raise ValueError("stderr must be nonnegative")
@@ -107,11 +110,6 @@ def _steps_for(tau: float, plan: TrotterPlan) -> int:
     return j
 
 
-def _binomial_pm(p_plus: float, shots: int) -> float:
-    mean = 2 * p_plus - 1
-    return math.sqrt(max(0.0, 1 - mean * mean) / shots)
-
-
 # -- Hadamard-test family ------------------------------------------------------------
 
 
@@ -123,35 +121,31 @@ def _hadamard_family(
     seed: int,
     t: float,
     u: float,
-    controlled_evolution: bool,
-    advanced: bool,
+    protocol: str,
 ) -> MeasurementRecord:
+    """<psi| U^-j P U^j S |psi> = <U^j psi| P |U^j S psi> per time point.
+
+    psi and S psi are carried forward together along the time grid, so no
+    backward evolution is simulated; both variants read this overlap.
+    """
     h = FermionHamiltonian.dimer(t, u)
     width = h.n_modes
-    src = _mode_pauli(spec.source, h, width)
     prb = _mode_pauli(spec.probe, h, width)
-    psi = simulate(ground_circuit)
     step = dimer_trotter_step(t, u, plan.dtau)
+    bra = simulate(ground_circuit)
+    ket = apply_pauli(bra, _mode_pauli(spec.source, h, width))
     imag_part = spec.kind == "keldysh"
     seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
 
     estimates, stderrs, hists = [], [], []
+    done = 0
     for k, tau in enumerate(spec.taus):
         j = _steps_for(tau, plan)
-        s1 = apply_pauli(psi, src)
-        s0 = psi.copy()
-        for _ in range(j):
-            s1 = simulate(step, s1)
-            if advanced or not controlled_evolution:
-                s0 = simulate(step, s0)
-        s1 = apply_pauli(s1, prb)
-        if not advanced:
-            # undo the evolution (controlled U^dag block, or plain U^dag on both)
-            for _ in range(j):
-                s1 = _unsimulate(step, s1)
-                if not controlled_evolution:
-                    s0 = _unsimulate(step, s0)
-        overlap = complex(np.vdot(s0.amps, s1.amps))
+        for _ in range(j - done):
+            bra = simulate(step, bra)
+            ket = simulate(step, ket)
+        done = j
+        overlap = complex(np.vdot(bra.amps, apply_pauli(ket, prb).amps))
         value = overlap.imag if imag_part else overlap.real
         if shots == 0:
             estimates.append(float(value))
@@ -163,7 +157,7 @@ def _hadamard_family(
             ones = int(rng.binomial(shots, 1 - p0))
             est = (shots - 2 * ones) / shots
             estimates.append(est)
-            stderrs.append(_binomial_pm((shots - ones) / shots, shots))
+            stderrs.append(shot_stderr(est, shots))
             hists.append({"0": shots - ones, "1": ones})
     return MeasurementRecord(
         tuple(spec.taus),
@@ -171,20 +165,11 @@ def _hadamard_family(
         tuple(stderrs),
         shots,
         seed,
-        "advanced_hadamard" if advanced else "hadamard",
+        protocol,
         0.0,
         spec.lam,
         tuple(hists),
     )
-
-
-def _unsimulate(step: Circuit, s: StateVector) -> StateVector:
-    from .statevector import apply_gate_inplace, inverse_gate
-
-    out = s.copy()
-    for g in reversed(step.gates):
-        apply_gate_inplace(out.amps, inverse_gate(g), out.n)
-    return out
 
 
 def hadamard_test(
@@ -195,21 +180,16 @@ def hadamard_test(
     seed: int,
     t: float = 1.0,
     u: float = 4.0,
-    controlled_evolution: bool = True,
 ) -> MeasurementRecord:
     """Ancilla-interferometric estimate of Re <probe(tau) source> per time point.
 
     The printed form applies controlled forward and backward evolution blocks;
-    controlled_evolution=False leaves both evolutions uncontrolled (identical
-    statistics on a noiseless simulator).  Controlled Pauli strings act letter by
-    letter with the ancilla as control; ancilla statistics are simulated on the
-    two interferometer branches.
+    on a noiseless simulator they act as U^j on both interferometer branches,
+    whose overlap through the probe sets the ancilla statistics.
     """
     if spec.protocol != "hadamard":
         raise ValueError(f"spec requests protocol {spec.protocol!r}")
-    return _hadamard_family(
-        spec, ground_circuit, plan, shots, seed, t, u, controlled_evolution, advanced=False
-    )
+    return _hadamard_family(spec, ground_circuit, plan, shots, seed, t, u, "hadamard")
 
 
 def advanced_hadamard_test(
@@ -233,10 +213,53 @@ def advanced_hadamard_test(
             "advanced Hadamard test needs controlled single-fermion operators, "
             "which a locality-preserving mapping does not provide"
         )
-    return _hadamard_family(spec, ground_circuit, plan, shots, seed, t, u, True, advanced=True)
+    return _hadamard_family(spec, ground_circuit, plan, shots, seed, t, u, "advanced_hadamard")
 
 
 # -- direct (linear-response) measurement ----------------------------------------------
+
+
+@dataclass(frozen=True)
+class _DirectPieces:
+    """What a direct-protocol point is built from; callers add the ancilla phase lambda."""
+
+    prep: Circuit  # widened ground circuit, then X on the ancilla
+    kick: Circuit  # exp(Phi/2 sigma_src x_d)
+    step: Circuit  # one Trotter step on the widened register
+    observable: PauliString  # i sigma_probe x_d
+    basis: Circuit  # turns the observable into the parity of meas_qubits
+    meas_qubits: tuple[int, int]
+    sign: float  # estimate = sign * parity / sin(Phi)
+    anc: int
+
+
+def _direct_pieces(
+    source: MajoranaIndex,
+    probe: MajoranaIndex,
+    t: float,
+    u: float,
+    dtau: float,
+    phi: float,
+    ground_circuit: Circuit,
+) -> _DirectPieces:
+    h = FermionHamiltonian.dimer(t, u)
+    anc = h.n_modes
+    width = anc + 1
+    xd = jw_mode(anc, width, "x")
+    pert_gen = (_mode_pauli(source, h, width) * xd).times_i()
+    observable = (_mode_pauli(probe, h, width) * xd).times_i()
+    if not (pert_gen.is_hermitian and observable.is_hermitian):
+        raise AssertionError("bilinears must be Hermitian")
+    return _DirectPieces(
+        prep=ground_circuit.widened(width) + Circuit(width, (GateOp("X", (anc,)),)),
+        kick=Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi))),
+        step=dimer_trotter_step(t, u, dtau).widened(width),
+        observable=observable,
+        basis=_parity_basis_circuit(observable, width),
+        meas_qubits=(observable.support[0], observable.support[-1]),
+        sign=1.0 if observable.phase_exp == 0 else -1.0,
+        anc=anc,
+    )
 
 
 def direct_measurement(
@@ -253,9 +276,11 @@ def direct_measurement(
 ) -> MeasurementRecord:
     """Kubo-style estimate of the probe-source correlator, exact at any Phi.
 
-    Per time point: occupy the ancilla, rotate by exp(Phi/2 sigma_src x_d), evolve
-    (Trotterized or dense-exact), apply the ancilla Z^dag phase lambda, reduce
-    i sigma_probe x_d to a two-qubit parity, estimate and divide by sin Phi.
+    Occupy the ancilla and kick once with exp(Phi/2 sigma_src x_d), then carry
+    the state along the time grid (Trotterized) or evolve it densely to each
+    point (exact).  Per time point a copy gets the ancilla Z^dag phase lambda
+    (the step never touches the ancilla, so the two commute), i sigma_probe x_d
+    is reduced to a two-qubit parity, estimated and divided by sin Phi.
     """
     if spec.protocol != "direct":
         raise ValueError(f"spec requests protocol {spec.protocol!r}")
@@ -264,56 +289,35 @@ def direct_measurement(
     if evolution not in ("trotter", "exact"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
     lam = spec.lam if lam is None else lam
-    h = FermionHamiltonian.dimer(t, u)
-    n_sys = h.n_modes
-    width = n_sys + 1
-    anc = n_sys
-
-    src5 = jw_mode(h.mode_of(spec.source.site, spec.source.spin), width, spec.source.flavor)
-    prb5 = jw_mode(h.mode_of(spec.probe.site, spec.probe.spin), width, spec.probe.flavor)
-    xd = jw_mode(anc, width, "x")
-    pert_gen = (src5 * xd).times_i()
-    observable = (prb5 * xd).times_i()
-    if not (pert_gen.is_hermitian and observable.is_hermitian):
-        raise AssertionError("bilinears must be Hermitian")
-
-    psi_sys = simulate(ground_circuit)
-    base = np.zeros(1 << width, dtype=complex)
-    base[1 << anc :] = psi_sys.amps  # ancilla occupied
-    base_state = StateVector(base, width)
-
-    step = dimer_trotter_step(t, u, plan.dtau).widened(width)
+    pieces = _direct_pieces(spec.source, spec.probe, t, u, plan.dtau, phi, ground_circuit)
+    kicked = simulate(pieces.kick, simulate(pieces.prep))
     if evolution == "exact":
-        spect = diagonalize(build_matrix(h))
-        v = spect.eigenvectors
-
-    rotation = Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi)))
-    basis = _parity_basis_circuit(observable, width)
-    sign = 1.0 if observable.phase_exp == 0 else -1.0
-    meas_qubits = (observable.support[0], observable.support[-1])
+        spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
+    phase = GateOp("RZ", (pieces.anc,), -lam)
     seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
 
     estimates, stderrs, hists = [], [], []
+    state, done = kicked, 0
     for k, tau in enumerate(spec.taus):
-        state = simulate(rotation, base_state)
         if evolution == "trotter":
-            for _ in range(_steps_for(tau, plan)):
-                state = simulate(step, state)
+            j = _steps_for(tau, plan)
+            for _ in range(j - done):
+                state = simulate(pieces.step, state)
+            done = j
+            point = apply_gate(state, phase)
         else:
-            state = _exact_evolve(state, v, spect.eigenvalues, tau, n_sys)
-        state = apply_gate(state, GateOp("RZ", (anc,), -lam))
+            point = apply_gate(_exact_evolve(kicked, spect, tau, pieces.anc), phase)
         if shots == 0:
-            val = expectation_pauli(state, observable) / math.sin(phi)
+            val = expectation_pauli(point, pieces.observable) / math.sin(phi)
             estimates.append(float(val))
             stderrs.append(0.0)
             hists.append({})
         else:
-            rotated = simulate(basis, state)
-            counts = sample_counts(rotated, meas_qubits, shots, int(seeds[k]))
-            parity = sum(c * (1 - 2 * (key.count("1") % 2)) for key, c in counts.items()) / shots
-            err = math.sqrt(max(0.0, 1 - parity * parity) / shots)
-            estimates.append(sign * parity / math.sin(phi))
-            stderrs.append(err / abs(math.sin(phi)))
+            rotated = simulate(pieces.basis, point)
+            counts = sample_counts(rotated, pieces.meas_qubits, shots, int(seeds[k]))
+            parity = parity_expectation(counts, shots)
+            estimates.append(pieces.sign * parity / math.sin(phi))
+            stderrs.append(shot_stderr(parity, shots) / abs(math.sin(phi)))
             hists.append(counts)
     return MeasurementRecord(
         tuple(spec.taus),
@@ -342,11 +346,12 @@ def _parity_basis_circuit(observable: PauliString, width: int) -> Circuit:
     return Circuit(width, tuple(gates))
 
 
-def _exact_evolve(state: StateVector, v, evals, tau: float, n_sys: int) -> StateVector:
+def _exact_evolve(state: StateVector, spect, tau: float, n_sys: int) -> StateVector:
     """Dense exp(-i H tau) on the system factor, identity on the ancilla."""
     dim = 1 << n_sys
+    v = spect.eigenvectors
     amps = state.amps.reshape(2, dim).T  # columns: ancilla 0/1 blocks
-    phases = np.exp(-1j * evals * tau)
+    phases = np.exp(-1j * spect.eigenvalues * tau)
     evolved = v @ (phases[:, None] * (v.conj().T @ amps))
     return StateVector(evolved.T.reshape(-1).copy(), state.n)
 
@@ -367,33 +372,23 @@ def direct_point_circuit(
     Returns (circuit, parity qubits, estimator sign); the estimate is
     sign * parity / sin(phi).  The ancilla phase is spread as one Z^dag rotation
     per Trotter step.  Used by the noisy pipeline; the noiseless runner applies
-    the same pieces as fused kernels.
+    the same pieces with the phase as a single rotation.
     """
-    h = FermionHamiltonian.dimer(t, u)
-    width = h.n_modes + 1
-    anc = h.n_modes
-    ground = (ground_circuit or dimer_ground_circuit(t, u)).widened(width)
-    src5 = jw_mode(h.mode_of(source.site, source.spin), width, source.flavor)
-    prb5 = jw_mode(h.mode_of(probe.site, probe.spin), width, probe.flavor)
-    xd = jw_mode(anc, width, "x")
-    pert_gen = (src5 * xd).times_i()
-    observable = (prb5 * xd).times_i()
-
-    circ = ground + Circuit(width, (GateOp("X", (anc,)),))
-    circ = circ.with_barrier("perturbation")
-    circ = circ + Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi)))
-    circ = circ.with_barrier("evolution")
-    step = dimer_trotter_step(t, u, plan.dtau).widened(width)
+    p = _direct_pieces(
+        source, probe, t, u, plan.dtau, phi, ground_circuit or dimer_ground_circuit(t, u)
+    )
     if n_steps == 0:
-        circ = circ + Circuit(width, (GateOp("RZ", (anc,), -lam),))
+        evolution = (GateOp("RZ", (p.anc,), -lam),)
     else:
-        per_step = Circuit(width, (GateOp("RZ", (anc,), -lam / n_steps),))
-        for _ in range(n_steps):
-            circ = circ + step + per_step
-    circ = circ.with_barrier("measurement")
-    circ = circ + _parity_basis_circuit(observable, width)
-    sign = 1.0 if observable.phase_exp == 0 else -1.0
-    return circ, (observable.support[0], observable.support[-1]), sign
+        evolution = (p.step.gates + (GateOp("RZ", (p.anc,), -lam / n_steps),)) * n_steps
+    kicked = len(p.prep) + len(p.kick)
+    gates = p.prep.gates + p.kick.gates + evolution + p.basis.gates
+    barriers = p.prep.barriers + (
+        (len(p.prep), "perturbation"),
+        (kicked, "evolution"),
+        (kicked + len(evolution), "measurement"),
+    )
+    return Circuit(p.prep.n_qubits, gates, barriers), p.meas_qubits, p.sign
 
 
 # -- correlator assembly ------------------------------------------------------------
@@ -483,15 +478,9 @@ def dimer_suite(
         rec = direct_measurement(
             spec, phi, ground, plan, shots, int(seeds[k]), t=t, u=u, evolution=evolution
         )
-        out[name] = MeasurementRecord(
-            rec.taus,
-            tuple(2 * v for v in rec.estimates),
-            tuple(2 * s for s in rec.stderrs),
-            rec.shots,
-            rec.seed,
-            rec.protocol,
-            rec.phi,
-            rec.lam,
-            rec.histograms,
+        out[name] = replace(
+            rec,
+            estimates=tuple(2 * v for v in rec.estimates),
+            stderrs=tuple(2 * s for s in rec.stderrs),
         )
     return out

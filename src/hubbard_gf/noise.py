@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit
-from .statevector import GateOp, gate_matrix, inverse_gate
+from .statevector import GateOp, gate_matrix, inverse_gate, parity_expectation
 from .pauli import PauliString
 from .statevector import _pauli_action  # shared kernel plumbing
 
@@ -665,10 +665,6 @@ class MitigationConfig:
 NO_MITIGATION = MitigationConfig(readout=False, twirl_variants=1, dd_sequence="none", zne_scales=())
 
 
-def parity_from_distribution(probs: dict[str, float]) -> float:
-    return sum(p * (1 - 2 * (key.count("1") % 2)) for key, p in probs.items())
-
-
 def noisy_parity_estimate(
     circuit: Circuit,
     meas_qubits: tuple[int, ...],
@@ -703,7 +699,7 @@ def noisy_parity_estimate(
                 dist = mitigate_readout(counts, confusions).probs
             else:
                 dist = {k: c / shots for k, c in counts.items()}
-            vals.append(parity_from_distribution(dist))
+            vals.append(parity_expectation(dist))
         return float(np.mean(vals)), float(np.mean(realized))
 
     if config.zne_scales:
@@ -723,7 +719,7 @@ def noisy_dimer_series(
     config: MitigationConfig,
     lam: float = math.pi / 2,
 ):
-    """Anticommutator series <{probe(tau), source}> for one dimer pair under noise.
+    """Full (anti)commutator series for one dimer pair under noise (lam as in LAMBDA_BY_KIND).
 
     Per time point the full gate-level point circuit runs through the configured
     mitigation stack; values carry the 2/sin(phi) estimator scaling.

@@ -175,10 +175,6 @@ def commutes(a: PauliString, b: PauliString) -> bool:
     return ((a.zbits & b.xbits).bit_count() + (a.xbits & b.zbits).bit_count()) % 2 == 0
 
 
-def anticommutator_is_zero(a: PauliString, b: PauliString) -> bool:
-    return not commutes(a, b)
-
-
 # -- Majorana operators under Jordan-Wigner ---------------------------------
 
 SPINS = ("up", "down")

@@ -7,6 +7,7 @@ ensembles.  Capacity is dense double precision up to 24 qubits.
 """
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -292,14 +293,6 @@ def apply_pauli(s: StateVector, p: PauliString) -> StateVector:
     return StateVector(out, s.n)
 
 
-def pauli_times_batched(arr: np.ndarray, p: PauliString) -> np.ndarray:
-    """(P s) for amplitudes with a trailing 2^n axis."""
-    perm, coef = _pauli_action(p)
-    out = np.empty_like(arr)
-    out[..., perm] = coef * arr
-    return out
-
-
 def apply_pauli_rotation(s: StateVector, p: PauliString, theta: float) -> StateVector:
     """exp(-i theta/2 P) |s> as a fused kernel; P must be Hermitian."""
     if not p.is_hermitian:
@@ -362,9 +355,14 @@ def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int
     return out
 
 
-def parity_expectation_from_counts(counts: dict[str, int]) -> tuple[float, float]:
-    """Mean and standard error of (-1)^(sum of bits) over a counts histogram."""
-    shots = sum(counts.values())
-    mean = sum(c * (1 - 2 * (key.count("1") % 2)) for key, c in counts.items()) / shots
-    var = max(0.0, 1.0 - mean * mean)
-    return mean, np.sqrt(var / shots)
+def parity_expectation(weights: dict[str, float], total: float = 1.0) -> float:
+    """Mean of (-1)^(sum of bits) over a histogram (total = shots) or a probability table."""
+    return sum(w * (1 - 2 * (key.count("1") % 2)) for key, w in weights.items()) / total
+
+
+def shot_stderr(mean: float, shots: int, second_moment: float = 1.0) -> float:
+    """Standard error of a sample mean over `shots` draws: sqrt((<x^2> - <x>^2) / shots).
+
+    second_moment defaults to 1 for +-1 outcomes; a 0/1 indicator has <x^2> = <x>.
+    """
+    return math.sqrt(max(0.0, second_moment - mean * mean) / shots)

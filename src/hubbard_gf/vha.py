@@ -12,15 +12,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, dimer_interaction_step, hopping_pair_block, measurement_basis_circuit, simulate
+from .circuit import (
+    Circuit,
+    dimer_interaction_step,
+    hopping_pair_block,
+    horizontal_hop_value,
+    measurement_basis_circuit,
+    simulate,
+)
 from .model import FermionHamiltonian
 from .oracle import hamiltonian_pauli_terms, split_pauli_terms
 from .statevector import (
     GateOp,
     StateVector,
     expectation_pauli,
-    parity_expectation_from_counts,
+    parity_expectation,
     sample_counts,
+    shot_stderr,
 )
 
 TWO_PI = 2 * math.pi
@@ -121,8 +129,9 @@ def canonical_angles(alpha: float, beta: float) -> tuple[float, float]:
 # -- energy measurement schedules ------------------------------------------------
 
 
-def _binomial_err(p: float, shots: int) -> float:
-    return math.sqrt(max(0.0, p * (1 - p)) / shots)
+def _pauli_sum(state: StateVector, terms) -> float:
+    """Exact sum of c * <P> over weighted Pauli terms."""
+    return sum(c * expectation_pauli(state, p) for c, p in terms)
 
 
 def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: int = 0) -> EnergyEstimate:
@@ -139,8 +148,7 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
     state = simulate(circuit)
     if shots == 0:
         hop_terms, int_terms = split_pauli_terms(h)
-        e_hop = sum(c * expectation_pauli(state, p) for c, p in hop_terms)
-        e_int = sum(c * expectation_pauli(state, p) for c, p in int_terms)
+        e_hop, e_int = _pauli_sum(state, hop_terms), _pauli_sum(state, int_terms)
         return EnergyEstimate(e_hop + e_int, 0.0, 0, e_hop, e_int)
 
     seeds = np.random.SeedSequence(seed).generate_state(1 + 2 * 2 * len(h.hoppings))
@@ -155,13 +163,13 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
         a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
         p11 = sum(c for key, c in counts.items() if key[a] == "1" and key[b] == "1") / shots
         e_int += rep.strength * p11
-        var_int += (rep.strength * _binomial_err(p11, shots)) ** 2
+        var_int += (rep.strength * shot_stderr(p11, shots, p11)) ** 2
     for sh in h.shifts:
         for spin in ("up", "down"):
             q = h.mode_of(sh.site, spin)
             p1 = sum(c for key, c in counts.items() if key[q] == "1") / shots
             e_int += sh.value * p1
-            var_int += (sh.value * _binomial_err(p1, shots)) ** 2
+            var_int += (sh.value * shot_stderr(p1, shots, p1)) ** 2
 
     e_hop = 0.0
     var_hop = 0.0
@@ -173,12 +181,9 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
                 rotated = simulate(basis, state)
                 c2 = sample_counts(rotated, (m, n), shots, int(seeds[run]))
                 run += 1
-                p_plus = c2.get("10", 0) / shots
-                p_minus = c2.get("01", 0) / shots
-                mean = p_plus - p_minus
-                var = max(0.0, p_plus + p_minus - mean * mean) / shots
+                mean, err = horizontal_hop_value(c2)
                 e_hop += hop.amplitude * mean
-                var_hop += (hop.amplitude ** 2) * var
+                var_hop += (hop.amplitude * err) ** 2
             else:
                 mean = 0.0
                 var = 0.0
@@ -187,9 +192,9 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
                     rotated = simulate(basis, state)
                     c2 = sample_counts(rotated, (m, n), shots, int(seeds[run]))
                     run += 1
-                    parity, perr = parity_expectation_from_counts(c2)
+                    parity = parity_expectation(c2, shots)
                     mean += 0.5 * parity
-                    var += 0.25 * perr * perr
+                    var += 0.25 * shot_stderr(parity, shots) ** 2
                 e_hop += hop.amplitude * mean
                 var_hop += (hop.amplitude ** 2) * var
 
@@ -245,9 +250,8 @@ def landscape_sweep(
         for b in betas:
             if shots == 0:
                 state = vha_state(VhaParams.single(float(a), float(b)))
-                e_hop = sum(c * expectation_pauli(state, p) for c, p in hop_terms)
-                e_int = sum(c * expectation_pauli(state, p) for c, p in int_terms)
-                pt = LandscapePoint(float(a), float(b), e_hop + e_int, 0.0)
+                energy = _pauli_sum(state, hop_terms) + _pauli_sum(state, int_terms)
+                pt = LandscapePoint(float(a), float(b), energy, 0.0)
             else:
                 est = measure_dimer_energy(VhaParams.single(float(a), float(b)), t, u, shots, int(seeds[k]))
                 pt = LandscapePoint(float(a), float(b), est.value, est.stderr)
@@ -282,20 +286,16 @@ def optimize(
     if budget < 1:
         raise ValueError("budget must be >= 1")
     seeds = iter(np.random.SeedSequence(seed).generate_state(max(budget, 1)))
+    terms = hamiltonian_pauli_terms(FermionHamiltonian.dimer(t, u))
     evals = 0
     trace: list[float] = []
 
     def energy(a: float, b: float) -> float:
         nonlocal evals
         evals += 1
-        est = measure_dimer_energy(VhaParams.single(a, b), t, u, shots, int(next(seeds))) if shots else None
-        if est is None:
-            state = vha_state(VhaParams.single(a, b))
-            h = FermionHamiltonian.dimer(t, u)
-            val = sum(c * expectation_pauli(state, p) for c, p in hamiltonian_pauli_terms(h))
-        else:
-            val = est.value
-        return val
+        if shots:
+            return measure_dimer_energy(VhaParams.single(a, b), t, u, shots, int(next(seeds))).value
+        return _pauli_sum(vha_state(VhaParams.single(a, b)), terms)
 
     best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))
     best_e = energy(best_a, best_b)

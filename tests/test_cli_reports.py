@@ -45,20 +45,53 @@ def test_vha_sweep_requires_seed_for_shots(tmp_path, capsys):
     assert "seed" in err
 
 
-def test_correlator_exact_run_and_compare_pass(tmp_path, capsys):
+@pytest.mark.parametrize("kind", ["retarded", "keldysh"])
+@pytest.mark.parametrize("protocol", ["direct", "hadamard", "advanced-hadamard"])
+def test_correlator_exact_run_and_compare_pass(tmp_path, capsys, protocol, kind):
     args = [
         "correlator", "--t", "1", "--u", "4", "--dtau", "0.314", "--steps", "6",
-        "--phi", "1.5707963267948966", "--kind", "retarded", "--shots", "0",
-        "--pair", "y2y2", "--outdir", str(tmp_path),
+        "--phi", "1.5707963267948966", "--kind", kind, "--shots", "0",
+        "--protocol", protocol, "--pair", "all", "--outdir", str(tmp_path),
     ]
     code, out, _ = run_cli(args, capsys)
     assert code == 0
-    csv_path = tmp_path / "y2y2.csv"
-    assert csv_path.exists() and (tmp_path / "y2y2.svg").exists()
-    code, out, _ = run_cli(["compare", "--csv", str(csv_path)], capsys)
+    paths = [str(tmp_path / f"{name}.csv") for name in ("y2y2", "y3y3", "x3y2")]
+    for name in ("y2y2", "y3y3", "x3y2"):
+        assert (tmp_path / f"{name}.csv").exists() and (tmp_path / f"{name}.svg").exists()
+        header, _, rows = read_csv(tmp_path / f"{name}.csv")
+        assert header["protocol"] == protocol.replace("-", "_")
+        assert {r[4] for r in rows} == {header["protocol"]}
+    code, out, _ = run_cli(["compare", "--csv", *paths], capsys)
     assert code == 0
     report = json.loads(out)
-    assert report["reports"][0]["status"] == "PASS"
+    assert [r["status"] for r in report["reports"]] == ["PASS"] * 3
+
+
+def test_noisy_branch_honours_kind_and_refuses_hadamard(tmp_path, capsys):
+    from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.greens import dimer_suite
+    from hubbard_gf.noise import NoiseModel
+
+    model = tmp_path / "zero.json"
+    NoiseModel.zero(5).to_json(model)
+    base = ["correlator", "--steps", "3", "--shots", "4096", "--seed", "5", "--pair", "x3y2",
+            "--noise-model", str(model)]
+    code, _, err = run_cli(base + ["--kind", "keldysh", "--outdir", str(tmp_path / "k")], capsys)
+    assert code == 0, err
+    header, _, rows = read_csv(tmp_path / "k" / "x3y2_noisy.csv")
+    assert header["kind"] == "keldysh"
+    noisy = [float(r[1]) for r in rows]
+    keldysh = dimer_suite(1.0, 4.0, TrotterPlan(0.314, 3), 1.5707963267948966, 0, 0, kind="keldysh")
+    retarded = dimer_suite(1.0, 4.0, TrotterPlan(0.314, 3), 1.5707963267948966, 0, 0)
+    # 4096-shot parity noise is at most 2/64 on the doubled estimate; 4 sigma of it
+    assert max(abs(a - b) for a, b in zip(noisy, keldysh["x3y2"].estimates)) < 0.125
+    assert max(abs(a - b) for a, b in zip(noisy, retarded["x3y2"].estimates)) > 0.25
+    for protocol in ("hadamard", "advanced-hadamard"):
+        out = tmp_path / protocol
+        code, _, err = run_cli(base + ["--protocol", protocol, "--outdir", str(out)], capsys)
+        assert code == 2
+        assert "direct" in err
+        assert not out.exists()
 
 
 def test_correlator_byte_reproducible(tmp_path, capsys):
