@@ -64,10 +64,6 @@ class Circuit:
             raise ValueError("cannot shrink a circuit")
         return Circuit(n_qubits, self.gates, self.barriers)
 
-    @property
-    def two_qubit_count(self) -> int:
-        return sum(1 for g in self.gates if len(g.targets) == 2)
-
     def text_dump(self) -> str:
         """One gate per line: NAME[(angle)] targets; barriers as 'barrier <label>' lines."""
         marks: dict[int, list[str]] = {}

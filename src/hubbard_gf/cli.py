@@ -24,6 +24,7 @@ from .greens import (
     advanced_hadamard_test,
     dimer_ground_circuit,
     dimer_suite,
+    direct_measurement,
     hadamard_test,
     time_grid,
 )
@@ -194,7 +195,8 @@ def cmd_correlator(args) -> int:
             )
             print(f"wrote {csv_path}")
         return 0
-    del header["protocol"]  # each record CSV names the protocol that produced it
+    # each record CSV names the protocol and phi that produced it
+    del header["protocol"], header["phi"]
     if args.protocol == "direct":
         records = dimer_suite(args.t, args.u, plan, args.phi, args.shots, seed, kind=args.kind)
     else:
@@ -282,13 +284,20 @@ def cmd_compare(args) -> int:
 
 
 def _trotter_bound(header, name) -> float:
-    """Measured first-order Trotter deviation of the exact pipeline at these settings."""
+    """Measured first-order Trotter deviation of the exact pipeline at these settings.
+
+    Only the CSV's own pair is run, doubled to the full (anti)commutator as in dimer_suite.
+    """
     t, u = float(header["t"]), float(header["u"])
     kind = header.get("kind", "retarded")
     plan = TrotterPlan(float(header["dtau"]), int(float(header["steps"])))
-    rec = dimer_suite(t, u, plan, math.pi / 2, shots=0, seed=0, kind=kind)[name]
+    source, probe = DIMER_PAIRS[name]
+    spec = CorrelatorSpec(source, probe, time_grid(plan), kind=kind, protocol="direct")
+    rec = direct_measurement(
+        spec, math.pi / 2, dimer_ground_circuit(t, u), plan, shots=0, seed=0, t=t, u=u
+    )
     analytic = _analytic(name, kind, t, u, rec.taus)
-    return float(np.max(np.abs(np.array(rec.estimates) - analytic))) + 1e-9
+    return float(np.max(np.abs(2 * np.array(rec.estimates) - analytic))) + 1e-9
 
 
 def cmd_zne_demo(args) -> int:

@@ -14,10 +14,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit
-from .statevector import GateOp, gate_matrix, inverse_gate, parity_expectation
+from .circuit import Circuit, simulate
 from .pauli import PauliString
-from .statevector import _pauli_action  # shared kernel plumbing
+from .statevector import (
+    GateOp,
+    StateVector,
+    _pauli_action,  # shared kernel plumbing
+    apply_gate_inplace,
+    inverse_gate,
+    parity_expectation,
+    sample_counts,
+)
 
 VIRTUAL_KINDS = {"RZ", "PHASE", "Z", "GPHASE", "DELAY"}
 SINGLE_PAULIS = ("X", "Y", "Z")
@@ -57,16 +64,6 @@ class NoiseModel:
         if g.kind in VIRTUAL_KINDS:
             return 0.0
         return float(self.durations.get(g.kind, self.durations.get("default", 0.0)))
-
-    @property
-    def has_any_noise(self) -> bool:
-        return (
-            any(p > 0 for p in self.p1.values())
-            or any(p > 0 for p in self.p2.values())
-            or any(
-                np.max(np.abs(np.asarray(c) - np.eye(2))) > 0 for c in self.readout.values()
-            )
-        )
 
     @classmethod
     def zero(cls, n_qubits: int) -> "NoiseModel":
@@ -177,134 +174,40 @@ def schedule_ops(circuit: Circuit, model: NoiseModel):
 
 
 def idle_windows(circuit: Circuit, model: NoiseModel) -> dict[int, list[tuple[int, float]]]:
-    """Per qubit: (gate index before which the window sits, window seconds)."""
-    ready = [0.0] * circuit.n_qubits
-    used = [False] * circuit.n_qubits
+    """Per qubit: (gate index before which the window sits, window seconds).
+
+    These are the schedule's idle gaps on qubits that some earlier gate already used.
+    """
+    ops, _, _ = schedule_ops(circuit, model)
+    used: set[int] = set()
     windows: dict[int, list[tuple[int, float]]] = {q: [] for q in range(circuit.n_qubits)}
-    for i, g in enumerate(circuit.gates):
-        if not g.targets:
-            continue
-        start = max(ready[t] for t in g.targets)
-        for t in g.targets:
-            if used[t] and start - ready[t] > 0:
-                windows[t].append((i, start - ready[t]))
-            ready[t] = start + model.duration(g)
-            used[t] = True
+    for i, (g, gaps) in enumerate(ops):
+        for q, dt in gaps:
+            if q in used:
+                windows[q].append((i, dt))
+        used.update(g.targets)
     return windows
 
 
 # -- trajectory simulation -------------------------------------------------------
 
-# gates compiled to batched column ops: diagonal multiply, signed column
-# permutation, or a dense matmul; keyed so repeated Trotter gates hit the cache
-_COMPILED_CACHE: dict = {}
 
-_DIAG_KINDS = {"Z", "RZ", "PHASE", "CZ", "CPHASE", "GPHASE"}
-_MONOMIAL_KINDS = {"X", "Y", "CNOT", "CY"}
-
-
-def _compile_gate(g: GateOp, n: int):
-    key = (g.kind, g.targets, g.angle, n) if g.matrix is None else None
-    if key is not None and key in _COMPILED_CACHE:
-        return _COMPILED_CACHE[key]
-    dim = 1 << n
-    full = np.zeros((dim, dim), dtype=complex)
-    m = gate_matrix(g)
-    if g.kind == "GPHASE":
-        op = ("diag", np.full(dim, m[0, 0]))
-    else:
-        for b in range(dim):
-            sub = 0
-            for pos, q in enumerate(g.targets):
-                sub |= ((b >> q) & 1) << pos
-            base = b
-            for q in g.targets:
-                base &= ~(1 << q)
-            for sub_out in range(m.shape[0]):
-                amp = m[sub_out, sub]
-                if amp != 0:
-                    b_out = base
-                    for pos, q in enumerate(g.targets):
-                        b_out |= ((sub_out >> pos) & 1) << q
-                    full[b_out, b] = amp
-        if g.kind in _DIAG_KINDS or g.kind == "DELAY":
-            op = ("diag", np.diag(full).astype(np.complex64))
-        elif g.kind in _MONOMIAL_KINDS:
-            src = np.argmax(np.abs(full), axis=1)
-            op = ("perm", src, full[np.arange(dim), src].astype(np.complex64))
-        else:
-            op = ("dense", full.T.astype(np.complex64))  # arr @ full.T applies the gate
-    if key is not None:
-        if len(_COMPILED_CACHE) > 4096:
-            _COMPILED_CACHE.clear()
-        _COMPILED_CACHE[key] = op
-    return op
+def _drift_gates(gaps, model: NoiseModel) -> list[GateOp]:
+    """RZ gates for the coherent Z drift each (qubit, seconds) idle gap accumulates."""
+    return [
+        GateOp("RZ", (q,), 2 * model.idle_rate[q] * dt)
+        for q, dt in gaps
+        if model.idle_rate.get(q, 0.0) and dt > 0
+    ]
 
 
-def _apply_compiled(arr: np.ndarray, op) -> np.ndarray:
-    if op[0] == "diag":
-        arr *= op[1]
-        return arr
-    if op[0] == "perm":
-        return arr[:, op[1]] * op[2]
-    return arr @ op[1]
-
-
-def _compile_run(circuit: Circuit, model: NoiseModel, n: int):
-    """Flatten schedule, idle drifts and per-gate noise into a lean op list.
-
-    Consecutive diagonal factors merge into one vector; global phases drop (they
-    cannot affect any measurement).  Each entry is (op, noise) with noise either
-    None or (probability, targets).
-    """
-    ops, tail, _ = schedule_ops(circuit, model)
-    out = []
-    pending_diag = None
-
-    def flush():
-        nonlocal pending_diag
-        if pending_diag is not None:
-            out.append((("diag", pending_diag), None))
-            pending_diag = None
-
-    def push(op, noise):
-        nonlocal pending_diag
-        if op[0] == "diag" and noise is None:
-            pending_diag = op[1].copy() if pending_diag is None else pending_diag * op[1]
-            return
-        flush()
-        out.append((op, noise))
-
-    for g, gaps in ops:
-        for q, dt in gaps:
-            rate = model.idle_rate.get(q, 0.0)
-            if rate and dt > 0:
-                push(_compile_gate(GateOp("RZ", (q,), 2 * rate * dt), n), None)
-        if g.kind == "GPHASE":
-            continue
-        noise = None
-        if _is_noisy(g) and g.kind != "DELAY":
-            prob = (
-                model.p1.get(g.targets[0], 0.0)
-                if len(g.targets) == 1
-                else model.pair_p(*g.targets)
-            )
-            if prob > 0:
-                noise = (prob, g.targets)
-        if g.kind == "DELAY":
-            continue
-        op = _compile_gate(g, n)
-        if noise is None:
-            push(op, None)
-        else:
-            flush()
-            out.append((op, noise))
-    for q, dt in tail:
-        rate = model.idle_rate.get(q, 0.0)
-        if rate and dt > 0:
-            push(_compile_gate(GateOp("RZ", (q,), 2 * rate * dt), n), None)
-    flush()
-    return out
+def _error_prob(g: GateOp, model: NoiseModel) -> float:
+    """Depolarizing probability that follows the gate (0 for virtual gates)."""
+    if not _is_noisy(g):
+        return 0.0
+    if len(g.targets) == 1:
+        return model.p1.get(g.targets[0], 0.0)
+    return model.pair_p(*g.targets)
 
 
 def _apply_pauli_rows(arr: np.ndarray, rows: np.ndarray, p: PauliString) -> None:
@@ -369,51 +272,47 @@ def run_noisy(
     n = circuit.n_qubits
     sample_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    from .circuit import simulate as _simulate
-    from .statevector import StateVector, sample_counts
-
     pure = not (
         any(p > 0 for p in model.p1.values())
         or any(p > 0 for p in model.p2.values())
         or any(r != 0 for r in model.idle_rate.values())
     )
+    outcomes = None
     if pure:
         # gate-exact double-precision path; bit-identical to noiseless sampling
-        state = _simulate(circuit)
-        counts = sample_counts(state, measure_qubits, shots, sample_seed)
-        outcomes = _counts_to_rows(counts, measure_qubits, shots)
-        outcomes = _apply_readout_flips(outcomes, measure_qubits, model, rng)
-        out: dict[str, int] = {}
-        for row in outcomes:
-            key = "".join(str(int(b)) for b in row)
-            out[key] = out.get(key, 0) + 1
-        return out
-
-    # single precision for the trajectory ensemble: statistical error dominates
-    arr = np.zeros((shots, 1 << n), dtype=np.complex64)
-    arr[:, 0] = 1.0
-    diverged = False
-
-    for op, noise in _compile_run(circuit, model, n):
-        arr = _apply_compiled(arr, op)
-        if noise is not None:
-            prob, targets = noise
-            if _depolarize(arr, shots, prob, targets, n, rng):
-                diverged = True
-
-    if not diverged:
-        state = StateVector(arr[0].astype(complex), n)
-        counts = sample_counts(state, measure_qubits, shots, sample_seed)
-        outcomes = _counts_to_rows(counts, measure_qubits, shots)
+        state = simulate(circuit)
     else:
-        probs = np.abs(arr) ** 2
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = np.cumsum(probs, axis=1)
-        u = rng.random(shots)
-        idx = (cdf < u[:, None]).sum(axis=1)
-        outcomes = np.array(
-            [[(b >> q) & 1 for q in measure_qubits] for b in idx], dtype=np.int8
-        )
+        # single precision (shot noise dominates), state-major so that every
+        # kernel block runs along contiguous shots
+        arr = np.zeros((1 << n, shots), dtype=np.complex64).T
+        arr[:, 0] = 1.0
+        diverged = False
+        ops, tail, _ = schedule_ops(circuit, model)
+        for g, gaps in ops:
+            for drift in _drift_gates(gaps, model):
+                apply_gate_inplace(arr, drift, n)
+            if g.kind == "GPHASE":  # a global phase cannot change any outcome
+                continue
+            apply_gate_inplace(arr, g, n)
+            if _depolarize(arr, shots, _error_prob(g, model), g.targets, n, rng):
+                diverged = True
+        for drift in _drift_gates(tail, model):
+            apply_gate_inplace(arr, drift, n)
+        if diverged:
+            # shot-major copy: each shot's probabilities sum along one contiguous row
+            probs = np.abs(np.ascontiguousarray(arr)) ** 2
+            probs /= probs.sum(axis=1, keepdims=True)
+            cdf = np.cumsum(probs, axis=1)
+            u = rng.random(shots)
+            idx = (cdf < u[:, None]).sum(axis=1)
+            outcomes = np.array(
+                [[(b >> q) & 1 for q in measure_qubits] for b in idx], dtype=np.int8
+            )
+        else:
+            state = StateVector(arr[0].astype(complex), n)
+    if outcomes is None:
+        counts = sample_counts(state, measure_qubits, shots, sample_seed)
+        outcomes = _counts_to_rows(counts, measure_qubits, shots)
     outcomes = _apply_readout_flips(outcomes, measure_qubits, model, rng)
     out: dict[str, int] = {}
     for row in outcomes:
@@ -429,13 +328,6 @@ def _counts_to_rows(counts: dict[str, int], measure_qubits, shots) -> np.ndarray
         rows[at : at + c] = [int(ch) for ch in key]
         at += c
     return rows
-
-
-def _idle_drift(arr, q, dt, model, n) -> np.ndarray:
-    rate = model.idle_rate.get(q, 0.0)
-    if rate and dt > 0:
-        arr = _apply_compiled(arr, _compile_gate(GateOp("RZ", (q,), 2 * rate * dt), n))
-    return arr
 
 
 def _apply_readout_flips(outcomes: np.ndarray, measure_qubits, model: NoiseModel, rng):

@@ -2,8 +2,11 @@
 
 Amplitudes are indexed so that bit q of the basis index is the value of qubit q
 (qubit 0 = least significant).  Kernels operate on a trailing axis of length 2^n,
-so a leading batch axis broadcasts; the noise module uses that for trajectory
-ensembles.  Capacity is dense double precision up to 24 qubits.
+so a leading batch axis broadcasts.  The noise module's trajectory ensemble is
+such a batch, laid out state-major: a (shots, 2^n) transposed view of a
+C-ordered (2^n, shots) array, so every block a kernel touches runs along
+contiguous shots.  Kernels keep the array's dtype (complex64 batches stay single
+precision).  Capacity is dense double precision up to 24 qubits.
 """
 from __future__ import annotations
 
@@ -183,12 +186,17 @@ def _slice(view, axes, values):
 
 
 def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
-    """Apply one gate to amplitudes with a trailing 2^n axis, mutating in place."""
+    """Apply one gate to amplitudes with a trailing 2^n axis, mutating in place.
+
+    Phases and matrices are cast to the array's dtype, so a complex64 batch
+    stays complex64 throughout.
+    """
     for t in g.targets:
         if not 0 <= t < n:
             raise ValueError(f"target {t} out of range for {n} qubits")
+    dt = arr.dtype.type
     if g.kind == "GPHASE":
-        arr *= np.exp(1j * g.angle)
+        arr *= dt(np.exp(1j * g.angle))
         return
     if g.kind == "DELAY":
         return
@@ -198,10 +206,10 @@ def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
         if g.kind == "Z":
             hi *= -1
         elif g.kind == "RZ":
-            view[_slice(view, axes, (0,))] *= np.exp(-1j * g.angle / 2)
-            hi *= np.exp(1j * g.angle / 2)
+            view[_slice(view, axes, (0,))] *= dt(np.exp(-1j * g.angle / 2))
+            hi *= dt(np.exp(1j * g.angle / 2))
         else:
-            hi *= np.exp(1j * g.angle)
+            hi *= dt(np.exp(1j * g.angle))
         return
     if g.kind == "CZ":
         view, axes = _axis_views(arr, n, g.targets)
@@ -209,34 +217,42 @@ def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
         return
     if g.kind == "CPHASE":
         view, axes = _axis_views(arr, n, g.targets)
-        view[_slice(view, axes, (1, 1))] *= np.exp(1j * g.angle)
+        view[_slice(view, axes, (1, 1))] *= dt(np.exp(1j * g.angle))
         return
-    if g.kind == "CNOT":
+    if g.kind in ("X", "CNOT"):  # swap two half-blocks (control set for CNOT)
         view, axes = _axis_views(arr, n, g.targets)
-        i10 = _slice(view, axes, (1, 0))
-        i11 = _slice(view, axes, (1, 1))
-        tmp = view[i10].copy()
-        view[i10] = view[i11]
-        view[i11] = tmp
+        ctrl = (1,) if g.kind == "CNOT" else ()
+        i0 = _slice(view, axes, ctrl + (0,))
+        i1 = _slice(view, axes, ctrl + (1,))
+        tmp = view[i0].copy(order="K")
+        view[i0] = view[i1]
+        view[i1] = tmp
         return
     if g.kind == "CY":
         view, axes = _axis_views(arr, n, g.targets)
         i10 = _slice(view, axes, (1, 0))
         i11 = _slice(view, axes, (1, 1))
-        tmp = view[i10].copy()
+        tmp = view[i10].copy(order="K")
         view[i10] = -1j * view[i11]
         view[i11] = 1j * tmp
         return
-    m = gate_matrix(g)
+    m = gate_matrix(g).astype(arr.dtype, copy=False)
     if len(g.targets) == 1:
         view, axes = _axis_views(arr, n, g.targets)
-        a0 = view[_slice(view, axes, (0,))].copy()
+        a0 = view[_slice(view, axes, (0,))]
         a1 = view[_slice(view, axes, (1,))]
-        view[_slice(view, axes, (0,))] = m[0, 0] * a0 + m[0, 1] * a1
-        view[_slice(view, axes, (1,))] = m[1, 0] * a0 + m[1, 1] * a1
+        # m00*a0 + m01*a1 and m10*a0 + m11*a1 with the matrix entry first in every
+        # product (numpy rounds array*scalar and scalar*array differently)
+        new0 = m[0, 0] * a0
+        new0 += m[0, 1] * a1
+        np.multiply(m[1, 1], a1, out=a1)
+        a1 += m[1, 0] * a0
+        a0[...] = new0
         return
     view, axes = _axis_views(arr, n, g.targets)
-    blocks = [view[_slice(view, axes, ((k >> 0) & 1, (k >> 1) & 1))].copy() for k in range(4)]
+    blocks = [
+        view[_slice(view, axes, ((k >> 0) & 1, (k >> 1) & 1))].copy(order="K") for k in range(4)
+    ]
     for out_k in range(4):
         acc = m[out_k, 0] * blocks[0]
         for in_k in range(1, 4):

@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import settings
 
 from hubbard_gf.local_mapping import (
     build_measurement_string,
@@ -12,6 +13,11 @@ from hubbard_gf.local_mapping import (
     source_bilinear,
     source_operator,
 )
+
+# Property tests draw the same examples on every run; each test keeps its own
+# max_examples, which the profile leaves alone.
+settings.register_profile("derandomized", derandomize=True, database=None)
+settings.load_profile("derandomized")
 
 
 def mapping_inventory(lay):

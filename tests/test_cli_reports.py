@@ -61,6 +61,7 @@ def test_correlator_exact_run_and_compare_pass(tmp_path, capsys, protocol, kind)
         header, _, rows = read_csv(tmp_path / f"{name}.csv")
         assert header["protocol"] == protocol.replace("-", "_")
         assert {r[4] for r in rows} == {header["protocol"]}
+        assert {r[5] for r in rows} == {header["phi"]}
     code, out, _ = run_cli(["compare", "--csv", *paths], capsys)
     assert code == 0
     report = json.loads(out)

@@ -51,6 +51,19 @@ def test_zero_noise_bit_identical_to_noiseless_sampling():
     assert got == want
 
 
+def test_run_noisy_seeded_counts_are_pinned():
+    # the seed contract: an engine change that draws the shots anew fails here
+    from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.greens import DIMER_PAIRS, direct_point_circuit
+
+    source, probe = DIMER_PAIRS["y2y2"]
+    circuit, meas_qubits, _ = direct_point_circuit(
+        source, probe, 1.0, 4.0, TrotterPlan(0.314, 6), 3, math.pi / 2, math.pi / 2
+    )
+    counts = run_noisy(circuit, kolkata_dimer_model(), 2048, 11, meas_qubits)
+    assert counts == {"00": 554, "01": 504, "10": 493, "11": 497}
+
+
 def test_run_noisy_width_mismatch():
     with pytest.raises(ValueError):
         run_noisy(bell_circuit(), NoiseModel.zero(3), 10, 0)
@@ -192,19 +205,21 @@ def test_dd_refocuses_coherent_idle_drift():
 
 def run_noisy_fidelity(circuit, model):
     # deterministic coherent part only: single trajectory, no sampling
-    from hubbard_gf.noise import schedule_ops, _idle_drift, _apply_compiled, _compile_gate
+    from hubbard_gf.noise import _drift_gates, schedule_ops
+    from hubbard_gf.statevector import apply_gate_inplace
 
-    arr = np.zeros((1, 1 << circuit.n_qubits), dtype=complex)
-    arr[0, 0] = 1.0
+    n = circuit.n_qubits
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[0] = 1.0
     ops, tail, _ = schedule_ops(circuit, model)
     for g, gaps in ops:
-        for q, dt in gaps:
-            arr = _idle_drift(arr, q, dt, model, circuit.n_qubits)
-        arr = _apply_compiled(arr, _compile_gate(g, circuit.n_qubits))
-    for q, dt in tail:
-        arr = _idle_drift(arr, q, dt, model, circuit.n_qubits)
-    ideal = simulate(Circuit(circuit.n_qubits, tuple(g for g in circuit.gates if g.kind != "DELAY")))
-    return abs(np.vdot(ideal.amps, arr[0])) ** 2
+        for drift in _drift_gates(gaps, model):
+            apply_gate_inplace(amps, drift, n)
+        apply_gate_inplace(amps, g, n)
+    for drift in _drift_gates(tail, model):
+        apply_gate_inplace(amps, drift, n)
+    ideal = simulate(Circuit(n, tuple(g for g in circuit.gates if g.kind != "DELAY")))
+    return abs(np.vdot(ideal.amps, amps)) ** 2
 
 
 def test_fold_circuit_counts_and_unitary():

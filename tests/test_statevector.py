@@ -2,11 +2,16 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
+from hubbard_gf.circuit import Circuit, simulate
 from hubbard_gf.pauli import PauliString
 from hubbard_gf.statevector import (
+    ONE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
+    ZERO_QUBIT_KINDS,
     GateOp,
     StateVector,
     apply_gate,
+    apply_gate_inplace,
     apply_pauli,
     apply_pauli_rotation,
     expectation_pauli,
@@ -271,3 +276,50 @@ def test_rotation_inverse_property(xbits, zbits, negate, theta, seed):
     out = apply_pauli_rotation(apply_pauli_rotation(s, p, theta), p, -theta)
     assert np.max(np.abs(out.amps - amps)) < 1e-12
     assert out.norm_error() < 1e-12
+
+
+_ANGLE_KINDS = ("RZ", "PHASE", "CPHASE", "GPHASE", "DELAY")
+
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def _gate_sequences(draw):
+    n = draw(st.integers(1, 5))
+    kinds = ONE_QUBIT_KINDS + ZERO_QUBIT_KINDS + (TWO_QUBIT_KINDS if n > 1 else ())
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        width = 0 if kind in ZERO_QUBIT_KINDS else 1 if kind in ONE_QUBIT_KINDS else 2
+        targets = tuple(draw(st.permutations(range(n)))[:width])
+        angle = draw(st.floats(-6.0, 6.0, allow_nan=False)) if kind in _ANGLE_KINDS else None
+        matrix = _random_unitary(rng, 1 << width) if kind in ("U1", "U2") else None
+        gates.append(GateOp(kind, targets, angle, matrix))
+    return n, tuple(gates), draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_gate_sequences())
+def test_state_major_batch_matches_per_row_simulate(case):
+    # the trajectory engine's layout: a (shots, 2^n) view of a (2^n, shots) array
+    n, gates, rows, seed = case
+    rng = np.random.default_rng(seed)
+    init = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
+    init /= np.linalg.norm(init, axis=1, keepdims=True)
+    circuit = Circuit(n, gates)
+    expected = np.array([simulate(circuit, StateVector(row.copy(), n)).amps for row in init])
+    # Exact in double precision.  Below 3 qubits a row can hold single-amplitude
+    # blocks, and numpy rounds array-times-scalar products of one-element arrays
+    # differently from longer ones, so those compare to a few ulp.
+    for dtype, tol in ((np.complex128, 1e-14), (np.complex64, 1e-5)):
+        batch = np.array(init.T, dtype=dtype, order="C").T  # a copy, state-major
+        for g in gates:
+            apply_gate_inplace(batch, g, n)
+        assert batch.dtype == dtype
+        if dtype is np.complex128 and n >= 3:
+            np.testing.assert_array_equal(batch, expected)
+        else:
+            assert np.max(np.abs(batch - expected)) < tol
