@@ -23,6 +23,7 @@ __all__ = [
     "hopping_step",
     "repulsion_step",
     "dimer_interaction_step",
+    "dimer_hopping_layer",
     "dimer_trotter_step",
     "trotter_evolution",
     "measurement_basis_circuit",
@@ -207,14 +208,15 @@ def dimer_interaction_step(theta: float, form: str = "cnot") -> Circuit:
     return Circuit(4, tuple(gates))
 
 
+def dimer_hopping_layer(beta: float) -> Circuit:
+    """Both spins' hopping pair blocks with angle beta: the hopping half of a dimer layer."""
+    return hopping_pair_block(0, 1, beta, 4) + hopping_pair_block(2, 3, beta, 4)
+
+
 def dimer_trotter_step(t: float, u: float, dtau: float, form: str = "cnot") -> Circuit:
     """One dimer Trotter slice: interaction with angle U*dtau, then both hopping
     pairs with angle -t*dtau (the variational layer reused as an evolution step)."""
-    step = dimer_interaction_step(u * dtau, form=form)
-    beta = -t * dtau
-    step = step + hopping_pair_block(0, 1, beta, 4)
-    step = step + hopping_pair_block(2, 3, beta, 4)
-    return step
+    return dimer_interaction_step(u * dtau, form=form) + dimer_hopping_layer(-t * dtau)
 
 
 def trotter_evolution(h: FermionHamiltonian, plan: TrotterPlan) -> Circuit:

@@ -210,12 +210,18 @@ def _error_prob(g: GateOp, model: NoiseModel) -> float:
     return model.pair_p(*g.targets)
 
 
-def _apply_pauli_rows(arr: np.ndarray, rows: np.ndarray, p: PauliString) -> None:
-    perm, coef = _pauli_action(p)
-    arr[np.ix_(rows, perm)] = coef * arr[rows]
+def _error_action(actions: dict, n: int, letters: tuple[tuple[int, str], ...]):
+    """(perm, coef[perm]) of the Pauli error on (qubit, letter) pairs, so that
+    P s = coef[perm] * s[perm]; cached in `actions` under (n, letters)."""
+    key = (n, letters)
+    hit = actions.get(key)
+    if hit is None:
+        perm, coef = _pauli_action(PauliString.from_letter_map(n, dict(letters)))
+        hit = actions[key] = (perm, coef[perm])
+    return hit
 
 
-def _depolarize(arr, shots, prob, qubits, n, rng):
+def _depolarize(arr, shots, prob, qubits, n, rng, actions):
     if prob <= 0:
         return False
     hits = rng.random(shots) < prob
@@ -224,22 +230,22 @@ def _depolarize(arr, shots, prob, qubits, n, rng):
         return False
     if len(qubits) == 1:
         choices = rng.integers(0, 3, size=len(rows))
-        for letter_idx in range(3):
-            sel = rows[choices == letter_idx]
-            if len(sel):
-                p = PauliString.from_letter_map(n, {qubits[0]: SINGLE_PAULIS[letter_idx]})
-                _apply_pauli_rows(arr, sel, p)
+        groups = [(i, ((qubits[0], SINGLE_PAULIS[i]),)) for i in range(3)]
     else:
         choices = rng.integers(1, 16, size=len(rows))
-        for combo in np.unique(choices):
-            sel = rows[choices == combo]
-            letters = {}
-            for pos, q in enumerate(qubits):
-                letter = "IXYZ"[(combo >> (2 * pos)) & 3]
-                if letter != "I":
-                    letters[q] = letter
-            p = PauliString.from_letter_map(n, letters)
-            _apply_pauli_rows(arr, sel, p)
+        groups = [
+            (combo, tuple(
+                (q, "IXYZ"[(combo >> (2 * pos)) & 3])
+                for pos, q in enumerate(qubits)
+                if (combo >> (2 * pos)) & 3
+            ))
+            for combo in np.unique(choices)
+        ]
+    for choice, letters in groups:
+        sel = rows[choices == choice]
+        if len(sel):
+            perm, coef = _error_action(actions, n, letters)
+            arr[sel] = coef * arr[sel][:, perm]
     return True
 
 
@@ -287,6 +293,7 @@ def run_noisy(
         arr = np.zeros((1 << n, shots), dtype=np.complex64).T
         arr[:, 0] = 1.0
         diverged = False
+        actions: dict = {}
         ops, tail, _ = schedule_ops(circuit, model)
         for g, gaps in ops:
             for drift in _drift_gates(gaps, model):
@@ -294,7 +301,7 @@ def run_noisy(
             if g.kind == "GPHASE":  # a global phase cannot change any outcome
                 continue
             apply_gate_inplace(arr, g, n)
-            if _depolarize(arr, shots, _error_prob(g, model), g.targets, n, rng):
+            if _depolarize(arr, shots, _error_prob(g, model), g.targets, n, rng, actions):
                 diverged = True
         for drift in _drift_gates(tail, model):
             apply_gate_inplace(arr, drift, n)
@@ -305,20 +312,23 @@ def run_noisy(
             cdf = np.cumsum(probs, axis=1)
             u = rng.random(shots)
             idx = (cdf < u[:, None]).sum(axis=1)
-            outcomes = np.array(
-                [[(b >> q) & 1 for q in measure_qubits] for b in idx], dtype=np.int8
-            )
+            outcomes = ((idx[:, None] >> np.array(measure_qubits)) & 1).astype(np.int8)
         else:
             state = StateVector(arr[0].astype(complex), n)
     if outcomes is None:
         counts = sample_counts(state, measure_qubits, shots, sample_seed)
         outcomes = _counts_to_rows(counts, measure_qubits, shots)
     outcomes = _apply_readout_flips(outcomes, measure_qubits, model, rng)
-    out: dict[str, int] = {}
-    for row in outcomes:
-        key = "".join(str(int(b)) for b in row)
-        out[key] = out.get(key, 0) + 1
-    return out
+    # keys in first-occurrence order, which sets the float summation order of
+    # parity_expectation over the histogram
+    codes = outcomes.astype(np.int64) @ (1 << np.arange(len(measure_qubits), dtype=np.int64))
+    values, first, counts = np.unique(codes, return_index=True, return_counts=True)
+    order = np.argsort(first)
+    k = len(measure_qubits)
+    return {
+        "".join(str((code >> i) & 1) for i in range(k)): int(c)
+        for code, c in zip(values[order].tolist(), counts[order].tolist())
+    }
 
 
 def _counts_to_rows(counts: dict[str, int], measure_qubits, shots) -> np.ndarray:

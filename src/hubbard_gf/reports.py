@@ -12,8 +12,8 @@ import numpy as np
 
 
 def _fmt(x) -> str:
-    if isinstance(x, float):
-        return repr(x)
+    if isinstance(x, float):  # np.float64 too, whose repr is "np.float64(...)"
+        return repr(float(x))
     return str(x)
 
 

@@ -7,6 +7,7 @@ E(alpha, beta) = -2t cos(alpha/2) - (U/4)(1 - sin(alpha/2) sin(4 beta)) come out
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -14,8 +15,9 @@ import numpy as np
 
 from .circuit import (
     Circuit,
+    circuit_unitary,
+    dimer_hopping_layer,
     dimer_interaction_step,
-    hopping_pair_block,
     horizontal_hop_value,
     measurement_basis_circuit,
     simulate,
@@ -25,7 +27,7 @@ from .oracle import hamiltonian_pauli_terms, split_pauli_terms
 from .statevector import (
     GateOp,
     StateVector,
-    expectation_pauli,
+    _pauli_action,  # shared kernel plumbing
     parity_expectation,
     sample_counts,
     shot_stderr,
@@ -56,7 +58,7 @@ class VhaParams:
         return len(self.layers)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a landscape sweep builds one per grid point
 class EnergyEstimate:
     """Measured energy with its shot-noise error and hopping/interaction split."""
 
@@ -90,10 +92,7 @@ def vha_circuit(params: VhaParams) -> Circuit:
     """Slater prep followed by p layers of interaction(alpha) then hopping(beta)."""
     circ = slater_prep_circuit()
     for alpha, beta in params.layers:
-        circ = circ + dimer_interaction_step(alpha)
-        circ = circ + hopping_pair_block(0, 1, beta, 4)
-        circ = circ + hopping_pair_block(2, 3, beta, 4)
-        circ = circ.with_barrier("layer")
+        circ = (circ + dimer_interaction_step(alpha) + dimer_hopping_layer(beta)).with_barrier("layer")
     return circ
 
 
@@ -129,9 +128,114 @@ def canonical_angles(alpha: float, beta: float) -> tuple[float, float]:
 # -- energy measurement schedules ------------------------------------------------
 
 
-def _pauli_sum(state: StateVector, terms) -> float:
-    """Exact sum of c * <P> over weighted Pauli terms."""
-    return sum(c * expectation_pauli(state, p) for c, p in terms)
+_BLOCK_ROWS = 1024  # bounds the temporaries _pauli_sum allocates per term
+
+
+def _pauli_sum(amps: np.ndarray, terms) -> np.ndarray:
+    """Exact sum of c * <P> over weighted Pauli terms, for every row of a state batch.
+
+    Each row gets expectation_pauli's checks: the strings must be Hermitian and
+    an imaginary residue above 1e-10 is an error.
+    """
+    total = np.zeros(len(amps))
+    vals = np.empty(len(amps), dtype=complex)
+    for c, p in terms:
+        if not p.is_hermitian:
+            raise ValueError(f"expectation needs a Hermitian string, got {p.label}")
+        if amps.shape[-1] != 1 << p.width:
+            raise ValueError(f"width mismatch: string {p.width}, state {amps.shape[-1]} amplitudes")
+        perm, coef = _pauli_action(p)  # (P s)[perm] = coef * s
+        for lo in range(0, len(amps), _BLOCK_ROWS):
+            rows = amps[lo : lo + _BLOCK_ROWS]
+            vals[lo : lo + _BLOCK_ROWS] = np.einsum("bi,i,bi->b", rows[:, perm].conj(), coef, rows)
+        bad = np.abs(vals.imag) > 1e-10
+        if bad.any():
+            raise ValueError(f"expectation came out complex: {vals[bad][0]}")
+        total += c * vals.real
+    return total
+
+
+def _hop_bases(h: FermionHamiltonian):
+    """(amplitude, m, n, basis kinds) per hopping bond and spin, in measurement order.
+
+    A bond whose mode qubits are JW-adjacent runs the two-qubit diagonalization
+    circuit; otherwise it runs the two string-removed parity bases.
+    """
+    for hop in h.hoppings:
+        for spin in ("up", "down"):
+            m, n = sorted((h.mode_of(hop.i, spin), h.mode_of(hop.j, spin)))
+            kinds = ("horizontal_hop",) if n == m + 1 else ("yx_pair", "xy_pair")
+            yield hop.amplitude, m, n, kinds
+
+
+def _shot_estimate(h: FermionHamiltonian, counts, shots: int) -> EnergyEstimate:
+    """Energy from one state's run histograms, given in measurement order."""
+    counts = iter(counts)
+    comp = next(counts)  # computational basis: repulsions and shifts
+    e_int = 0.0
+    var_int = 0.0
+    for rep in h.repulsions:
+        a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
+        p11 = sum(c for key, c in comp.items() if key[a] == "1" and key[b] == "1") / shots
+        e_int += rep.strength * p11
+        var_int += (rep.strength * shot_stderr(p11, shots, p11)) ** 2
+    for sh in h.shifts:
+        for spin in ("up", "down"):
+            q = h.mode_of(sh.site, spin)
+            p1 = sum(c for key, c in comp.items() if key[q] == "1") / shots
+            e_int += sh.value * p1
+            var_int += (sh.value * shot_stderr(p1, shots, p1)) ** 2
+
+    e_hop = 0.0
+    var_hop = 0.0
+    for amplitude, _, _, kinds in _hop_bases(h):
+        if kinds == ("horizontal_hop",):
+            mean, err = horizontal_hop_value(next(counts))
+            e_hop += amplitude * mean
+            var_hop += (amplitude * err) ** 2
+        else:
+            mean = 0.0
+            var = 0.0
+            for _ in kinds:
+                parity = parity_expectation(next(counts), shots)
+                mean += 0.5 * parity
+                var += 0.25 * shot_stderr(parity, shots) ** 2
+            e_hop += amplitude * mean
+            var_hop += (amplitude ** 2) * var
+
+    return EnergyEstimate(
+        e_hop + e_int, math.sqrt(var_hop + var_int), shots, e_hop, e_int
+    )
+
+
+def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds) -> list[EnergyEstimate]:
+    """Energy of every row of a (batch, 2^n) state array under h.
+
+    shots = 0 evaluates exact expectations.  Otherwise each measurement basis
+    rotates the whole batch once, and row k draws `shots` samples per run, its
+    run seeds derived from SeedSequence(seeds[k]).
+    """
+    if shots < 0:
+        raise ValueError("shots must be >= 0")
+    if shots == 0:
+        hop_terms, int_terms = split_pauli_terms(h)
+        e_hop, e_int = _pauli_sum(amps, hop_terms), _pauli_sum(amps, int_terms)
+        return [EnergyEstimate(a + b, 0.0, 0, a, b) for a, b in zip(e_hop.tolist(), e_int.tolist())]
+    n = h.n_modes
+    runs = [(amps, tuple(range(n)))]
+    for _, a, b, kinds in _hop_bases(h):
+        for kind in kinds:
+            basis = measurement_basis_circuit(kind, a, b, n)
+            runs.append((simulate(basis, StateVector(amps, n)).amps, (a, b)))
+    estimates = []
+    for k, seed in enumerate(seeds):
+        run_seeds = np.random.SeedSequence(int(seed)).generate_state(len(runs))
+        counts = [
+            sample_counts(StateVector(batch[k], n), qubits, shots, int(s))
+            for (batch, qubits), s in zip(runs, run_seeds)
+        ]
+        estimates.append(_shot_estimate(h, counts, shots))
+    return estimates
 
 
 def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: int = 0) -> EnergyEstimate:
@@ -143,64 +247,7 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
     when its modes are JW-adjacent and the two string-removed parity bases when
     they are not.  Each run uses `shots` samples with a seed derived per run.
     """
-    if shots < 0:
-        raise ValueError("shots must be >= 0")
-    state = simulate(circuit)
-    if shots == 0:
-        hop_terms, int_terms = split_pauli_terms(h)
-        e_hop, e_int = _pauli_sum(state, hop_terms), _pauli_sum(state, int_terms)
-        return EnergyEstimate(e_hop + e_int, 0.0, 0, e_hop, e_int)
-
-    seeds = np.random.SeedSequence(seed).generate_state(1 + 2 * 2 * len(h.hoppings))
-    run = 0
-
-    # run 0: computational basis for repulsions and shifts
-    counts = sample_counts(state, tuple(range(h.n_modes)), shots, int(seeds[run]))
-    run += 1
-    e_int = 0.0
-    var_int = 0.0
-    for rep in h.repulsions:
-        a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
-        p11 = sum(c for key, c in counts.items() if key[a] == "1" and key[b] == "1") / shots
-        e_int += rep.strength * p11
-        var_int += (rep.strength * shot_stderr(p11, shots, p11)) ** 2
-    for sh in h.shifts:
-        for spin in ("up", "down"):
-            q = h.mode_of(sh.site, spin)
-            p1 = sum(c for key, c in counts.items() if key[q] == "1") / shots
-            e_int += sh.value * p1
-            var_int += (sh.value * shot_stderr(p1, shots, p1)) ** 2
-
-    e_hop = 0.0
-    var_hop = 0.0
-    for hop in h.hoppings:
-        for spin in ("up", "down"):
-            m, n = sorted((h.mode_of(hop.i, spin), h.mode_of(hop.j, spin)))
-            if n == m + 1:
-                basis = measurement_basis_circuit("horizontal_hop", m, n, h.n_modes)
-                rotated = simulate(basis, state)
-                c2 = sample_counts(rotated, (m, n), shots, int(seeds[run]))
-                run += 1
-                mean, err = horizontal_hop_value(c2)
-                e_hop += hop.amplitude * mean
-                var_hop += (hop.amplitude * err) ** 2
-            else:
-                mean = 0.0
-                var = 0.0
-                for kind in ("yx_pair", "xy_pair"):
-                    basis = measurement_basis_circuit(kind, m, n, h.n_modes)
-                    rotated = simulate(basis, state)
-                    c2 = sample_counts(rotated, (m, n), shots, int(seeds[run]))
-                    run += 1
-                    parity = parity_expectation(c2, shots)
-                    mean += 0.5 * parity
-                    var += 0.25 * shot_stderr(parity, shots) ** 2
-                e_hop += hop.amplitude * mean
-                var_hop += (hop.amplitude ** 2) * var
-
-    return EnergyEstimate(
-        e_hop + e_int, math.sqrt(var_hop + var_int), shots, e_hop, e_int
-    )
+    return _energy_estimates(simulate(circuit).amps[None], h, shots, (seed,))[0]
 
 
 def measure_dimer_energy(params: VhaParams, t: float, u: float, shots: int, seed: int = 0) -> EnergyEstimate:
@@ -210,7 +257,7 @@ def measure_dimer_energy(params: VhaParams, t: float, u: float, shots: int, seed
 # -- landscape and optimization ----------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # a landscape holds one per grid point
 class LandscapePoint:
     alpha: float
     beta: float
@@ -235,31 +282,32 @@ def landscape_sweep(
     shots: int = 0,
     seed: int = 0,
 ) -> LandscapeResult:
-    """Energy at every (alpha, beta) grid point, row-major over alphas x betas."""
+    """Energy at every (alpha, beta) grid point, row-major over alphas x betas.
+
+    The grid is one state batch: each alpha's prefix (Slater prep, interaction
+    block) is simulated once, each beta's hopping layer is fused into one dense
+    unitary, and a single einsum applies every layer to every prefix.  Shot-mode
+    point k draws from the k-th seed of SeedSequence(seed).
+    """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("empty grid")
-    h = FermionHamiltonian.dimer(t, u)
-    hop_terms, int_terms = split_pauli_terms(h)
-    points = []
-    best = None
+    prefixes = np.array(
+        [simulate(slater_prep_circuit() + dimer_interaction_step(float(a))).amps for a in alphas]
+    )
+    layers = np.array([circuit_unitary(dimer_hopping_layer(float(b))) for b in betas])
     seeds = np.random.SeedSequence(seed).generate_state(alphas.size * betas.size)
-    k = 0
-    for a in alphas:
-        for b in betas:
-            if shots == 0:
-                state = vha_state(VhaParams.single(float(a), float(b)))
-                energy = _pauli_sum(state, hop_terms) + _pauli_sum(state, int_terms)
-                pt = LandscapePoint(float(a), float(b), energy, 0.0)
-            else:
-                est = measure_dimer_energy(VhaParams.single(float(a), float(b)), t, u, shots, int(seeds[k]))
-                pt = LandscapePoint(float(a), float(b), est.value, est.stderr)
-            k += 1
-            points.append(pt)
-            if best is None or pt.energy < best.energy:
-                best = pt
-    return LandscapeResult(tuple(points), best)
+    # the state batch is freed once the estimates exist, before the points are built
+    estimates = _energy_estimates(
+        np.einsum("bij,aj->abi", layers, prefixes).reshape(len(seeds), -1),
+        FermionHamiltonian.dimer(t, u), shots, seeds,
+    )
+    points = tuple(
+        LandscapePoint(a, b, est.value, est.stderr)
+        for (a, b), est in zip(itertools.product(alphas.tolist(), betas.tolist()), estimates)
+    )
+    return LandscapeResult(points, min(points, key=lambda p: p.energy))
 
 
 @dataclass(frozen=True)
@@ -295,7 +343,7 @@ def optimize(
         evals += 1
         if shots:
             return measure_dimer_energy(VhaParams.single(a, b), t, u, shots, int(next(seeds))).value
-        return _pauli_sum(vha_state(VhaParams.single(a, b)), terms)
+        return float(_pauli_sum(vha_state(VhaParams.single(a, b)).amps[None], terms)[0])
 
     best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))
     best_e = energy(best_a, best_b)

@@ -95,6 +95,38 @@ def test_noisy_branch_honours_kind_and_refuses_hadamard(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["vha-sweep", "--grid", "5"],
+        ["vha-sweep", "--grid", "5", "--shots", "64", "--seed", "3"],
+        ["correlator", "--steps", "2", "--pair", "y2y2", "--shots", "0"],
+        ["correlator", "--steps", "2", "--pair", "y2y2", "--protocol", "hadamard",
+         "--shots", "64", "--seed", "3"],
+        ["correlator", "--steps", "2", "--pair", "y2y2", "--shots", "64", "--seed", "3",
+         "--noise-model", "MODEL"],
+    ],
+    ids=["vha-exact", "vha-shots", "direct-exact", "hadamard-shots", "noisy"],
+)
+def test_every_cli_csv_cell_parses_as_float(tmp_path, capsys, argv):
+    from hubbard_gf.noise import kolkata_dimer_model
+
+    model = tmp_path / "model.json"
+    kolkata_dimer_model().to_json(model)
+    argv = [str(model) if a == "MODEL" else a for a in argv]
+    code, _, err = run_cli(argv + ["--outdir", str(tmp_path / "out")], capsys)
+    assert code == 0, err
+    paths = sorted((tmp_path / "out").glob("*.csv"))
+    assert paths
+    for path in paths:
+        _, columns, rows = read_csv(path)
+        assert rows
+        for row in rows:
+            for col, cell in zip(columns, row):
+                if col != "protocol":
+                    float(cell)
+
+
 def test_correlator_byte_reproducible(tmp_path, capsys):
     args = [
         "correlator", "--steps", "4", "--shots", "256", "--seed", "11",

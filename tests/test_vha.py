@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import (
@@ -25,7 +27,7 @@ from hubbard_gf.vha import (
     variational_energy_formula,
     vha_state,
 )
-from hubbard_gf.circuit import Circuit, simulate
+from hubbard_gf.circuit import Circuit, hopping_step, simulate
 from hubbard_gf.statevector import GateOp
 
 
@@ -160,6 +162,60 @@ def test_landscape_grid_and_argmin():
     a_best, b_best = canonical_angles(res.best.alpha, res.best.beta)
     assert abs(a_best - a_star) <= da
     assert abs(b_best - b_star) <= da
+
+
+_angles = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    alphas=_angles,
+    betas=_angles,
+    t=st.floats(0.05, 3.0),
+    u=st.floats(0.0, 8.0),
+)
+def test_exact_landscape_equals_closed_form_and_per_point_energy(alphas, betas, t, u):
+    res = landscape_sweep(t, u, alphas, betas)
+    assert [(p.alpha, p.beta) for p in res.points] == [(a, b) for a in alphas for b in betas]
+    for p in res.points:
+        assert p.stderr == 0.0
+        assert abs(p.energy - variational_energy_formula(t, u, p.alpha, p.beta)) < 1e-12
+        single = measure_dimer_energy(VhaParams.single(p.alpha, p.beta), t, u, shots=0)
+        assert abs(p.energy - single.value) < 1e-12
+    # the first grid point with the lowest energy
+    assert res.best == min(res.points, key=lambda p: p.energy)
+
+
+def test_shot_landscape_seeded_and_within_4_sigma():
+    t, u = 1.0, 4.0
+    grid = np.linspace(-math.pi, math.pi, 13)
+    res = landscape_sweep(t, u, grid, grid, shots=256, seed=17)
+    assert res.points == landscape_sweep(t, u, grid, grid, shots=256, seed=17).points
+    assert res.points != landscape_sweep(t, u, grid, grid, shots=256, seed=18).points
+    within = [
+        abs(p.energy - variational_energy_formula(t, u, p.alpha, p.beta)) <= 4 * p.stderr
+        for p in res.points
+    ]
+    assert np.mean(within) >= 0.95
+
+
+def test_parity_basis_schedule_within_5_sigma():
+    # site-major ordering puts each bond's modes two qubits apart, so every
+    # hopping runs the two string-removed parity bases instead of the
+    # diagonalization circuit
+    h = FermionHamiltonian.hubbard_chain(2, 1.0, 4.0)
+    # both electrons on site 0, partly hopped to site 1, the hop phase made real
+    prep = (
+        Circuit(4, (GateOp("X", (0,)), GateOp("X", (1,))))
+        + hopping_step(1, 2, "up", 0.6, 2)
+        + hopping_step(1, 2, "down", 0.4, 2)
+        + Circuit(4, (GateOp("PHASE", (2,), math.pi / 2), GateOp("PHASE", (3,), math.pi / 2)))
+    )
+    exact = measure_energy(prep, h, shots=0)
+    assert abs(exact.hopping) > 0.1
+    est = measure_energy(prep, h, shots=4096, seed=2)
+    assert abs(est.hopping - exact.hopping) < 5 * est.stderr
+    assert abs(est.value - exact.value) < 5 * est.stderr
 
 
 def test_landscape_periodicity():
