@@ -29,7 +29,6 @@ __all__ = [
     "measurement_basis_circuit",
     "horizontal_hop_value",
     "pauli_rotation_gates",
-    "controlled_pauli_gates",
 ]
 
 
@@ -312,15 +311,3 @@ def pauli_rotation_gates(p: PauliString, theta: float) -> list[GateOp]:
     chain = [GateOp("CNOT", (a, b)) for a, b in zip(support, support[1:])]
     return pre + chain + [GateOp("RZ", (support[-1],), angle)] + chain[::-1] + post
 
-
-def controlled_pauli_gates(p: PauliString, control: int) -> list[GateOp]:
-    """Controlled application of a Pauli string: one controlled gate per letter,
-    plus an ancilla phase gate realizing the string's i^k prefactor."""
-    gates = []
-    for q in p.support:
-        letter = p.letter_at(q)
-        kind = {"X": "CNOT", "Y": "CY", "Z": "CZ"}[letter]
-        gates.append(GateOp(kind, (control, q)))
-    if p.phase_exp:
-        gates.append(GateOp("PHASE", (control,), p.phase_exp * np.pi / 2))
-    return gates

@@ -39,7 +39,14 @@ from .reports import (
     write_landscape_csv,
     write_measurement_csv,
 )
-from .vha import VhaParams, landscape_sweep, optimal_angles, slater_prep_circuit, vha_circuit
+from .vha import (
+    VhaParams,
+    canonical_angles,
+    landscape_sweep,
+    optimal_angles,
+    slater_prep_circuit,
+    vha_circuit,
+)
 
 
 def _add_common(p):
@@ -132,8 +139,6 @@ def cmd_vha_sweep(args) -> int:
         f"dimer variational energy (t={args.t}, U={args.u})",
         grid, grid, energies, best=(res.best.alpha, res.best.beta),
     )
-    from .vha import canonical_angles
-
     a, b = canonical_angles(res.best.alpha, res.best.beta)
     ref = optimal_angles(args.t, args.u)
     print(
@@ -145,15 +150,17 @@ def cmd_vha_sweep(args) -> int:
 
 
 def _mitigation_from(args) -> MitigationConfig:
-    if not (args.readout_mitigation or args.twirl > 1 or args.dd != "none" or args.zne_scales):
-        return NO_MITIGATION
-    return MitigationConfig(
+    config = MitigationConfig(  # validates every flag, also when none asks for mitigation
         readout=args.readout_mitigation,
         twirl_variants=args.twirl,
         dd_sequence=args.dd,
         zne_scales=tuple(args.zne_scales),
         zne_order=args.zne_order,
     )
+    if not (config.readout or config.twirl_variants > 1 or config.dd_sequence != "none"
+            or config.zne_scales):
+        return NO_MITIGATION
+    return config
 
 
 def cmd_correlator(args) -> int:
@@ -163,6 +170,7 @@ def cmd_correlator(args) -> int:
     if args.noise_model and args.protocol != "direct":
         print("error: --noise-model runs the direct protocol only", file=sys.stderr)
         return 2
+    config = _mitigation_from(args) if args.noise_model else None
     out = _outdir(args)
     seed = args.seed or 0
     plan = TrotterPlan(args.dtau, args.steps)
@@ -176,7 +184,6 @@ def cmd_correlator(args) -> int:
     dense = np.linspace(0, taus[-1], 200)
     if args.noise_model:
         model = NoiseModel.from_json(args.noise_model)
-        config = _mitigation_from(args)
         header["noise_model"] = args.noise_model
         for name in pairs:
             _, values = noisy_dimer_series(

@@ -1,10 +1,15 @@
-"""Stochastic Pauli noise with device-table parameters, plus the four mitigation tools.
+"""Pauli noise with device-table parameters, plus the four mitigation tools.
 
-Noise channels are depolarizing Pauli errors attached to non-virtual gates, sampled
-per trajectory (the simulator stays in the statevector picture).  Z-axis rotations
-(RZ, PHASE, Z, GPHASE) are virtual: no error, no duration.  Idle qubits accumulate
-a deterministic Z-phase drift at a per-qubit rate, which is what an XX decoupling
-sequence refocuses; T1/T2 from the device tables ride along as metadata only.
+Noisy circuits run on an exact density matrix, held as one complex vector over
+2n qubits (ket qubit q at bit q, bra qubit q at bit n + q), so widths stop at
+MAX_QUBITS // 2 = 12.  Every non-virtual gate is followed by a depolarizing
+channel on its targets; gate and channel act together as one cached 4^k x 4^k
+superoperator.  Z-axis rotations (RZ, PHASE, Z, GPHASE) are virtual: no error,
+no duration.  Idle qubits accumulate a deterministic Z-phase drift at a
+per-qubit rate, which is what an XX decoupling sequence refocuses; T1/T2 from
+the device tables ride along as metadata only.  Readout confusion multiplies
+the measured marginal, and the counts are one seeded multinomial draw from the
+result (seed schedule in run_noisy).
 """
 from __future__ import annotations
 
@@ -17,17 +22,18 @@ import numpy as np
 from .circuit import Circuit, simulate
 from .pauli import PauliString
 from .statevector import (
+    MAX_QUBITS,
     GateOp,
-    StateVector,
-    _pauli_action,  # shared kernel plumbing
-    apply_gate_inplace,
+    apply_matrix_inplace,
+    gate_matrix,
     inverse_gate,
+    marginal_probs,
+    marginalize,
+    multinomial_counts,
     parity_expectation,
-    sample_counts,
 )
 
 VIRTUAL_KINDS = {"RZ", "PHASE", "Z", "GPHASE", "DELAY"}
-SINGLE_PAULIS = ("X", "Y", "Z")
 
 
 def _is_noisy(g: GateOp) -> bool:
@@ -189,7 +195,7 @@ def idle_windows(circuit: Circuit, model: NoiseModel) -> dict[int, list[tuple[in
     return windows
 
 
-# -- trajectory simulation -------------------------------------------------------
+# -- density-matrix simulation -----------------------------------------------------
 
 
 def _drift_gates(gaps, model: NoiseModel) -> list[GateOp]:
@@ -210,43 +216,75 @@ def _error_prob(g: GateOp, model: NoiseModel) -> float:
     return model.pair_p(*g.targets)
 
 
-def _error_action(actions: dict, n: int, letters: tuple[tuple[int, str], ...]):
-    """(perm, coef[perm]) of the Pauli error on (qubit, letter) pairs, so that
-    P s = coef[perm] * s[perm]; cached in `actions` under (n, letters)."""
-    key = (n, letters)
-    hit = actions.get(key)
-    if hit is None:
-        perm, coef = _pauli_action(PauliString.from_letter_map(n, dict(letters)))
-        hit = actions[key] = (perm, coef[perm])
-    return hit
+def _superoperator(g: GateOp, p: float) -> np.ndarray:
+    """The gate, then k-qubit depolarizing with probability p, on the vectorized rho
+    of its targets: ket bits low, bra bits high, so the gate acts as kron(conj U, U).
+
+    Depolarizing is (1 - lam) rho + lam Tr_S(rho) (x) I/2^k with lam = 4^k p/(4^k - 1):
+    each of the 4^k - 1 non-identity Paulis with probability p/(4^k - 1).
+    """
+    u = gate_matrix(g)
+    s = np.kron(u.conj(), u)
+    if p > 0:
+        dim = len(u)
+        lam = dim * dim * p / (dim * dim - 1)
+        trace = np.eye(dim).reshape(-1)  # vectorized identity: picks the diagonal
+        s = (1 - lam) * s + (lam / dim) * np.outer(trace, trace @ s)
+    return s
 
 
-def _depolarize(arr, shots, prob, qubits, n, rng, actions):
-    if prob <= 0:
-        return False
-    hits = rng.random(shots) < prob
-    rows = np.nonzero(hits)[0]
-    if len(rows) == 0:
-        return False
-    if len(qubits) == 1:
-        choices = rng.integers(0, 3, size=len(rows))
-        groups = [(i, ((qubits[0], SINGLE_PAULIS[i]),)) for i in range(3)]
-    else:
-        choices = rng.integers(1, 16, size=len(rows))
-        groups = [
-            (combo, tuple(
-                (q, "IXYZ"[(combo >> (2 * pos)) & 3])
-                for pos, q in enumerate(qubits)
-                if (combo >> (2 * pos)) & 3
-            ))
-            for combo in np.unique(choices)
-        ]
-    for choice, letters in groups:
-        sel = rows[choices == choice]
-        if len(sel):
-            perm, coef = _error_action(actions, n, letters)
-            arr[sel] = coef * arr[sel][:, perm]
-    return True
+def _readout(p_true: np.ndarray, measure_qubits, model: NoiseModel) -> np.ndarray:
+    """Observed distribution under the tensor-product readout confusion
+    (the model mitigate_readout inverts), clipped at 0 and normalized."""
+    confusions = [np.asarray(model.readout.get(q, np.eye(2)), dtype=float) for q in measure_qubits]
+    p = np.clip(_per_bit(p_true, [c.T for c in confusions]), 0.0, None)
+    return p / p.sum()
+
+
+def noisy_distribution(
+    circuit: Circuit, model: NoiseModel, measure_qubits: tuple[int, ...]
+) -> np.ndarray:
+    """Exact distribution of the read-out bits of measure_qubits (bit i of the
+    index = measure_qubits[i]) under the model: what run_noisy draws from."""
+    if circuit.n_qubits != model.n_qubits:
+        raise ValueError(
+            f"model covers {model.n_qubits} qubits, circuit has {circuit.n_qubits}"
+        )
+    n = circuit.n_qubits
+    if n > MAX_QUBITS // 2:
+        raise ValueError(f"{n} qubits exceed the density-matrix capacity {MAX_QUBITS // 2}")
+    pure = not (
+        any(p > 0 for p in model.p1.values())
+        or any(p > 0 for p in model.p2.values())
+        or any(r != 0 for r in model.idle_rate.values())
+    )
+    if pure:
+        # gate-exact statevector path; bit-identical to noiseless sampling
+        return _readout(marginal_probs(simulate(circuit), measure_qubits), measure_qubits, model)
+    # rho as one vector over 2n qubits: ket qubit q at bit q, bra qubit q at bit n + q
+    rho = np.zeros(1 << (2 * n), dtype=complex)
+    rho[0] = 1.0
+    cache: dict = {}
+
+    def apply(g: GateOp) -> None:
+        p = _error_prob(g, model)
+        matrix = None if g.matrix is None else np.asarray(g.matrix).tobytes()
+        key = (g.kind, g.targets, g.angle, matrix, p)
+        s = cache.get(key)
+        if s is None:
+            s = cache[key] = _superoperator(g, p)
+        apply_matrix_inplace(rho, s, g.targets + tuple(n + t for t in g.targets), 2 * n)
+
+    ops, tail, _ = schedule_ops(circuit, model)
+    for g, gaps in ops:
+        for drift in _drift_gates(gaps, model):
+            apply(drift)
+        if g.kind not in ("GPHASE", "DELAY"):  # a global phase or a wait changes no outcome
+            apply(g)
+    for drift in _drift_gates(tail, model):
+        apply(drift)
+    diag = rho[:: (1 << n) + 1].real  # rho[i, i] sits at i + (i << n)
+    return _readout(marginalize(diag, n, measure_qubits), measure_qubits, model)
 
 
 def run_noisy(
@@ -256,106 +294,39 @@ def run_noisy(
     seed: int,
     measure_qubits: tuple[int, ...] | None = None,
 ) -> dict[str, int]:
-    """Trajectory sampling: each gate is followed by a sampled Pauli error, idle
-    windows accumulate coherent Z drift, readout flips follow the confusion rows.
+    """Counts of measure_qubits (default: all) from one multinomial draw over the
+    exact noisy distribution.
 
-    Seed schedule: final sampling uses the integer derived from SeedSequence
-    ([seed, 0]); trajectory errors and readout flips draw from SeedSequence
-    ([seed, 1]).  With an all-zero model no trajectory randomness is consumed and
-    the final draw is the same multinomial as noiseless sample_counts with the
-    derived sampling seed, bit for bit.
+    The density matrix is exact: every non-virtual gate is followed by its
+    depolarizing channel, idle gaps add coherent Z drift and the readout
+    confusion multiplies the measured marginal.  Circuits wider than
+    MAX_QUBITS // 2 = 12 qubits are refused (rho holds 4^n values).  Seed
+    schedule: the draw uses the integer derived from SeedSequence([seed, 0]).
+    With no gate noise and no drift the state is the noiseless statevector, so
+    the draw is bit for bit noiseless sample_counts with that integer (readout
+    confusion still applies).  Keys follow sample_counts: character i is
+    measure_qubits[i], in index order.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    if circuit.n_qubits != model.n_qubits:
-        raise ValueError(
-            f"model covers {model.n_qubits} qubits, circuit has {circuit.n_qubits}"
-        )
-    if shots * (1 << circuit.n_qubits) > (1 << 26):
-        raise ValueError("trajectory ensemble too large; lower shots or width")
     if measure_qubits is None:
         measure_qubits = tuple(range(circuit.n_qubits))
-    n = circuit.n_qubits
+    probs = noisy_distribution(circuit, model, tuple(measure_qubits))
     sample_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 1]))
-    pure = not (
-        any(p > 0 for p in model.p1.values())
-        or any(p > 0 for p in model.p2.values())
-        or any(r != 0 for r in model.idle_rate.values())
-    )
-    outcomes = None
-    if pure:
-        # gate-exact double-precision path; bit-identical to noiseless sampling
-        state = simulate(circuit)
-    else:
-        # single precision (shot noise dominates), state-major so that every
-        # kernel block runs along contiguous shots
-        arr = np.zeros((1 << n, shots), dtype=np.complex64).T
-        arr[:, 0] = 1.0
-        diverged = False
-        actions: dict = {}
-        ops, tail, _ = schedule_ops(circuit, model)
-        for g, gaps in ops:
-            for drift in _drift_gates(gaps, model):
-                apply_gate_inplace(arr, drift, n)
-            if g.kind == "GPHASE":  # a global phase cannot change any outcome
-                continue
-            apply_gate_inplace(arr, g, n)
-            if _depolarize(arr, shots, _error_prob(g, model), g.targets, n, rng, actions):
-                diverged = True
-        for drift in _drift_gates(tail, model):
-            apply_gate_inplace(arr, drift, n)
-        if diverged:
-            # shot-major copy: each shot's probabilities sum along one contiguous row
-            probs = np.abs(np.ascontiguousarray(arr)) ** 2
-            probs /= probs.sum(axis=1, keepdims=True)
-            cdf = np.cumsum(probs, axis=1)
-            u = rng.random(shots)
-            idx = (cdf < u[:, None]).sum(axis=1)
-            outcomes = ((idx[:, None] >> np.array(measure_qubits)) & 1).astype(np.int8)
-        else:
-            state = StateVector(arr[0].astype(complex), n)
-    if outcomes is None:
-        counts = sample_counts(state, measure_qubits, shots, sample_seed)
-        outcomes = _counts_to_rows(counts, measure_qubits, shots)
-    outcomes = _apply_readout_flips(outcomes, measure_qubits, model, rng)
-    # keys in first-occurrence order, which sets the float summation order of
-    # parity_expectation over the histogram
-    codes = outcomes.astype(np.int64) @ (1 << np.arange(len(measure_qubits), dtype=np.int64))
-    values, first, counts = np.unique(codes, return_index=True, return_counts=True)
-    order = np.argsort(first)
-    k = len(measure_qubits)
-    return {
-        "".join(str((code >> i) & 1) for i in range(k)): int(c)
-        for code, c in zip(values[order].tolist(), counts[order].tolist())
-    }
-
-
-def _counts_to_rows(counts: dict[str, int], measure_qubits, shots) -> np.ndarray:
-    rows = np.empty((shots, len(measure_qubits)), dtype=np.int8)
-    at = 0
-    for key, c in counts.items():
-        rows[at : at + c] = [int(ch) for ch in key]
-        at += c
-    return rows
-
-
-def _apply_readout_flips(outcomes: np.ndarray, measure_qubits, model: NoiseModel, rng):
-    for col, q in enumerate(measure_qubits):
-        conf = model.readout.get(q)
-        if conf is None:
-            continue
-        conf = np.asarray(conf, dtype=float)
-        if np.max(np.abs(conf - np.eye(2))) == 0:
-            continue
-        bits = outcomes[:, col]
-        flip_prob = np.where(bits == 0, conf[0, 1], conf[1, 0])
-        flips = rng.random(len(bits)) < flip_prob
-        outcomes[:, col] = bits ^ flips
-    return outcomes
+    return multinomial_counts(probs, shots, sample_seed)
 
 
 # -- readout mitigation -----------------------------------------------------------
+
+
+def _per_bit(p: np.ndarray, mats: list) -> np.ndarray:
+    """Apply mats[i] (2x2) to bit i of the index of a distribution over len(mats) bits."""
+    k = len(mats)
+    t = p.reshape((2,) * k)  # axis 0 = bit k-1, ..., axis k-1 = bit 0
+    for i, m in enumerate(mats):
+        axis = k - 1 - i  # axis of character/bit i
+        t = np.moveaxis(np.tensordot(m, t, axes=([1], [axis])), 0, axis)
+    return t.reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -381,12 +352,8 @@ def mitigate_readout(counts: dict[str, int], confusions: list) -> MitigatedDistr
         if abs(np.linalg.det(c)) < 1e-12:
             raise ValueError("confusion matrix is singular")
         invs.append(np.linalg.inv(c))
-    # p_obs = (tensor C)^T p_true, tensor axes follow bit positions
-    t = p_obs.reshape((2,) * k)  # axis 0 = bit k-1, ..., axis k-1 = bit 0
-    for i, inv in enumerate(invs):
-        axis = k - 1 - i  # axis of character/bit i
-        t = np.moveaxis(np.tensordot(inv.T, t, axes=([1], [axis])), 0, axis)
-    p_true = t.reshape(-1)
+    # p_obs = (tensor C)^T p_true
+    p_true = _per_bit(p_obs, [inv.T for inv in invs])
     clipped = float(-p_true[p_true < 0].sum())
     p_true = np.clip(p_true, 0.0, None)
     total = p_true.sum()
@@ -557,6 +524,8 @@ class MitigationConfig:
     zne_order: int = 2
 
     def __post_init__(self):
+        if self.twirl_variants < 1:
+            raise ValueError(f"twirl variants must be >= 1, got {self.twirl_variants}")
         if self.zne_scales:
             if list(self.zne_scales) != sorted(self.zne_scales) or self.zne_scales[0] < 1:
                 raise ValueError("scale factors must be sorted and >= 1")

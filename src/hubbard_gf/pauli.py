@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 import numpy as np
 
@@ -143,9 +142,6 @@ class PauliString:
 
     def times_i(self) -> "PauliString":
         return PauliString(self.width, self.xbits, self.zbits, self.phase_exp + 1)
-
-    def adjoint(self) -> "PauliString":
-        return PauliString(self.width, self.xbits, self.zbits, -self.phase_exp)
 
     def same_letters(self, other: "PauliString") -> bool:
         return (self.width, self.xbits, self.zbits) == (other.width, other.xbits, other.zbits)
@@ -296,10 +292,6 @@ class CliffordCircuit:
     """Ordered list of named Clifford gates; conjugating a PauliString stays a PauliString."""
 
     gates: tuple[tuple[str, tuple[int, ...]], ...]
-
-    @classmethod
-    def from_list(cls, gates: Iterable[tuple]) -> "CliffordCircuit":
-        return cls(tuple((name, tuple(targets)) for name, targets in gates))
 
     def __len__(self) -> int:
         return len(self.gates)

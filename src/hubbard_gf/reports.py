@@ -10,6 +10,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .vha import canonical_angles
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):  # np.float64 too, whose repr is "np.float64(...)"
@@ -76,10 +78,11 @@ def write_measurement_csv(path, name: str, record, header: dict | None = None) -
 
 
 def write_landscape_csv(path, result, header: dict | None = None) -> None:
+    """Landscape rows; the header names the optimum folded by vha.canonical_angles."""
+    best = result.best
     meta = dict(header or {})
-    meta["optimum_alpha"] = result.best.alpha
-    meta["optimum_beta"] = result.best.beta
-    meta["optimum_energy"] = result.best.energy
+    meta["optimum_alpha"], meta["optimum_beta"] = canonical_angles(best.alpha, best.beta)
+    meta["optimum_energy"] = best.energy
     write_csv(path, meta, ["alpha", "beta", "energy", "stderr"], result.as_rows())
 
 

@@ -1,12 +1,12 @@
 """Dense statevector simulation: gate kernels, Pauli rotations, expectations, sampling.
 
 Amplitudes are indexed so that bit q of the basis index is the value of qubit q
-(qubit 0 = least significant).  Kernels operate on a trailing axis of length 2^n,
-so a leading batch axis broadcasts.  The noise module's trajectory ensemble is
-such a batch, laid out state-major: a (shots, 2^n) transposed view of a
-C-ordered (2^n, shots) array, so every block a kernel touches runs along
-contiguous shots.  Kernels keep the array's dtype (complex64 batches stay single
-precision).  Capacity is dense double precision up to 24 qubits.
+(qubit 0 = least significant).  Gate kernels operate on a trailing axis of
+length 2^n, so a leading batch axis broadcasts (the VHA landscape is such a
+batch), and they keep the array's dtype.  `apply_matrix_inplace` multiplies a
+dense matrix into any set of bits of one vector; the noise module runs its
+vectorized density matrices through it.  Capacity is dense double precision up
+to 24 qubits.
 """
 from __future__ import annotations
 
@@ -261,6 +261,38 @@ def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
         view[_slice(view, axes, ((out_k >> 0) & 1, (out_k >> 1) & 1))] = acc
 
 
+_GATHER_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+_GATHER_CACHE_ELEMENTS = 1 << 24  # cached index entries, summed over keys
+
+
+def _gather_index(bits: tuple[int, ...], n: int) -> np.ndarray:
+    """(2^m, 2^(n-m)) indices into a 2^n vector: row l sets the listed bits to l
+    (bit i of l = bits[i]), column c runs over the values of the other bits."""
+    key = (bits, n)
+    idx = _GATHER_CACHE.get(key)
+    if idx is None:
+        full = np.arange(1 << n, dtype=np.int64)
+        rest = full[(full & sum(1 << b for b in bits)) == 0]
+        local = np.arange(1 << len(bits), dtype=np.int64)
+        offsets = sum(((local >> i) & 1) << b for i, b in enumerate(bits))
+        idx = offsets[:, None] + rest[None, :]
+        if sum(a.size for a in _GATHER_CACHE.values()) + idx.size > _GATHER_CACHE_ELEMENTS:
+            _GATHER_CACHE.clear()
+        _GATHER_CACHE[key] = idx
+    return idx
+
+
+def apply_matrix_inplace(vec: np.ndarray, m: np.ndarray, bits: tuple[int, ...], n: int) -> None:
+    """Multiply a dense 2^k x 2^k matrix into k bits of a 2^n vector, in place.
+
+    Bit i of the matrix index is bit bits[i] of the vector index.
+    """
+    if len(set(bits)) != len(bits) or min(bits) < 0 or max(bits) >= n:
+        raise ValueError(f"bits {bits} invalid for a {n}-bit vector")
+    idx = _gather_index(tuple(bits), n)
+    vec[idx] = m @ vec[idx]
+
+
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     """Pure gate application; returns a new state."""
     out = s.copy()
@@ -335,12 +367,16 @@ def expectation_pauli(s: StateVector, p: PauliString) -> float:
 
 def marginal_probs(s: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
     """Born probabilities of the listed qubits; bit i of the result index = qubits[i]."""
+    return marginalize(np.abs(s.amps) ** 2, s.n, qubits)
+
+
+def marginalize(probs: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
+    """Marginal of a distribution over n qubits; bit i of the result index = qubits[i]."""
     if not qubits:
         raise ValueError("need at least one qubit to measure")
-    probs = np.abs(s.amps) ** 2
-    view = probs.reshape((2,) * s.n)
-    keep_axes = [s.n - 1 - q for q in qubits]
-    other = tuple(ax for ax in range(s.n) if ax not in keep_axes)
+    view = probs.reshape((2,) * n)
+    keep_axes = [n - 1 - q for q in qubits]
+    other = tuple(ax for ax in range(n) if ax not in keep_axes)
     marg = view.sum(axis=other) if other else view
     # after summing, remaining axes are sorted by original axis id; permute to qubit order
     remaining = sorted(keep_axes)
@@ -359,10 +395,17 @@ def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int
     if shots < 1:
         raise ValueError("shots must be >= 1")
     probs = marginal_probs(s, tuple(qubits))
-    probs = probs / probs.sum()
-    rng = np.random.default_rng(seed)
-    counts = rng.multinomial(shots, probs)
-    k = len(qubits)
+    return multinomial_counts(probs / probs.sum(), shots, seed)
+
+
+def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> dict[str, int]:
+    """One seeded multinomial draw over a normalized distribution of k bits.
+
+    Keys are bitstrings whose i-th character is bit i of the outcome index, in
+    index order; outcomes drawn zero times are left out.
+    """
+    counts = np.random.default_rng(seed).multinomial(shots, probs)
+    k = len(probs).bit_length() - 1
     out = {}
     for index, c in enumerate(counts):
         if c:

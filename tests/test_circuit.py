@@ -6,7 +6,6 @@ from hubbard_gf.circuit import (
     Circuit,
     TrotterPlan,
     circuit_unitary,
-    controlled_pauli_gates,
     dimer_interaction_step,
     dimer_trotter_step,
     hopping_pair_block,
@@ -255,21 +254,6 @@ def test_pauli_rotation_gates_match_fused_kernel():
         ref = apply_pauli_rotation(s, p, theta)
         got = simulate(Circuit(4, tuple(pauli_rotation_gates(p, theta))), s)
         np.testing.assert_allclose(got.amps, ref.amps, atol=1e-12)
-
-
-def test_controlled_pauli_gates():
-    # controlled -Y Z (phase -1) on a 2-qubit system with ancilla 2
-    p = PauliString.from_label("-YZ")
-    gates = controlled_pauli_gates(p, 2)
-    u = circuit_unitary(Circuit(3, tuple(gates)))
-    dim = 4
-    pm = p.to_matrix()
-    ref = np.zeros((8, 8), dtype=complex)
-    ref[:4, :4] = np.eye(4)
-    for a in range(4):
-        for b in range(4):
-            ref[4 + a, 4 + b] = pm[a, b]
-    np.testing.assert_allclose(u, ref, atol=1e-12)
 
 
 def test_hopping_gate_count_constant_in_cluster_size():

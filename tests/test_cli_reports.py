@@ -29,12 +29,30 @@ def test_vha_sweep_small_grid(tmp_path, capsys):
     assert cols == ["alpha", "beta", "energy", "stderr"]
     assert len(rows) == 21 * 21
     assert (tmp_path / "landscape.svg").exists()
+    # the header names the folded optimum that stdout prints
+    printed = out.split("optimum: ")[1].split(" energy")[0]
+    assert printed == (
+        f"alpha={float(header['optimum_alpha']):.4f} beta={float(header['optimum_beta']):.4f}"
+    )
     # grid values equal the closed form in exact mode
     from hubbard_gf.vha import variational_energy_formula
 
     for r in rows[:40]:
         a, b, e = float(r[0]), float(r[1]), float(r[2])
         assert e == pytest.approx(variational_energy_formula(1.0, 4.0, a, b), abs=1e-10)
+
+
+def test_landscape_header_names_folded_optimum(tmp_path):
+    # (0.94, 2.76) is the basin member the 101-point grid picks; the header folds it
+    from hubbard_gf.reports import write_landscape_csv
+    from hubbard_gf.vha import LandscapePoint, LandscapeResult, canonical_angles
+
+    best = LandscapePoint(0.9424777960769379, 2.7646015351590183, -3.2, 0.0)
+    write_landscape_csv(tmp_path / "l.csv", LandscapeResult((best,), best))
+    header, _, _ = read_csv(tmp_path / "l.csv")
+    alpha, beta = canonical_angles(best.alpha, best.beta)
+    assert (header["optimum_alpha"], header["optimum_beta"]) == (repr(alpha), repr(beta))
+    assert alpha <= 0 and -0.8 < beta <= 0.8
 
 
 def test_vha_sweep_requires_seed_for_shots(tmp_path, capsys):
@@ -93,6 +111,22 @@ def test_noisy_branch_honours_kind_and_refuses_hadamard(tmp_path, capsys):
         assert code == 2
         assert "direct" in err
         assert not out.exists()
+
+
+@pytest.mark.parametrize("twirl", ["0", "-1"])
+def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, twirl):
+    from hubbard_gf.noise import NoiseModel
+
+    model = tmp_path / "zero.json"
+    NoiseModel.zero(5).to_json(model)
+    out = tmp_path / "out"
+    code, _, err = run_cli(
+        ["correlator", "--steps", "2", "--shots", "64", "--seed", "5", "--pair", "y2y2",
+         "--noise-model", str(model), "--twirl", twirl, "--outdir", str(out)], capsys
+    )
+    assert code == 2
+    assert "twirl" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

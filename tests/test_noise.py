@@ -1,10 +1,14 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from hubbard_gf.circuit import Circuit, circuit_unitary, simulate
 from hubbard_gf.noise import (
+    VIRTUAL_KINDS,
     MitigationConfig,
     NO_MITIGATION,
     NoiseModel,
@@ -13,12 +17,20 @@ from hubbard_gf.noise import (
     fold_circuit,
     kolkata_dimer_model,
     mitigate_readout,
+    noisy_distribution,
     noisy_parity_estimate,
     pauli_twirl,
     run_noisy,
     zne,
 )
-from hubbard_gf.statevector import GateOp, sample_counts
+from hubbard_gf.statevector import (
+    ONE_QUBIT_KINDS,
+    TWO_QUBIT_KINDS,
+    ZERO_QUBIT_KINDS,
+    GateOp,
+    apply_gate_inplace,
+    sample_counts,
+)
 
 
 def bell_circuit(n=2):
@@ -62,12 +74,114 @@ def test_run_noisy_seeded_counts_are_pinned():
     )
     counts = run_noisy(circuit, kolkata_dimer_model(), 2048, 11, meas_qubits)
     # key order too: it sets the float summation order of parity_expectation
-    assert list(counts.items()) == [("11", 497), ("00", 554), ("01", 504), ("10", 493)]
+    assert list(counts.items()) == [("00", 524), ("10", 463), ("01", 517), ("11", 544)]
 
 
 def test_run_noisy_width_mismatch():
     with pytest.raises(ValueError):
         run_noisy(bell_circuit(), NoiseModel.zero(3), 10, 0)
+
+
+def test_run_noisy_refuses_width_beyond_density_matrix_capacity():
+    # rho at 13 qubits would hold 4^13 complex values (1 GiB); refused before any allocation
+    c = Circuit(13, (GateOp("H", (0,)), GateOp("CNOT", (0, 12))))
+    model = NoiseModel(13, p1={0: 1e-3})
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="capacity"):
+            run_noisy(c, model, 10, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _random_unitary(rng, dim):
+    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+@st.composite
+def noisy_cases(draw):
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(ONE_QUBIT_KINDS + TWO_QUBIT_KINDS + ZERO_QUBIT_KINDS),
+                              min_size=1, max_size=6)):
+        k = 1 if kind in ONE_QUBIT_KINDS else 2 if kind in TWO_QUBIT_KINDS else 0
+        targets = tuple(int(q) for q in rng.permutation(n)[:k])
+        if kind == "DELAY":
+            gates.append(GateOp(kind, targets, float(rng.uniform(0, 1e-6))))
+        elif kind in ("RZ", "PHASE", "CPHASE", "GPHASE"):
+            gates.append(GateOp(kind, targets, float(rng.uniform(-math.pi, math.pi))))
+        elif kind in ("U1", "U2"):
+            gates.append(GateOp(kind, targets, matrix=_random_unitary(rng, 2**k)))
+        else:
+            gates.append(GateOp(kind, targets))
+    measured = tuple(int(q) for q in rng.permutation(n)[: draw(st.integers(1, n))])
+    model = NoiseModel(
+        n,
+        p1={q: float(rng.uniform(0, 0.3)) for q in range(n)},
+        p2={(a, b): float(rng.uniform(0, 0.3)) for a in range(n) for b in range(a + 1, n)},
+        readout={q: confusion(*rng.uniform(0, 0.2, size=2)) for q in range(n)},
+        idle_rate={q: float(rng.uniform(1e5, 1e7)) for q in range(n)},
+        durations=kolkata_dimer_model().durations,
+    )
+    return Circuit(n, tuple(gates)), model, measured
+
+
+def branch_sum_distribution(circuit, model, measured):
+    """Readout distribution as the explicit sum over every Pauli error branch:
+    one pure state per combination of errors, weighted by its probability."""
+    from hubbard_gf.noise import _drift_gates, _error_prob, schedule_ops
+
+    n = circuit.n_qubits
+    states = np.zeros((1, 1 << n), dtype=complex)
+    states[0, 0] = 1.0
+    weights = np.ones(1)
+    ops, tail, _ = schedule_ops(circuit, model)
+    for g, gaps in ops:
+        for drift in _drift_gates(gaps, model):
+            apply_gate_inplace(states, drift, n)
+        apply_gate_inplace(states, g, n)
+        p = _error_prob(g, model)
+        if p > 0:
+            k = len(g.targets)
+            branch_states, branch_weights = [states], [weights * (1 - p)]
+            for combo in range(1, 4**k):
+                s = states.copy()
+                for pos, q in enumerate(g.targets):
+                    letter = "IXYZ"[(combo >> (2 * pos)) & 3]
+                    if letter != "I":
+                        apply_gate_inplace(s, GateOp(letter, (q,)), n)
+                branch_states.append(s)
+                branch_weights.append(weights * p / (4**k - 1))
+            states, weights = np.concatenate(branch_states), np.concatenate(branch_weights)
+    for drift in _drift_gates(tail, model):
+        apply_gate_inplace(states, drift, n)
+    probs = weights @ (np.abs(states) ** 2)
+    observed = np.zeros(1 << len(measured))
+    for index, p in enumerate(probs):
+        true_bits = [(index >> q) & 1 for q in measured]
+        for out in range(1 << len(measured)):
+            weight = p
+            for i, (q, b) in enumerate(zip(measured, true_bits)):
+                weight *= model.readout[q][b, (out >> i) & 1]
+            observed[out] += weight
+    return observed / observed.sum()
+
+
+@settings(max_examples=100, deadline=None)
+@given(noisy_cases())
+def test_density_matrix_equals_sum_over_pauli_error_branches(case):
+    circuit, model, measured = case
+    branches = math.prod(
+        4 ** len(g.targets) for g in circuit.gates if len(g.targets) and g.kind not in VIRTUAL_KINDS
+    )
+    assume(branches <= 4096)
+    got = noisy_distribution(circuit, model, measured)
+    want = branch_sum_distribution(circuit, model, measured)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
 def test_single_cnot_depolarizing_rate():
@@ -205,7 +319,7 @@ def test_dd_refocuses_coherent_idle_drift():
 
 
 def run_noisy_fidelity(circuit, model):
-    # deterministic coherent part only: single trajectory, no sampling
+    # deterministic coherent part only: one statevector, no sampling
     from hubbard_gf.noise import _drift_gates, schedule_ops
     from hubbard_gf.statevector import apply_gate_inplace
 

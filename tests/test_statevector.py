@@ -12,6 +12,7 @@ from hubbard_gf.statevector import (
     StateVector,
     apply_gate,
     apply_gate_inplace,
+    apply_matrix_inplace,
     apply_pauli,
     apply_pauli_rotation,
     expectation_pauli,
@@ -23,21 +24,25 @@ from hubbard_gf.statevector import (
 
 
 def dense_on(n, g):
-    m = gate_matrix(g)
+    return embed(n, gate_matrix(g), g.targets)
+
+
+def embed(n, m, targets):
+    """Full 2^n matrix of m acting on targets (bit i of m's index = targets[i])."""
     dim = 2 ** n
     full = np.zeros((dim, dim), dtype=complex)
     for b in range(dim):
         sub = 0
-        for pos, q in enumerate(g.targets):
+        for pos, q in enumerate(targets):
             sub |= ((b >> q) & 1) << pos
         base = b
-        for q in g.targets:
+        for q in targets:
             base &= ~(1 << q)
-        for sub_out in range(2 ** len(g.targets)):
+        for sub_out in range(2 ** len(targets)):
             amp = m[sub_out, sub]
             if amp:
                 b_out = base
-                for pos, q in enumerate(g.targets):
+                for pos, q in enumerate(targets):
                     b_out |= ((sub_out >> pos) & 1) << q
                 full[b_out, b] += amp
     return full
@@ -90,6 +95,22 @@ def test_all_gates_match_dense_embedding():
         amps /= np.linalg.norm(amps)
         got = apply_gate(StateVector(amps.copy(), 3), g).amps
         np.testing.assert_allclose(got, dense_on(3, g) @ amps, atol=1e-12)
+
+
+def test_dense_matrix_kernel_matches_dense_embedding():
+    # any bit order, 1 to 4 bits, on a 4-bit vector; bit i of the matrix index = bits[i]
+    rng = np.random.default_rng(2)
+    for bits in [(2,), (0, 3), (3, 1), (2, 0, 3), (1, 3, 0, 2)]:
+        dim = 2 ** len(bits)
+        m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        vec = rng.normal(size=16) + 1j * rng.normal(size=16)
+        got = vec.copy()
+        apply_matrix_inplace(got, m, bits, 4)
+        want = embed(4, m, bits) @ vec
+        np.testing.assert_allclose(got, want, atol=1e-12)
+    for bad in [(0, 0), (4,), (-1,)]:
+        with pytest.raises(ValueError):
+            apply_matrix_inplace(np.zeros(16, dtype=complex), np.eye(2 ** len(bad)), bad, 4)
 
 
 def test_gate_validation():
@@ -304,7 +325,7 @@ def _gate_sequences(draw):
 @settings(max_examples=100, deadline=None)
 @given(_gate_sequences())
 def test_state_major_batch_matches_per_row_simulate(case):
-    # the trajectory engine's layout: a (shots, 2^n) view of a (2^n, shots) array
+    # a state-major batch: a (rows, 2^n) view of a C-ordered (2^n, rows) array
     n, gates, rows, seed = case
     rng = np.random.default_rng(seed)
     init = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
