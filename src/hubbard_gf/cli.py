@@ -134,12 +134,12 @@ def cmd_vha_sweep(args) -> int:
     csv_path = os.path.join(out, "landscape.csv")
     write_landscape_csv(csv_path, res, header)
     energies = [p.energy for p in res.points]
+    a, b = canonical_angles(res.best.alpha, res.best.beta)  # as the CSV header names it
     landscape_svg(
         os.path.join(out, "landscape.svg"),
         f"dimer variational energy (t={args.t}, U={args.u})",
-        grid, grid, energies, best=(res.best.alpha, res.best.beta),
+        grid, grid, energies, best=(a, b),
     )
-    a, b = canonical_angles(res.best.alpha, res.best.beta)
     ref = optimal_angles(args.t, args.u)
     print(
         f"optimum: alpha={a:.4f} beta={b:.4f} energy={res.best.energy:.8f} "
@@ -170,7 +170,7 @@ def cmd_correlator(args) -> int:
     if args.noise_model and args.protocol != "direct":
         print("error: --noise-model runs the direct protocol only", file=sys.stderr)
         return 2
-    config = _mitigation_from(args) if args.noise_model else None
+    config = _mitigation_from(args)  # mitigation flags are validated on noiseless runs too
     out = _outdir(args)
     seed = args.seed or 0
     plan = TrotterPlan(args.dtau, args.steps)
@@ -272,22 +272,28 @@ def cmd_compare(args) -> int:
         if shots == 0:
             tol = args.tol_exact if args.tol_exact is not None else _trotter_bound(header, name)
             ok = bool(np.max(dev) <= tol)
-            reports.append({"csv": path, "max_dev": float(np.max(dev)),
-                            "mean_dev": float(np.mean(dev)), "tol": float(tol),
+            reports.append({"csv": path, "max_dev": _json_number(np.max(dev)),
+                            "mean_dev": _json_number(np.mean(dev)), "tol": _json_number(tol),
                             "status": "PASS" if ok else "FAIL"})
         else:
             err = scale * np.array([float(r[columns.index("stderr")]) for r in rows])
             bound = _trotter_bound(header, name)
             within = dev <= args.sigma * np.maximum(err, 1e-12) + bound
             ok = bool(np.mean(within) >= args.coverage)
-            reports.append({"csv": path, "max_dev": float(np.max(dev)),
-                            "mean_dev": float(np.mean(dev)),
+            reports.append({"csv": path, "max_dev": _json_number(np.max(dev)),
+                            "mean_dev": _json_number(np.mean(dev)),
                             "in_band_fraction": float(np.mean(within)),
                             "status": "PASS" if ok else "FAIL"})
         if not ok:
             failures += 1
     print(json.dumps({"reports": reports, "failures": failures}, indent=2))
     return 3 if failures else 0
+
+
+def _json_number(x) -> float | None:
+    """Strict JSON has no NaN or infinity: a non-finite value is reported as null."""
+    x = float(x)
+    return x if math.isfinite(x) else None
 
 
 def _trotter_bound(header, name) -> float:

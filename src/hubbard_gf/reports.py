@@ -43,19 +43,6 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
     return header, columns, rows
 
 
-def write_correlator_csv(path, name: str, taus, values, header: dict | None = None) -> None:
-    """Complex correlator series: tau, Re, Im."""
-    meta = {"correlator": name}
-    meta.update(header or {})
-    vals = np.asarray(values, dtype=complex)
-    write_csv(
-        path,
-        meta,
-        ["tau", "re", "im"],
-        [(float(t), float(v.real), float(v.imag)) for t, v in zip(taus, vals)],
-    )
-
-
 def write_measurement_csv(path, name: str, record, header: dict | None = None) -> None:
     meta = {
         "correlator": name,

@@ -1,17 +1,18 @@
 """Dense statevector simulation: gate kernels, Pauli rotations, expectations, sampling.
 
 Amplitudes are indexed so that bit q of the basis index is the value of qubit q
-(qubit 0 = least significant).  Gate kernels operate on a trailing axis of
-length 2^n, so a leading batch axis broadcasts (the VHA landscape is such a
-batch), and they keep the array's dtype.  `apply_matrix_inplace` multiplies a
-dense matrix into any set of bits of one vector; the noise module runs its
-vectorized density matrices through it.  Capacity is dense double precision up
-to 24 qubits.
+(qubit 0 = least significant).  There is one gate kernel: `apply_matrix_inplace`
+gathers the amplitudes of the target bits and multiplies a dense 2^k x 2^k
+matrix into them.  Every gate runs as its `gate_matrix` through it (DELAY is a
+no-op, GPHASE a scalar), and the noise module runs its vectorized density
+matrices through it.  The kernel acts on a trailing axis of length 2^n, so
+leading axes are a batch (the VHA landscape and the columns of
+`circuit_unitary` are such batches).  Capacity is dense double precision up to
+24 qubits.
 """
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,16 +26,20 @@ MAX_QUBITS = 24
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
-_FIXED_1Q = {
+_FIXED = {
     "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
     "Z": np.array([[1, 0], [0, -1]], dtype=complex),
     "XHALF": np.array([[_SQ2, -1j * _SQ2], [-1j * _SQ2, _SQ2]], dtype=complex),
     "XHALF_DG": np.array([[_SQ2, 1j * _SQ2], [1j * _SQ2, _SQ2]], dtype=complex),
+    # two-qubit: index bit0 = targets[0] (control where applicable), bit1 = targets[1]
+    "CNOT": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
+    "CZ": np.diag([1, 1, 1, -1]).astype(complex),
+    "CY": np.array([[1, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1, 0], [0, 1j, 0, 0]], dtype=complex),
 }
 
-ONE_QUBIT_KINDS = tuple(_FIXED_1Q) + ("RZ", "PHASE", "U1", "DELAY")
+ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "RZ", "PHASE", "U1", "DELAY")
 TWO_QUBIT_KINDS = ("CNOT", "CZ", "CY", "CPHASE", "U2")
 ZERO_QUBIT_KINDS = ("GPHASE",)  # bookkeeping gate so builders are phase-exact
 
@@ -69,33 +74,20 @@ class GateOp:
 
 def gate_matrix(g: GateOp) -> np.ndarray:
     """Dense matrix of the gate on its own targets (bit 0 of the index = first target)."""
-    if g.kind in _FIXED_1Q:
-        return _FIXED_1Q[g.kind]
+    if g.kind in _FIXED:
+        return _FIXED[g.kind]
     if g.kind == "GPHASE":
         return np.array([[np.exp(1j * g.angle)]], dtype=complex)
     if g.kind == "DELAY":  # identity placeholder; the angle is a duration in seconds
         return np.eye(2, dtype=complex)
     if g.kind == "RZ":
-        return np.diag([np.exp(-1j * g.angle / 2), np.exp(1j * g.angle / 2)]).astype(complex)
+        return np.array([[np.exp(-1j * g.angle / 2), 0], [0, np.exp(1j * g.angle / 2)]])
     if g.kind == "PHASE":
-        return np.diag([1.0, np.exp(1j * g.angle)]).astype(complex)
+        return np.array([[1, 0], [0, np.exp(1j * g.angle)]])
     if g.kind == "U1":
         return np.asarray(g.matrix, dtype=complex)
-    # two-qubit: index bit0 = targets[0] (control where applicable), bit1 = targets[1]
-    if g.kind == "CNOT":
-        m = np.eye(4, dtype=complex)
-        m[[1, 3]] = m[[3, 1]]
-        return m
-    if g.kind == "CZ":
-        return np.diag([1, 1, 1, -1]).astype(complex)
-    if g.kind == "CY":
-        m = np.eye(4, dtype=complex)
-        m[1, 1] = m[3, 3] = 0
-        m[3, 1] = 1j
-        m[1, 3] = -1j
-        return m
     if g.kind == "CPHASE":
-        return np.diag([1, 1, 1, np.exp(1j * g.angle)]).astype(complex)
+        return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, np.exp(1j * g.angle)]])
     return np.asarray(g.matrix, dtype=complex)
 
 
@@ -151,114 +143,8 @@ class StateVector:
     def fidelity(self, other: "StateVector") -> float:
         return abs(np.vdot(self.amps, other.amps)) ** 2
 
-    def dump_binary(self, path) -> None:
-        """Little-endian debug dump: int64 qubit count, then 2^n complex128 amplitudes."""
-        with open(path, "wb") as f:
-            f.write(struct.pack("<q", self.n))
-            f.write(self.amps.astype("<c16").tobytes())
-
-    @classmethod
-    def load_binary(cls, path) -> "StateVector":
-        with open(path, "rb") as f:
-            (n,) = struct.unpack("<q", f.read(8))
-            amps = np.frombuffer(f.read(), dtype="<c16").astype(complex)
-        if len(amps) != 1 << n:
-            raise ValueError("truncated state dump")
-        return cls(amps, n)
-
 
 # -- kernels ------------------------------------------------------------------
-
-
-def _axis_views(arr: np.ndarray, n: int, qubits: tuple[int, ...]):
-    """Reshape so the listed qubits become explicit axes; returns (view, axes)."""
-    view = arr.reshape(arr.shape[:-1] + (2,) * n)
-    lead = arr.ndim - 1
-    axes = tuple(lead + (n - 1 - q) for q in qubits)  # axis of qubit q after reshape
-    return view, axes
-
-
-def _slice(view, axes, values):
-    idx = [slice(None)] * view.ndim
-    for ax, v in zip(axes, values):
-        idx[ax] = slice(v, v + 1)  # keep dims so the result is always a view
-    return tuple(idx)
-
-
-def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
-    """Apply one gate to amplitudes with a trailing 2^n axis, mutating in place.
-
-    Phases and matrices are cast to the array's dtype, so a complex64 batch
-    stays complex64 throughout.
-    """
-    for t in g.targets:
-        if not 0 <= t < n:
-            raise ValueError(f"target {t} out of range for {n} qubits")
-    dt = arr.dtype.type
-    if g.kind == "GPHASE":
-        arr *= dt(np.exp(1j * g.angle))
-        return
-    if g.kind == "DELAY":
-        return
-    if g.kind in ("Z", "RZ", "PHASE"):  # diagonal, stride-free
-        view, axes = _axis_views(arr, n, g.targets)
-        hi = view[_slice(view, axes, (1,))]
-        if g.kind == "Z":
-            hi *= -1
-        elif g.kind == "RZ":
-            view[_slice(view, axes, (0,))] *= dt(np.exp(-1j * g.angle / 2))
-            hi *= dt(np.exp(1j * g.angle / 2))
-        else:
-            hi *= dt(np.exp(1j * g.angle))
-        return
-    if g.kind == "CZ":
-        view, axes = _axis_views(arr, n, g.targets)
-        view[_slice(view, axes, (1, 1))] *= -1
-        return
-    if g.kind == "CPHASE":
-        view, axes = _axis_views(arr, n, g.targets)
-        view[_slice(view, axes, (1, 1))] *= dt(np.exp(1j * g.angle))
-        return
-    if g.kind in ("X", "CNOT"):  # swap two half-blocks (control set for CNOT)
-        view, axes = _axis_views(arr, n, g.targets)
-        ctrl = (1,) if g.kind == "CNOT" else ()
-        i0 = _slice(view, axes, ctrl + (0,))
-        i1 = _slice(view, axes, ctrl + (1,))
-        tmp = view[i0].copy(order="K")
-        view[i0] = view[i1]
-        view[i1] = tmp
-        return
-    if g.kind == "CY":
-        view, axes = _axis_views(arr, n, g.targets)
-        i10 = _slice(view, axes, (1, 0))
-        i11 = _slice(view, axes, (1, 1))
-        tmp = view[i10].copy(order="K")
-        view[i10] = -1j * view[i11]
-        view[i11] = 1j * tmp
-        return
-    m = gate_matrix(g).astype(arr.dtype, copy=False)
-    if len(g.targets) == 1:
-        view, axes = _axis_views(arr, n, g.targets)
-        a0 = view[_slice(view, axes, (0,))]
-        a1 = view[_slice(view, axes, (1,))]
-        # m00*a0 + m01*a1 and m10*a0 + m11*a1 with the matrix entry first in every
-        # product (numpy rounds array*scalar and scalar*array differently)
-        new0 = m[0, 0] * a0
-        new0 += m[0, 1] * a1
-        np.multiply(m[1, 1], a1, out=a1)
-        a1 += m[1, 0] * a0
-        a0[...] = new0
-        return
-    view, axes = _axis_views(arr, n, g.targets)
-    blocks = [
-        view[_slice(view, axes, ((k >> 0) & 1, (k >> 1) & 1))].copy(order="K") for k in range(4)
-    ]
-    for out_k in range(4):
-        acc = m[out_k, 0] * blocks[0]
-        for in_k in range(1, 4):
-            if m[out_k, in_k] != 0:
-                acc = acc + m[out_k, in_k] * blocks[in_k]
-        view[_slice(view, axes, ((out_k >> 0) & 1, (out_k >> 1) & 1))] = acc
 
 
 _GATHER_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
@@ -270,7 +156,9 @@ def _gather_index(bits: tuple[int, ...], n: int) -> np.ndarray:
     (bit i of l = bits[i]), column c runs over the values of the other bits."""
     key = (bits, n)
     idx = _GATHER_CACHE.get(key)
-    if idx is None:
+    if idx is None:  # only valid keys are cached, so a hit needs no check
+        if not bits or len(set(bits)) != len(bits) or min(bits) < 0 or max(bits) >= n:
+            raise ValueError(f"bits {bits} invalid for a {n}-bit vector")
         full = np.arange(1 << n, dtype=np.int64)
         rest = full[(full & sum(1 << b for b in bits)) == 0]
         local = np.arange(1 << len(bits), dtype=np.int64)
@@ -283,14 +171,23 @@ def _gather_index(bits: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def apply_matrix_inplace(vec: np.ndarray, m: np.ndarray, bits: tuple[int, ...], n: int) -> None:
-    """Multiply a dense 2^k x 2^k matrix into k bits of a 2^n vector, in place.
+    """Multiply a dense 2^k x 2^k matrix into k bits of a trailing 2^n axis, in place.
 
-    Bit i of the matrix index is bit bits[i] of the vector index.
+    Bit i of the matrix index is bit bits[i] of the vector index; leading axes
+    of vec are a batch.
     """
-    if len(set(bits)) != len(bits) or min(bits) < 0 or max(bits) >= n:
-        raise ValueError(f"bits {bits} invalid for a {n}-bit vector")
     idx = _gather_index(tuple(bits), n)
-    vec[idx] = m @ vec[idx]
+    vec[..., idx] = np.matmul(m, vec[..., idx])
+
+
+def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
+    """Apply one gate to amplitudes with a trailing 2^n axis, mutating in place."""
+    if g.kind == "DELAY":
+        return
+    if g.kind == "GPHASE":
+        arr *= np.exp(1j * g.angle)
+        return
+    apply_matrix_inplace(arr, gate_matrix(g), g.targets, n)
 
 
 def apply_gate(s: StateVector, g: GateOp) -> StateVector:

@@ -1,9 +1,12 @@
 import json
+import math
+import re
 
+import numpy as np
 import pytest
 
 from hubbard_gf.cli import main
-from hubbard_gf.reports import read_csv, write_correlator_csv, write_csv
+from hubbard_gf.reports import read_csv, write_csv
 
 
 def run_cli(args, capsys):
@@ -42,7 +45,7 @@ def test_vha_sweep_small_grid(tmp_path, capsys):
         assert e == pytest.approx(variational_energy_formula(1.0, 4.0, a, b), abs=1e-10)
 
 
-def test_landscape_header_names_folded_optimum(tmp_path):
+def test_landscape_header_names_folded_optimum(tmp_path, capsys):
     # (0.94, 2.76) is the basin member the 101-point grid picks; the header folds it
     from hubbard_gf.reports import write_landscape_csv
     from hubbard_gf.vha import LandscapePoint, LandscapeResult, canonical_angles
@@ -53,6 +56,21 @@ def test_landscape_header_names_folded_optimum(tmp_path):
     alpha, beta = canonical_angles(best.alpha, best.beta)
     assert (header["optimum_alpha"], header["optimum_beta"]) == (repr(alpha), repr(beta))
     assert alpha <= 0 and -0.8 < beta <= 0.8
+
+    # a real 101-point sweep: the SVG marker sits on the folded grid point the
+    # header names, (-0.94, 0.38), not on the sweep's own unfolded (0.94, 2.76)
+    code, _, _ = run_cli(["vha-sweep", "--grid", "101", "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    header, _, _ = read_csv(tmp_path / "landscape.csv")
+    svg = (tmp_path / "landscape.svg").read_text()
+    cx, cy = (float(v) for v in re.search(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg).groups())
+    cell = (520 - 2 * 52) / 101  # reports.landscape_svg frame: 520 px, 52 px margins
+    grid = np.linspace(-math.pi, math.pi, 101)
+    beta = grid[round((cx - 52) / cell)]
+    alpha = grid[round((520 - 52 - cy) / cell) - 1]
+    assert alpha == pytest.approx(float(header["optimum_alpha"]), abs=1e-12)
+    assert beta == pytest.approx(float(header["optimum_beta"]), abs=1e-12)
+    assert (round(alpha, 2), round(beta, 2)) == (-0.94, 0.38)
 
 
 def test_vha_sweep_requires_seed_for_shots(tmp_path, capsys):
@@ -113,19 +131,36 @@ def test_noisy_branch_honours_kind_and_refuses_hadamard(tmp_path, capsys):
         assert not out.exists()
 
 
-@pytest.mark.parametrize("twirl", ["0", "-1"])
-def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, twirl):
+_NOISELESS = ["--shots", "0"]
+_NOISY = ["--shots", "64", "--seed", "5", "--noise-model", "MODEL"]
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(_NOISY + ["--twirl", "0"], "twirl", id="0"),
+        pytest.param(_NOISY + ["--twirl", "-1"], "twirl", id="-1"),
+        pytest.param(_NOISELESS + ["--twirl", "0"], "twirl", id="noiseless-0"),
+        pytest.param(_NOISELESS + ["--twirl", "-1"], "twirl", id="noiseless--1"),
+        pytest.param(_NOISELESS + ["--twirl", "0", "--zne-scales", "3", "1"], "twirl",
+                     id="noiseless-0-zne-unsorted"),
+        pytest.param(_NOISELESS + ["--zne-scales", "3", "1"], "sorted",
+                     id="noiseless-zne-unsorted"),
+    ],
+)
+def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
+    # mitigation flags are validated on every correlator run, noiseless ones too
     from hubbard_gf.noise import NoiseModel
 
     model = tmp_path / "zero.json"
     NoiseModel.zero(5).to_json(model)
     out = tmp_path / "out"
+    argv = [str(model) if a == "MODEL" else a for a in flags]
     code, _, err = run_cli(
-        ["correlator", "--steps", "2", "--shots", "64", "--seed", "5", "--pair", "y2y2",
-         "--noise-model", str(model), "--twirl", twirl, "--outdir", str(out)], capsys
+        ["correlator", "--steps", "2", "--pair", "y2y2", "--outdir", str(out)] + argv, capsys
     )
     assert code == 2
-    assert "twirl" in err
+    assert message in err
     assert not out.exists()
 
 
@@ -202,6 +237,23 @@ def test_compare_detects_wrong_dtau(tmp_path, capsys):
     assert report["reports"][0]["max_dev"] > 0
 
 
+def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
+    code, _, _ = run_cli(
+        ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--u", "inf",
+         "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 0
+    code, out, _ = run_cli(["compare", "--csv", str(tmp_path / "y2y2.csv")], capsys)
+    assert code == 3
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    report = json.loads(out, parse_constant=refuse)["reports"][0]
+    assert report["status"] == "FAIL"
+    assert report["max_dev"] is None and report["mean_dev"] is None and report["tol"] is None
+
+
 def test_compare_shot_mode_band(tmp_path, capsys):
     args = [
         "correlator", "--steps", "6", "--shots", "4096", "--seed", "3",
@@ -252,8 +304,3 @@ def test_csv_round_trip(tmp_path):
     assert header == {"a": "1", "b": "0.25"}
     assert cols == ["u", "v"]
     assert rows == [["1.0", "2.0"], ["3.0", "4.5"]]
-    write_correlator_csv(tmp_path / "c.csv", "demo", [0.0, 0.5], [1 + 0j, 0.5 - 0.25j])
-    header, cols, rows = read_csv(tmp_path / "c.csv")
-    assert header["correlator"] == "demo"
-    assert cols == ["tau", "re", "im"]
-    assert float(rows[1][2]) == -0.25
