@@ -355,6 +355,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
+    for flag in ("t", "u", "dtau", "phi"):  # also covers values from --config
+        value = getattr(args, flag, None)
+        if value is not None and not math.isfinite(value):
+            print(f"error: --{flag} must be finite, got {value}", file=sys.stderr)
+            return 2
     try:
         return COMMANDS[args.command](args)
     except (ValueError, FileNotFoundError) as e:

@@ -3,8 +3,10 @@
 Noisy circuits run on an exact density matrix, held as one complex vector over
 2n qubits (ket qubit q at bit q, bra qubit q at bit n + q), so widths stop at
 MAX_QUBITS // 2 = 12.  Every non-virtual gate is followed by a depolarizing
-channel on its targets; gate and channel act together as one cached 4^k x 4^k
-superoperator.  Z-axis rotations (RZ, PHASE, Z, GPHASE) are virtual: no error,
+channel on its targets.  Each maximal run of consecutive gates and idle drifts
+on at most two qubits acts on rho as one fused superoperator: the product of
+its per-gate superoperators, which a process-wide cache holds embedded in the
+run's bit order.  Z-axis rotations (RZ, PHASE, Z, GPHASE) are virtual: no error,
 no duration.  Idle qubits accumulate a deterministic Z-phase drift at a
 per-qubit rate, which is what an XX decoupling sequence refocuses; T1/T2 from
 the device tables ride along as metadata only.  Readout confusion multiplies
@@ -233,6 +235,45 @@ def _superoperator(g: GateOp, p: float) -> np.ndarray:
     return s
 
 
+_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}
+_SUPEROP_CACHE_ENTRIES = 1024  # 16x16 complex entries: at most 4 MiB
+
+
+def _block_superoperator(g: GateOp, p: float, block: tuple[int, ...]) -> np.ndarray:
+    """_superoperator(g, p) on the vectorized rho of the block qubits (bit i = ket
+    of block[i], bit k + i = its bra), cached for the process."""
+    matrix = None if g.matrix is None else np.asarray(g.matrix, dtype=complex).tobytes()
+    key = (g.kind, g.targets, g.angle, matrix, p, block)
+    s = _SUPEROP_CACHE.get(key)
+    if s is None:
+        k = len(block)
+        local = tuple(block.index(t) for t in g.targets)
+        s = np.eye(4**k, dtype=complex)  # row j becomes the image of basis vector j
+        apply_matrix_inplace(s, _superoperator(g, p), local + tuple(k + i for i in local), 2 * k)
+        s = s.T.copy()
+        s.flags.writeable = False
+        if len(_SUPEROP_CACHE) >= _SUPEROP_CACHE_ENTRIES:
+            _SUPEROP_CACHE.clear()
+        _SUPEROP_CACHE[key] = s
+    return s
+
+
+def _two_qubit_runs(gates):
+    """Maximal runs of consecutive gates whose joint support is at most two
+    qubits, as (support in first-touch order, gates of the run)."""
+    block: tuple[int, ...] = ()
+    run: list[GateOp] = []
+    for g in gates:
+        wider = block + tuple(t for t in g.targets if t not in block)
+        if len(wider) > 2:
+            yield block, run
+            wider, run = g.targets, []
+        block = wider
+        run.append(g)
+    if run:
+        yield block, run
+
+
 def _readout(p_true: np.ndarray, measure_qubits, model: NoiseModel) -> np.ndarray:
     """Observed distribution under the tensor-product readout confusion
     (the model mitigate_readout inverts), clipped at 0 and normalized."""
@@ -264,25 +305,19 @@ def noisy_distribution(
     # rho as one vector over 2n qubits: ket qubit q at bit q, bra qubit q at bit n + q
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
-    cache: dict = {}
-
-    def apply(g: GateOp) -> None:
-        p = _error_prob(g, model)
-        matrix = None if g.matrix is None else np.asarray(g.matrix).tobytes()
-        key = (g.kind, g.targets, g.angle, matrix, p)
-        s = cache.get(key)
-        if s is None:
-            s = cache[key] = _superoperator(g, p)
-        apply_matrix_inplace(rho, s, g.targets + tuple(n + t for t in g.targets), 2 * n)
-
+    gates: list[GateOp] = []
     ops, tail, _ = schedule_ops(circuit, model)
     for g, gaps in ops:
-        for drift in _drift_gates(gaps, model):
-            apply(drift)
+        gates += _drift_gates(gaps, model)
         if g.kind not in ("GPHASE", "DELAY"):  # a global phase or a wait changes no outcome
-            apply(g)
-    for drift in _drift_gates(tail, model):
-        apply(drift)
+            gates.append(g)
+    gates += _drift_gates(tail, model)
+    for block, run in _two_qubit_runs(gates):
+        s = None
+        for g in run:  # later gates multiply from the left
+            e = _block_superoperator(g, _error_prob(g, model), block)
+            s = e if s is None else e @ s
+        apply_matrix_inplace(rho, s, block + tuple(n + t for t in block), 2 * n)
     diag = rho[:: (1 << n) + 1].real  # rho[i, i] sits at i + (i << n)
     return _readout(marginalize(diag, n, measure_qubits), measure_qubits, model)
 

@@ -73,12 +73,48 @@ def test_landscape_header_names_folded_optimum(tmp_path, capsys):
     assert (round(alpha, 2), round(beta, 2)) == (-0.94, 0.38)
 
 
+@pytest.mark.parametrize("grid", [11, 25, 100])
+def test_landscape_marker_sits_on_nearest_grid_cell(tmp_path, capsys, grid):
+    # the folded optimum lies off the grid when pi/2 is no multiple of the step;
+    # at grid 25 the insertion point is one cell off on both axes
+    code, _, _ = run_cli(["vha-sweep", "--grid", str(grid), "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    header, _, _ = read_csv(tmp_path / "landscape.csv")
+    svg = (tmp_path / "landscape.svg").read_text()
+    cx, cy = (float(v) for v in re.search(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg).groups())
+    cell = (520 - 2 * 52) / grid
+    axis = np.linspace(-math.pi, math.pi, grid)
+    for drawn, optimum in (
+        (round((cx - 52) / cell), float(header["optimum_beta"])),
+        (round((520 - 52 - cy) / cell) - 1, float(header["optimum_alpha"])),
+    ):
+        assert abs(axis[drawn] - optimum) == np.min(np.abs(axis - optimum))
+
+
 def test_vha_sweep_requires_seed_for_shots(tmp_path, capsys):
     code, _, err = run_cli(
         ["vha-sweep", "--grid", "3", "--shots", "16", "--outdir", str(tmp_path)], capsys
     )
     assert code == 2
     assert "seed" in err
+
+
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("correlator", flag) for flag in ("t", "u", "dtau", "phi")]
+    + [("vha-sweep", flag) for flag in ("t", "u")],
+)
+def test_non_finite_physics_flags_are_refused(tmp_path, capsys, command, flag, value):
+    argv = {
+        "correlator": ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2"],
+        "vha-sweep": ["vha-sweep", "--grid", "5"],
+    }[command]
+    out = tmp_path / "out"
+    code, _, err = run_cli(argv + [f"--{flag}={value}", "--outdir", str(out)], capsys)
+    assert code == 2
+    assert f"--{flag} must be finite" in err
+    assert not out.exists()  # refused before any output directory or CSV
 
 
 @pytest.mark.parametrize("kind", ["retarded", "keldysh"])
@@ -238,12 +274,15 @@ def test_compare_detects_wrong_dtau(tmp_path, capsys):
 
 
 def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
+    # the CLI refuses --u inf, so a CSV with a non-finite header is written by hand
     code, _, _ = run_cli(
-        ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--u", "inf",
+        ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2",
          "--outdir", str(tmp_path)], capsys
     )
     assert code == 0
-    code, out, _ = run_cli(["compare", "--csv", str(tmp_path / "y2y2.csv")], capsys)
+    path = tmp_path / "y2y2.csv"
+    path.write_text(path.read_text().replace("# u=4.0\n", "# u=inf\n", 1))
+    code, out, _ = run_cli(["compare", "--csv", str(path)], capsys)
     assert code == 3
 
     def refuse(constant):

@@ -29,6 +29,8 @@ from hubbard_gf.statevector import (
     ZERO_QUBIT_KINDS,
     GateOp,
     apply_gate_inplace,
+    apply_matrix_inplace,
+    marginalize,
     sample_counts,
 )
 
@@ -101,25 +103,18 @@ def _random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-@st.composite
-def noisy_cases(draw):
-    n = draw(st.integers(2, 3))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    gates = []
-    for kind in draw(st.lists(st.sampled_from(ONE_QUBIT_KINDS + TWO_QUBIT_KINDS + ZERO_QUBIT_KINDS),
-                              min_size=1, max_size=6)):
-        k = 1 if kind in ONE_QUBIT_KINDS else 2 if kind in TWO_QUBIT_KINDS else 0
-        targets = tuple(int(q) for q in rng.permutation(n)[:k])
-        if kind == "DELAY":
-            gates.append(GateOp(kind, targets, float(rng.uniform(0, 1e-6))))
-        elif kind in ("RZ", "PHASE", "CPHASE", "GPHASE"):
-            gates.append(GateOp(kind, targets, float(rng.uniform(-math.pi, math.pi))))
-        elif kind in ("U1", "U2"):
-            gates.append(GateOp(kind, targets, matrix=_random_unitary(rng, 2**k)))
-        else:
-            gates.append(GateOp(kind, targets))
-    measured = tuple(int(q) for q in rng.permutation(n)[: draw(st.integers(1, n))])
-    model = NoiseModel(
+def _random_gate(rng, kind, targets):
+    if kind == "DELAY":
+        return GateOp(kind, targets, float(rng.uniform(0, 1e-6)))
+    if kind in ("RZ", "PHASE", "CPHASE", "GPHASE"):
+        return GateOp(kind, targets, float(rng.uniform(-math.pi, math.pi)))
+    if kind in ("U1", "U2"):
+        return GateOp(kind, targets, matrix=_random_unitary(rng, 2 ** len(targets)))
+    return GateOp(kind, targets)
+
+
+def _random_model(rng, n):
+    return NoiseModel(
         n,
         p1={q: float(rng.uniform(0, 0.3)) for q in range(n)},
         p2={(a, b): float(rng.uniform(0, 0.3)) for a in range(n) for b in range(a + 1, n)},
@@ -127,7 +122,25 @@ def noisy_cases(draw):
         idle_rate={q: float(rng.uniform(1e5, 1e7)) for q in range(n)},
         durations=kolkata_dimer_model().durations,
     )
-    return Circuit(n, tuple(gates)), model, measured
+
+
+_ALL_KINDS = ONE_QUBIT_KINDS + TWO_QUBIT_KINDS + ZERO_QUBIT_KINDS
+
+
+def _n_targets(kind):
+    return 1 if kind in ONE_QUBIT_KINDS else 2 if kind in TWO_QUBIT_KINDS else 0
+
+
+@st.composite
+def noisy_cases(draw):
+    n = draw(st.integers(2, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates = []
+    for kind in draw(st.lists(st.sampled_from(_ALL_KINDS), min_size=1, max_size=6)):
+        targets = tuple(int(q) for q in rng.permutation(n)[: _n_targets(kind)])
+        gates.append(_random_gate(rng, kind, targets))
+    measured = tuple(int(q) for q in rng.permutation(n)[: draw(st.integers(1, n))])
+    return Circuit(n, tuple(gates)), _random_model(rng, n), measured
 
 
 def branch_sum_distribution(circuit, model, measured):
@@ -182,6 +195,79 @@ def test_density_matrix_equals_sum_over_pauli_error_branches(case):
     got = noisy_distribution(circuit, model, measured)
     want = branch_sum_distribution(circuit, model, measured)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@st.composite
+def fusable_cases(draw):
+    """Up to 40 gates of every kind on 2-5 qubits, most of them reusing the
+    previous gate's qubits in either order, so runs grow long and then flush."""
+    n = draw(st.integers(2, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gates, last = [], tuple(int(q) for q in rng.permutation(n)[:2])
+    for kind in draw(st.lists(st.sampled_from(_ALL_KINDS), min_size=1, max_size=40)):
+        pool = rng.permutation(last) if rng.random() < 0.7 else rng.permutation(n)
+        gates.append(_random_gate(rng, kind, tuple(int(q) for q in pool[: _n_targets(kind)])))
+        if len(gates[-1].targets) == 2:
+            last = gates[-1].targets
+    measured = tuple(int(q) for q in rng.permutation(n)[: draw(st.integers(1, n))])
+    return Circuit(n, tuple(gates)), _random_model(rng, n), measured
+
+
+def per_gate_distribution(circuit, model, measured):
+    """Unfused reference: one _superoperator per gate and idle drift, applied to rho in order."""
+    from hubbard_gf.noise import _drift_gates, _error_prob, _readout, _superoperator, schedule_ops
+
+    n = circuit.n_qubits
+    rho = np.zeros(1 << (2 * n), dtype=complex)
+    rho[0] = 1.0
+
+    def apply(g):
+        s = _superoperator(g, _error_prob(g, model))
+        apply_matrix_inplace(rho, s, g.targets + tuple(n + t for t in g.targets), 2 * n)
+
+    ops, tail, _ = schedule_ops(circuit, model)
+    for g, gaps in ops:
+        for drift in _drift_gates(gaps, model):
+            apply(drift)
+        if g.kind not in ("GPHASE", "DELAY"):
+            apply(g)
+    for drift in _drift_gates(tail, model):
+        apply(drift)
+    return _readout(marginalize(rho[:: (1 << n) + 1].real, n, measured), measured, model)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fusable_cases())
+def test_fused_runs_equal_per_gate_superoperators(case):
+    circuit, model, measured = case
+    got = noisy_distribution(circuit, model, measured)
+    want = per_gate_distribution(circuit, model, measured)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+
+
+def test_fusion_cuts_density_matrix_passes(monkeypatch):
+    # a README dimer point circuit, twirled and folded to scale 2.0
+    import hubbard_gf.noise as noise
+    from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.greens import DIMER_PAIRS, direct_point_circuit
+
+    source, probe = DIMER_PAIRS["y2y2"]
+    circuit, meas_qubits, _ = direct_point_circuit(
+        source, probe, 1.0, 4.0, TrotterPlan(0.314, 6), 6, math.pi / 2, math.pi / 2
+    )
+    folded, _ = fold_circuit(pauli_twirl(circuit, 4, 42)[1], 2.0)
+    passes = []
+    kernel = noise.apply_matrix_inplace
+
+    def counting(vec, m, bits, n):
+        if vec.ndim == 1:  # rho itself, not a cached superoperator being embedded
+            passes.append(bits)
+        kernel(vec, m, bits, n)
+
+    monkeypatch.setattr(noise, "apply_matrix_inplace", counting)
+    noisy_distribution(folded, kolkata_dimer_model(), meas_qubits)
+    assert 5 * len(passes) <= len(folded.gates)
+    assert all(len(bits) in (2, 4) for bits in passes)
 
 
 def test_single_cnot_depolarizing_rate():
