@@ -19,10 +19,8 @@ from .circuit import TrotterPlan, dimer_trotter_step, hopping_step, repulsion_st
 from .greens import (
     DIMER_ANALYTIC_REF,
     DIMER_PAIRS,
-    LAMBDA_BY_KIND,
     CorrelatorSpec,
     advanced_hadamard_test,
-    dimer_ground_circuit,
     dimer_suite,
     direct_measurement,
     hadamard_test,
@@ -187,8 +185,7 @@ def cmd_correlator(args) -> int:
         header["noise_model"] = args.noise_model
         for name in pairs:
             _, values = noisy_dimer_series(
-                name, args.t, args.u, plan, args.phi, args.shots, seed, model, config,
-                lam=LAMBDA_BY_KIND[args.kind],
+                name, args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
             )
             csv_path = os.path.join(out, f"{name}_noisy.csv")
             write_csv(csv_path, dict(header, correlator=name),
@@ -207,14 +204,13 @@ def cmd_correlator(args) -> int:
     if args.protocol == "direct":
         records = dimer_suite(args.t, args.u, plan, args.phi, args.shots, seed, kind=args.kind)
     else:
-        ground = dimer_ground_circuit(args.t, args.u)
         proto = args.protocol.replace("-", "_")
         runner = hadamard_test if proto == "hadamard" else advanced_hadamard_test
         records = {}
         for name in pairs:
             source, probe = DIMER_PAIRS[name]
             spec = CorrelatorSpec(source, probe, tuple(taus), kind=args.kind, protocol=proto)
-            records[name] = runner(spec, ground, plan, args.shots, seed, t=args.t, u=args.u)
+            records[name] = runner(spec, args.t, args.u, plan, args.shots, seed)
     for name in pairs:
         _write_series(out, name, records[name], header, args, taus, dense)
     return 0
@@ -306,9 +302,7 @@ def _trotter_bound(header, name) -> float:
     plan = TrotterPlan(float(header["dtau"]), int(float(header["steps"])))
     source, probe = DIMER_PAIRS[name]
     spec = CorrelatorSpec(source, probe, time_grid(plan), kind=kind, protocol="direct")
-    rec = direct_measurement(
-        spec, math.pi / 2, dimer_ground_circuit(t, u), plan, shots=0, seed=0, t=t, u=u
-    )
+    rec = direct_measurement(spec, t, u, plan, math.pi / 2, shots=0, seed=0)
     analytic = _analytic(name, kind, t, u, rec.taus)
     return float(np.max(np.abs(2 * np.array(rec.estimates) - analytic))) + 1e-9
 

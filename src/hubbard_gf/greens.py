@@ -37,6 +37,7 @@ from .statevector import (
     sample_counts,
     shot_stderr,
 )
+from .vha import VhaParams, optimal_angles, vha_circuit
 
 LAMBDA_BY_KIND = {"retarded": math.pi / 2, "keldysh": 0.0}
 
@@ -50,7 +51,6 @@ class CorrelatorSpec:
     taus: tuple[float, ...]
     kind: str = "retarded"
     protocol: str = "direct"
-    mapping: str = "jw"
 
     def __post_init__(self):
         if self.kind not in LAMBDA_BY_KIND:
@@ -114,13 +114,7 @@ def _steps_for(tau: float, plan: TrotterPlan) -> int:
 
 
 def _hadamard_family(
-    spec: CorrelatorSpec,
-    ground_circuit: Circuit,
-    plan: TrotterPlan,
-    shots: int,
-    seed: int,
-    t: float,
-    u: float,
+    spec: CorrelatorSpec, t: float, u: float, plan: TrotterPlan, shots: int, seed: int,
     protocol: str,
 ) -> MeasurementRecord:
     """<psi| U^-j P U^j S |psi> = <U^j psi| P |U^j S psi> per time point.
@@ -132,7 +126,7 @@ def _hadamard_family(
     width = h.n_modes
     prb = _mode_pauli(spec.probe, h, width)
     step = dimer_trotter_step(t, u, plan.dtau)
-    bra = simulate(ground_circuit)
+    bra = simulate(dimer_ground_circuit(t, u))
     ket = apply_pauli(bra, _mode_pauli(spec.source, h, width))
     imag_part = spec.kind == "keldysh"
     seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
@@ -173,13 +167,7 @@ def _hadamard_family(
 
 
 def hadamard_test(
-    spec: CorrelatorSpec,
-    ground_circuit: Circuit,
-    plan: TrotterPlan,
-    shots: int,
-    seed: int,
-    t: float = 1.0,
-    u: float = 4.0,
+    spec: CorrelatorSpec, t: float, u: float, plan: TrotterPlan, shots: int, seed: int
 ) -> MeasurementRecord:
     """Ancilla-interferometric estimate of Re <probe(tau) source> per time point.
 
@@ -189,17 +177,11 @@ def hadamard_test(
     """
     if spec.protocol != "hadamard":
         raise ValueError(f"spec requests protocol {spec.protocol!r}")
-    return _hadamard_family(spec, ground_circuit, plan, shots, seed, t, u, "hadamard")
+    return _hadamard_family(spec, t, u, plan, shots, seed, "hadamard")
 
 
 def advanced_hadamard_test(
-    spec: CorrelatorSpec,
-    ground_circuit: Circuit,
-    plan: TrotterPlan,
-    shots: int,
-    seed: int,
-    t: float = 1.0,
-    u: float = 4.0,
+    spec: CorrelatorSpec, t: float, u: float, plan: TrotterPlan, shots: int, seed: int
 ) -> MeasurementRecord:
     """Same estimand with a single uncontrolled forward evolution.
 
@@ -208,12 +190,7 @@ def advanced_hadamard_test(
     """
     if spec.protocol != "advanced_hadamard":
         raise ValueError(f"spec requests protocol {spec.protocol!r}")
-    if spec.mapping != "jw":
-        raise ValueError(
-            "advanced Hadamard test needs controlled single-fermion operators, "
-            "which a locality-preserving mapping does not provide"
-        )
-    return _hadamard_family(spec, ground_circuit, plan, shots, seed, t, u, "advanced_hadamard")
+    return _hadamard_family(spec, t, u, plan, shots, seed, "advanced_hadamard")
 
 
 # -- direct (linear-response) measurement ----------------------------------------------
@@ -234,13 +211,7 @@ class _DirectPieces:
 
 
 def _direct_pieces(
-    source: MajoranaIndex,
-    probe: MajoranaIndex,
-    t: float,
-    u: float,
-    dtau: float,
-    phi: float,
-    ground_circuit: Circuit,
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, dtau: float, phi: float
 ) -> _DirectPieces:
     h = FermionHamiltonian.dimer(t, u)
     anc = h.n_modes
@@ -251,7 +222,7 @@ def _direct_pieces(
     if not (pert_gen.is_hermitian and observable.is_hermitian):
         raise AssertionError("bilinears must be Hermitian")
     return _DirectPieces(
-        prep=ground_circuit.widened(width) + Circuit(width, (GateOp("X", (anc,)),)),
+        prep=dimer_ground_circuit(t, u).widened(width) + Circuit(width, (GateOp("X", (anc,)),)),
         kick=Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi))),
         step=dimer_trotter_step(t, u, dtau).widened(width),
         observable=observable,
@@ -264,14 +235,12 @@ def _direct_pieces(
 
 def direct_measurement(
     spec: CorrelatorSpec,
-    phi: float,
-    ground_circuit: Circuit,
+    t: float,
+    u: float,
     plan: TrotterPlan,
+    phi: float,
     shots: int,
     seed: int,
-    t: float = 1.0,
-    u: float = 4.0,
-    lam: float | None = None,
     evolution: str = "trotter",
 ) -> MeasurementRecord:
     """Kubo-style estimate of the probe-source correlator, exact at any Phi.
@@ -288,12 +257,11 @@ def direct_measurement(
         raise ValueError("Phi must not be a multiple of pi (zero response)")
     if evolution not in ("trotter", "exact"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
-    lam = spec.lam if lam is None else lam
-    pieces = _direct_pieces(spec.source, spec.probe, t, u, plan.dtau, phi, ground_circuit)
+    pieces = _direct_pieces(spec.source, spec.probe, t, u, plan.dtau, phi)
     kicked = simulate(pieces.kick, simulate(pieces.prep))
     if evolution == "exact":
         spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
-    phase = GateOp("RZ", (pieces.anc,), -lam)
+    phase = GateOp("RZ", (pieces.anc,), -spec.lam)
     seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
 
     estimates, stderrs, hists = [], [], []
@@ -327,7 +295,7 @@ def direct_measurement(
         seed,
         "direct",
         phi,
-        lam,
+        spec.lam,
         tuple(hists),
     )
 
@@ -365,7 +333,6 @@ def direct_point_circuit(
     n_steps: int,
     phi: float,
     lam: float,
-    ground_circuit: Circuit | None = None,
 ) -> tuple[Circuit, tuple[int, int], float]:
     """Fully gate-level 5-qubit circuit for one direct-protocol time point.
 
@@ -374,9 +341,7 @@ def direct_point_circuit(
     per Trotter step.  Used by the noisy pipeline; the noiseless runner applies
     the same pieces with the phase as a single rotation.
     """
-    p = _direct_pieces(
-        source, probe, t, u, plan.dtau, phi, ground_circuit or dimer_ground_circuit(t, u)
-    )
+    p = _direct_pieces(source, probe, t, u, plan.dtau, phi)
     if n_steps == 0:
         evolution = (GateOp("RZ", (p.anc,), -lam),)
     else:
@@ -448,8 +413,6 @@ DIMER_ANALYTIC_REF = {"y2y2": "xx_0", "y3y3": "xx_1", "x3y2": "xy_01"}
 
 
 def dimer_ground_circuit(t: float, u: float) -> Circuit:
-    from .vha import VhaParams, optimal_angles, vha_circuit
-
     return vha_circuit(VhaParams.single(*optimal_angles(t, u)))
 
 
@@ -469,15 +432,12 @@ def dimer_suite(
     of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im
     (the protocol-native estimate is half of either).
     """
-    ground = dimer_ground_circuit(t, u)
     taus = time_grid(plan)
     out = {}
     seeds = np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))
     for k, (name, (source, probe)) in enumerate(DIMER_PAIRS.items()):
         spec = CorrelatorSpec(source, probe, taus, kind=kind, protocol="direct")
-        rec = direct_measurement(
-            spec, phi, ground, plan, shots, int(seeds[k]), t=t, u=u, evolution=evolution
-        )
+        rec = direct_measurement(spec, t, u, plan, phi, shots, int(seeds[k]), evolution)
         out[name] = replace(
             rec,
             estimates=tuple(2 * v for v in rec.estimates),

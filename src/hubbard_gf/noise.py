@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, simulate
-from .pauli import PauliString
+from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, direct_point_circuit, time_grid
+from .pauli import CliffordCircuit, PauliString, clifford_conjugate
 from .statevector import (
     MAX_QUBITS,
     GateOp,
@@ -162,8 +163,9 @@ def kolkata_dimer_model(idle_rate: float = 0.0) -> NoiseModel:
 
 
 def schedule_ops(circuit: Circuit, model: NoiseModel):
-    """ASAP schedule; yields (gate, idle_gaps) where idle_gaps lists
-    (qubit, seconds) of idle time each target accumulated before the gate."""
+    """ASAP schedule as (ops, tail): ops pairs each gate with the (qubit, seconds)
+    idle time each target accumulated before it, tail lists each qubit's idle
+    time from its last gate to the end of the circuit."""
     ready = [0.0] * circuit.n_qubits
     out = []
     for g in circuit.gates:
@@ -178,7 +180,7 @@ def schedule_ops(circuit: Circuit, model: NoiseModel):
         out.append((g, gaps))
     end = max(ready) if ready else 0.0
     tail = tuple((q, end - ready[q]) for q in range(circuit.n_qubits) if end - ready[q] > 0)
-    return out, tail, end
+    return out, tail
 
 
 def idle_windows(circuit: Circuit, model: NoiseModel) -> dict[int, list[tuple[int, float]]]:
@@ -186,7 +188,7 @@ def idle_windows(circuit: Circuit, model: NoiseModel) -> dict[int, list[tuple[in
 
     These are the schedule's idle gaps on qubits that some earlier gate already used.
     """
-    ops, _, _ = schedule_ops(circuit, model)
+    ops, _ = schedule_ops(circuit, model)
     used: set[int] = set()
     windows: dict[int, list[tuple[int, float]]] = {q: [] for q in range(circuit.n_qubits)}
     for i, (g, gaps) in enumerate(ops):
@@ -306,7 +308,7 @@ def noisy_distribution(
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
     gates: list[GateOp] = []
-    ops, tail, _ = schedule_ops(circuit, model)
+    ops, tail = schedule_ops(circuit, model)
     for g, gaps in ops:
         gates += _drift_gates(gaps, model)
         if g.kind not in ("GPHASE", "DELAY"):  # a global phase or a wait changes no outcome
@@ -417,8 +419,6 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     """
     if n_variants < 1:
         raise ValueError("n_variants must be >= 1")
-    from .pauli import CliffordCircuit, clifford_conjugate
-
     rng = np.random.default_rng(seed)
     variants = []
     for _ in range(n_variants):
@@ -490,7 +490,7 @@ def fold_circuit(circuit: Circuit, scale: float) -> tuple[Circuit, float]:
     (counted over noisy gates only)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    noisy_idx = [i for i, g in enumerate(circuit.gates) if _is_noisy(g) and g.kind != "DELAY"]
+    noisy_idx = [i for i, g in enumerate(circuit.gates) if _is_noisy(g)]
     n_noisy = len(noisy_idx)
     if n_noisy == 0 or scale == 1:
         return circuit, 1.0
@@ -561,7 +561,11 @@ class MitigationConfig:
     def __post_init__(self):
         if self.twirl_variants < 1:
             raise ValueError(f"twirl variants must be >= 1, got {self.twirl_variants}")
+        if self.zne_order < 0:
+            raise ValueError(f"polynomial order must be >= 0, got {self.zne_order}")
         if self.zne_scales:
+            if not all(math.isfinite(s) for s in self.zne_scales):
+                raise ValueError("scale factors must be finite")
             if list(self.zne_scales) != sorted(self.zne_scales) or self.zne_scales[0] < 1:
                 raise ValueError("scale factors must be sorted and >= 1")
             if self.zne_order >= len(self.zne_scales):
@@ -623,24 +627,20 @@ def noisy_dimer_series(
     seed: int,
     model: NoiseModel,
     config: MitigationConfig,
-    lam: float = math.pi / 2,
+    kind: str = "retarded",
 ):
-    """Full (anti)commutator series for one dimer pair under noise (lam as in LAMBDA_BY_KIND).
+    """Full (anti)commutator series for one dimer pair under noise (kind as in dimer_suite).
 
     Per time point the full gate-level point circuit runs through the configured
     mitigation stack; values carry the 2/sin(phi) estimator scaling.
     """
-    from .greens import DIMER_PAIRS, dimer_ground_circuit, direct_point_circuit, time_grid
-
     source, probe = DIMER_PAIRS[name]
-    ground = dimer_ground_circuit(t, u)
+    lam = LAMBDA_BY_KIND[kind]
     taus = time_grid(plan)
     seeds = np.random.SeedSequence(seed).generate_state(len(taus))
     values = []
     for k, tau in enumerate(taus):
-        circuit, meas_qubits, sign = direct_point_circuit(
-            source, probe, t, u, plan, k, phi, lam, ground_circuit=ground
-        )
+        circuit, meas_qubits, sign = direct_point_circuit(source, probe, t, u, plan, k, phi, lam)
         parity = noisy_parity_estimate(
             circuit, meas_qubits, model, shots, int(seeds[k]), config
         )

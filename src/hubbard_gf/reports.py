@@ -198,9 +198,9 @@ def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
                 f'<rect x="{x:.1f}" y="{y:.1f}" width="{cw+0.5:.1f}" height="{ch+0.5:.1f}" '
                 f'fill="rgb({r},60,{bl})"/>'
             )
-    if best is not None:  # on the grid cell nearest the optimum, which may lie off the grid
-        bx = fr.margin + np.argmin(np.abs(betas - best[1])) * cw
-        by = fr.height - fr.margin - (np.argmin(np.abs(alphas - best[0])) + 1) * ch
+    if best is not None:  # centred on the grid cell nearest the optimum, which may lie off the grid
+        bx = fr.margin + (np.argmin(np.abs(betas - best[1])) + 0.5) * cw
+        by = fr.height - fr.margin - (np.argmin(np.abs(alphas - best[0])) + 0.5) * ch
         parts.append(
             f'<circle cx="{bx:.1f}" cy="{by:.1f}" r="5" fill="none" stroke="white" stroke-width="2"/>'
         )

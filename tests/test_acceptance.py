@@ -124,7 +124,6 @@ def test_criterion_3_analytic_oracle_agreement():
 def test_criterion_4_direct_measurement_exactness():
     t, u = 1.0, 4.0
     h, spect = dimer_spectral(t, u)
-    ground = dimer_ground_circuit(t, u)
     plan = TrotterPlan(0.5, 6)
     taus = time_grid(plan)
     x0 = dimer_majorana(0, "up", "x")
@@ -137,12 +136,10 @@ def test_criterion_4_direct_measurement_exactness():
     per_phi = []
     for phi in (0.3, 0.8, math.pi / 2):
         rec_r = direct_measurement(
-            CorrelatorSpec(y1, x0, taus, kind="retarded"), phi, ground, plan, 0, 0,
-            evolution="exact",
+            CorrelatorSpec(y1, x0, taus, kind="retarded"), t, u, plan, phi, 0, 0, "exact"
         )
         rec_k = direct_measurement(
-            CorrelatorSpec(y1, x0, taus, kind="keldysh"), phi, ground, plan, 0, 0,
-            evolution="exact",
+            CorrelatorSpec(y1, x0, taus, kind="keldysh"), t, u, plan, phi, 0, 0, "exact"
         )
         worst_r = max(worst_r, float(np.max(np.abs(np.array(rec_r.estimates) - ref.real))))
         worst_k = max(worst_k, float(np.max(np.abs(np.array(rec_k.estimates) - ref.imag))))
@@ -218,13 +215,8 @@ def test_criterion_6_protocol_equivalence():
     plan = TrotterPlan(0.314, 25)
     taus = time_grid(plan)
     x0 = dimer_majorana(0, "up", "x")
-    ground = dimer_ground_circuit(t, u)
-    rec_h = hadamard_test(
-        CorrelatorSpec(x0, x0, taus, protocol="hadamard"), ground, plan, 0, 0, t=t, u=u
-    )
-    rec_d = direct_measurement(
-        CorrelatorSpec(x0, x0, taus), math.pi / 2, ground, plan, 0, 0, t=t, u=u
-    )
+    rec_h = hadamard_test(CorrelatorSpec(x0, x0, taus, protocol="hadamard"), t, u, plan, 0, 0)
+    rec_d = direct_measurement(CorrelatorSpec(x0, x0, taus), t, u, plan, math.pi / 2, 0, 0)
     worst = float(np.max(np.abs(np.array(rec_h.estimates) - np.array(rec_d.estimates))))
     criterion(6, worst < 1e-10,
               f"Hadamard test and direct measurement agree on retarded x0-x0 to {worst:.2e}")

@@ -66,8 +66,9 @@ def test_landscape_header_names_folded_optimum(tmp_path, capsys):
     cx, cy = (float(v) for v in re.search(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg).groups())
     cell = (520 - 2 * 52) / 101  # reports.landscape_svg frame: 520 px, 52 px margins
     grid = np.linspace(-math.pi, math.pi, 101)
-    beta = grid[round((cx - 52) / cell)]
-    alpha = grid[round((520 - 52 - cy) / cell) - 1]
+    j, i = int((cx - 52) // cell), int((520 - 52 - cy) // cell)
+    assert (cx, cy) == pytest.approx((52 + (j + 0.5) * cell, 520 - 52 - (i + 0.5) * cell), abs=0.05)
+    beta, alpha = grid[j], grid[i]
     assert alpha == pytest.approx(float(header["optimum_alpha"]), abs=1e-12)
     assert beta == pytest.approx(float(header["optimum_beta"]), abs=1e-12)
     assert (round(alpha, 2), round(beta, 2)) == (-0.94, 0.38)
@@ -84,10 +85,10 @@ def test_landscape_marker_sits_on_nearest_grid_cell(tmp_path, capsys, grid):
     cx, cy = (float(v) for v in re.search(r'<circle cx="([\d.]+)" cy="([\d.]+)"', svg).groups())
     cell = (520 - 2 * 52) / grid
     axis = np.linspace(-math.pi, math.pi, grid)
-    for drawn, optimum in (
-        (round((cx - 52) / cell), float(header["optimum_beta"])),
-        (round((520 - 52 - cy) / cell) - 1, float(header["optimum_alpha"])),
-    ):
+    j, i = int((cx - 52) // cell), int((520 - 52 - cy) // cell)
+    # the circle sits at the centre of the cell, not on a corner shared by four cells
+    assert (cx, cy) == pytest.approx((52 + (j + 0.5) * cell, 520 - 52 - (i + 0.5) * cell), abs=0.05)
+    for drawn, optimum in ((j, float(header["optimum_beta"])), (i, float(header["optimum_alpha"]))):
         assert abs(axis[drawn] - optimum) == np.min(np.abs(axis - optimum))
 
 
@@ -182,6 +183,15 @@ _NOISY = ["--shots", "64", "--seed", "5", "--noise-model", "MODEL"]
                      id="noiseless-0-zne-unsorted"),
         pytest.param(_NOISELESS + ["--zne-scales", "3", "1"], "sorted",
                      id="noiseless-zne-unsorted"),
+        pytest.param(_NOISY + ["--zne-scales", "1", "inf"], "finite", id="zne-inf"),
+        pytest.param(_NOISY + ["--zne-scales", "1", "nan"], "finite", id="zne-nan"),
+        pytest.param(_NOISY + ["--zne-order", "-1", "--zne-scales", "1", "2"], "order",
+                     id="zne-order--1"),
+        pytest.param(_NOISELESS + ["--zne-scales", "1", "inf"], "finite", id="noiseless-zne-inf"),
+        pytest.param(_NOISELESS + ["--zne-scales", "1", "2", "nan"], "finite",
+                     id="noiseless-zne-nan"),
+        pytest.param(_NOISELESS + ["--zne-order", "-1", "--zne-scales", "1", "2"], "order",
+                     id="noiseless-zne-order--1"),
     ],
 )
 def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):

@@ -1,12 +1,16 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_gf.circuit import TrotterPlan, dimer_trotter_step, circuit_unitary
 from hubbard_gf.greens import (
     CorrelatorSpec,
     DIMER_ANALYTIC_REF,
+    DIMER_PAIRS,
     MeasurementRecord,
     UNITARY_M,
     advanced_hadamard_test,
@@ -60,25 +64,22 @@ def test_record_validation():
 
 
 def test_direct_tau_zero_same_majorana():
-    ground = dimer_ground_circuit(T, U)
     spec = spec_for((x0, x0), (0.0,))
-    rec = direct_measurement(spec, math.pi / 2, ground, PLAN, shots=0, seed=0)
+    rec = direct_measurement(spec, T, U, PLAN, math.pi / 2, shots=0, seed=0)
     assert rec.estimates[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_direct_phi_validation():
-    ground = dimer_ground_circuit(T, U)
     spec = spec_for((x0, x0), (0.0,))
     with pytest.raises(ValueError):
-        direct_measurement(spec, math.pi, ground, PLAN, 0, 0)
+        direct_measurement(spec, T, U, PLAN, math.pi, 0, 0)
     with pytest.raises(ValueError):
-        direct_measurement(spec, 0.0, ground, PLAN, 0, 0)
+        direct_measurement(spec, T, U, PLAN, 0.0, 0, 0)
 
 
 def test_direct_exact_mode_phi_independent_and_matches_oracle():
     # Appendix-level exactness: dense evolution, any Phi, both kinds
     h, spect = dimer_spectral(T, U)
-    ground = dimer_ground_circuit(T, U)
     taus = (0.0, 0.5, 1.5)
     a = majorana_operator(h, 0, "up", "x")
     b = majorana_operator(h, 1, "up", "y")
@@ -87,10 +88,10 @@ def test_direct_exact_mode_phi_independent_and_matches_oracle():
     spec_k = spec_for((y1, x0), taus, kind="keldysh")
     vals = {}
     for phi in (0.3, 0.8, math.pi / 2):
-        rec = direct_measurement(spec_r, phi, ground, PLAN, 0, 0, evolution="exact")
+        rec = direct_measurement(spec_r, T, U, PLAN, phi, 0, 0, evolution="exact")
         np.testing.assert_allclose(rec.estimates, ref.real, atol=1e-10)
         vals[phi] = rec.estimates
-        rec_k = direct_measurement(spec_k, phi, ground, PLAN, 0, 0, evolution="exact")
+        rec_k = direct_measurement(spec_k, T, U, PLAN, phi, 0, 0, evolution="exact")
         np.testing.assert_allclose(rec_k.estimates, ref.imag, atol=1e-10)
     a_vals = np.array(list(vals.values()))
     assert np.max(np.abs(a_vals - a_vals[0])) < 1e-10
@@ -99,12 +100,11 @@ def test_direct_exact_mode_phi_independent_and_matches_oracle():
 def test_direct_trotter_matches_trotterized_oracle():
     taus = time_grid(SHORT)
     spec = spec_for((y1, x0), taus)
-    ground = dimer_ground_circuit(T, U)
-    rec = direct_measurement(spec, 0.8, ground, SHORT, 0, 0, evolution="trotter")
+    rec = direct_measurement(spec, T, U, SHORT, 0.8, 0, 0, evolution="trotter")
     h, spect = dimer_spectral(T, U)
     from hubbard_gf.circuit import simulate
 
-    psi = simulate(ground).amps
+    psi = simulate(dimer_ground_circuit(T, U)).amps
     step_u = circuit_unitary(dimer_trotter_step(T, U, SHORT.dtau))
     a_m = majorana_operator(h, 0, "up", "x").to_matrix()
     b_m = majorana_operator(h, 1, "up", "y").to_matrix()
@@ -128,65 +128,56 @@ def test_dimer_suite_weak_kick_shot_mode_within_4_sigma():
 def test_direct_shot_mode_within_4_sigma():
     taus = time_grid(SHORT)
     spec = spec_for((x0, x0), taus)
-    ground = dimer_ground_circuit(T, U)
-    exact = direct_measurement(spec, math.pi / 2, ground, SHORT, 0, 0)
-    sampled = direct_measurement(spec, math.pi / 2, ground, SHORT, 4096, 7)
+    exact = direct_measurement(spec, T, U, SHORT, math.pi / 2, 0, 0)
+    sampled = direct_measurement(spec, T, U, SHORT, math.pi / 2, 4096, 7)
     for e, s, err in zip(exact.estimates, sampled.estimates, sampled.stderrs):
         assert abs(e - s) <= 4 * max(err, 1e-9)
     assert sampled.histograms[1]
 
 
 def test_hadamard_tau_zero_and_validation():
-    ground = dimer_ground_circuit(T, U)
     spec = spec_for((x0, x0), (0.0,), protocol="hadamard")
-    rec = hadamard_test(spec, ground, PLAN, 0, 0)
+    rec = hadamard_test(spec, T, U, PLAN, 0, 0)
     assert rec.estimates[0] == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        hadamard_test(spec_for((x0, x0), (0.0,)), ground, PLAN, 0, 0)
+        hadamard_test(spec_for((x0, x0), (0.0,)), T, U, PLAN, 0, 0)
 
 
-def test_advanced_hadamard_matches_and_rejects_local_mapping():
-    ground = dimer_ground_circuit(T, U)
+def test_advanced_hadamard_matches_hadamard():
     taus = time_grid(SHORT)
     spec_a = spec_for((x0, x0), taus, protocol="advanced_hadamard")
-    rec_a = advanced_hadamard_test(spec_a, ground, SHORT, 0, 0)
+    rec_a = advanced_hadamard_test(spec_a, T, U, SHORT, 0, 0)
     spec_h = spec_for((x0, x0), taus, protocol="hadamard")
-    rec_h = hadamard_test(spec_h, ground, SHORT, 0, 0)
+    rec_h = hadamard_test(spec_h, T, U, SHORT, 0, 0)
     np.testing.assert_allclose(rec_a.estimates, rec_h.estimates, atol=1e-12)
     assert rec_a.estimates[0] == pytest.approx(1.0, abs=1e-12)
-    local = CorrelatorSpec(x0, x0, taus, protocol="advanced_hadamard", mapping="local")
-    with pytest.raises(ValueError):
-        advanced_hadamard_test(local, ground, SHORT, 0, 0)
 
 
 def test_protocol_equivalence_exact_mode():
     # Hadamard test and direct measurement share the Trotterized propagator and
     # must agree to 1e-10 in exact-expectation mode (retarded x0-x0)
-    ground = dimer_ground_circuit(T, U)
     taus = time_grid(SHORT)
-    rec_h = hadamard_test(spec_for((x0, x0), taus, protocol="hadamard"), ground, SHORT, 0, 0)
-    rec_d = direct_measurement(spec_for((x0, x0), taus), math.pi / 2, ground, SHORT, 0, 0)
+    rec_h = hadamard_test(spec_for((x0, x0), taus, protocol="hadamard"), T, U, SHORT, 0, 0)
+    rec_d = direct_measurement(spec_for((x0, x0), taus), T, U, SHORT, math.pi / 2, 0, 0)
     np.testing.assert_allclose(rec_h.estimates, rec_d.estimates, atol=1e-10)
 
 
 def test_hadamard_shot_mode():
-    ground = dimer_ground_circuit(T, U)
     taus = (0.0, 0.25, 0.5)
     spec = spec_for((x0, x0), taus, protocol="hadamard")
-    exact = hadamard_test(spec, ground, SHORT, 0, 0)
-    rec = hadamard_test(spec, ground, SHORT, 4096, 3)
+    exact = hadamard_test(spec, T, U, SHORT, 0, 0)
+    rec = hadamard_test(spec, T, U, SHORT, 4096, 3)
     for e, s, err in zip(exact.estimates, rec.estimates, rec.stderrs):
         assert abs(e - s) <= 4 * max(err, 1e-9)
-    rec2 = hadamard_test(spec, ground, SHORT, 4096, 3)
+    rec2 = hadamard_test(spec, T, U, SHORT, 4096, 3)
     assert rec.estimates == rec2.estimates  # deterministic per seed
 
 
 def test_keldysh_cross_check_lehmann():
     h, spect = dimer_spectral(T, U)
-    ground = dimer_ground_circuit(T, U)
     taus = (0.0, 0.5, 1.0)
     spec = spec_for((x0, x0), taus, kind="keldysh")
-    rec = direct_measurement(spec, math.pi / 2, ground, PLAN, 0, 0, evolution="exact")
+    rec = direct_measurement(spec, T, U, PLAN, math.pi / 2, 0, 0, evolution="exact")
     a = majorana_operator(h, 0, "up", "x")
     ref = lehmann_correlator(a, a, h, np.array(taus), spect)
     # -(i/2)<[x(tau), x]> = Im <x(tau) x>
@@ -274,13 +265,10 @@ def test_dimer_suite_keldysh_kind():
 
 
 def test_advanced_and_plain_hadamard_shot_mode_agree_within_errors():
-    ground = dimer_ground_circuit(T, U)
     taus = time_grid(SHORT)
-    rec_h = hadamard_test(
-        spec_for((x0, x0), taus, protocol="hadamard"), ground, SHORT, 4096, 5
-    )
+    rec_h = hadamard_test(spec_for((x0, x0), taus, protocol="hadamard"), T, U, SHORT, 4096, 5)
     rec_a = advanced_hadamard_test(
-        spec_for((x0, x0), taus, protocol="advanced_hadamard"), ground, SHORT, 4096, 6
+        spec_for((x0, x0), taus, protocol="advanced_hadamard"), T, U, SHORT, 4096, 6
     )
     for vh, va, eh, ea in zip(rec_h.estimates, rec_a.estimates, rec_h.stderrs, rec_a.stderrs):
         combined = math.sqrt(eh * eh + ea * ea)
@@ -296,19 +284,43 @@ def test_direct_point_circuit_matches_runner():
     from hubbard_gf.circuit import simulate
 
     plan = TrotterPlan(0.314, 5)
-    ground = dimer_ground_circuit(T, U)
     phi = 0.9
     for name in ("y2y2", "x3y2"):
         source, probe = DIMER_PAIRS[name]
         taus = time_grid(plan)
-        rec = direct_measurement(
-            CorrelatorSpec(source, probe, taus), phi, ground, plan, 0, 0, t=T, u=U
-        )
+        rec = direct_measurement(CorrelatorSpec(source, probe, taus), T, U, plan, phi, 0, 0)
         for k in range(len(taus)):
-            circ, mq, sign = direct_point_circuit(
-                source, probe, T, U, plan, k, phi, math.pi / 2, ground_circuit=ground
-            )
+            circ, mq, sign = direct_point_circuit(source, probe, T, U, plan, k, phi, math.pi / 2)
             state = simulate(circ)
             zz = PauliString.from_letter_map(5, {mq[0]: "Z", mq[1]: "Z"})
             val = sign * expectation_pauli(state, zz) / math.sin(phi)
             assert val == pytest.approx(rec.estimates[k], abs=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    t=st.floats(0.2, 3.0),
+    u=st.floats(0.0, 8.0),
+    phi=st.floats(0.1, math.pi - 0.1),
+    kind=st.sampled_from(("retarded", "keldysh")),
+    pair=st.sampled_from(sorted(DIMER_PAIRS)),
+)
+def test_protocols_follow_t_and_u(t, u, phi, kind, pair):
+    # every protocol builds its dimer from (t, U) alone, never from the t=1, U=4 defaults
+    source, probe = DIMER_PAIRS[pair]
+    plan = TrotterPlan(0.3, 4)
+    taus = time_grid(plan)
+    spec = CorrelatorSpec(source, probe, taus, kind=kind)
+    h, spect = dimer_spectral(t, u)
+    ref = lehmann_correlator(
+        majorana_operator(h, probe.site, probe.spin, probe.flavor),
+        majorana_operator(h, source.site, source.spin, source.flavor),
+        h, np.array(taus), spect,
+    )
+    exact = direct_measurement(spec, t, u, plan, phi, 0, 0, evolution="exact")
+    np.testing.assert_allclose(
+        exact.estimates, ref.real if kind == "retarded" else ref.imag, rtol=0, atol=1e-10
+    )
+    trotter = direct_measurement(spec, t, u, plan, phi, 0, 0)
+    hadamard = hadamard_test(replace(spec, protocol="hadamard"), t, u, plan, 0, 0)
+    np.testing.assert_allclose(trotter.estimates, hadamard.estimates, rtol=0, atol=1e-10)

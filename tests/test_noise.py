@@ -152,7 +152,7 @@ def branch_sum_distribution(circuit, model, measured):
     states = np.zeros((1, 1 << n), dtype=complex)
     states[0, 0] = 1.0
     weights = np.ones(1)
-    ops, tail, _ = schedule_ops(circuit, model)
+    ops, tail = schedule_ops(circuit, model)
     for g, gaps in ops:
         for drift in _drift_gates(gaps, model):
             apply_gate_inplace(states, drift, n)
@@ -225,7 +225,7 @@ def per_gate_distribution(circuit, model, measured):
         s = _superoperator(g, _error_prob(g, model))
         apply_matrix_inplace(rho, s, g.targets + tuple(n + t for t in g.targets), 2 * n)
 
-    ops, tail, _ = schedule_ops(circuit, model)
+    ops, tail = schedule_ops(circuit, model)
     for g, gaps in ops:
         for drift in _drift_gates(gaps, model):
             apply(drift)
@@ -412,7 +412,7 @@ def run_noisy_fidelity(circuit, model):
     n = circuit.n_qubits
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
-    ops, tail, _ = schedule_ops(circuit, model)
+    ops, tail = schedule_ops(circuit, model)
     for g, gaps in ops:
         for drift in _drift_gates(gaps, model):
             apply_gate_inplace(amps, drift, n)
