@@ -266,15 +266,16 @@ def measurement_basis_circuit(kind: str, m: int, n: int, n_qubits: int | None = 
     return Circuit(width, tuple(gates))
 
 
-def horizontal_hop_value(counts: dict[str, int]) -> tuple[float, float]:
+def horizontal_hop_value(counts: np.ndarray) -> tuple[float, float]:
     """Estimate of (X_m X_n + Y_m Y_n)/2 from counts sampled over qubits (m, n).
 
-    Keys follow sample_counts order: character 0 is qubit m, character 1 is n.
-    Value is P(10) - P(01); the 00 and 11 outcomes carry weight zero.
+    Entries follow sample_counts: bit 0 of the outcome index is qubit m, bit 1 is n.
+    Value is P(m=1, n=0) - P(m=0, n=1); the 00 and 11 outcomes carry weight zero.
     """
-    shots = sum(counts.values())
-    p_plus = counts.get("10", 0) / shots
-    p_minus = counts.get("01", 0) / shots
+    n00, plus, minus, n11 = counts.tolist()
+    shots = n00 + plus + minus + n11
+    p_plus = plus / shots
+    p_minus = minus / shots
     mean = p_plus - p_minus
     return mean, shot_stderr(mean, shots, p_plus + p_minus)
 

@@ -113,6 +113,7 @@ def _apply_config_file(ap, argv):
 
 
 def _outdir(args) -> str:
+    """Create the output directory; called once the results exist, so a refused run leaves none."""
     out = args.outdir if getattr(args, "outdir", None) else default_outdir()
     os.makedirs(out, exist_ok=True)
     return out
@@ -122,9 +123,9 @@ def cmd_vha_sweep(args) -> int:
     if args.shots and args.seed is None:
         print("error: --seed is required for shot-mode runs", file=sys.stderr)
         return 2
-    out = _outdir(args)
     grid = np.linspace(-math.pi, math.pi, args.grid)
     res = landscape_sweep(args.t, args.u, grid, grid, shots=args.shots, seed=args.seed or 0)
+    out = _outdir(args)
     header = {
         "command": "vha-sweep", "t": args.t, "u": args.u, "grid": args.grid,
         "shots": args.shots, "seed": args.seed or 0,
@@ -169,7 +170,6 @@ def cmd_correlator(args) -> int:
         print("error: --noise-model runs the direct protocol only", file=sys.stderr)
         return 2
     config = _mitigation_from(args)  # mitigation flags are validated on noiseless runs too
-    out = _outdir(args)
     seed = args.seed or 0
     plan = TrotterPlan(args.dtau, args.steps)
     pairs = list(DIMER_PAIRS) if args.pair == "all" else [args.pair]
@@ -183,10 +183,14 @@ def cmd_correlator(args) -> int:
     if args.noise_model:
         model = NoiseModel.from_json(args.noise_model)
         header["noise_model"] = args.noise_model
-        for name in pairs:
-            _, values = noisy_dimer_series(
+        series = {
+            name: noisy_dimer_series(
                 name, args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
-            )
+            )[1]
+            for name in pairs
+        }
+        out = _outdir(args)
+        for name, values in series.items():
             csv_path = os.path.join(out, f"{name}_noisy.csv")
             write_csv(csv_path, dict(header, correlator=name),
                       ["tau", "estimate"], list(zip(taus, values)))
@@ -211,6 +215,7 @@ def cmd_correlator(args) -> int:
             source, probe = DIMER_PAIRS[name]
             spec = CorrelatorSpec(source, probe, tuple(taus), kind=args.kind, protocol=proto)
             records[name] = runner(spec, args.t, args.u, plan, args.shots, seed)
+    out = _outdir(args)
     for name in pairs:
         _write_series(out, name, records[name], header, args, taus, dense)
     return 0

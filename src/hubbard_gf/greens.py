@@ -13,7 +13,7 @@ exactly at any Phi.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -79,7 +79,6 @@ class MeasurementRecord:
     protocol: str
     phi: float
     lam: float
-    histograms: tuple[dict, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         if self.shots == 0:  # a shot estimate divided by sin Phi may exceed the bound
@@ -131,7 +130,7 @@ def _hadamard_family(
     imag_part = spec.kind == "keldysh"
     seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
 
-    estimates, stderrs, hists = [], [], []
+    estimates, stderrs = [], []
     done = 0
     for k, tau in enumerate(spec.taus):
         j = _steps_for(tau, plan)
@@ -144,7 +143,6 @@ def _hadamard_family(
         if shots == 0:
             estimates.append(float(value))
             stderrs.append(0.0)
-            hists.append({})
         else:
             p0 = min(1.0, max(0.0, (1 + value) / 2))
             rng = np.random.default_rng(int(seeds[k]))
@@ -152,7 +150,6 @@ def _hadamard_family(
             est = (shots - 2 * ones) / shots
             estimates.append(est)
             stderrs.append(shot_stderr(est, shots))
-            hists.append({"0": shots - ones, "1": ones})
     return MeasurementRecord(
         tuple(spec.taus),
         tuple(estimates),
@@ -162,7 +159,6 @@ def _hadamard_family(
         protocol,
         0.0,
         spec.lam,
-        tuple(hists),
     )
 
 
@@ -213,6 +209,8 @@ class _DirectPieces:
 def _direct_pieces(
     source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, dtau: float, phi: float
 ) -> _DirectPieces:
+    if abs(math.sin(phi)) < 1e-12:
+        raise ValueError("Phi must not be a multiple of pi (zero response)")
     h = FermionHamiltonian.dimer(t, u)
     anc = h.n_modes
     width = anc + 1
@@ -253,8 +251,6 @@ def direct_measurement(
     """
     if spec.protocol != "direct":
         raise ValueError(f"spec requests protocol {spec.protocol!r}")
-    if abs(math.sin(phi)) < 1e-12:
-        raise ValueError("Phi must not be a multiple of pi (zero response)")
     if evolution not in ("trotter", "exact"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
     pieces = _direct_pieces(spec.source, spec.probe, t, u, plan.dtau, phi)
@@ -264,7 +260,7 @@ def direct_measurement(
     phase = GateOp("RZ", (pieces.anc,), -spec.lam)
     seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
 
-    estimates, stderrs, hists = [], [], []
+    estimates, stderrs = [], []
     state, done = kicked, 0
     for k, tau in enumerate(spec.taus):
         if evolution == "trotter":
@@ -279,14 +275,12 @@ def direct_measurement(
             val = expectation_pauli(point, pieces.observable) / math.sin(phi)
             estimates.append(float(val))
             stderrs.append(0.0)
-            hists.append({})
         else:
             rotated = simulate(pieces.basis, point)
             counts = sample_counts(rotated, pieces.meas_qubits, shots, int(seeds[k]))
             parity = parity_expectation(counts, shots)
             estimates.append(pieces.sign * parity / math.sin(phi))
             stderrs.append(shot_stderr(parity, shots) / abs(math.sin(phi)))
-            hists.append(counts)
     return MeasurementRecord(
         tuple(spec.taus),
         tuple(estimates),
@@ -296,7 +290,6 @@ def direct_measurement(
         "direct",
         phi,
         spec.lam,
-        tuple(hists),
     )
 
 

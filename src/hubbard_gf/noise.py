@@ -330,7 +330,7 @@ def run_noisy(
     shots: int,
     seed: int,
     measure_qubits: tuple[int, ...] | None = None,
-) -> dict[str, int]:
+) -> np.ndarray:
     """Counts of measure_qubits (default: all) from one multinomial draw over the
     exact noisy distribution.
 
@@ -341,8 +341,8 @@ def run_noisy(
     schedule: the draw uses the integer derived from SeedSequence([seed, 0]).
     With no gate noise and no drift the state is the noiseless statevector, so
     the draw is bit for bit noiseless sample_counts with that integer (readout
-    confusion still applies).  Keys follow sample_counts: character i is
-    measure_qubits[i], in index order.
+    confusion still applies).  Entry j counts outcome j, whose bit i is
+    measure_qubits[i], as in sample_counts.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -368,21 +368,16 @@ def _per_bit(p: np.ndarray, mats: list) -> np.ndarray:
 
 @dataclass(frozen=True)
 class MitigatedDistribution:
-    probs: dict
+    probs: np.ndarray
     clipped_mass: float
 
 
-def mitigate_readout(counts: dict[str, int], confusions: list) -> MitigatedDistribution:
+def mitigate_readout(counts: np.ndarray, confusions: list) -> MitigatedDistribution:
     """Invert the tensor-product confusion; clip negatives and renormalize.
 
-    `confusions[i]` belongs to the qubit behind character i of the bitstring keys.
+    `confusions[i]` belongs to the qubit behind bit i of the outcome index.
     """
-    k = len(confusions)
-    shots = sum(counts.values())
-    p_obs = np.zeros(1 << k)
-    for key, c in counts.items():
-        idx = sum(int(ch) << i for i, ch in enumerate(key))
-        p_obs[idx] = c / shots
+    p_obs = counts / counts.sum()
     invs = []
     for c in confusions:
         c = np.asarray(c, dtype=float)
@@ -397,12 +392,7 @@ def mitigate_readout(counts: dict[str, int], confusions: list) -> MitigatedDistr
     if total <= 0:
         raise ValueError("mitigated distribution vanished")
     p_true /= total
-    probs = {}
-    for idx, p in enumerate(p_true):
-        if p > 0:
-            key = "".join(str((idx >> i) & 1) for i in range(k))
-            probs[key] = float(p)
-    return MitigatedDistribution(probs, clipped)
+    return MitigatedDistribution(p_true, clipped)
 
 
 # -- Pauli twirling -----------------------------------------------------------------
@@ -605,10 +595,7 @@ def noisy_parity_estimate(
             realized.append(r)  # variants differ in noisy-gate count, so average
             run_seed = int(seeds[vi * len(scale_list) + si])
             counts = run_noisy(folded, model, shots, run_seed, meas_qubits)
-            if config.readout:
-                dist = mitigate_readout(counts, confusions).probs
-            else:
-                dist = {k: c / shots for k, c in counts.items()}
+            dist = mitigate_readout(counts, confusions).probs if config.readout else counts / shots
             vals.append(parity_expectation(dist))
         return float(np.mean(vals)), float(np.mean(realized))
 

@@ -284,10 +284,10 @@ def marginalize(probs: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarra
     return marg
 
 
-def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int) -> dict[str, int]:
+def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
     """Multinomial draw from the marginal Born distribution; deterministic per seed.
 
-    Keys are bitstrings whose i-th character is the outcome of qubits[i].
+    Entry j counts outcome j, whose bit i is the outcome of qubits[i].
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -295,25 +295,15 @@ def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int
     return multinomial_counts(probs / probs.sum(), shots, seed)
 
 
-def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> dict[str, int]:
-    """One seeded multinomial draw over a normalized distribution of k bits.
-
-    Keys are bitstrings whose i-th character is bit i of the outcome index, in
-    index order; outcomes drawn zero times are left out.
-    """
-    counts = np.random.default_rng(seed).multinomial(shots, probs)
-    k = len(probs).bit_length() - 1
-    out = {}
-    for index, c in enumerate(counts):
-        if c:
-            key = "".join(str((index >> i) & 1) for i in range(k))
-            out[key] = int(c)
-    return out
+def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """One seeded multinomial draw over a normalized distribution: entry j counts outcome j."""
+    return np.random.default_rng(seed).multinomial(shots, probs)
 
 
-def parity_expectation(weights: dict[str, float], total: float = 1.0) -> float:
-    """Mean of (-1)^(sum of bits) over a histogram (total = shots) or a probability table."""
-    return sum(w * (1 - 2 * (key.count("1") % 2)) for key, w in weights.items()) / total
+def parity_expectation(weights: np.ndarray, total: float = 1.0) -> float:
+    """Mean of (-1)^popcount(j) over outcomes j of a histogram (total = shots) or distribution."""
+    signs = np.where(np.bitwise_count(np.arange(len(weights))) & 1, -1, 1)
+    return float(np.sum(weights * signs)) / total
 
 
 def shot_stderr(mean: float, shots: int, second_moment: float = 1.0) -> float:

@@ -171,18 +171,18 @@ def _hop_bases(h: FermionHamiltonian):
 def _shot_estimate(h: FermionHamiltonian, counts, shots: int) -> EnergyEstimate:
     """Energy from one state's run histograms, given in measurement order."""
     counts = iter(counts)
-    comp = next(counts)  # computational basis: repulsions and shifts
+    comp = next(counts).tolist()  # computational basis: repulsions and shifts
     e_int = 0.0
     var_int = 0.0
     for rep in h.repulsions:
         a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
-        p11 = sum(c for key, c in comp.items() if key[a] == "1" and key[b] == "1") / shots
+        p11 = sum(c for j, c in enumerate(comp) if (j >> a) & (j >> b) & 1) / shots
         e_int += rep.strength * p11
         var_int += (rep.strength * shot_stderr(p11, shots, p11)) ** 2
     for sh in h.shifts:
         for spin in ("up", "down"):
             q = h.mode_of(sh.site, spin)
-            p1 = sum(c for key, c in comp.items() if key[q] == "1") / shots
+            p1 = sum(c for j, c in enumerate(comp) if (j >> q) & 1) / shots
             e_int += sh.value * p1
             var_int += (sh.value * shot_stderr(p1, shots, p1)) ** 2
 

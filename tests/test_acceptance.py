@@ -246,16 +246,16 @@ def test_criterion_7_mapping_algebra(inventory):
 def test_criterion_8_mitigation_properties():
     # readout round-trip on exact distributions
     c0, c1 = confusion(0.074, 0.052), confusion(0.031, 0.06)
-    p_true = {"00": 0.5, "10": 0.2, "01": 0.18, "11": 0.12}
+    p_true = [0.5, 0.2, 0.18, 0.12]  # index b0 + 2 * b1
     p_obs = np.zeros(4)
-    for key, p in p_true.items():
+    for b, p in enumerate(p_true):
         for o0 in (0, 1):
             for o1 in (0, 1):
-                p_obs[o0 + 2 * o1] += p * c0[int(key[0]), o0] * c1[int(key[1]), o1]
+                p_obs[o0 + 2 * o1] += p * c0[b & 1, o0] * c1[b >> 1, o1]
     scale = 10 ** 9
-    counts = {f"{o & 1}{(o >> 1) & 1}": int(round(p_obs[o] * scale)) for o in range(4)}
+    counts = np.array([int(round(p_obs[o] * scale)) for o in range(4)])
     out = mitigate_readout(counts, [c0, c1])
-    worst = max(abs(out.probs.get(k, 0.0) - v) for k, v in p_true.items())
+    worst = max(abs(out.probs[b] - v) for b, v in enumerate(p_true))
     criterion(8, worst < 1e-7, f"readout round-trip recovers exact distributions (err {worst:.2e})")
 
     # twirl equivalence on a 5-qubit circuit

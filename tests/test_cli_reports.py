@@ -168,8 +168,10 @@ def test_noisy_branch_honours_kind_and_refuses_hadamard(tmp_path, capsys):
         assert not out.exists()
 
 
-_NOISELESS = ["--shots", "0"]
-_NOISY = ["--shots", "64", "--seed", "5", "--noise-model", "MODEL"]
+_CORRELATOR = ["correlator", "--steps", "2", "--pair", "y2y2"]
+_NOISELESS = _CORRELATOR + ["--shots", "0"]
+_NOISY = _CORRELATOR + ["--shots", "64", "--seed", "5", "--noise-model", "MODEL"]
+_SWEEP = ["vha-sweep", "--grid", "5"]
 
 
 @pytest.mark.parametrize(
@@ -192,19 +194,27 @@ _NOISY = ["--shots", "64", "--seed", "5", "--noise-model", "MODEL"]
                      id="noiseless-zne-nan"),
         pytest.param(_NOISELESS + ["--zne-order", "-1", "--zne-scales", "1", "2"], "order",
                      id="noiseless-zne-order--1"),
+        # a refused run leaves no output directory behind
+        pytest.param(_NOISELESS + ["--steps", "0"], "steps", id="steps-0"),
+        pytest.param(_NOISELESS + ["--dtau", "-1"], "dtau", id="dtau--1"),
+        pytest.param(_CORRELATOR + ["--shots", "-5", "--seed", "5"], "shots", id="shots--5"),
+        pytest.param(_NOISELESS + ["--phi", "0"], "Phi", id="noiseless-phi-0"),
+        pytest.param(_NOISY + ["--phi", "0"], "Phi", id="phi-0"),
+        pytest.param(_NOISY + ["--phi", "3.141592653589793"], "Phi", id="phi-pi"),
+        pytest.param(_NOISY + ["--shots", "0"], "shots", id="shots-0"),
+        pytest.param(_SWEEP + ["--grid", "0"], "grid", id="sweep-grid-0"),
+        pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots", id="sweep-shots--1"),
     ],
 )
 def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
-    # mitigation flags are validated on every correlator run, noiseless ones too
+    # flags are validated on every run, noiseless ones too, before anything is written
     from hubbard_gf.noise import NoiseModel
 
     model = tmp_path / "zero.json"
     NoiseModel.zero(5).to_json(model)
     out = tmp_path / "out"
     argv = [str(model) if a == "MODEL" else a for a in flags]
-    code, _, err = run_cli(
-        ["correlator", "--steps", "2", "--pair", "y2y2", "--outdir", str(out)] + argv, capsys
-    )
+    code, _, err = run_cli(argv + ["--outdir", str(out)], capsys)
     assert code == 2
     assert message in err
     assert not out.exists()

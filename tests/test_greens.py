@@ -132,7 +132,6 @@ def test_direct_shot_mode_within_4_sigma():
     sampled = direct_measurement(spec, T, U, SHORT, math.pi / 2, 4096, 7)
     for e, s, err in zip(exact.estimates, sampled.estimates, sampled.stderrs):
         assert abs(e - s) <= 4 * max(err, 1e-9)
-    assert sampled.histograms[1]
 
 
 def test_hadamard_tau_zero_and_validation():

@@ -30,7 +30,9 @@ from hubbard_gf.statevector import (
     GateOp,
     apply_gate_inplace,
     apply_matrix_inplace,
+    StateVector,
     marginalize,
+    parity_expectation,
     sample_counts,
 )
 
@@ -62,7 +64,34 @@ def test_zero_noise_bit_identical_to_noiseless_sampling():
     state = simulate(c)
     sample_seed = int(np.random.SeedSequence([11, 0]).generate_state(1)[0])
     want = sample_counts(state, (0, 1), 500, sample_seed)
-    assert got == want
+    assert got.tolist() == want.tolist()
+
+
+@st.composite
+def basis_readouts(draw):
+    """A basis state j of 1-5 qubits, an ordered subset of them to read, and shots."""
+    n = draw(st.integers(1, 5))
+    j = draw(st.integers(0, (1 << n) - 1))
+    order = draw(st.permutations(range(n)))
+    qubits = tuple(order[: draw(st.integers(1, n))])
+    return n, j, qubits, draw(st.integers(1, 10_000))
+
+
+@settings(max_examples=50, deadline=None)
+@given(basis_readouts())
+def test_outcome_index_convention(case):
+    # one histogram format everywhere: entry k counts outcome k, bit i of k is qubits[i]
+    n, j, qubits, shots = case
+    outcome = sum(((j >> q) & 1) << i for i, q in enumerate(qubits))
+    want = [0] * (1 << len(qubits))
+    want[outcome] = shots
+    counts = sample_counts(StateVector.basis(n, j), qubits, shots, seed=0)
+    assert counts.tolist() == want
+    prep = Circuit(n, tuple(GateOp("X", (q,)) for q in range(n) if (j >> q) & 1))
+    assert run_noisy(prep, NoiseModel.zero(n), shots, 0, qubits).tolist() == want
+    assert parity_expectation(counts, shots) == (-1) ** bin(outcome).count("1")
+    identity = [np.eye(2)] * len(qubits)
+    assert mitigate_readout(counts, identity).probs.tolist() == (counts / shots).tolist()
 
 
 def test_run_noisy_seeded_counts_are_pinned():
@@ -75,8 +104,8 @@ def test_run_noisy_seeded_counts_are_pinned():
         source, probe, 1.0, 4.0, TrotterPlan(0.314, 6), 3, math.pi / 2, math.pi / 2
     )
     counts = run_noisy(circuit, kolkata_dimer_model(), 2048, 11, meas_qubits)
-    # key order too: it sets the float summation order of parity_expectation
-    assert list(counts.items()) == [("00", 524), ("10", 463), ("01", 517), ("11", 544)]
+    # entry j counts outcome j (bit i = meas_qubits[i])
+    assert counts.tolist() == [524, 463, 517, 544]
 
 
 def test_run_noisy_width_mismatch():
@@ -277,7 +306,7 @@ def test_single_cnot_depolarizing_rate():
     c = Circuit(2, (GateOp("CNOT", (0, 1)),))
     shots = 100_000
     counts = run_noisy(c, model, shots, seed=5)
-    frac = 1 - counts.get("00", 0) / shots
+    frac = 1 - counts[0] / shots
     expect = p * 12 / 15
     sigma = math.sqrt(expect * (1 - expect) / shots)
     assert abs(frac - expect) < 4 * sigma
@@ -288,7 +317,7 @@ def test_readout_only_model_flip_rate():
     c = Circuit(1, (GateOp("X", (0,)), GateOp("X", (0,))))  # stays |0>
     shots = 100_000
     counts = run_noisy(c, model, shots, seed=6)
-    frac = counts.get("1", 0) / shots
+    frac = counts[1] / shots
     sigma = math.sqrt(7.4e-3 * (1 - 7.4e-3) / shots)
     assert abs(frac - 7.4e-3) < 4 * sigma
 
@@ -298,28 +327,28 @@ def test_virtual_gates_carry_no_noise():
     model = NoiseModel(1, p1={0: 1.0})
     c = Circuit(1, (GateOp("RZ", (0,), 0.3), GateOp("Z", (0,))))
     counts = run_noisy(c, model, 100, seed=0)
-    assert counts == {"0": 100}
+    assert counts.tolist() == [100, 0]
 
 
 def test_readout_mitigation_identity_and_round_trip():
     c_id = [np.eye(2), np.eye(2)]
-    counts = {"00": 700, "11": 300}
+    counts = np.array([700, 0, 0, 300])
     out = mitigate_readout(counts, c_id)
-    assert out.probs == {"00": 0.7, "11": 0.3}
+    assert out.probs.tolist() == [0.7, 0.0, 0.0, 0.3]
     assert out.clipped_mass == 0.0
     # forward-apply a known confusion on exact distributions, then invert exactly
     c0, c1 = confusion(0.08, 0.03), confusion(0.02, 0.12)
-    p_true = {"00": 0.55, "10": 0.25, "01": 0.12, "11": 0.08}
+    p_true = [0.55, 0.25, 0.12, 0.08]  # index b0 + 2 * b1
     p_obs = np.zeros(4)
-    for key, p in p_true.items():
-        b0, b1 = int(key[0]), int(key[1])
+    for b, p in enumerate(p_true):
+        b0, b1 = b & 1, b >> 1
         for o0 in (0, 1):
             for o1 in (0, 1):
                 p_obs[o0 + 2 * o1] += p * c0[b0, o0] * c1[b1, o1]
-    counts = {f"{o & 1}{o >> 1}": p_obs[o] * 10**8 for o in range(4)}
-    out = mitigate_readout({k: int(v) for k, v in counts.items()}, [c0, c1])
-    for key, p in p_true.items():
-        assert out.probs[key] == pytest.approx(p, abs=1e-6)
+    counts = np.array([int(p_obs[o] * 10**8) for o in range(4)])
+    out = mitigate_readout(counts, [c0, c1])
+    for b, p in enumerate(p_true):
+        assert out.probs[b] == pytest.approx(p, abs=1e-6)
 
 
 def test_readout_mitigation_sampled_round_trip():
@@ -328,13 +357,13 @@ def test_readout_mitigation_sampled_round_trip():
     shots = 200_000
     counts = run_noisy(c, model, shots, seed=9)
     out = mitigate_readout(counts, [model.readout[0], model.readout[1]])
-    for key in ("00", "11"):
-        assert out.probs.get(key, 0) == pytest.approx(0.5, abs=4 * math.sqrt(0.25 / shots) + 5e-3)
+    for outcome in (0, 3):
+        assert out.probs[outcome] == pytest.approx(0.5, abs=4 * math.sqrt(0.25 / shots) + 5e-3)
 
 
 def test_readout_mitigation_singular():
     with pytest.raises(ValueError):
-        mitigate_readout({"0": 10}, [np.array([[0.5, 0.5], [0.5, 0.5]])])
+        mitigate_readout(np.array([10, 0]), [np.array([[0.5, 0.5], [0.5, 0.5]])])
 
 
 def test_twirl_variants_unitarily_equivalent():
