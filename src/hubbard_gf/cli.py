@@ -163,6 +163,9 @@ def _mitigation_from(args) -> MitigationConfig:
 
 
 def cmd_correlator(args) -> int:
+    if args.shots < 0:  # one refusal for every protocol, before any of them draws
+        print("error: shots must be >= 1", file=sys.stderr)
+        return 2
     if args.shots and args.seed is None:
         print("error: --seed is required for shot-mode runs", file=sys.stderr)
         return 2

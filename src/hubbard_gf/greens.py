@@ -335,6 +335,25 @@ def direct_point_circuit(
     the same pieces with the phase as a single rotation.
     """
     p = _direct_pieces(source, probe, t, u, plan.dtau, phi)
+    return _point_circuit(p, n_steps, lam), p.meas_qubits, p.sign
+
+
+def direct_series_circuits(
+    source: MajoranaIndex,
+    probe: MajoranaIndex,
+    t: float,
+    u: float,
+    plan: TrotterPlan,
+    phi: float,
+    lam: float,
+) -> tuple[tuple[Circuit, ...], tuple[int, int], float]:
+    """direct_point_circuit at steps 0..plan.steps, all built from one set of pieces."""
+    p = _direct_pieces(source, probe, t, u, plan.dtau, phi)
+    circuits = tuple(_point_circuit(p, k, lam) for k in range(plan.steps + 1))
+    return circuits, p.meas_qubits, p.sign
+
+
+def _point_circuit(p: _DirectPieces, n_steps: int, lam: float) -> Circuit:
     if n_steps == 0:
         evolution = (GateOp("RZ", (p.anc,), -lam),)
     else:
@@ -346,7 +365,7 @@ def direct_point_circuit(
         (kicked, "evolution"),
         (kicked + len(evolution), "measurement"),
     )
-    return Circuit(p.prep.n_qubits, gates, barriers), p.meas_qubits, p.sign
+    return Circuit(p.prep.n_qubits, gates, barriers)
 
 
 # -- correlator assembly ------------------------------------------------------------

@@ -5,16 +5,23 @@ Noisy circuits run on an exact density matrix, held as one complex vector over
 MAX_QUBITS // 2 = 12.  Every non-virtual gate is followed by a depolarizing
 channel on its targets.  Each maximal run of consecutive gates and idle drifts
 on at most two qubits acts on rho as one fused superoperator: the product of
-its per-gate superoperators, which a process-wide cache holds embedded in the
-run's bit order.  Z-axis rotations (RZ, PHASE, Z, GPHASE) are virtual: no error,
-no duration.  Idle qubits accumulate a deterministic Z-phase drift at a
-per-qubit rate, which is what an XX decoupling sequence refocuses; T1/T2 from
-the device tables ride along as metadata only.  Readout confusion multiplies
-the measured marginal, and the counts are one seeded multinomial draw from the
-result (seed schedule in run_noisy).
+its per-gate superoperators embedded in the run's bit order.  Two bounded
+process-wide caches hold the per-gate factors and the run products.  Z-axis
+rotations (RZ, PHASE, Z, GPHASE) are virtual: no error, no duration.  Idle
+qubits accumulate a deterministic Z-phase drift at a per-qubit rate, which is
+what an XX decoupling sequence refocuses; T1/T2 from the device tables ride
+along as metadata only.  Readout confusion multiplies the measured marginal,
+and the counts are one seeded multinomial draw from the result (seed schedule
+in run_noisy).
+
+Global folding G -> G (G^dag G)^k keeps G as the head of every folded circuit,
+so noisy_parity_estimate evolves rho through each twirl variant once and
+copies it for every ZNE scale; each scale then gets exactly the distribution
+(and the draw) of its whole folded circuit.
 """
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -22,7 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, simulate
-from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, direct_point_circuit, time_grid
+from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, direct_series_circuits, time_grid
 from .pauli import CliffordCircuit, PauliString, clifford_conjugate
 from .statevector import (
     MAX_QUBITS,
@@ -37,10 +44,6 @@ from .statevector import (
 )
 
 VIRTUAL_KINDS = {"RZ", "PHASE", "Z", "GPHASE", "DELAY"}
-
-
-def _is_noisy(g: GateOp) -> bool:
-    return g.kind not in VIRTUAL_KINDS
 
 
 @dataclass(frozen=True)
@@ -65,7 +68,7 @@ class NoiseModel:
                 raise ValueError(f"readout confusion for qubit {q} is not row-stochastic")
 
     def pair_p(self, a: int, b: int) -> float:
-        return self.p2.get((min(a, b), max(a, b)), 0.0)
+        return self.p2.get((a, b) if a < b else (b, a), 0.0)
 
     def duration(self, g: GateOp) -> float:
         if g.kind == "DELAY":
@@ -162,13 +165,12 @@ def kolkata_dimer_model(idle_rate: float = 0.0) -> NoiseModel:
 # -- scheduling ----------------------------------------------------------------
 
 
-def schedule_ops(circuit: Circuit, model: NoiseModel):
-    """ASAP schedule as (ops, tail): ops pairs each gate with the (qubit, seconds)
-    idle time each target accumulated before it, tail lists each qubit's idle
-    time from its last gate to the end of the circuit."""
-    ready = [0.0] * circuit.n_qubits
+def _schedule(gates, model: NoiseModel, ready: list[float]):
+    """ASAP-schedule gates after the per-qubit ready times, which advance in place:
+    each gate paired with the (qubit, seconds) idle time its targets accumulated
+    before it.  A prefix's schedule does not depend on what follows it."""
     out = []
-    for g in circuit.gates:
+    for g in gates:
         if not g.targets:
             out.append((g, ()))
             continue
@@ -178,9 +180,22 @@ def schedule_ops(circuit: Circuit, model: NoiseModel):
         for t in g.targets:
             ready[t] = start + dur
         out.append((g, gaps))
+    return out
+
+
+def _idle_tail(ready: list[float]):
+    """Each qubit's idle time from its last gate to the end of the schedule."""
     end = max(ready) if ready else 0.0
-    tail = tuple((q, end - ready[q]) for q in range(circuit.n_qubits) if end - ready[q] > 0)
-    return out, tail
+    return tuple((q, end - r) for q, r in enumerate(ready) if end - r > 0)
+
+
+def schedule_ops(circuit: Circuit, model: NoiseModel):
+    """ASAP schedule as (ops, tail): ops pairs each gate with the (qubit, seconds)
+    idle time each target accumulated before it, tail lists each qubit's idle
+    time from its last gate to the end of the circuit."""
+    ready = [0.0] * circuit.n_qubits
+    ops = _schedule(circuit.gates, model, ready)
+    return ops, _idle_tail(ready)
 
 
 def idle_windows(circuit: Circuit, model: NoiseModel) -> dict[int, list[tuple[int, float]]]:
@@ -211,9 +226,24 @@ def _drift_gates(gaps, model: NoiseModel) -> list[GateOp]:
     ]
 
 
+def _acting_gates(gates, model: NoiseModel, ready: list[float] | None) -> list[GateOp]:
+    """The gates that act on rho, in order: each gate after the drift of the idle
+    gaps before it, with GPHASE and DELAY dropped (a global phase or a wait changes
+    no outcome).  ready is None when no qubit drifts: then no gap yields a gate, so
+    nothing is scheduled."""
+    if ready is None:
+        return [g for g in gates if g.kind not in ("GPHASE", "DELAY")]
+    out: list[GateOp] = []
+    for g, gaps in _schedule(gates, model, ready):
+        out += _drift_gates(gaps, model)
+        if g.kind not in ("GPHASE", "DELAY"):
+            out.append(g)
+    return out
+
+
 def _error_prob(g: GateOp, model: NoiseModel) -> float:
     """Depolarizing probability that follows the gate (0 for virtual gates)."""
-    if not _is_noisy(g):
+    if g.kind in VIRTUAL_KINDS:
         return 0.0
     if len(g.targets) == 1:
         return model.p1.get(g.targets[0], 0.0)
@@ -237,43 +267,83 @@ def _superoperator(g: GateOp, p: float) -> np.ndarray:
     return s
 
 
-_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}
-_SUPEROP_CACHE_ENTRIES = 1024  # 16x16 complex entries: at most 4 MiB
-
-
-def _block_superoperator(g: GateOp, p: float, block: tuple[int, ...]) -> np.ndarray:
-    """_superoperator(g, p) on the vectorized rho of the block qubits (bit i = ket
-    of block[i], bit k + i = its bra), cached for the process."""
+def _gate_key(g: GateOp, model: NoiseModel) -> tuple:
+    """What fixes the gate's superoperator, its error probability last.  GateOp
+    equality ignores the matrix, so the matrix bytes are part of the key."""
     matrix = None if g.matrix is None else np.asarray(g.matrix, dtype=complex).tobytes()
-    key = (g.kind, g.targets, g.angle, matrix, p, block)
-    s = _SUPEROP_CACHE.get(key)
+    return (g.kind, g.targets, g.angle, matrix, _error_prob(g, model))
+
+
+def _cache_put(cache: dict, key, value: np.ndarray, entries: int) -> np.ndarray:
+    """Store a read-only value; a full cache is emptied first."""
+    value.flags.writeable = False
+    if len(cache) >= entries:
+        cache.clear()
+    cache[key] = value
+    return value
+
+
+# process-wide caches of 16x16 (or 4x4) complex matrices, 4 KiB each at most
+_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}  # per gate and block
+_SUPEROP_CACHE_ENTRIES = 1024
+_RUN_CACHE: dict[tuple, np.ndarray] = {}  # per fused run
+_RUN_CACHE_ENTRIES = 128
+
+
+def _block_superoperator(g: GateOp, key: tuple, block: tuple[int, ...]) -> np.ndarray:
+    """_superoperator of the gate and its error probability (key[-1]) on the
+    vectorized rho of the block qubits (bit i = ket of block[i], bit k + i = its
+    bra), cached under (key, block)."""
+    s = _SUPEROP_CACHE.get((key, block))
     if s is None:
         k = len(block)
         local = tuple(block.index(t) for t in g.targets)
         s = np.eye(4**k, dtype=complex)  # row j becomes the image of basis vector j
-        apply_matrix_inplace(s, _superoperator(g, p), local + tuple(k + i for i in local), 2 * k)
-        s = s.T.copy()
-        s.flags.writeable = False
-        if len(_SUPEROP_CACHE) >= _SUPEROP_CACHE_ENTRIES:
-            _SUPEROP_CACHE.clear()
-        _SUPEROP_CACHE[key] = s
+        bits = local + tuple(k + i for i in local)
+        apply_matrix_inplace(s, _superoperator(g, key[-1]), bits, 2 * k)
+        s = _cache_put(_SUPEROP_CACHE, (key, block), s.T.copy(), _SUPEROP_CACHE_ENTRIES)
+    return s
+
+
+def _run_superoperator(block: tuple[int, ...], run, model: NoiseModel) -> np.ndarray:
+    """Product of the run's block superoperators (later gates multiply from the
+    left), cached under the block and its gates' keys."""
+    keys = tuple(_gate_key(g, model) for g in run)
+    s = _RUN_CACHE.get((block, keys))
+    if s is None:
+        for g, key in zip(run, keys):
+            e = _block_superoperator(g, key, block)
+            s = e if s is None else e @ s
+        s = _cache_put(_RUN_CACHE, (block, keys), s, _RUN_CACHE_ENTRIES)
     return s
 
 
 def _two_qubit_runs(gates):
     """Maximal runs of consecutive gates whose joint support is at most two
-    qubits, as (support in first-touch order, gates of the run)."""
+    qubits, as (support in first-touch order, gates of the run).  The split
+    restarts at every run boundary, so the runs of a stream that begins with a
+    run's first gate are the runs from there on."""
     block: tuple[int, ...] = ()
     run: list[GateOp] = []
     for g in gates:
-        wider = block + tuple(t for t in g.targets if t not in block)
-        if len(wider) > 2:
+        new = [t for t in g.targets if t not in block]
+        if len(block) + len(new) > 2:
             yield block, run
-            wider, run = g.targets, []
-        block = wider
+            block, run = g.targets, [g]
+            continue
+        if new:
+            block += tuple(new)
         run.append(g)
     if run:
         yield block, run
+
+
+def _apply_runs(rho: np.ndarray, runs, model: NoiseModel, n: int) -> np.ndarray:
+    """Apply each fused run's superoperator to the vectorized rho, in place."""
+    for block, run in runs:
+        bits = block + tuple(n + t for t in block)
+        apply_matrix_inplace(rho, _run_superoperator(block, run, model), bits, 2 * n)
+    return rho
 
 
 def _readout(p_true: np.ndarray, measure_qubits, model: NoiseModel) -> np.ndarray:
@@ -284,11 +354,18 @@ def _readout(p_true: np.ndarray, measure_qubits, model: NoiseModel) -> np.ndarra
     return p / p.sum()
 
 
-def noisy_distribution(
-    circuit: Circuit, model: NoiseModel, measure_qubits: tuple[int, ...]
-) -> np.ndarray:
-    """Exact distribution of the read-out bits of measure_qubits (bit i of the
-    index = measure_qubits[i]) under the model: what run_noisy draws from."""
+def _distributions(
+    circuit: Circuit, tails, model: NoiseModel, measure_qubits: tuple[int, ...]
+) -> list[np.ndarray]:
+    """Exact read-out distribution of circuit.gates + tail for each tail (a gate
+    sequence) under the model; bit i of the index = measure_qubits[i].
+
+    The state after the circuit's shared part is computed once and copied for
+    every tail.  On rho that part is every fused run of the circuit but its last,
+    which each tail re-runs with its own gates: runs split as they would over the
+    whole stream, and with drift on each tail's schedule continues from the
+    circuit's ready times, so every distribution is the one of the whole circuit.
+    """
     if circuit.n_qubits != model.n_qubits:
         raise ValueError(
             f"model covers {model.n_qubits} qubits, circuit has {circuit.n_qubits}"
@@ -296,32 +373,47 @@ def noisy_distribution(
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
         raise ValueError(f"{n} qubits exceed the density-matrix capacity {MAX_QUBITS // 2}")
-    pure = not (
-        any(p > 0 for p in model.p1.values())
-        or any(p > 0 for p in model.p2.values())
-        or any(r != 0 for r in model.idle_rate.values())
-    )
-    if pure:
+    drift = any(model.idle_rate.values())
+    if not (drift or any(model.p1.values()) or any(model.p2.values())):
         # gate-exact statevector path; bit-identical to noiseless sampling
-        return _readout(marginal_probs(simulate(circuit), measure_qubits), measure_qubits, model)
+        state = simulate(circuit)
+        return [
+            _readout(marginal_probs(simulate(Circuit(n, tuple(tail)), state), measure_qubits),
+                     measure_qubits, model)
+            for tail in tails
+        ]
     # rho as one vector over 2n qubits: ket qubit q at bit q, bra qubit q at bit n + q
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
-    gates: list[GateOp] = []
-    ops, tail = schedule_ops(circuit, model)
-    for g, gaps in ops:
-        gates += _drift_gates(gaps, model)
-        if g.kind not in ("GPHASE", "DELAY"):  # a global phase or a wait changes no outcome
-            gates.append(g)
-    gates += _drift_gates(tail, model)
-    for block, run in _two_qubit_runs(gates):
-        s = None
-        for g in run:  # later gates multiply from the left
-            e = _block_superoperator(g, _error_prob(g, model), block)
-            s = e if s is None else e @ s
-        apply_matrix_inplace(rho, s, block + tuple(n + t for t in block), 2 * n)
-    diag = rho[:: (1 << n) + 1].real  # rho[i, i] sits at i + (i << n)
-    return _readout(marginalize(diag, n, measure_qubits), measure_qubits, model)
+    ready = [0.0] * n if drift else None
+    runs = list(_two_qubit_runs(_acting_gates(circuit.gates, model, ready)))
+    last = runs.pop()[1] if runs else []
+    _apply_runs(rho, runs, model, n)
+    out = []
+    for tail in tails:
+        tail_ready = None if ready is None else list(ready)
+        gates = last + _acting_gates(tail, model, tail_ready)
+        if tail_ready is not None:
+            gates += _drift_gates(_idle_tail(tail_ready), model)
+        point = _apply_runs(rho.copy(), _two_qubit_runs(gates), model, n)
+        diag = point[:: (1 << n) + 1].real  # rho[i, i] sits at i + (i << n)
+        out.append(_readout(marginalize(diag, n, measure_qubits), measure_qubits, model))
+    return out
+
+
+def noisy_distribution(
+    circuit: Circuit, model: NoiseModel, measure_qubits: tuple[int, ...]
+) -> np.ndarray:
+    """Exact distribution of the read-out bits of measure_qubits (bit i of the
+    index = measure_qubits[i]) under the model: what run_noisy draws from."""
+    return _distributions(circuit, ((),), model, measure_qubits)[0]
+
+
+def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
+    """The counts run_noisy draws at this seed: one multinomial with the integer
+    derived from SeedSequence([seed, 0])."""
+    sample_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
+    return multinomial_counts(probs, shots, sample_seed)
 
 
 def run_noisy(
@@ -348,9 +440,7 @@ def run_noisy(
         raise ValueError("shots must be >= 1")
     if measure_qubits is None:
         measure_qubits = tuple(range(circuit.n_qubits))
-    probs = noisy_distribution(circuit, model, tuple(measure_qubits))
-    sample_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
-    return multinomial_counts(probs, shots, sample_seed)
+    return _draw(noisy_distribution(circuit, model, tuple(measure_qubits)), shots, seed)
 
 
 # -- readout mitigation -----------------------------------------------------------
@@ -399,6 +489,28 @@ def mitigate_readout(counts: np.ndarray, confusions: list) -> MitigatedDistribut
 
 
 _TWIRL_KINDS = ("CNOT", "CZ")
+_PAULIS = ("I", "X", "Y", "Z")
+
+
+@functools.cache
+def _twirl_table() -> dict[tuple[str, str, str], tuple[str, str, bool]]:
+    """(kind, pre letter on the first target, on the second) -> (post letters,
+    sign flip): conjugating the pre pair by the gate gives the post pair, negated
+    when the flag is set.  All 32 entries come from clifford_conjugate."""
+    table = {}
+    for kind in _TWIRL_KINDS:
+        gate = CliffordCircuit(((kind, (0, 1)),))
+        for la in _PAULIS:
+            for lb in _PAULIS:
+                post = clifford_conjugate(gate, PauliString.from_letter_map(2, {0: la, 1: lb}))
+                table[kind, la, lb] = (post.letter_at(0), post.letter_at(1), post.phase_exp == 2)
+    return table
+
+
+@functools.cache
+def _pauli_gate(letter: str, q: int) -> GateOp:
+    """One shared (immutable) GateOp per letter and qubit: twirling builds thousands."""
+    return GateOp(letter, (q,))
 
 
 def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
@@ -406,30 +518,30 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
 
     Each variant's unitary equals the original exactly (a GPHASE absorbs the
     sandwich sign), so the twirled ensemble average is unbiased by construction.
+    The pre pairs of all variants come from one draw of uniform letter indices,
+    which yields the same letters as one two-letter draw per gate.
     """
     if n_variants < 1:
         raise ValueError("n_variants must be >= 1")
-    rng = np.random.default_rng(seed)
+    table = _twirl_table()
+    n_twirled = sum(g.kind in _TWIRL_KINDS for g in circuit.gates)
+    draws = np.random.default_rng(seed).choice(len(_PAULIS), size=(n_variants, n_twirled, 2))
     variants = []
-    for _ in range(n_variants):
+    for pre_pairs in draws.tolist():
+        pre_pairs = iter(pre_pairs)
         gates: list[GateOp] = []
         for g in circuit.gates:
             if g.kind not in _TWIRL_KINDS:
                 gates.append(g)
                 continue
             a, b = g.targets
-            la, lb = (str(x) for x in rng.choice(("I", "X", "Y", "Z"), size=2))
-            pre = PauliString.from_letter_map(2, {0: la, 1: lb})
-            post = clifford_conjugate(CliffordCircuit(((g.kind, (0, 1)),)), pre)
-            for q, letter in ((a, la), (b, lb)):
-                if letter != "I":
-                    gates.append(GateOp(letter, (q,)))
+            i, j = next(pre_pairs)
+            la, lb = _PAULIS[i], _PAULIS[j]
+            post_a, post_b, flip = table[g.kind, la, lb]
+            gates += [_pauli_gate(x, q) for x, q in ((la, a), (lb, b)) if x != "I"]
             gates.append(g)
-            for q, pos in ((a, 0), (b, 1)):
-                letter = post.letter_at(pos)
-                if letter != "I":
-                    gates.append(GateOp(letter, (q,)))
-            if post.phase_exp == 2:
+            gates += [_pauli_gate(x, q) for x, q in ((post_a, a), (post_b, b)) if x != "I"]
+            if flip:
                 gates.append(GateOp("GPHASE", (), math.pi))
         variants.append(Circuit(circuit.n_qubits, tuple(gates), circuit.barriers))
     return variants
@@ -480,7 +592,7 @@ def fold_circuit(circuit: Circuit, scale: float) -> tuple[Circuit, float]:
     (counted over noisy gates only)."""
     if scale < 1:
         raise ValueError("scale must be >= 1")
-    noisy_idx = [i for i, g in enumerate(circuit.gates) if _is_noisy(g)]
+    noisy_idx = [i for i, g in enumerate(circuit.gates) if g.kind not in VIRTUAL_KINDS]
     n_noisy = len(noisy_idx)
     if n_noisy == 0 or scale == 1:
         return circuit, 1.0
@@ -488,9 +600,10 @@ def fold_circuit(circuit: Circuit, scale: float) -> tuple[Circuit, float]:
     remainder = (scale - 1) / 2 - k_full
     m = int(round(remainder * n_noisy))
     gates = list(circuit.gates)
-    inv_all = [inverse_gate(g) for g in reversed(circuit.gates)]
-    for _ in range(k_full):
-        gates += inv_all + list(circuit.gates)
+    if k_full:
+        inv_all = [inverse_gate(g) for g in reversed(circuit.gates)]
+        for _ in range(k_full):
+            gates += inv_all + list(circuit.gates)
     if m > 0:
         suffix_start = noisy_idx[n_noisy - m]
         suffix = list(circuit.gates[suffix_start:])
@@ -573,7 +686,15 @@ def noisy_parity_estimate(
     seed: int,
     config: MitigationConfig,
 ) -> float:
-    """Parity of meas_qubits under the noise model with the configured mitigation."""
+    """Parity of meas_qubits under the noise model with the configured mitigation.
+
+    Every folded circuit begins with its twirl variant, so each variant's
+    density matrix is evolved once and shared by all ZNE scales.  Variant vi at
+    scale si draws exactly what run_noisy(fold_circuit(variant, scale)) draws
+    with seed entry vi * len(scales) + si of SeedSequence(seed).
+    """
+    if shots < 1:
+        raise ValueError("shots must be >= 1")
     base = circuit
     if config.dd_sequence == "XX":
         base = dynamical_decoupling(base, model)
@@ -584,20 +705,23 @@ def noisy_parity_estimate(
     )
     confusions = [model.readout.get(q, np.eye(2)) for q in meas_qubits]
     scale_list = tuple(config.zne_scales) or (1.0,)
-    scale_index = {float(s): i for i, s in enumerate(scale_list)}
     seeds = np.random.SeedSequence(seed).generate_state(len(variants) * len(scale_list))
+    vals = [[0.0] * len(variants) for _ in scale_list]
+    realized = [[0.0] * len(variants) for _ in scale_list]
+    for vi, var in enumerate(variants):
+        folds = [fold_circuit(var, s) for s in scale_list]
+        tails = [folded.gates[len(var.gates):] for folded, _ in folds]
+        dists = _distributions(var, tails, model, meas_qubits)
+        for si, (probs, (_, r)) in enumerate(zip(dists, folds)):
+            counts = _draw(probs, shots, int(seeds[vi * len(scale_list) + si]))
+            dist = mitigate_readout(counts, confusions).probs if config.readout else counts / shots
+            vals[si][vi] = parity_expectation(dist)
+            realized[si][vi] = r  # variants differ in noisy-gate count, so average
+    scale_index = {float(s): i for i, s in enumerate(scale_list)}
 
     def eval_at(scale: float):
         si = scale_index[float(scale)]
-        vals, realized = [], []
-        for vi, var in enumerate(variants):
-            folded, r = fold_circuit(var, scale)
-            realized.append(r)  # variants differ in noisy-gate count, so average
-            run_seed = int(seeds[vi * len(scale_list) + si])
-            counts = run_noisy(folded, model, shots, run_seed, meas_qubits)
-            dist = mitigate_readout(counts, confusions).probs if config.readout else counts / shots
-            vals.append(parity_expectation(dist))
-        return float(np.mean(vals)), float(np.mean(realized))
+        return float(np.mean(vals[si])), float(np.mean(realized[si]))
 
     if config.zne_scales:
         return zne(eval_at, config.zne_scales, config.zne_order).value
@@ -622,12 +746,13 @@ def noisy_dimer_series(
     mitigation stack; values carry the 2/sin(phi) estimator scaling.
     """
     source, probe = DIMER_PAIRS[name]
-    lam = LAMBDA_BY_KIND[kind]
+    circuits, meas_qubits, sign = direct_series_circuits(
+        source, probe, t, u, plan, phi, LAMBDA_BY_KIND[kind]
+    )
     taus = time_grid(plan)
     seeds = np.random.SeedSequence(seed).generate_state(len(taus))
     values = []
-    for k, tau in enumerate(taus):
-        circuit, meas_qubits, sign = direct_point_circuit(source, probe, t, u, plan, k, phi, lam)
+    for k, circuit in enumerate(circuits):
         parity = noisy_parity_estimate(
             circuit, meas_qubits, model, shots, int(seeds[k]), config
         )

@@ -251,20 +251,34 @@ _CLIFFORD_MATRICES = {
 }
 
 
+@lru_cache(maxsize=None)
+def _pauli_matrices(n: int) -> tuple[tuple[str, np.ndarray], ...]:
+    """Every n-letter Pauli string (letters lsb-first) with its dense matrix."""
+    out = []
+    for combo in range(4 ** n):
+        letters = []
+        mm = np.array([[1.0 + 0j]])
+        c = combo
+        for _ in range(n):
+            ch = "IXYZ"[c % 4]
+            letters.append(ch)
+            mm = np.kron(LETTER_MATRICES[ch], mm)  # later qubits to the left
+            c //= 4
+        mm.flags.writeable = False  # shared by every caller
+        out.append(("".join(letters), mm))
+    return tuple(out)
+
+
 def _match_pauli(m: np.ndarray, n: int) -> tuple[str, int]:
-    """Identify m as sign * (tensor of letters); returns (letters lsb-first, phase_exp)."""
+    """Identify m as sign * (tensor of letters); returns (letters lsb-first, phase_exp).
+
+    Pauli strings are orthogonal, so only the string with the largest overlap
+    Tr(P^dag m) can match; its phase is checked against all four.
+    """
+    letters, mm = max(_pauli_matrices(n), key=lambda pair: abs(np.vdot(pair[1], m)))
     for exp in range(4):
-        for combo in range(4 ** n):
-            letters = []
-            mm = np.array([[1.0 + 0j]])
-            c = combo
-            for _ in range(n):
-                ch = "IXYZ"[c % 4]
-                letters.append(ch)
-                mm = np.kron(LETTER_MATRICES[ch], mm)  # later qubits to the left
-                c //= 4
-            if np.allclose(m, (1j ** exp) * mm, atol=1e-12):
-                return "".join(letters), exp
+        if np.allclose(m, (1j ** exp) * mm, atol=1e-12):
+            return letters, exp
     raise ValueError("matrix is not a Pauli string")
 
 
@@ -273,18 +287,7 @@ def _conjugation_table(gate: str) -> dict:
     """Map (input letters, lsb-first) -> (output letters, phase_exp) for g^dag P g."""
     g = _CLIFFORD_MATRICES[gate]
     n = 1 if gate in CLIFFORD_1Q else 2
-    table = {}
-    for combo in range(4 ** n):
-        letters = []
-        mm = np.array([[1.0 + 0j]])
-        c = combo
-        for _ in range(n):
-            ch = "IXYZ"[c % 4]
-            letters.append(ch)
-            mm = np.kron(LETTER_MATRICES[ch], mm)
-            c //= 4
-        table["".join(letters)] = _match_pauli(g.conj().T @ mm @ g, n)
-    return table
+    return {letters: _match_pauli(g.conj().T @ mm @ g, n) for letters, mm in _pauli_matrices(n)}
 
 
 @dataclass(frozen=True)

@@ -198,6 +198,10 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISELESS + ["--steps", "0"], "steps", id="steps-0"),
         pytest.param(_NOISELESS + ["--dtau", "-1"], "dtau", id="dtau--1"),
         pytest.param(_CORRELATOR + ["--shots", "-5", "--seed", "5"], "shots", id="shots--5"),
+        pytest.param(_CORRELATOR + ["--protocol", "hadamard", "--shots", "-5", "--seed", "5"],
+                     "shots must be >= 1", id="hadamard-shots--5"),
+        pytest.param(_CORRELATOR + ["--protocol", "advanced-hadamard", "--shots", "-5"],
+                     "shots must be >= 1", id="advanced-hadamard-shots--5"),
         pytest.param(_NOISELESS + ["--phi", "0"], "Phi", id="noiseless-phi-0"),
         pytest.param(_NOISY + ["--phi", "0"], "Phi", id="phi-0"),
         pytest.param(_NOISY + ["--phi", "3.141592653589793"], "Phi", id="phi-pi"),

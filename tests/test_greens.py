@@ -296,6 +296,19 @@ def test_direct_point_circuit_matches_runner():
             assert val == pytest.approx(rec.estimates[k], abs=1e-10)
 
 
+def test_direct_series_circuits_equal_point_circuits():
+    # one set of pieces serves the whole series
+    from hubbard_gf.greens import DIMER_PAIRS, direct_point_circuit, direct_series_circuits
+
+    plan = TrotterPlan(0.314, 4)
+    for name, lam in (("y2y2", math.pi / 2), ("x3y2", 0.0)):
+        source, probe = DIMER_PAIRS[name]
+        circuits, mq, sign = direct_series_circuits(source, probe, T, U, plan, 0.7, lam)
+        assert len(circuits) == plan.steps + 1
+        for k, circ in enumerate(circuits):
+            assert (circ, mq, sign) == direct_point_circuit(source, probe, T, U, plan, k, 0.7, lam)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     t=st.floats(0.2, 3.0),

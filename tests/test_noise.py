@@ -299,6 +299,177 @@ def test_fusion_cuts_density_matrix_passes(monkeypatch):
     assert all(len(bits) in (2, 4) for bits in passes)
 
 
+def _folded_one_by_one(circuit, meas_qubits, model, shots, seed, config):
+    """noisy_parity_estimate as a run_noisy call per twirl variant and folded circuit."""
+    base = dynamical_decoupling(circuit, model) if config.dd_sequence == "XX" else circuit
+    variants = (
+        pauli_twirl(base, config.twirl_variants, seed) if config.twirl_variants > 1 else [base]
+    )
+    confusions = [model.readout.get(q, np.eye(2)) for q in meas_qubits]
+    scales = tuple(config.zne_scales) or (1.0,)
+    seeds = np.random.SeedSequence(seed).generate_state(len(variants) * len(scales))
+
+    def eval_at(scale):
+        si = scales.index(scale)
+        vals, realized = [], []
+        for vi, var in enumerate(variants):
+            folded, r = fold_circuit(var, scale)
+            counts = run_noisy(folded, model, shots, int(seeds[vi * len(scales) + si]), meas_qubits)
+            dist = mitigate_readout(counts, confusions).probs if config.readout else counts / shots
+            vals.append(parity_expectation(dist))
+            realized.append(r)
+        return float(np.mean(vals)), float(np.mean(realized))
+
+    if config.zne_scales:
+        return zne(eval_at, config.zne_scales, config.zne_order).value
+    return eval_at(1.0)[0]
+
+
+@st.composite
+def mitigated_cases(draw):
+    circuit, model, measured = draw(fusable_cases())
+    if not draw(st.booleans()):  # drift off: the schedule is skipped
+        model = NoiseModel(model.n_qubits, model.p1, model.p2, model.readout,
+                           durations=model.durations)
+    scales = sorted(set(draw(st.lists(st.floats(1.0, 3.5), min_size=0, max_size=4))))
+    config = MitigationConfig(
+        readout=draw(st.booleans()),
+        twirl_variants=draw(st.integers(1, 3)),
+        dd_sequence=draw(st.sampled_from(("none", "XX"))),
+        zne_scales=tuple(scales),
+        zne_order=draw(st.integers(0, max(0, len(scales) - 1))),
+    )
+    return circuit, model, measured, config, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(mitigated_cases())
+def test_shared_prefix_equals_each_folded_circuit(case):
+    # rho after a variant's shared part is copied for every ZNE scale; each copy
+    # must end exactly where the whole folded circuit does, and so must the estimate
+    from hubbard_gf.noise import _distributions
+
+    circuit, model, measured, config, seed = case
+    base = dynamical_decoupling(circuit, model) if config.dd_sequence == "XX" else circuit
+    scales = config.zne_scales or (1.0,)
+    for var in pauli_twirl(base, config.twirl_variants, seed):
+        folds = [fold_circuit(var, s)[0] for s in scales]
+        shared = _distributions(var, [f.gates[len(var.gates):] for f in folds], model, measured)
+        for got, folded in zip(shared, folds):
+            assert np.array_equal(got, noisy_distribution(folded, model, measured))
+    try:
+        want = _folded_one_by_one(circuit, measured, model, 64, seed, config)
+    except ValueError as e:  # too few distinct realized scales for the fit
+        with pytest.raises(ValueError, match=str(e)):
+            noisy_parity_estimate(circuit, measured, model, 64, seed, config)
+        return
+    assert noisy_parity_estimate(circuit, measured, model, 64, seed, config) == want
+
+
+def _readme_point(k=6):
+    from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.greens import DIMER_PAIRS, direct_point_circuit
+
+    source, probe = DIMER_PAIRS["y2y2"]
+    circuit, meas_qubits, _ = direct_point_circuit(
+        source, probe, 1.0, 4.0, TrotterPlan(0.314, 6), k, math.pi / 2, math.pi / 2
+    )
+    return circuit, meas_qubits
+
+
+def test_shared_prefix_cuts_density_matrix_passes(monkeypatch):
+    # at scales 1, 1.5 and 2 each variant's circuit G is evolved once, not three
+    # times: the passes over rho drop from about 4.5 |G| worth to about 2.5 |G|
+    import hubbard_gf.noise as noise
+
+    circuit, meas_qubits = _readme_point()
+    model = kolkata_dimer_model()
+    config = MitigationConfig(twirl_variants=4, zne_scales=(1.0, 1.5, 2.0), zne_order=1)
+    passes = []
+    kernel = noise.apply_matrix_inplace
+
+    def counting(vec, m, bits, n):
+        if vec.ndim == 1:  # rho itself, not a cached superoperator being embedded
+            passes.append(bits)
+        kernel(vec, m, bits, n)
+
+    monkeypatch.setattr(noise, "apply_matrix_inplace", counting)
+    shared = noisy_parity_estimate(circuit, meas_qubits, model, 4096, 42, config)
+    shared_passes = len(passes)
+    passes.clear()
+    one_by_one = _folded_one_by_one(circuit, meas_qubits, model, 4096, 42, config)
+    assert shared == one_by_one
+    assert shared_passes <= 2.5 / 4.5 * len(passes)
+
+
+def test_twirl_table_matches_clifford_conjugation():
+    from hubbard_gf.noise import _twirl_table
+    from hubbard_gf.pauli import LETTER_MATRICES, CliffordCircuit, PauliString, clifford_conjugate
+    from hubbard_gf.statevector import gate_matrix
+
+    table = _twirl_table()
+    assert len(table) == 32
+    for (kind, la, lb), (post_a, post_b, flip) in table.items():
+        pre = PauliString.from_letter_map(2, {0: la, 1: lb})
+        post = clifford_conjugate(CliffordCircuit(((kind, (0, 1)),)), pre)
+        assert (post.letter_at(0), post.letter_at(1), post.phase_exp == 2) == (post_a, post_b, flip)
+        assert post.phase_exp in (0, 2)
+        # the sandwich leaves the gate invariant: U P_pre = sign P_post U (bit 0 = first target)
+        u = gate_matrix(GateOp(kind, (0, 1)))
+        p_pre = np.kron(LETTER_MATRICES[lb], LETTER_MATRICES[la])
+        p_post = np.kron(LETTER_MATRICES[post_b], LETTER_MATRICES[post_a])
+        np.testing.assert_allclose(p_post @ u @ p_pre, (-1 if flip else 1) * u, atol=1e-12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(fusable_cases(), st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_twirl_draws_one_pauli_pair_per_gate(case, n_variants, seed):
+    # the table and the one batched draw give the circuits of one two-letter
+    # draw and one Clifford conjugation per CX/CZ
+    from hubbard_gf.pauli import CliffordCircuit, PauliString, clifford_conjugate
+
+    circuit = case[0]
+    rng = np.random.default_rng(seed)
+    for var in pauli_twirl(circuit, n_variants, seed):
+        gates = []
+        for g in circuit.gates:
+            if g.kind not in ("CNOT", "CZ"):
+                gates.append(g)
+                continue
+            la, lb = (str(x) for x in rng.choice(("I", "X", "Y", "Z"), size=2))
+            post = clifford_conjugate(
+                CliffordCircuit(((g.kind, (0, 1)),)), PauliString.from_letter_map(2, {0: la, 1: lb})
+            )
+            gates += [GateOp(x, (q,)) for x, q in zip((la, lb), g.targets) if x != "I"]
+            gates.append(g)
+            gates += [GateOp(post.letter_at(i), (q,)) for i, q in enumerate(g.targets)
+                      if post.letter_at(i) != "I"]
+            if post.phase_exp == 2:
+                gates.append(GateOp("GPHASE", (), math.pi))
+        assert var.gates == tuple(gates)
+
+
+def test_readme_mitigated_series_is_pinned():
+    # README noisy example: y2y2, 6 steps, 4096 shots, seed 42, readout
+    # mitigation, twirl 4, ZNE 1/1.5/2 at order 1
+    from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.noise import noisy_dimer_series
+
+    config = MitigationConfig(readout=True, twirl_variants=4, zne_scales=(1.0, 1.5, 2.0),
+                              zne_order=1)
+    _, values = noisy_dimer_series("y2y2", 1.0, 4.0, TrotterPlan(0.314, 6), math.pi / 2, 4096,
+                                   42, kolkata_dimer_model(), config)
+    assert values == (
+        2.0440025551982726,
+        1.6215511234788758,
+        0.6362004552814589,
+        0.1281858455119542,
+        0.2537670341888566,
+        0.48503327130561114,
+        0.2795774713548312,
+    )
+
+
 def test_single_cnot_depolarizing_rate():
     # two-qubit depolarizing with p = 1.62e-2: 12 of the 15 Paulis disturb |00>
     p = 1.62e-2
