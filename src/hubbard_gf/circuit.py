@@ -266,16 +266,16 @@ def measurement_basis_circuit(kind: str, m: int, n: int, n_qubits: int | None = 
     return Circuit(width, tuple(gates))
 
 
-def horizontal_hop_value(counts: np.ndarray) -> tuple[float, float]:
-    """Estimate of (X_m X_n + Y_m Y_n)/2 from counts sampled over qubits (m, n).
+def horizontal_hop_value(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Estimate of (X_m X_n + Y_m Y_n)/2 and its stderr from counts sampled over qubits (m, n).
 
     Entries follow sample_counts: bit 0 of the outcome index is qubit m, bit 1 is n.
     Value is P(m=1, n=0) - P(m=0, n=1); the 00 and 11 outcomes carry weight zero.
+    The histogram is the trailing axis of counts; leading axes are a batch.
     """
-    n00, plus, minus, n11 = counts.tolist()
-    shots = n00 + plus + minus + n11
-    p_plus = plus / shots
-    p_minus = minus / shots
+    shots = counts.sum(axis=-1)
+    p_plus = counts[..., 1] / shots
+    p_minus = counts[..., 2] / shots
     mean = p_plus - p_minus
     return mean, shot_stderr(mean, shots, p_plus + p_minus)
 

@@ -38,6 +38,7 @@ from .reports import (
     write_measurement_csv,
 )
 from .vha import (
+    MAX_GRID_POINTS,
     VhaParams,
     canonical_angles,
     landscape_sweep,
@@ -123,6 +124,9 @@ def cmd_vha_sweep(args) -> int:
     if args.shots and args.seed is None:
         print("error: --seed is required for shot-mode runs", file=sys.stderr)
         return 2
+    if args.grid ** 2 > MAX_GRID_POINTS:  # refused before the state batch is allocated
+        print(f"error: --grid {args.grid} exceeds dense capacity ({MAX_GRID_POINTS} points)", file=sys.stderr)
+        return 2
     grid = np.linspace(-math.pi, math.pi, args.grid)
     res = landscape_sweep(args.t, args.u, grid, grid, shots=args.shots, seed=args.seed or 0)
     out = _outdir(args)
@@ -132,12 +136,11 @@ def cmd_vha_sweep(args) -> int:
     }
     csv_path = os.path.join(out, "landscape.csv")
     write_landscape_csv(csv_path, res, header)
-    energies = [p.energy for p in res.points]
     a, b = canonical_angles(res.best.alpha, res.best.beta)  # as the CSV header names it
     landscape_svg(
         os.path.join(out, "landscape.svg"),
         f"dimer variational energy (t={args.t}, U={args.u})",
-        grid, grid, energies, best=(a, b),
+        grid, grid, res.energies, best=(a, b),
     )
     ref = optimal_angles(args.t, args.u)
     print(

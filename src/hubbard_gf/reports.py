@@ -5,6 +5,7 @@ configuration and seed, so re-running a config reproduces the bytes exactly.
 """
 from __future__ import annotations
 
+import itertools
 import os
 from dataclasses import dataclass
 
@@ -20,10 +21,10 @@ def _fmt(x) -> str:
 
 
 def write_csv(path, header: dict, columns: list[str], rows) -> None:
+    """Header lines, the column line, then one line per row: a str is taken as the joined line."""
     lines = [f"# {k}={_fmt(v)}" for k, v in header.items()]
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as f:
         f.write("\n".join(lines) + "\n")
 
@@ -65,12 +66,16 @@ def write_measurement_csv(path, name: str, record, header: dict | None = None) -
 
 
 def write_landscape_csv(path, result, header: dict | None = None) -> None:
-    """Landscape rows; the header names the optimum folded by vha.canonical_angles."""
+    """Landscape rows, formatted as _fmt would from the result's arrays, each angle once;
+    the header names the optimum folded by vha.canonical_angles."""
     best = result.best
     meta = dict(header or {})
     meta["optimum_alpha"], meta["optimum_beta"] = canonical_angles(best.alpha, best.beta)
     meta["optimum_energy"] = best.energy
-    write_csv(path, meta, ["alpha", "beta", "energy", "stderr"], result.as_rows())
+    angles = itertools.product(*(map(repr, axis.tolist()) for axis in (result.alphas, result.betas)))
+    values = (map(repr, column.ravel().tolist()) for column in (result.energies, result.stderrs))
+    rows = (f"{a},{b},{e},{s}" for (a, b), e, s in zip(angles, *values))
+    write_csv(path, meta, ["alpha", "beta", "energy", "stderr"], rows)
 
 
 # -- minimal SVG plotting -----------------------------------------------------------
@@ -187,23 +192,17 @@ def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
         f'<text x="{fr.width/2:.0f}" y="24" text-anchor="middle" font-size="15" '
         f'font-family="sans-serif">{title}</text>',
     ]
-    for i, a in enumerate(alphas):
-        for j, b in enumerate(betas):
-            frac = 0.0 if hi == lo else (grid[i, j] - lo) / (hi - lo)
-            r = int(255 * frac)
-            bl = int(255 * (1 - frac))
-            x = fr.margin + j * cw
-            y = fr.height - fr.margin - (i + 1) * ch
-            parts.append(
-                f'<rect x="{x:.1f}" y="{y:.1f}" width="{cw+0.5:.1f}" height="{ch+0.5:.1f}" '
-                f'fill="rgb({r},60,{bl})"/>'
-            )
+    frac = np.zeros_like(grid) if hi == lo else (grid - lo) / (hi - lo)
+    reds, blues = ((255 * f).astype(int).tolist() for f in (frac, 1 - frac))
+    xs = [f"{fr.margin + j * cw:.1f}" for j in range(len(betas))]
+    size = f'width="{cw+0.5:.1f}" height="{ch+0.5:.1f}"'
+    for i, (row_r, row_b) in enumerate(zip(reds, blues)):
+        y = f"{fr.height - fr.margin - (i + 1) * ch:.1f}"
+        parts += [f'<rect x="{x}" y="{y}" {size} fill="rgb({r},60,{b})"/>' for x, r, b in zip(xs, row_r, row_b)]
     if best is not None:  # centred on the grid cell nearest the optimum, which may lie off the grid
         bx = fr.margin + (np.argmin(np.abs(betas - best[1])) + 0.5) * cw
         by = fr.height - fr.margin - (np.argmin(np.abs(alphas - best[0])) + 0.5) * ch
-        parts.append(
-            f'<circle cx="{bx:.1f}" cy="{by:.1f}" r="5" fill="none" stroke="white" stroke-width="2"/>'
-        )
+        parts.append(f'<circle cx="{bx:.1f}" cy="{by:.1f}" r="5" fill="none" stroke="white" stroke-width="2"/>')
     parts.append(
         f'<text x="{fr.width/2:.0f}" y="{fr.height-10}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif">beta (energy color: blue=min, red=max)</text>'

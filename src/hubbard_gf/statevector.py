@@ -12,7 +12,7 @@ leading axes are a batch (the VHA landscape and the columns of
 """
 from __future__ import annotations
 
-import math
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -174,10 +174,16 @@ def apply_matrix_inplace(vec: np.ndarray, m: np.ndarray, bits: tuple[int, ...], 
     """Multiply a dense 2^k x 2^k matrix into k bits of a trailing 2^n axis, in place.
 
     Bit i of the matrix index is bit bits[i] of the vector index; leading axes
-    of vec are a batch.
+    of vec are a batch.  A stack m of shape (K, 2^k, 2^k) multiplies m[j] into
+    vec[j] for each j < K = len(vec), as one product over all of vec[j].
     """
     idx = _gather_index(tuple(bits), n)
-    vec[..., idx] = np.matmul(m, vec[..., idx])
+    if m.ndim == 2:
+        vec[..., idx] = np.matmul(m, vec[..., idx])
+        return
+    x = np.moveaxis(vec[..., idx], -2, 1)  # (K, 2^k, ..., 2^(n-k))
+    y = np.matmul(m, x.reshape(len(x), len(idx), -1)).reshape(x.shape)
+    vec[..., idx] = np.moveaxis(y, 1, -2)
 
 
 def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
@@ -268,20 +274,22 @@ def marginal_probs(s: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
 
 
 def marginalize(probs: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
-    """Marginal of a distribution over n qubits; bit i of the result index = qubits[i]."""
+    """Marginal of a distribution over n qubits; bit i of the result index = qubits[i].
+
+    The distribution is the trailing axis of probs; leading axes are a batch.
+    """
     if not qubits:
         raise ValueError("need at least one qubit to measure")
-    view = probs.reshape((2,) * n)
-    keep_axes = [n - 1 - q for q in qubits]
-    other = tuple(ax for ax in range(n) if ax not in keep_axes)
+    lead = probs.ndim - 1
+    view = probs.reshape(probs.shape[:-1] + (2,) * n)
+    keep_axes = [lead + n - 1 - q for q in qubits]
+    other = tuple(ax for ax in range(lead, lead + n) if ax not in keep_axes)
     marg = view.sum(axis=other) if other else view
-    # after summing, remaining axes are sorted by original axis id; permute to qubit order
+    # after summing, the kept axes are sorted by original axis id; reversing the
+    # qubit order onto them makes bit i of the flattened index qubits[i]
     remaining = sorted(keep_axes)
-    order = [remaining.index(ax) for ax in keep_axes]
-    marg = np.transpose(marg, order)
-    # axis i now corresponds to qubits[i]; flatten so bit i of the index = qubits[i]
-    marg = np.transpose(marg, tuple(range(len(qubits) - 1, -1, -1))).reshape(-1)
-    return marg
+    order = [lead + remaining.index(ax) for ax in reversed(keep_axes)]
+    return np.transpose(marg, tuple(range(lead)) + tuple(order)).reshape(probs.shape[:-1] + (-1,))
 
 
 def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
@@ -300,15 +308,23 @@ def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probs)
 
 
+@functools.cache
+def parity_signs(length: int) -> np.ndarray:
+    """(-1)^popcount(j) for j < length, as a read-only int array cached per length."""
+    signs = np.where(np.bitwise_count(np.arange(length)) & 1, -1, 1)
+    signs.flags.writeable = False
+    return signs
+
+
 def parity_expectation(weights: np.ndarray, total: float = 1.0) -> float:
     """Mean of (-1)^popcount(j) over outcomes j of a histogram (total = shots) or distribution."""
-    signs = np.where(np.bitwise_count(np.arange(len(weights))) & 1, -1, 1)
-    return float(np.sum(weights * signs)) / total
+    return float(np.sum(weights * parity_signs(len(weights)))) / total
 
 
-def shot_stderr(mean: float, shots: int, second_moment: float = 1.0) -> float:
+def shot_stderr(mean, shots, second_moment=1.0):
     """Standard error of a sample mean over `shots` draws: sqrt((<x^2> - <x>^2) / shots).
 
     second_moment defaults to 1 for +-1 outcomes; a 0/1 indicator has <x^2> = <x>.
+    Works elementwise on arrays of means, shot counts or second moments.
     """
-    return math.sqrt(max(0.0, second_moment - mean * mean) / shots)
+    return np.sqrt(np.maximum(0.0, second_moment - mean * mean) / shots)

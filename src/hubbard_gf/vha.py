@@ -15,7 +15,6 @@ import numpy as np
 
 from .circuit import (
     Circuit,
-    circuit_unitary,
     dimer_hopping_layer,
     dimer_interaction_step,
     horizontal_hop_value,
@@ -25,11 +24,14 @@ from .circuit import (
 from .model import FermionHamiltonian
 from .oracle import hamiltonian_pauli_terms, split_pauli_terms
 from .statevector import (
+    MAX_QUBITS,
     GateOp,
     StateVector,
     _pauli_action,  # shared kernel plumbing
-    parity_expectation,
-    sample_counts,
+    apply_matrix_inplace,
+    gate_matrix,
+    marginalize,
+    parity_signs,
     shot_stderr,
 )
 
@@ -58,7 +60,7 @@ class VhaParams:
         return len(self.layers)
 
 
-@dataclass(frozen=True, slots=True)  # a landscape sweep builds one per grid point
+@dataclass(frozen=True)
 class EnergyEstimate:
     """Measured energy with its shot-noise error and hopping/interaction split."""
 
@@ -168,86 +170,67 @@ def _hop_bases(h: FermionHamiltonian):
             yield hop.amplitude, m, n, kinds
 
 
-def _shot_estimate(h: FermionHamiltonian, counts, shots: int) -> EnergyEstimate:
-    """Energy from one state's run histograms, given in measurement order."""
-    counts = iter(counts)
-    comp = next(counts).tolist()  # computational basis: repulsions and shifts
-    e_int = 0.0
-    var_int = 0.0
-    for rep in h.repulsions:
-        a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
-        p11 = sum(c for j, c in enumerate(comp) if (j >> a) & (j >> b) & 1) / shots
-        e_int += rep.strength * p11
-        var_int += (rep.strength * shot_stderr(p11, shots, p11)) ** 2
-    for sh in h.shifts:
-        for spin in ("up", "down"):
-            q = h.mode_of(sh.site, spin)
-            p1 = sum(c for j, c in enumerate(comp) if (j >> q) & 1) / shots
-            e_int += sh.value * p1
-            var_int += (sh.value * shot_stderr(p1, shots, p1)) ** 2
+def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds):
+    """Arrays (value, stderr, hopping, interaction) over the rows of a (batch, 2^n) state array.
 
-    e_hop = 0.0
-    var_hop = 0.0
-    for amplitude, _, _, kinds in _hop_bases(h):
-        if kinds == ("horizontal_hop",):
-            mean, err = horizontal_hop_value(next(counts))
-            e_hop += amplitude * mean
-            var_hop += (amplitude * err) ** 2
-        else:
-            mean = 0.0
-            var = 0.0
-            for _ in kinds:
-                parity = parity_expectation(next(counts), shots)
-                mean += 0.5 * parity
-                var += 0.25 * shot_stderr(parity, shots) ** 2
-            e_hop += amplitude * mean
-            var_hop += (amplitude ** 2) * var
-
-    return EnergyEstimate(
-        e_hop + e_int, math.sqrt(var_hop + var_int), shots, e_hop, e_int
-    )
-
-
-def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds) -> list[EnergyEstimate]:
-    """Energy of every row of a (batch, 2^n) state array under h.
-
-    shots = 0 evaluates exact expectations.  Otherwise each measurement basis
-    rotates the whole batch once, and row k draws `shots` samples per run, its
-    run seeds derived from SeedSequence(seeds[k]).
+    shots = 0 evaluates exact expectations.  Otherwise one computational-basis
+    run covers every repulsion (the |11> population of each site's qubit pair)
+    and chemical shift; each hopping bond runs the two-qubit diagonalization
+    circuit when its modes are JW-adjacent and the two string-removed parity
+    bases when they are not.  Each run rotates and marginalizes the batch once;
+    row k draws `shots` samples per run, one multinomial each, seeded by
+    SeedSequence(seeds[k]).generate_state(runs).  The estimators are array
+    arithmetic in a one-row batch's operation order.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
     if shots == 0:
-        hop_terms, int_terms = split_pauli_terms(h)
-        e_hop, e_int = _pauli_sum(amps, hop_terms), _pauli_sum(amps, int_terms)
-        return [EnergyEstimate(a + b, 0.0, 0, a, b) for a, b in zip(e_hop.tolist(), e_int.tolist())]
+        e_hop, e_int = (_pauli_sum(amps, terms) for terms in split_pauli_terms(h))
+        return e_hop + e_int, np.zeros(len(amps)), e_hop, e_int
     n = h.n_modes
-    runs = [(amps, tuple(range(n)))]
-    for _, a, b, kinds in _hop_bases(h):
-        for kind in kinds:
-            basis = measurement_basis_circuit(kind, a, b, n)
-            runs.append((simulate(basis, StateVector(amps, n)).amps, (a, b)))
-    estimates = []
+    runs = [(amps, tuple(range(n)))] + [
+        (simulate(measurement_basis_circuit(kind, a, b, n), StateVector(amps, n)).amps, (a, b))
+        for _, a, b, kinds in _hop_bases(h) for kind in kinds
+    ]
+    probs = [marginalize(np.abs(batch) ** 2, n, qubits) for batch, qubits in runs]
+    probs = [p / p.sum(axis=1, keepdims=True) for p in probs]
+    counts = [np.empty(p.shape, dtype=np.int64) for p in probs]
     for k, seed in enumerate(seeds):
-        run_seeds = np.random.SeedSequence(int(seed)).generate_state(len(runs))
-        counts = [
-            sample_counts(StateVector(batch[k], n), qubits, shots, int(s))
-            for (batch, qubits), s in zip(runs, run_seeds)
-        ]
-        estimates.append(_shot_estimate(h, counts, shots))
-    return estimates
+        for c, p, s in zip(counts, probs, np.random.SeedSequence(int(seed)).generate_state(len(probs))):
+            c[k] = np.random.default_rng(int(s)).multinomial(shots, p[k])
+    # float_power is libm pow, as float ** 2 is on one point; ndarray ** 2 is
+    # x * x, which rounds differently about once in a thousand squares
+    e_int, var_int, e_hop, var_hop = (np.zeros(len(amps)) for _ in range(4))
+    j = np.arange(1 << n)  # computational outcomes: site pairs in |11>, occupied modes
+    occupied = [(r.strength, j >> h.mode_of(r.site, "up") & j >> h.mode_of(r.site, "down"))
+                for r in h.repulsions]
+    occupied += [(sh.value, j >> h.mode_of(sh.site, spin)) for sh in h.shifts for spin in ("up", "down")]
+    for weight, bits in occupied:
+        p1 = counts[0][:, bits & 1 == 1].sum(axis=1) / shots
+        e_int += weight * p1
+        var_int += np.float_power(weight * shot_stderr(p1, shots, p1), 2)
+    hop_counts = iter(counts[1:])
+    for amplitude, _, _, kinds in _hop_bases(h):
+        if kinds == ("horizontal_hop",):
+            mean, err = horizontal_hop_value(next(hop_counts))
+            e_hop += amplitude * mean
+            var_hop += np.float_power(amplitude * err, 2)
+        else:
+            mean = var = 0.0
+            for _ in kinds:
+                parity = next(hop_counts) @ parity_signs(4) / shots
+                mean += 0.5 * parity
+                var += 0.25 * np.float_power(shot_stderr(parity, shots), 2)
+            e_hop += amplitude * mean
+            var_hop += (amplitude ** 2) * var
+    return e_hop + e_int, np.sqrt(var_hop + var_int), e_hop, e_int
 
 
 def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: int = 0) -> EnergyEstimate:
-    """Energy of the circuit's output state under h, via measurement schedules.
-
-    shots = 0 evaluates exact expectations.  Otherwise one computational-basis run
-    covers every repulsion (the |11> population of each site's qubit pair) and
-    chemical shift; each hopping bond runs the two-qubit diagonalization circuit
-    when its modes are JW-adjacent and the two string-removed parity bases when
-    they are not.  Each run uses `shots` samples with a seed derived per run.
-    """
-    return _energy_estimates(simulate(circuit).amps[None], h, shots, (seed,))[0]
+    """Energy of the circuit's output state under h: the one-row batch of _energy_estimates."""
+    state = simulate(circuit).amps[None]
+    value, stderr, hopping, interaction = (float(x[0]) for x in _energy_estimates(state, h, shots, (seed,)))
+    return EnergyEstimate(value, stderr, shots, hopping, interaction)
 
 
 def measure_dimer_energy(params: VhaParams, t: float, u: float, shots: int, seed: int = 0) -> EnergyEstimate:
@@ -257,7 +240,7 @@ def measure_dimer_energy(params: VhaParams, t: float, u: float, shots: int, seed
 # -- landscape and optimization ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)  # a landscape holds one per grid point
+@dataclass(frozen=True, slots=True)  # LandscapeResult.points builds one per grid point
 class LandscapePoint:
     alpha: float
     beta: float
@@ -265,49 +248,73 @@ class LandscapePoint:
     stderr: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LandscapeResult:
-    points: tuple[LandscapePoint, ...]
-    best: LandscapePoint
+    """Energies and stderrs on the alphas x betas grid, arrays of shape (len(alphas), len(betas))."""
 
-    def as_rows(self):
-        return [(p.alpha, p.beta, p.energy, p.stderr) for p in self.points]
+    alphas: np.ndarray
+    betas: np.ndarray
+    energies: np.ndarray
+    stderrs: np.ndarray
+
+    @property
+    def best(self) -> LandscapePoint:
+        """The first grid point, row-major, with the lowest energy."""
+        i, j = np.unravel_index(np.argmin(self.energies), self.energies.shape)
+        values = (self.alphas[i], self.betas[j], self.energies[i, j], self.stderrs[i, j])
+        return LandscapePoint(*map(float, values))
+
+    @property
+    def points(self) -> tuple[LandscapePoint, ...]:
+        """Every grid point, row-major, built on request."""
+        grid = itertools.product(self.alphas.tolist(), self.betas.tolist())
+        values = zip(self.energies.ravel().tolist(), self.stderrs.ravel().tolist())
+        return tuple(LandscapePoint(a, b, e, s) for (a, b), (e, s) in zip(grid, values))
 
 
-def landscape_sweep(
-    t: float,
-    u: float,
-    alphas,
-    betas,
-    shots: int = 0,
-    seed: int = 0,
-) -> LandscapeResult:
-    """Energy at every (alpha, beta) grid point, row-major over alphas x betas.
+MAX_GRID_POINTS = (1 << MAX_QUBITS) >> 4  # a sweep's state batch holds 2^4 amplitudes per point
 
-    The grid is one state batch: each alpha's prefix (Slater prep, interaction
-    block) is simulated once, each beta's hopping layer is fused into one dense
-    unitary, and a single einsum applies every layer to every prefix.  Shot-mode
-    point k draws from the k-th seed of SeedSequence(seed).
+
+def _run_per_angle(circuits: list[Circuit], amps: np.ndarray) -> None:
+    """Run circuits[k] on amps[k] for every k at once, in place.
+
+    The circuits share one gate sequence and differ only in angles; each gate
+    is applied once, as the stack of its per-circuit matrices (phases, for GPHASE).
+    """
+    n = circuits[0].n_qubits
+    for gates in zip(*(c.gates for c in circuits)):
+        if gates[0].kind == "GPHASE":
+            amps *= np.exp(1j * np.array([g.angle for g in gates])).reshape((-1,) + (1,) * (amps.ndim - 1))
+        else:
+            apply_matrix_inplace(amps, np.array([gate_matrix(g) for g in gates]), gates[0].targets, n)
+
+
+def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int = 0) -> LandscapeResult:
+    """Energy at every (alpha, beta) grid point, as arrays over alphas x betas.
+
+    The grid is one state batch: the Slater state is simulated once, every
+    alpha's interaction block and every beta's 16x16 hopping-layer unitary are
+    built gate by gate on the whole stack of angles, and one einsum applies
+    every layer to every prefix.  Shot-mode point k (row-major) draws from the
+    k-th seed of SeedSequence(seed).  Grids past MAX_GRID_POINTS are refused.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("empty grid")
-    prefixes = np.array(
-        [simulate(slater_prep_circuit() + dimer_interaction_step(float(a))).amps for a in alphas]
-    )
-    layers = np.array([circuit_unitary(dimer_hopping_layer(float(b))) for b in betas])
+    if alphas.size * betas.size > MAX_GRID_POINTS:
+        raise ValueError(f"{alphas.size * betas.size} grid points exceed dense capacity {MAX_GRID_POINTS}")
+    prefixes = np.repeat(simulate(slater_prep_circuit()).amps[None], alphas.size, axis=0)
+    _run_per_angle([dimer_interaction_step(a) for a in alphas.tolist()], prefixes)
+    layers = np.repeat(np.eye(16, dtype=complex)[None], betas.size, axis=0)
+    _run_per_angle([dimer_hopping_layer(b) for b in betas.tolist()], layers.transpose(0, 2, 1))
     seeds = np.random.SeedSequence(seed).generate_state(alphas.size * betas.size)
-    # the state batch is freed once the estimates exist, before the points are built
-    estimates = _energy_estimates(
+    energies, stderrs, _, _ = _energy_estimates(
         np.einsum("bij,aj->abi", layers, prefixes).reshape(len(seeds), -1),
         FermionHamiltonian.dimer(t, u), shots, seeds,
     )
-    points = tuple(
-        LandscapePoint(a, b, est.value, est.stderr)
-        for (a, b), est in zip(itertools.product(alphas.tolist(), betas.tolist()), estimates)
-    )
-    return LandscapeResult(points, min(points, key=lambda p: p.energy))
+    shape = (alphas.size, betas.size)
+    return LandscapeResult(alphas, betas, energies.reshape(shape), stderrs.reshape(shape))
 
 
 @dataclass(frozen=True)
@@ -318,14 +325,8 @@ class OptimizeResult:
     evaluations: int
 
 
-def optimize(
-    t: float,
-    u: float,
-    initial: VhaParams | None = None,
-    budget: int = 400,
-    shots: int = 0,
-    seed: int = 0,
-) -> OptimizeResult:
+def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int = 400, shots: int = 0,
+             seed: int = 0) -> OptimizeResult:
     """Coarse grid seed then coordinate descent; deterministic for a given seed.
 
     Best-so-far is returned when the evaluation budget runs out; the recorded

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import re
@@ -5,6 +6,7 @@ import re
 import numpy as np
 import pytest
 
+from hubbard_gf import cli
 from hubbard_gf.cli import main
 from hubbard_gf.reports import read_csv, write_csv
 
@@ -51,7 +53,10 @@ def test_landscape_header_names_folded_optimum(tmp_path, capsys):
     from hubbard_gf.vha import LandscapePoint, LandscapeResult, canonical_angles
 
     best = LandscapePoint(0.9424777960769379, 2.7646015351590183, -3.2, 0.0)
-    write_landscape_csv(tmp_path / "l.csv", LandscapeResult((best,), best))
+    one_point = LandscapeResult(*(np.array([x]) for x in (best.alpha, best.beta)),
+                                *(np.array([[x]]) for x in (best.energy, best.stderr)))
+    assert one_point.best == best
+    write_landscape_csv(tmp_path / "l.csv", one_point)
     header, _, _ = read_csv(tmp_path / "l.csv")
     alpha, beta = canonical_angles(best.alpha, best.beta)
     assert (header["optimum_alpha"], header["optimum_beta"]) == (repr(alpha), repr(beta))
@@ -367,3 +372,37 @@ def test_csv_round_trip(tmp_path):
     assert header == {"a": "1", "b": "0.25"}
     assert cols == ["u", "v"]
     assert rows == [["1.0", "2.0"], ["3.0", "4.5"]]
+
+
+@pytest.mark.parametrize(
+    "argv, csv_sha256, svg_sha256",
+    [
+        (["--grid", "13", "--shots", "256", "--seed", "17"],
+         "aae9841a190c9ce0444f94ecfb733c25a4d66c7ea6072f404881e656554ebfac",
+         "0a70f486e733d57abd3a2e1f491909ea6583c347769fdc6511e13052ae83391a"),
+        (["--grid", "21"],
+         "af506ed775e856d2fd0b9d361291966a5ed544caa130d6a3e21cf9a4146bef12",
+         "6d71c9f749d23695ce642f34a503e84f06e03b6b1479b12c3d2d95d90400d4a0"),
+    ],
+)
+def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha256):
+    # digests of the files the per-point sweep wrote before the sweep ran on whole-grid arrays
+    code, _, _ = run_cli(["vha-sweep", *argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / "landscape.csv").read_bytes()).hexdigest() == csv_sha256
+    assert hashlib.sha256((tmp_path / "landscape.svg").read_bytes()).hexdigest() == svg_sha256
+
+
+def test_vha_sweep_refuses_grids_past_dense_capacity(tmp_path, capsys, monkeypatch):
+    # grid^2 points of 2^4 amplitudes each may not pass statevector's 2^24 amplitudes
+    def sweep(*args, **kwargs):
+        raise ValueError("the sweep ran")
+
+    monkeypatch.setattr(cli, "landscape_sweep", sweep)
+    out = tmp_path / "out"
+    code, _, err = run_cli(["vha-sweep", "--grid", "1025", "--outdir", str(out)], capsys)
+    assert code == 2
+    assert "dense capacity" in err
+    assert not out.exists()
+    code, _, err = run_cli(["vha-sweep", "--grid", "1024", "--outdir", str(out)], capsys)
+    assert code == 2 and "the sweep ran" in err  # the largest grid that fits reaches the sweep

@@ -19,6 +19,9 @@ from hubbard_gf.statevector import (
     gate_matrix,
     inverse_gate,
     marginal_probs,
+    marginalize,
+    parity_expectation,
+    parity_signs,
     sample_counts,
 )
 
@@ -340,3 +343,23 @@ def test_state_major_batch_matches_per_row_simulate(case):
             np.testing.assert_array_equal(batch, expected)
         else:
             assert np.max(np.abs(batch - expected)) < 1e-5
+
+
+@pytest.mark.parametrize("qubits", [(0, 1, 2, 3), (2, 3), (3, 1), (0,), (2, 0, 3)])
+def test_batched_marginal_rows_equal_single_marginals(qubits):
+    rng = np.random.default_rng(5)
+    probs = rng.random((7, 16))
+    probs /= probs.sum(axis=1, keepdims=True)
+    batched = marginalize(probs, 4, qubits)
+    assert np.array_equal(batched, np.array([marginalize(p, 4, qubits) for p in probs]))
+    assert np.array_equal(marginalize(probs.reshape(7, 1, 16), 4, qubits)[:, 0], batched)
+
+
+def test_parity_signs_are_cached_read_only():
+    signs = parity_signs(8)
+    assert signs is parity_signs(8)
+    assert signs.tolist() == [(-1) ** bin(j).count("1") for j in range(8)]
+    with pytest.raises(ValueError):
+        signs[0] = 5
+    weights = np.arange(8.0)
+    assert parity_expectation(weights, 2.0) == float(np.sum(weights * signs)) / 2.0

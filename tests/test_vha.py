@@ -15,9 +15,15 @@ from hubbard_gf.oracle import (
 from hubbard_gf.pauli import PauliString
 from hubbard_gf.statevector import expectation_pauli
 from hubbard_gf.vha import (
+    MAX_GRID_POINTS,
     canonical_angles,
     EnergyEstimate,
+    LandscapePoint,
+    LandscapeResult,
     VhaParams,
+    _energy_estimates,
+    _hop_bases,
+    _run_per_angle,
     landscape_sweep,
     measure_dimer_energy,
     measure_energy,
@@ -25,10 +31,19 @@ from hubbard_gf.vha import (
     optimize,
     slater_prep_circuit,
     variational_energy_formula,
+    vha_circuit,
     vha_state,
 )
-from hubbard_gf.circuit import Circuit, hopping_step, simulate
-from hubbard_gf.statevector import GateOp
+from hubbard_gf.circuit import (
+    Circuit,
+    circuit_unitary,
+    dimer_hopping_layer,
+    dimer_interaction_step,
+    hopping_step,
+    measurement_basis_circuit,
+    simulate,
+)
+from hubbard_gf.statevector import GateOp, StateVector, sample_counts
 
 
 def test_params_validation():
@@ -250,3 +265,131 @@ def test_optimize_budget_and_improvement():
     assert res.evaluations <= 40
     with pytest.raises(ValueError):
         optimize(1.0, 4.0, budget=0)
+
+
+# -- batched estimators against the per-point loop they replaced ---------------------
+
+
+def _per_point_reference(amps, h, shots, seeds):
+    """(value, stderr, hopping, interaction) per row, drawn and estimated one point at a
+    time: sample_counts per run, then Python float arithmetic on that point's histograms."""
+    n = h.n_modes
+    runs = [(amps, tuple(range(n)))] + [
+        (simulate(measurement_basis_circuit(kind, a, b, n), StateVector(amps, n)).amps, (a, b))
+        for _, a, b, kinds in _hop_bases(h) for kind in kinds
+    ]
+
+    def stderr(mean, second=1.0):
+        return math.sqrt(max(0.0, second - mean * mean) / shots)
+
+    out = []
+    for k, seed in enumerate(seeds):
+        run_seeds = np.random.SeedSequence(int(seed)).generate_state(len(runs))
+        counts = iter([sample_counts(StateVector(batch[k], n), qubits, shots, int(s))
+                       for (batch, qubits), s in zip(runs, run_seeds)])
+        comp = next(counts).tolist()
+        e_int = var_int = 0.0
+        for rep in h.repulsions:
+            a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
+            p11 = sum(c for j, c in enumerate(comp) if (j >> a) & (j >> b) & 1) / shots
+            e_int += rep.strength * p11
+            var_int += (rep.strength * stderr(p11, p11)) ** 2
+        for sh in h.shifts:
+            for spin in ("up", "down"):
+                q = h.mode_of(sh.site, spin)
+                p1 = sum(c for j, c in enumerate(comp) if (j >> q) & 1) / shots
+                e_int += sh.value * p1
+                var_int += (sh.value * stderr(p1, p1)) ** 2
+        e_hop = var_hop = 0.0
+        for amplitude, _, _, kinds in _hop_bases(h):
+            if kinds == ("horizontal_hop",):
+                _, plus, minus, _ = next(counts).tolist()
+                mean = plus / shots - minus / shots
+                e_hop += amplitude * mean
+                var_hop += (amplitude * stderr(mean, plus / shots + minus / shots)) ** 2
+            else:
+                mean = var = 0.0
+                for _ in kinds:
+                    parity = float(np.sum(next(counts) * np.array([1, -1, -1, 1]))) / shots
+                    mean += 0.5 * parity
+                    var += 0.25 * stderr(parity) ** 2
+                e_hop += amplitude * mean
+                var_hop += (amplitude ** 2) * var
+        out.append((e_hop + e_int, math.sqrt(var_hop + var_int), e_hop, e_int))
+    return out
+
+
+_axis = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    alphas=_axis,
+    betas=_axis,
+    t=st.floats(0.05, 3.0),
+    u=st.floats(0.0, 8.0),
+    shots=st.sampled_from((1, 7, 256)),
+    seed=st.integers(0, 2**32 - 1),
+    chain=st.booleans(),
+)
+def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed, chain):
+    # the chain's site-major modes put each bond two qubits apart: parity bases
+    h = FermionHamiltonian.hubbard_chain(2, t, u) if chain else FermionHamiltonian.dimer(t, u)
+    amps = np.array([vha_state(VhaParams.single(a, b)).amps for a in alphas for b in betas])
+    seeds = np.random.SeedSequence(seed).generate_state(len(amps))
+    batched = _energy_estimates(amps, h, shots, seeds)
+    assert list(zip(*(x.tolist() for x in batched))) == _per_point_reference(amps, h, shots, seeds)
+    # exact mode: each row is the one-row batch of that state
+    value, stderr, hop, inter = _energy_estimates(amps, h, 0, seeds)
+    assert stderr.tolist() == [0.0] * len(amps)
+    for k in range(len(amps)):
+        row = [x[0] for x in _energy_estimates(amps[k : k + 1], h, 0, seeds[k : k + 1])]
+        assert row == [value[k], 0.0, hop[k], inter[k]]
+        assert value[k] == hop[k] + inter[k]
+
+
+@pytest.mark.parametrize("chain", [False, True])
+def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid(chain):
+    # numpy squares an array as x * x and Python a float with libm pow; they differ
+    # about once in a thousand squares, which small hypothesis batches rarely show
+    h = FermionHamiltonian.hubbard_chain(2, 1.0, 4.0) if chain else FermionHamiltonian.dimer(1.0, 4.0)
+    axis = np.linspace(-math.pi, math.pi, 13).tolist()
+    amps = np.array([vha_state(VhaParams.single(a, b)).amps for a in axis for b in axis])
+    seeds = np.random.SeedSequence(17).generate_state(len(amps))
+    batched = _energy_estimates(amps, h, 256, seeds)
+    assert list(zip(*(x.tolist() for x in batched))) == _per_point_reference(amps, h, 256, seeds)
+
+
+@pytest.mark.parametrize("shots, seed", [(0, 0), (7, 3), (256, 11)])
+def test_measure_energy_is_the_batch_of_one(shots, seed):
+    circuit = vha_circuit(VhaParams.single(-0.7, 0.3))
+    h = FermionHamiltonian.dimer(1.0, 4.0)
+    est = measure_energy(circuit, h, shots, seed)
+    row = [float(x[0]) for x in _energy_estimates(simulate(circuit).amps[None], h, shots, (seed,))]
+    assert [est.value, est.stderr, est.hopping, est.interaction] == row
+    assert est.shots == shots
+
+
+@settings(max_examples=30, deadline=None)
+@given(angles=st.lists(st.floats(-2 * math.pi, 2 * math.pi), min_size=1, max_size=6))
+def test_angle_stacks_equal_per_angle_circuits(angles):
+    layers = np.repeat(np.eye(16, dtype=complex)[None], len(angles), axis=0)
+    _run_per_angle([dimer_hopping_layer(b) for b in angles], layers.transpose(0, 2, 1))
+    assert np.array_equal(layers, np.array([circuit_unitary(dimer_hopping_layer(b)) for b in angles]))
+    prefixes = np.repeat(simulate(slater_prep_circuit()).amps[None], len(angles), axis=0)
+    _run_per_angle([dimer_interaction_step(a) for a in angles], prefixes)
+    singles = [simulate(slater_prep_circuit() + dimer_interaction_step(a)).amps for a in angles]
+    assert np.array_equal(prefixes, np.array(singles))
+
+
+def test_landscape_best_is_the_first_minimum():
+    res = LandscapeResult(np.array([0.1, 0.2]), np.array([0.3, 0.4, 0.5]),
+                          np.array([[1.0, -2.0, 0.0], [-2.0, -2.0, 3.0]]), np.zeros((2, 3)))
+    assert res.best == LandscapePoint(0.1, 0.4, -2.0, 0.0)
+    assert res.best == min(res.points, key=lambda p: p.energy)
+    assert [(p.alpha, p.beta) for p in res.points] == [(a, b) for a in (0.1, 0.2) for b in (0.3, 0.4, 0.5)]
+
+
+def test_landscape_refuses_grids_past_dense_capacity():
+    with pytest.raises(ValueError, match="dense capacity"):
+        landscape_sweep(1.0, 4.0, np.zeros(MAX_GRID_POINTS + 1), [0.0])
