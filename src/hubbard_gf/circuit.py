@@ -212,10 +212,10 @@ def dimer_hopping_layer(beta: float) -> Circuit:
     return hopping_pair_block(0, 1, beta, 4) + hopping_pair_block(2, 3, beta, 4)
 
 
-def dimer_trotter_step(t: float, u: float, dtau: float, form: str = "cnot") -> Circuit:
+def dimer_trotter_step(t: float, u: float, dtau: float) -> Circuit:
     """One dimer Trotter slice: interaction with angle U*dtau, then both hopping
     pairs with angle -t*dtau (the variational layer reused as an evolution step)."""
-    return dimer_interaction_step(u * dtau, form=form) + dimer_hopping_layer(-t * dtau)
+    return dimer_interaction_step(u * dtau) + dimer_hopping_layer(-t * dtau)
 
 
 def trotter_evolution(h: FermionHamiltonian, plan: TrotterPlan) -> Circuit:

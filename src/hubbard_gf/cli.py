@@ -26,14 +26,13 @@ from .greens import (
     hadamard_test,
     time_grid,
 )
-from .noise import MitigationConfig, NO_MITIGATION, NoiseModel, noisy_dimer_series, zne
+from .noise import MitigationConfig, NoiseModel, noisy_dimer_series, zne
 from .oracle import dimer_analytic
 from .reports import (
     correlator_svg,
     default_outdir,
     landscape_svg,
     read_csv,
-    write_csv,
     write_landscape_csv,
     write_measurement_csv,
 )
@@ -151,20 +150,6 @@ def cmd_vha_sweep(args) -> int:
     return 0
 
 
-def _mitigation_from(args) -> MitigationConfig:
-    config = MitigationConfig(  # validates every flag, also when none asks for mitigation
-        readout=args.readout_mitigation,
-        twirl_variants=args.twirl,
-        dd_sequence=args.dd,
-        zne_scales=tuple(args.zne_scales),
-        zne_order=args.zne_order,
-    )
-    if not (config.readout or config.twirl_variants > 1 or config.dd_sequence != "none"
-            or config.zne_scales):
-        return NO_MITIGATION
-    return config
-
-
 def cmd_correlator(args) -> int:
     if args.shots < 0:  # one refusal for every protocol, before any of them draws
         print("error: shots must be >= 1", file=sys.stderr)
@@ -175,43 +160,31 @@ def cmd_correlator(args) -> int:
     if args.noise_model and args.protocol != "direct":
         print("error: --noise-model runs the direct protocol only", file=sys.stderr)
         return 2
-    config = _mitigation_from(args)  # mitigation flags are validated on noiseless runs too
+    config = MitigationConfig(  # mitigation flags are validated on noiseless runs too
+        readout=args.readout_mitigation,
+        twirl_variants=args.twirl,
+        dd_sequence=args.dd,
+        zne_scales=tuple(args.zne_scales),
+        zne_order=args.zne_order,
+    )
     seed = args.seed or 0
     plan = TrotterPlan(args.dtau, args.steps)
     pairs = list(DIMER_PAIRS) if args.pair == "all" else [args.pair]
+    # each record CSV names the protocol and phi that produced it
     header = {
         "command": "correlator", "t": args.t, "u": args.u, "dtau": args.dtau,
-        "steps": args.steps, "protocol": args.protocol, "phi": args.phi,
-        "kind": args.kind, "shots": args.shots, "seed": seed,
+        "steps": args.steps, "kind": args.kind, "shots": args.shots, "seed": seed,
     }
-    taus = np.array(time_grid(plan))
-    dense = np.linspace(0, taus[-1], 200)
     if args.noise_model:
         model = NoiseModel.from_json(args.noise_model)
         header["noise_model"] = args.noise_model
-        series = {
+        records = {
             name: noisy_dimer_series(
                 name, args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
-            )[1]
+            )
             for name in pairs
         }
-        out = _outdir(args)
-        for name, values in series.items():
-            csv_path = os.path.join(out, f"{name}_noisy.csv")
-            write_csv(csv_path, dict(header, correlator=name),
-                      ["tau", "estimate"], list(zip(taus, values)))
-            correlator_svg(
-                os.path.join(out, f"{name}_noisy.svg"),
-                f"{name} under noise (mitigated={config is not NO_MITIGATION})",
-                taus, values, np.zeros_like(taus), dense,
-                _analytic(name, args.kind, args.t, args.u, dense),
-                config_lines=(f"shots={args.shots} seed={seed}",),
-            )
-            print(f"wrote {csv_path}")
-        return 0
-    # each record CSV names the protocol and phi that produced it
-    del header["protocol"], header["phi"]
-    if args.protocol == "direct":
+    elif args.protocol == "direct":
         records = dimer_suite(args.t, args.u, plan, args.phi, args.shots, seed, kind=args.kind)
     else:
         proto = args.protocol.replace("-", "_")
@@ -219,11 +192,11 @@ def cmd_correlator(args) -> int:
         records = {}
         for name in pairs:
             source, probe = DIMER_PAIRS[name]
-            spec = CorrelatorSpec(source, probe, tuple(taus), kind=args.kind, protocol=proto)
+            spec = CorrelatorSpec(source, probe, time_grid(plan), kind=args.kind, protocol=proto)
             records[name] = runner(spec, args.t, args.u, plan, args.shots, seed)
     out = _outdir(args)
     for name in pairs:
-        _write_series(out, name, records[name], header, args, taus, dense)
+        _write_series(out, name, records[name], header, args)
     return 0
 
 
@@ -242,14 +215,17 @@ def _full_scale(protocol) -> float:
     return 2.0 if protocol in ("hadamard", "advanced_hadamard") else 1.0
 
 
-def _write_series(out, name, rec, header, args, taus, dense) -> None:
+def _write_series(out, name, rec, header, args) -> None:
+    """The record's CSV and SVG overlay; a noisy run's files are named {name}_noisy."""
     scale = _full_scale(rec.protocol)
-    csv_path = os.path.join(out, f"{name}.csv")
+    stem = f"{name}_noisy" if args.noise_model else name
+    csv_path = os.path.join(out, f"{stem}.csv")
     write_measurement_csv(csv_path, name, rec, header)
+    dense = np.linspace(0, rec.taus[-1], 200)
     correlator_svg(
-        os.path.join(out, f"{name}.svg"),
-        f"{name} {args.kind} ({rec.protocol})",
-        taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense,
+        os.path.join(out, f"{stem}.svg"),
+        f"{name} {args.kind} ({rec.protocol}{', noisy' if args.noise_model else ''})",
+        rec.taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense,
         _analytic(name, args.kind, args.t, args.u, dense),
         config_lines=(
             f"dtau={args.dtau} steps={args.steps}",
@@ -320,8 +296,7 @@ def _trotter_bound(header, name) -> float:
 
 def cmd_zne_demo(args) -> int:
     scales = (1.0, 1.5, 2.0, 2.5, 3.0)
-    signal = lambda s: 1 - 0.1 * s - 0.02 * s * s
-    res = zne(signal, scales, args.order)
+    res = zne(scales, [1 - 0.1 * s - 0.02 * s * s for s in scales], args.order)
     print(f"scales={scales} order={args.order}")
     print(f"samples={tuple(round(v, 6) for v in res.samples)}")
     print(f"zero-noise estimate={res.value:.12f} (truth 1.0), fit residual={res.residual:.2e}")

@@ -17,7 +17,8 @@ in run_noisy).
 Global folding G -> G (G^dag G)^k keeps G as the head of every folded circuit,
 so noisy_parity_estimate evolves rho through each twirl variant once and
 copies it for every ZNE scale; each scale then gets exactly the distribution
-(and the draw) of its whole folded circuit.
+(and the draw) of its whole folded circuit.  Each estimate carries a stderr
+propagated through readout inversion, the twirl mean and the linear ZNE fit.
 """
 from __future__ import annotations
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, simulate
-from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, direct_series_circuits, time_grid
+from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, MeasurementRecord, direct_series_circuits, time_grid
 from .pauli import CliffordCircuit, PauliString, clifford_conjugate
 from .statevector import (
     MAX_QUBITS,
@@ -41,6 +42,8 @@ from .statevector import (
     marginalize,
     multinomial_counts,
     parity_expectation,
+    parity_signs,
+    shot_stderr,
 )
 
 VIRTUAL_KINDS = {"RZ", "PHASE", "Z", "GPHASE", "DELAY"}
@@ -619,35 +622,28 @@ class ZneResult:
     residual: float
     scales: tuple[float, ...]
     samples: tuple[float, ...]
+    weights: tuple[float, ...]  # value = weights . samples
 
 
-def zne(runner, scales, order: int) -> ZneResult:
-    """Least-squares polynomial extrapolation of runner(scale) to scale zero.
-
-    The runner may return a float, or (value, realized_scale) when folding
-    granularity makes the effective scale differ from the requested one; the
-    realized scale is used as the fit abscissa.
+def zne(scales, samples, order: int) -> ZneResult:
+    """Least-squares polynomial fit of samples against their noise scales
+    (realized, where folding granularity moves them), evaluated at scale zero.
+    The value is linear in the samples: value = weights . samples.
     """
-    scales = tuple(float(s) for s in scales)
-    if sorted(scales) != list(scales) or any(s < 1 for s in scales):
+    xs = tuple(float(s) for s in scales)
+    ys = tuple(float(v) for v in samples)
+    if sorted(xs) != list(xs) or any(s < 1 for s in xs):
         raise ValueError("scales must be sorted and >= 1")
-    if len(scales) <= order:
+    if len(ys) != len(xs):
+        raise ValueError(f"need one sample per scale, got {len(ys)} for {len(xs)} scales")
+    if len(xs) <= order:
         raise ValueError("need more scale points than the polynomial order")
-    xs, ys = [], []
-    for s in scales:
-        out = runner(s)
-        if isinstance(out, tuple):
-            val, realized = out
-        else:
-            val, realized = out, s
-        xs.append(float(realized))
-        ys.append(float(val))
     if len(set(xs)) <= order:
         raise ValueError("degenerate fit: too few distinct realized scales")
-    coeffs = np.polyfit(xs, ys, deg=order)
-    poly = np.poly1d(coeffs)
+    poly = np.poly1d(np.polyfit(xs, ys, deg=order))
     residual = float(np.sqrt(np.mean((poly(xs) - np.asarray(ys)) ** 2)))
-    return ZneResult(float(poly(0.0)), residual, tuple(xs), tuple(ys))
+    weights = np.polyfit(xs, np.eye(len(xs)), deg=order)[-1]
+    return ZneResult(float(poly(0.0)), residual, xs, ys, tuple(weights.tolist()))
 
 
 # -- mitigation harness for the dimer experiment -------------------------------------------
@@ -685,13 +681,19 @@ def noisy_parity_estimate(
     shots: int,
     seed: int,
     config: MitigationConfig,
-) -> float:
-    """Parity of meas_qubits under the noise model with the configured mitigation.
+) -> tuple[float, float]:
+    """(parity, stderr) of meas_qubits under the noise model with the configured mitigation.
 
     Every folded circuit begins with its twirl variant, so each variant's
     density matrix is evolved once and shared by all ZNE scales.  Variant vi at
     scale si draws exactly what run_noisy(fold_circuit(variant, scale)) draws
     with seed entry vi * len(scales) + si of SeedSequence(seed).
+
+    The stderr is the delta method through readout inversion: a draw's parity
+    is c . counts / shots, c the parity signs through the inverse confusions
+    (the signs alone without readout mitigation); the variant mean at a scale
+    carries sum(var) / V^2 and ZNE sum w_i^2 var_i (Giurgica-Tiron et al.
+    2020).  mitigate_readout clips, so this is the unclipped estimator's stderr.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
@@ -704,28 +706,31 @@ def noisy_parity_estimate(
         else [base]
     )
     confusions = [model.readout.get(q, np.eye(2)) for q in meas_qubits]
+    coeffs = parity_signs(1 << len(meas_qubits))
+    if config.readout:
+        coeffs = _per_bit(coeffs, [np.linalg.inv(c) for c in confusions])
     scale_list = tuple(config.zne_scales) or (1.0,)
     seeds = np.random.SeedSequence(seed).generate_state(len(variants) * len(scale_list))
-    vals = [[0.0] * len(variants) for _ in scale_list]
-    realized = [[0.0] * len(variants) for _ in scale_list]
+    vals = np.zeros((len(scale_list), len(variants)))
+    realized = np.zeros_like(vals)  # variants differ in noisy-gate count, so average
+    variances = np.zeros_like(vals)
     for vi, var in enumerate(variants):
         folds = [fold_circuit(var, s) for s in scale_list]
         tails = [folded.gates[len(var.gates):] for folded, _ in folds]
         dists = _distributions(var, tails, model, meas_qubits)
         for si, (probs, (_, r)) in enumerate(zip(dists, folds)):
             counts = _draw(probs, shots, int(seeds[vi * len(scale_list) + si]))
-            dist = mitigate_readout(counts, confusions).probs if config.readout else counts / shots
-            vals[si][vi] = parity_expectation(dist)
-            realized[si][vi] = r  # variants differ in noisy-gate count, so average
-    scale_index = {float(s): i for i, s in enumerate(scale_list)}
-
-    def eval_at(scale: float):
-        si = scale_index[float(scale)]
-        return float(np.mean(vals[si])), float(np.mean(realized[si]))
-
-    if config.zne_scales:
-        return zne(eval_at, config.zne_scales, config.zne_order).value
-    return eval_at(1.0)[0]
+            freqs = counts / shots
+            dist = mitigate_readout(counts, confusions).probs if config.readout else freqs
+            vals[si, vi] = parity_expectation(dist)
+            realized[si, vi] = r
+            variances[si, vi] = shot_stderr(coeffs @ freqs, shots, (coeffs * coeffs) @ freqs) ** 2
+    means = vals.mean(axis=1)
+    mean_vars = variances.sum(axis=1) / len(variants) ** 2
+    if not config.zne_scales:
+        return float(means[0]), float(np.sqrt(mean_vars[0]))
+    fit = zne(realized.mean(axis=1), means, config.zne_order)
+    return fit.value, float(np.sqrt(np.square(fit.weights) @ mean_vars))
 
 
 def noisy_dimer_series(
@@ -739,22 +744,20 @@ def noisy_dimer_series(
     model: NoiseModel,
     config: MitigationConfig,
     kind: str = "retarded",
-):
+) -> MeasurementRecord:
     """Full (anti)commutator series for one dimer pair under noise (kind as in dimer_suite).
 
     Per time point the full gate-level point circuit runs through the configured
-    mitigation stack; values carry the 2/sin(phi) estimator scaling.
+    mitigation stack; estimates and stderrs carry the 2/sin(phi) estimator scaling.
     """
     source, probe = DIMER_PAIRS[name]
-    circuits, meas_qubits, sign = direct_series_circuits(
-        source, probe, t, u, plan, phi, LAMBDA_BY_KIND[kind]
-    )
+    lam = LAMBDA_BY_KIND[kind]
+    circuits, meas_qubits, sign = direct_series_circuits(source, probe, t, u, plan, phi, lam)
     taus = time_grid(plan)
     seeds = np.random.SeedSequence(seed).generate_state(len(taus))
-    values = []
+    estimates, stderrs = [], []
     for k, circuit in enumerate(circuits):
-        parity = noisy_parity_estimate(
-            circuit, meas_qubits, model, shots, int(seeds[k]), config
-        )
-        values.append(2.0 * sign * parity / math.sin(phi))
-    return taus, tuple(values)
+        parity, err = noisy_parity_estimate(circuit, meas_qubits, model, shots, int(seeds[k]), config)
+        estimates.append(2.0 * sign * parity / math.sin(phi))
+        stderrs.append(2.0 * err / abs(math.sin(phi)))
+    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam)

@@ -270,7 +270,8 @@ def test_criterion_8_mitigation_properties():
     criterion(8, worst < 1e-10,
               f"every twirl variant unitarily equivalent on 5 qubits (max elementwise {worst:.2e})")
 
-    res = zne(lambda s: 1 - 0.1 * s - 0.02 * s * s, (1.0, 1.5, 2.0, 2.5, 3.0), 2)
+    scales = (1.0, 1.5, 2.0, 2.5, 3.0)
+    res = zne(scales, [1 - 0.1 * s - 0.02 * s * s for s in scales], 2)
     err = abs(res.value - 1.0)
     criterion(8, err < 1e-10, f"ZNE recovers the exact degree-2 polynomial at the stated scales (err {err:.2e})")
 
@@ -284,8 +285,8 @@ def test_criterion_8_mitigation_properties():
     ideal = {n: np.array(r.estimates) for n, r in dimer_suite(t, u, plan, phi, 0, 0).items()}
     dm, du = [], []
     for name in ideal:
-        _, mit = noisy_dimer_series(name, t, u, plan, phi, 4096, 42, model, config)
-        _, unmit = noisy_dimer_series(name, t, u, plan, phi, 4096, 42, model, NO_MITIGATION)
+        mit = noisy_dimer_series(name, t, u, plan, phi, 4096, 42, model, config).estimates
+        unmit = noisy_dimer_series(name, t, u, plan, phi, 4096, 42, model, NO_MITIGATION).estimates
         dm.append(np.abs(np.array(mit) - ideal[name]))
         du.append(np.abs(np.array(unmit) - ideal[name]))
     frac = float(np.mean(np.max(dm, axis=0) < np.max(du, axis=0)))

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -321,7 +322,8 @@ def _folded_one_by_one(circuit, meas_qubits, model, shots, seed, config):
         return float(np.mean(vals)), float(np.mean(realized))
 
     if config.zne_scales:
-        return zne(eval_at, config.zne_scales, config.zne_order).value
+        means, realized = zip(*map(eval_at, config.zne_scales))
+        return zne(realized, means, config.zne_order).value
     return eval_at(1.0)[0]
 
 
@@ -363,7 +365,7 @@ def test_shared_prefix_equals_each_folded_circuit(case):
         with pytest.raises(ValueError, match=str(e)):
             noisy_parity_estimate(circuit, measured, model, 64, seed, config)
         return
-    assert noisy_parity_estimate(circuit, measured, model, 64, seed, config) == want
+    assert noisy_parity_estimate(circuit, measured, model, 64, seed, config)[0] == want
 
 
 def _readme_point(k=6):
@@ -394,7 +396,7 @@ def test_shared_prefix_cuts_density_matrix_passes(monkeypatch):
         kernel(vec, m, bits, n)
 
     monkeypatch.setattr(noise, "apply_matrix_inplace", counting)
-    shared = noisy_parity_estimate(circuit, meas_qubits, model, 4096, 42, config)
+    shared, _ = noisy_parity_estimate(circuit, meas_qubits, model, 4096, 42, config)
     shared_passes = len(passes)
     passes.clear()
     one_by_one = _folded_one_by_one(circuit, meas_qubits, model, 4096, 42, config)
@@ -457,9 +459,9 @@ def test_readme_mitigated_series_is_pinned():
 
     config = MitigationConfig(readout=True, twirl_variants=4, zne_scales=(1.0, 1.5, 2.0),
                               zne_order=1)
-    _, values = noisy_dimer_series("y2y2", 1.0, 4.0, TrotterPlan(0.314, 6), math.pi / 2, 4096,
-                                   42, kolkata_dimer_model(), config)
-    assert values == (
+    rec = noisy_dimer_series("y2y2", 1.0, 4.0, TrotterPlan(0.314, 6), math.pi / 2, 4096,
+                             42, kolkata_dimer_model(), config)
+    assert rec.estimates == (
         2.0440025551982726,
         1.6215511234788758,
         0.6362004552814589,
@@ -467,6 +469,15 @@ def test_readme_mitigated_series_is_pinned():
         0.2537670341888566,
         0.48503327130561114,
         0.2795774713548312,
+    )
+    assert rec.stderrs == (
+        0.012360782438772566,
+        0.026701417443376122,
+        0.033959198981290156,
+        0.0351939622449518,
+        0.0351091423310974,
+        0.03494523168913878,
+        0.035161577345586045,
     )
 
 
@@ -637,21 +648,21 @@ def test_fold_circuit_counts_and_unitary():
 
 
 def test_zne_polynomial_recovery():
-    signal = lambda s: 1 - 0.1 * s - 0.02 * s * s
-    res = zne(signal, [1.0, 1.5, 2.0, 2.5, 3.0], order=2)
+    scales = [1.0, 1.5, 2.0, 2.5, 3.0]
+    res = zne(scales, [1 - 0.1 * s - 0.02 * s * s for s in scales], order=2)
     assert res.value == pytest.approx(1.0, abs=1e-10)
     assert res.residual < 1e-12
 
 
 def test_zne_constant_runner_and_validation():
-    res = zne(lambda s: 0.625, [1.0, 1.5, 2.0], order=1)
+    res = zne([1.0, 1.5, 2.0], [0.625] * 3, order=1)
     assert res.value == pytest.approx(0.625, abs=1e-12)
     with pytest.raises(ValueError):
-        zne(lambda s: s, [2.0, 1.0], order=1)
+        zne([2.0, 1.0], [2.0, 1.0], order=1)
     with pytest.raises(ValueError):
-        zne(lambda s: s, [1.0, 2.0], order=2)
+        zne([1.0, 2.0], [1.0, 2.0], order=2)
     with pytest.raises(ValueError):
-        zne(lambda s: (1.0, 1.0), [1.0, 1.5, 2.0], order=1)  # degenerate realized scales
+        zne([1.0, 1.0, 1.0], [1.0] * 3, order=1)  # degenerate realized scales
 
 
 def test_zne_uses_realized_abscissa():
@@ -660,7 +671,8 @@ def test_zne_uses_realized_abscissa():
         realized = 1 + round((s - 1) * 4) / 4
         return 2.0 - 0.5 * realized, realized
 
-    res = zne(runner, [1.0, 1.4, 2.2], order=1)
+    values, realized = zip(*map(runner, [1.0, 1.4, 2.2]))
+    res = zne(realized, values, order=1)
     assert res.value == pytest.approx(2.0, abs=1e-10)
     assert res.scales[1] == pytest.approx(1.5)
 
@@ -678,5 +690,53 @@ def test_noisy_parity_estimate_zero_model_matches_exact():
 
     c = Circuit(2, (G("H", (0,)), G("CNOT", (0, 1))))
     model = NoiseModel.zero(2)
-    est = noisy_parity_estimate(c, (0, 1), model, 4096, 3, NO_MITIGATION)
+    est, _ = noisy_parity_estimate(c, (0, 1), model, 4096, 3, NO_MITIGATION)
     assert est == pytest.approx(1.0, abs=0.05)  # Bell pair parity +1
+
+
+def _skewed_pair():
+    """A 2-qubit circuit whose outcomes all have probability >= 0.05, under CNOT
+    noise and strong, asymmetric readout error (no 1-qubit gate noise, so every
+    twirl variant has the same distribution)."""
+    c = Circuit(2, (GateOp("XHALF", (0,)), GateOp("RZ", (0,), 0.7), GateOp("XHALF", (0,)),
+                    GateOp("CNOT", (0, 1)), GateOp("XHALF", (1,))))
+    model = NoiseModel(2, p2={(0, 1): 0.05},
+                       readout={0: confusion(0.1, 0.08), 1: confusion(0.12, 0.1)})
+    return c, model
+
+
+def test_propagated_stderr_identities():
+    from hubbard_gf.statevector import shot_stderr
+
+    c, model = _skewed_pair()
+    # no mitigation: the stderr of one draw's parity
+    value, err = noisy_parity_estimate(c, (0, 1), model, 1024, 5, NO_MITIGATION)
+    assert err == pytest.approx(float(shot_stderr(value, 1024)), rel=1e-12)
+    # an identity confusion inverts to the signs themselves: readout on changes nothing
+    exact = NoiseModel(2, p2=model.p2, readout={0: np.eye(2), 1: np.eye(2)})
+    config = MitigationConfig(readout=False, twirl_variants=2, zne_scales=(1.0, 2.0, 3.0),
+                              zne_order=1)
+    off = noisy_parity_estimate(c, (0, 1), exact, 1024, 5, config)
+    on = noisy_parity_estimate(c, (0, 1), exact, 1024, 5, replace(config, readout=True))
+    assert on == pytest.approx(off, rel=1e-12)
+    # the ZNE value is the weighted sum of its samples
+    rng = np.random.default_rng(11)
+    for _ in range(50):
+        n = int(rng.integers(2, 7))
+        scales = np.sort(rng.uniform(1.0, 4.0, n))
+        samples = rng.uniform(-1.0, 1.0, n)
+        res = zne(scales, samples, order=int(rng.integers(0, n)))
+        assert sum(res.weights) == pytest.approx(1.0, abs=1e-12)
+        assert float(np.dot(res.weights, samples)) == pytest.approx(res.value, abs=1e-12)
+    with pytest.raises(ValueError, match="one sample per scale"):
+        zne([1.0, 2.0, 3.0], [1.0, 2.0], order=1)
+
+
+def test_propagated_stderr_matches_empirical_spread():
+    # readout inversion, two twirl variants and ZNE at scales 1 and 3 (weights
+    # 1.5 and -0.5): over 120 seeds the mean propagated stderr of the value is
+    # within 20% of its empirical standard deviation
+    c, model = _skewed_pair()
+    config = MitigationConfig(readout=True, twirl_variants=2, zne_scales=(1.0, 3.0), zne_order=1)
+    out = np.array([noisy_parity_estimate(c, (0, 1), model, 1024, s, config) for s in range(120)])
+    assert np.mean(out[:, 1]) == pytest.approx(np.std(out[:, 0], ddof=1), rel=0.2)
