@@ -22,7 +22,6 @@ from .greens import (
     CorrelatorSpec,
     advanced_hadamard_test,
     dimer_suite,
-    direct_measurement,
     hadamard_test,
     time_grid,
 )
@@ -54,7 +53,8 @@ def _add_common(p):
     p.add_argument("--outdir", type=str, default=None, help="output directory")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The CLI parser and its subcommand parsers by name."""
     ap = argparse.ArgumentParser(prog="hubbard-gf", description=__doc__)
     ap.add_argument("--config", type=str, help="JSON file with flag defaults")
     sub = ap.add_subparsers(dest="command", required=True)
@@ -97,19 +97,49 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u", type=float, default=4.0)
     p.add_argument("--dtau", type=float, default=0.314)
     p.add_argument("--theta", type=float, default=0.3)
-    return ap
+    return ap, sub.choices
 
 
-def _apply_config_file(ap, argv):
-    probe = argparse.ArgumentParser(add_help=False)
-    probe.add_argument("--config", type=str)
-    known, _ = probe.parse_known_args(argv)
-    if known.config:
-        with open(known.config, encoding="utf-8") as f:
-            defaults = json.load(f)
-        for action in ap._subparsers._group_actions[0].choices.values():
-            action.set_defaults(**{k.replace("-", "_"): v for k, v in defaults.items()})
-    return ap
+def _config_argv(ap, commands, argv: list[str]) -> list[str]:
+    """argv with the --config file's values for the running command as flags right after
+    its name, so argparse checks them as it checks flags and the user's own flags win.
+
+    A key of another command is allowed (one file serves every command); one that no
+    command takes is a usage error.  A switch is emitted when its value is true.
+    """
+    args = ap.parse_known_args(argv)[0]
+    if not args.config:
+        return argv
+    config = _read_config(ap, args.config)
+    flags = {name: {a.dest: a for a in p._actions if a.dest != "help"} for name, p in commands.items()}
+    unknown = set(config).difference(*flags.values())
+    if unknown:
+        ap.error(f"--config: no command takes {', '.join(sorted(unknown))}")
+    tokens, own = [], flags[args.command]
+    for action, value in ((own[k], v) for k, v in config.items() if k in own):
+        flag = action.option_strings[-1]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                commands[args.command].error(f"argument {flag}: --config value must be true or false")
+            tokens += [flag] if value else []
+        elif action.nargs in ("*", "+") and isinstance(value, list):
+            tokens += [flag, *map(str, value)]
+        else:
+            tokens.append(f"{flag}={value}")
+    at = next(i for i, a in enumerate(argv) if a == args.command and argv[i - 1 : i] != ["--config"])
+    return argv[: at + 1] + tokens + argv[at + 1 :]
+
+
+def _read_config(ap, path) -> dict:
+    """The object in a --config file, keys with _ for - (a usage error if it holds none)."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            config = json.load(f)
+    except (OSError, ValueError) as e:
+        ap.error(f"--config {path}: {e}")
+    if not isinstance(config, dict):
+        ap.error(f"--config {path} does not hold a JSON object")
+    return {k.replace("-", "_"): v for k, v in config.items()}
 
 
 def _outdir(args) -> str:
@@ -241,36 +271,50 @@ def cmd_compare(args) -> int:
     reports = []
     for path in args.csv:
         header, columns, rows = read_csv(path)
-        name = header.get("correlator")
-        if name not in DIMER_ANALYTIC_REF:
-            print(f"error: {path} lacks a known correlator header", file=sys.stderr)
+        try:
+            name, kind, t, u, plan = _header_settings(header)
+        except ValueError as e:
+            print(f"error: {path}: {e}", file=sys.stderr)
             return 2
-        t, u = float(header["t"]), float(header["u"])
-        kind = header.get("kind", "retarded")
         scale = _full_scale(header.get("protocol"))
         taus = np.array([float(r[columns.index("tau")]) for r in rows])
         est = scale * np.array([float(r[columns.index("estimate")]) for r in rows])
         shots = int(float(header.get("shots", 0)))
         dev = np.abs(est - _analytic(name, kind, t, u, taus))
+        report = {"csv": path, "max_dev": _json_number(np.max(dev)), "mean_dev": _json_number(np.mean(dev))}
         if shots == 0:
-            tol = args.tol_exact if args.tol_exact is not None else _trotter_bound(header, name)
+            tol = args.tol_exact if args.tol_exact is not None else _trotter_bound(name, kind, t, u, plan)
             ok = bool(np.max(dev) <= tol)
-            reports.append({"csv": path, "max_dev": _json_number(np.max(dev)),
-                            "mean_dev": _json_number(np.mean(dev)), "tol": _json_number(tol),
-                            "status": "PASS" if ok else "FAIL"})
+            report["tol"] = _json_number(tol)
         else:
             err = scale * np.array([float(r[columns.index("stderr")]) for r in rows])
-            bound = _trotter_bound(header, name)
-            within = dev <= args.sigma * np.maximum(err, 1e-12) + bound
+            within = dev <= args.sigma * np.maximum(err, 1e-12) + _trotter_bound(name, kind, t, u, plan)
             ok = bool(np.mean(within) >= args.coverage)
-            reports.append({"csv": path, "max_dev": _json_number(np.max(dev)),
-                            "mean_dev": _json_number(np.mean(dev)),
-                            "in_band_fraction": float(np.mean(within)),
-                            "status": "PASS" if ok else "FAIL"})
+            report["in_band_fraction"] = float(np.mean(within))
+        reports.append(report | {"status": "PASS" if ok else "FAIL"})
         if not ok:
             failures += 1
     print(json.dumps({"reports": reports, "failures": failures}, indent=2))
     return 3 if failures else 0
+
+
+def _header_settings(header) -> tuple[str, str, float, float, TrotterPlan]:
+    """The series, t, u and Trotter plan a CSV header names; ValueError names the key
+    that compare cannot judge (TrotterPlan itself refuses a dtau or steps out of range)."""
+    name, kind = header.get("correlator"), header.get("kind", "retarded")
+    if name not in DIMER_ANALYTIC_REF:
+        raise ValueError(f"invalid header correlator={name}")
+    if kind not in ("retarded", "keldysh"):
+        raise ValueError(f"invalid header kind={kind}")
+    read = {}
+    for key, convert in (("t", float), ("u", float), ("dtau", float), ("steps", int)):
+        try:
+            read[key] = convert(header[key])
+        except (KeyError, ValueError):
+            read[key] = math.nan
+        if not math.isfinite(read[key]):
+            raise ValueError(f"invalid header {key}={header.get(key)}")
+    return name, kind, read["t"], read["u"], TrotterPlan(read["dtau"], read["steps"])
 
 
 def _json_number(x) -> float | None:
@@ -279,19 +323,10 @@ def _json_number(x) -> float | None:
     return x if math.isfinite(x) else None
 
 
-def _trotter_bound(header, name) -> float:
-    """Measured first-order Trotter deviation of the exact pipeline at these settings.
-
-    Only the CSV's own pair is run, doubled to the full (anti)commutator as in dimer_suite.
-    """
-    t, u = float(header["t"]), float(header["u"])
-    kind = header.get("kind", "retarded")
-    plan = TrotterPlan(float(header["dtau"]), int(float(header["steps"])))
-    source, probe = DIMER_PAIRS[name]
-    spec = CorrelatorSpec(source, probe, time_grid(plan), kind=kind, protocol="direct")
-    rec = direct_measurement(spec, t, u, plan, math.pi / 2, shots=0, seed=0)
-    analytic = _analytic(name, kind, t, u, rec.taus)
-    return float(np.max(np.abs(2 * np.array(rec.estimates) - analytic))) + 1e-9
+def _trotter_bound(name, kind, t, u, plan) -> float:
+    """Measured first-order Trotter deviation of the exact pipeline (the one pair) at these settings."""
+    rec = dimer_suite(t, u, plan, math.pi / 2, 0, 0, kind=kind, pairs=(name,))[name]
+    return float(np.max(np.abs(np.array(rec.estimates) - _analytic(name, kind, t, u, rec.taus)))) + 1e-9
 
 
 def cmd_zne_demo(args) -> int:
@@ -329,10 +364,9 @@ COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    ap = build_parser()
-    ap = _apply_config_file(ap, argv)
     try:
-        args = ap.parse_args(argv)
+        ap, commands = build_parser()
+        args = ap.parse_args(_config_argv(ap, commands, argv))
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
     for flag in ("t", "u", "dtau", "phi"):  # also covers values from --config

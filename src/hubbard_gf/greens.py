@@ -20,6 +20,8 @@ import numpy as np
 from .circuit import (
     Circuit,
     TrotterPlan,
+    _letter_basis_gates,
+    _string_remover_gates,
     dimer_trotter_step,
     pauli_rotation_gates,
     simulate,
@@ -219,13 +221,15 @@ def _direct_pieces(
     observable = (_mode_pauli(probe, h, width) * xd).times_i()
     if not (pert_gen.is_hermitian and observable.is_hermitian):
         raise AssertionError("bilinears must be Hermitian")
+    m, n = observable.support[0], observable.support[-1]
     return _DirectPieces(
         prep=dimer_ground_circuit(t, u).widened(width) + Circuit(width, (GateOp("X", (anc,)),)),
         kick=Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi))),
         step=dimer_trotter_step(t, u, dtau).widened(width),
         observable=observable,
-        basis=_parity_basis_circuit(observable, width),
-        meas_qubits=(observable.support[0], observable.support[-1]),
+        # strip the Z string between the endpoints, then rotate their letters onto Z
+        basis=Circuit(width, tuple(_string_remover_gates(m, n) + _letter_basis_gates(observable)[0])),
+        meas_qubits=(m, n),
         sign=1.0 if observable.phase_exp == 0 else -1.0,
         anc=anc,
     )
@@ -291,20 +295,6 @@ def direct_measurement(
         phi,
         spec.lam,
     )
-
-
-def _parity_basis_circuit(observable: PauliString, width: int) -> Circuit:
-    """Clifford basis change so the observable becomes the parity of its endpoints."""
-    support = observable.support
-    m, n = support[0], support[-1]
-    gates = [GateOp("CZ", (k, n)) for k in support[1:-1]]
-    for q in (m, n):
-        letter = observable.letter_at(q)
-        if letter == "X":
-            gates.append(GateOp("H", (q,)))
-        elif letter == "Y":
-            gates.append(GateOp("XHALF", (q,)))
-    return Circuit(width, tuple(gates))
 
 
 def _exact_evolve(state: StateVector, spect, tau: float, n_sys: int) -> StateVector:
@@ -437,19 +427,22 @@ def dimer_suite(
     seed: int,
     evolution: str = "trotter",
     kind: str = "retarded",
+    pairs: tuple[str, ...] = tuple(DIMER_PAIRS),
 ) -> dict[str, MeasurementRecord]:
-    """The three dimer series exactly as in the experiment pipeline.
+    """The listed dimer series (all three by default) exactly as in the experiment pipeline.
 
     Retarded values are the full anticommutators <{probe(tau), source}> = 2 Re
     of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im
-    (the protocol-native estimate is half of either).
+    (the protocol-native estimate is half of either).  Each pair draws from the
+    seed at its DIMER_PAIRS index, so a series does not depend on which others run.
     """
     taus = time_grid(plan)
     out = {}
-    seeds = np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))
-    for k, (name, (source, probe)) in enumerate(DIMER_PAIRS.items()):
+    seeds = dict(zip(DIMER_PAIRS, np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))))
+    for name in pairs:
+        source, probe = DIMER_PAIRS[name]
         spec = CorrelatorSpec(source, probe, taus, kind=kind, protocol="direct")
-        rec = direct_measurement(spec, t, u, plan, phi, shots, int(seeds[k]), evolution)
+        rec = direct_measurement(spec, t, u, plan, phi, shots, int(seeds[name]), evolution)
         out[name] = replace(
             rec,
             estimates=tuple(2 * v for v in rec.estimates),

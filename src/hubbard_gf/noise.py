@@ -147,12 +147,9 @@ def kolkata_dimer_model(idle_rate: float = 0.0) -> NoiseModel:
             "Y": 3.56e-8,
             "XHALF": 3.56e-8,
             "XHALF_DG": 3.56e-8,
-            "U1": 3.56e-8,
             "CNOT": 5.05e-7,
             "CZ": 5.05e-7,
-            "CY": 5.05e-7,
             "CPHASE": 5.05e-7,
-            "U2": 5.05e-7,
             "measure": 6.76e-7,
             "default": 3.56e-8,
         },
@@ -271,10 +268,8 @@ def _superoperator(g: GateOp, p: float) -> np.ndarray:
 
 
 def _gate_key(g: GateOp, model: NoiseModel) -> tuple:
-    """What fixes the gate's superoperator, its error probability last.  GateOp
-    equality ignores the matrix, so the matrix bytes are part of the key."""
-    matrix = None if g.matrix is None else np.asarray(g.matrix, dtype=complex).tobytes()
-    return (g.kind, g.targets, g.angle, matrix, _error_prob(g, model))
+    """What fixes the gate's superoperator, its error probability last."""
+    return (g.kind, g.targets, g.angle, _error_prob(g, model))
 
 
 def _cache_put(cache: dict, key, value: np.ndarray, entries: int) -> np.ndarray:
@@ -522,7 +517,8 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     Each variant's unitary equals the original exactly (a GPHASE absorbs the
     sandwich sign), so the twirled ensemble average is unbiased by construction.
     The pre pairs of all variants come from one draw of uniform letter indices,
-    which yields the same letters as one two-letter draw per gate.
+    which yields the same letters as one two-letter draw per gate.  A sandwich
+    stays in the barrier stage of the gate it wraps.
     """
     if n_variants < 1:
         raise ValueError("n_variants must be >= 1")
@@ -533,7 +529,9 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     for pre_pairs in draws.tolist():
         pre_pairs = iter(pre_pairs)
         gates: list[GateOp] = []
+        starts = []
         for g in circuit.gates:
+            starts.append(len(gates))
             if g.kind not in _TWIRL_KINDS:
                 gates.append(g)
                 continue
@@ -546,8 +544,15 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
             gates += [_pauli_gate(x, q) for x, q in ((post_a, a), (post_b, b)) if x != "I"]
             if flip:
                 gates.append(GateOp("GPHASE", (), math.pi))
-        variants.append(Circuit(circuit.n_qubits, tuple(gates), circuit.barriers))
+        variants.append(_with_insertions(circuit, gates, starts))
     return variants
+
+
+def _with_insertions(circuit: Circuit, gates: list[GateOp], starts: list[int]) -> Circuit:
+    """The circuit rebuilt from gates, whose run for its gate i (insertions first) begins
+    at starts[i]; each barrier moves to the start of the run of the gate it stood before."""
+    ends = starts + [len(gates)]
+    return Circuit(circuit.n_qubits, tuple(gates), tuple((ends[i], label) for i, label in circuit.barriers))
 
 
 # -- dynamical decoupling --------------------------------------------------------------
@@ -557,7 +562,8 @@ def dynamical_decoupling(circuit: Circuit, model: NoiseModel, sequence: str = "X
     """Insert X pairs (split by delays) into idle windows large enough to hold them.
 
     The pair flips the sign of the coherent idle drift halfway through the window,
-    refocusing it; the composed unitary is unchanged.
+    refocusing it; the composed unitary is unchanged.  A pair goes in front of
+    the gate that ends its window, in that gate's barrier stage.
     """
     if sequence != "XX":
         raise ValueError(f"unsupported sequence {sequence!r}")
@@ -580,10 +586,12 @@ def dynamical_decoupling(circuit: Circuit, model: NoiseModel, sequence: str = "X
     if not insertions:
         return circuit
     gates: list[GateOp] = []
+    starts = []
     for i, g in enumerate(circuit.gates):
+        starts.append(len(gates))
         gates.extend(insertions.get(i, ()))
         gates.append(g)
-    return Circuit(circuit.n_qubits, tuple(gates), circuit.barriers)
+    return _with_insertions(circuit, gates, starts)
 
 
 # -- zero-noise extrapolation -----------------------------------------------------------

@@ -15,15 +15,15 @@ from functools import lru_cache
 
 import numpy as np
 
+from .statevector import GateOp, gate_matrix
+
 PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
 _BITS_TO_LETTER = {v: k for k, v in _LETTER_TO_BITS.items()}
 
-_I2 = np.eye(2, dtype=complex)
-_MX = np.array([[0, 1], [1, 0]], dtype=complex)
-_MY = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_MZ = np.array([[1, 0], [0, -1]], dtype=complex)
-LETTER_MATRICES = {"I": _I2, "X": _MX, "Y": _MY, "Z": _MZ}
+LETTER_MATRICES = {"I": np.eye(2, dtype=complex)} | {
+    letter: gate_matrix(GateOp(letter, (0,))) for letter in "XYZ"
+}
 
 
 @dataclass(frozen=True)
@@ -230,25 +230,8 @@ def jw_majorana(m: MajoranaIndex, n_sites: int) -> PauliString:
 
 # -- Clifford circuits and symbolic conjugation ------------------------------
 
-CLIFFORD_1Q = ("H", "S", "X", "Z", "XHALF", "XHALF_DG")
+CLIFFORD_1Q = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG")
 CLIFFORD_2Q = ("CNOT", "CZ")
-
-_H = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
-_S = np.diag([1, 1j]).astype(complex)
-_XHALF = np.array([[1, -1j], [-1j, 1]], dtype=complex) / np.sqrt(2)
-_CNOT = np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex)
-# index convention inside the 4x4: bit0 = control, bit1 = target
-_CZ = np.diag([1, 1, 1, -1]).astype(complex)
-_CLIFFORD_MATRICES = {
-    "H": _H,
-    "S": _S,
-    "X": _MX,
-    "Z": _MZ,
-    "XHALF": _XHALF,
-    "XHALF_DG": _XHALF.conj().T,
-    "CNOT": _CNOT,
-    "CZ": _CZ,
-}
 
 
 @lru_cache(maxsize=None)
@@ -284,9 +267,10 @@ def _match_pauli(m: np.ndarray, n: int) -> tuple[str, int]:
 
 @lru_cache(maxsize=None)
 def _conjugation_table(gate: str) -> dict:
-    """Map (input letters, lsb-first) -> (output letters, phase_exp) for g^dag P g."""
-    g = _CLIFFORD_MATRICES[gate]
+    """Map (input letters, lsb-first) -> (output letters, phase_exp) for g^dag P g,
+    with g the gate's statevector matrix on targets 0 (and 1)."""
     n = 1 if gate in CLIFFORD_1Q else 2
+    g = gate_matrix(GateOp(gate, tuple(range(n))))
     return {letters: _match_pauli(g.conj().T @ mm @ g, n) for letters, mm in _pauli_matrices(n)}
 
 
@@ -314,17 +298,11 @@ class CliffordCircuit:
 
 
 def _conjugate_one_gate(name: str, targets: tuple[int, ...], p: PauliString) -> PauliString:
-    if name in CLIFFORD_1Q:
-        (q,) = targets
-        key = p.letter_at(q)
-        out_letters, extra = _conjugation_table(name)[key]
-        return _with_letters(p, {q: out_letters[0]}, extra)
-    if name in CLIFFORD_2Q:
-        a, b = targets  # (control, target) for CNOT
-        key = p.letter_at(a) + p.letter_at(b)
-        out_letters, extra = _conjugation_table(name)[key]
-        return _with_letters(p, {a: out_letters[0], b: out_letters[1]}, extra)
-    raise ValueError(f"unsupported Clifford gate {name!r}")
+    arity = 1 if name in CLIFFORD_1Q else 2 if name in CLIFFORD_2Q else None
+    if len(targets) != arity:
+        raise ValueError(f"unsupported Clifford gate {name}{targets}")
+    out_letters, extra = _conjugation_table(name)["".join(p.letter_at(q) for q in targets)]
+    return _with_letters(p, dict(zip(targets, out_letters)), extra)
 
 
 def _with_letters(p: PauliString, letters: dict[int, str], extra_exp: int) -> PauliString:

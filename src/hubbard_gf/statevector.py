@@ -13,11 +13,13 @@ leading axes are a batch (the VHA landscape and the columns of
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .pauli import PauliString
+if TYPE_CHECKING:  # pauli builds its Clifford tables from gate_matrix
+    from .pauli import PauliString
 
 MAX_QUBITS = 24
 
@@ -36,31 +38,25 @@ _FIXED = {
     # two-qubit: index bit0 = targets[0] (control where applicable), bit1 = targets[1]
     "CNOT": np.array([[1, 0, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0]], dtype=complex),
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
-    "CY": np.array([[1, 0, 0, 0], [0, 0, 0, -1j], [0, 0, 1, 0], [0, 1j, 0, 0]], dtype=complex),
 }
 
-ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "RZ", "PHASE", "U1", "DELAY")
-TWO_QUBIT_KINDS = ("CNOT", "CZ", "CY", "CPHASE", "U2")
+ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "RZ", "PHASE", "DELAY")
+TWO_QUBIT_KINDS = ("CNOT", "CZ", "CPHASE")
 ZERO_QUBIT_KINDS = ("GPHASE",)  # bookkeeping gate so builders are phase-exact
+_ARITY = {k: n for n, kinds in enumerate((ZERO_QUBIT_KINDS, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS)) for k in kinds}
 
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: named kind, target qubits, optional angle or raw matrix."""
+    """One gate application: named kind, target qubits, optional angle."""
 
     kind: str
     targets: tuple[int, ...]
     angle: float | None = None
-    matrix: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind in ONE_QUBIT_KINDS:
-            n_targets = 1
-        elif self.kind in TWO_QUBIT_KINDS:
-            n_targets = 2
-        elif self.kind in ZERO_QUBIT_KINDS:
-            n_targets = 0
-        else:
+        n_targets = _ARITY.get(self.kind)
+        if n_targets is None:
             raise ValueError(f"unknown gate kind {self.kind!r}")
         if len(self.targets) != n_targets:
             raise ValueError(f"{self.kind} takes {n_targets} target(s), got {self.targets}")
@@ -68,8 +64,6 @@ class GateOp:
             raise ValueError(f"duplicate targets in {self.kind}{self.targets}")
         if self.kind in ("RZ", "PHASE", "CPHASE", "GPHASE", "DELAY") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
-        if self.kind in ("U1", "U2") and self.matrix is None:
-            raise ValueError(f"{self.kind} needs a matrix")
 
 
 def gate_matrix(g: GateOp) -> np.ndarray:
@@ -84,24 +78,16 @@ def gate_matrix(g: GateOp) -> np.ndarray:
         return np.array([[np.exp(-1j * g.angle / 2), 0], [0, np.exp(1j * g.angle / 2)]])
     if g.kind == "PHASE":
         return np.array([[1, 0], [0, np.exp(1j * g.angle)]])
-    if g.kind == "U1":
-        return np.asarray(g.matrix, dtype=complex)
-    if g.kind == "CPHASE":
-        return np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, np.exp(1j * g.angle)]])
-    return np.asarray(g.matrix, dtype=complex)
+    return np.diag([1, 1, 1, np.exp(1j * g.angle)])  # CPHASE
 
 
 def inverse_gate(g: GateOp) -> GateOp:
     """Gate with the inverse unitary (used for circuit folding and uncomputation)."""
-    if g.kind in ("H", "X", "Y", "Z", "CNOT", "CZ", "CY", "DELAY"):
+    if g.kind in ("H", "X", "Y", "Z", "CNOT", "CZ", "DELAY"):
         return g
-    if g.kind == "XHALF":
-        return GateOp("XHALF_DG", g.targets)
-    if g.kind == "XHALF_DG":
-        return GateOp("XHALF", g.targets)
-    if g.kind in ("RZ", "PHASE", "CPHASE", "GPHASE"):
-        return GateOp(g.kind, g.targets, -g.angle)
-    return GateOp(g.kind, g.targets, matrix=np.asarray(g.matrix).conj().T)
+    if g.kind in ("XHALF", "XHALF_DG"):
+        return GateOp("XHALF_DG" if g.kind == "XHALF" else "XHALF", g.targets)
+    return GateOp(g.kind, g.targets, -g.angle)  # RZ, PHASE, CPHASE, GPHASE
 
 
 # -- state container ----------------------------------------------------------

@@ -229,6 +229,14 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     assert not out.exists()
 
 
+def test_unreadable_config_file_is_a_usage_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    code, _, err = run_cli(["--config", str(missing), "correlator", "--outdir", str(tmp_path / "out")], capsys)
+    assert code == 2
+    assert f"--config {missing}:" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -275,6 +283,16 @@ def test_correlator_byte_reproducible(tmp_path, capsys):
     assert a == b
 
 
+def test_single_pair_run_writes_its_full_run_bytes(tmp_path, capsys):
+    args = ["correlator", "--steps", "6", "--shots", "4096", "--seed", "7", "--outdir"]
+    code, _, _ = run_cli(args + [str(tmp_path / "all"), "--pair", "all"], capsys)
+    assert code == 0
+    code, _, _ = run_cli(args + [str(tmp_path / "one"), "--pair", "x3y2"], capsys)
+    assert code == 0
+    assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["x3y2.csv", "x3y2.svg"]
+    assert (tmp_path / "one" / "x3y2.csv").read_bytes() == (tmp_path / "all" / "x3y2.csv").read_bytes()
+
+
 def test_compare_detects_wrong_dtau(tmp_path, capsys):
     args = [
         "correlator", "--steps", "5", "--shots", "0", "--pair", "y2y2",
@@ -303,15 +321,20 @@ def test_compare_detects_wrong_dtau(tmp_path, capsys):
 
 
 def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
-    # the CLI refuses --u inf, so a CSV with a non-finite header is written by hand
+    # a nan estimate cell, written by hand, and an infinite tolerance
     code, _, _ = run_cli(
         ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2",
          "--outdir", str(tmp_path)], capsys
     )
     assert code == 0
     path = tmp_path / "y2y2.csv"
-    path.write_text(path.read_text().replace("# u=4.0\n", "# u=inf\n", 1))
-    code, out, _ = run_cli(["compare", "--csv", str(path)], capsys)
+    lines = path.read_text().splitlines()
+    row = next(i for i, line in enumerate(lines) if line and line[0].isdigit())
+    cells = lines[row].split(",")
+    cells[1] = "nan"  # the estimate column
+    lines[row] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    code, out, _ = run_cli(["compare", "--csv", str(path), "--tol-exact", "inf"], capsys)
     assert code == 3
 
     def refuse(constant):
@@ -320,6 +343,34 @@ def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
     report = json.loads(out, parse_constant=refuse)["reports"][0]
     assert report["status"] == "FAIL"
     assert report["max_dev"] is None and report["mean_dev"] is None and report["tol"] is None
+
+
+@pytest.mark.parametrize(
+    "line, bad, message",
+    [
+        ("# u=4.0", "# u=inf", "invalid header u=inf"),
+        ("# t=1.0", "# t=nan", "invalid header t=nan"),
+        ("# dtau=0.314", "# dtau=-inf", "invalid header dtau=-inf"),
+        ("# dtau=0.314", "# dtau=0.0", "dtau must be positive"),
+        ("# steps=2", "# steps=2.5", "invalid header steps=2.5"),
+        ("# steps=2", "# steps=0", "steps must be >= 1"),
+        ("# kind=retarded", "# kind=advanced", "invalid header kind=advanced"),
+        ("# correlator=y2y2", "# correlator=zz", "invalid header correlator=zz"),
+    ],
+)
+def test_compare_refuses_headers_it_cannot_judge(tmp_path, capsys, line, bad, message):
+    code, _, _ = run_cli(
+        ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 0
+    path = tmp_path / "y2y2.csv"
+    text = path.read_text()
+    assert line + "\n" in text
+    path.write_text(text.replace(line + "\n", bad + "\n", 1))
+    code, out, err = run_cli(["compare", "--csv", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}: {message}" in err
 
 
 def test_compare_shot_mode_band(tmp_path, capsys):
@@ -351,12 +402,34 @@ def test_dump_circuit(capsys):
 
 def test_config_file_defaults_flags_win(tmp_path, capsys):
     cfg = tmp_path / "run.json"
-    cfg.write_text(json.dumps({"steps": 3, "shots": 0, "pair": "y2y2", "outdir": str(tmp_path)}))
+    # one file serves every command: vha-sweep's grid rides along on a correlator run
+    cfg.write_text(json.dumps({"steps": 3, "shots": 0, "pair": "y2y2", "grid": 5, "outdir": str(tmp_path)}))
     code, _, _ = run_cli(["--config", str(cfg), "correlator", "--pair", "y3y3"], capsys)
     assert code == 0
     assert (tmp_path / "y3y3.csv").exists()  # flag overrode the config pair
     header, _, rows = read_csv(tmp_path / "y3y3.csv")
     assert header["steps"] == "3"  # config default applied
+
+
+@pytest.mark.parametrize(
+    "config, argv, message",
+    [
+        ({"pair": "zz"}, ["correlator", "--steps", "2", "--shots", "0"], "argument --pair: invalid choice: 'zz'"),
+        ({"grid": 3.5}, ["vha-sweep"], "argument --grid: invalid int value: '3.5'"),
+        ({"shot": 10}, ["correlator", "--steps", "2", "--shots", "0"], "no command takes shot"),
+        ({"steps": [2, 3]}, ["correlator", "--shots", "0"], "argument --steps: invalid int value: '[2, 3]'"),
+        ({"zne_scales": ["two"]}, ["correlator", "--steps", "2"], "argument --zne-scales: invalid float value: 'two'"),
+        ({"readout-mitigation": "yes"}, ["correlator", "--steps", "2"], "argument --readout-mitigation: --config value must be true or false"),
+    ],
+)
+def test_config_values_are_checked_like_flags(tmp_path, capsys, config, argv, message):
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    code, _, err = run_cli(["--config", str(cfg), *argv, "--outdir", str(out)], capsys)
+    assert code == 2
+    assert message in err
+    assert not out.exists()
 
 
 def test_outdir_env_var(tmp_path, capsys, monkeypatch):

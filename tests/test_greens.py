@@ -125,6 +125,12 @@ def test_dimer_suite_weak_kick_shot_mode_within_4_sigma():
     assert max(abs(v) for rec in sampled.values() for v in rec.estimates) > 2
 
 
+def test_dimer_suite_single_pair_equals_its_full_suite_series():
+    full = dimer_suite(T, U, PLAN, math.pi / 2, shots=4096, seed=7)
+    for name in DIMER_PAIRS:
+        assert dimer_suite(T, U, PLAN, math.pi / 2, shots=4096, seed=7, pairs=(name,)) == {name: full[name]}
+
+
 def test_direct_shot_mode_within_4_sigma():
     taus = time_grid(SHORT)
     spec = spec_for((x0, x0), taus)

@@ -128,18 +128,11 @@ def test_run_noisy_refuses_width_beyond_density_matrix_capacity():
     assert peak < 1 << 20
 
 
-def _random_unitary(rng, dim):
-    q, r = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
 def _random_gate(rng, kind, targets):
     if kind == "DELAY":
         return GateOp(kind, targets, float(rng.uniform(0, 1e-6)))
     if kind in ("RZ", "PHASE", "CPHASE", "GPHASE"):
         return GateOp(kind, targets, float(rng.uniform(-math.pi, math.pi)))
-    if kind in ("U1", "U2"):
-        return GateOp(kind, targets, matrix=_random_unitary(rng, 2 ** len(targets)))
     return GateOp(kind, targets)
 
 
@@ -613,6 +606,43 @@ def test_dd_refocuses_coherent_idle_drift():
     assert dd >= plain
     assert dd > 0.999
     assert plain < 0.9
+
+
+def _stage_counts(circuit, original):
+    """(label, number of the original's gates in the stage) per barrier of circuit.
+
+    The original's gates are found in order by identity: twirling and DD insert
+    new GateOp objects and keep the original ones.
+    """
+    positions, j = [], 0
+    for k, g in enumerate(circuit.gates):
+        if j < len(original.gates) and g is original.gates[j]:
+            positions.append(k)
+            j += 1
+    assert j == len(original.gates)
+    bounds = [pos for pos, _ in circuit.barriers] + [len(circuit.gates)]
+    return [
+        (label, sum(lo <= k < hi for k in positions))
+        for (lo, label), hi in zip(circuit.barriers, bounds[1:])
+    ]
+
+
+def test_twirl_and_dd_keep_every_gate_in_its_barrier_stage():
+    from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.greens import DIMER_PAIRS, direct_point_circuit
+
+    source, probe = DIMER_PAIRS["y2y2"]
+    circuit, _, _ = direct_point_circuit(
+        source, probe, 1.0, 4.0, TrotterPlan(0.314, 6), 2, math.pi / 2, math.pi / 2
+    )
+    labels = [label for _, label in circuit.barriers]
+    assert {"perturbation", "evolution", "measurement"} <= set(labels)
+    want = _stage_counts(circuit, circuit)
+    dressed = [*pauli_twirl(circuit, 4, 42), dynamical_decoupling(circuit, kolkata_dimer_model(idle_rate=2e5))]
+    for c in dressed:
+        assert len(c.gates) > len(circuit.gates)  # something was inserted
+        assert _stage_counts(c, circuit) == want
+        np.testing.assert_allclose(circuit_unitary(c), circuit_unitary(circuit), atol=1e-10)
 
 
 def run_noisy_fidelity(circuit, model):

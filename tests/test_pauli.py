@@ -14,6 +14,7 @@ from hubbard_gf.pauli import (
     jw_string_remover,
     multiply,
 )
+from hubbard_gf.statevector import GateOp, gate_matrix
 
 LETTERS = "IXYZ"
 
@@ -160,10 +161,8 @@ def test_jw_mode_range():
 def dense_conjugate(circ, width):
     dim = 2 ** width
     U = np.eye(dim, dtype=complex)
-    from hubbard_gf.pauli import _CLIFFORD_MATRICES
-
     for name, targets in circ.gates:
-        g = _CLIFFORD_MATRICES[name]
+        g = gate_matrix(GateOp(name, tuple(range(len(targets)))))
         full = _embed(g, targets, width)
         U = full @ U
     return U
@@ -193,7 +192,7 @@ def _embed(g, targets, width):
 
 def test_clifford_conjugate_matches_dense():
     rng = np.random.default_rng(5)
-    gates1 = ["H", "S", "X", "Z", "XHALF"]
+    gates1 = ["H", "Y", "X", "Z", "XHALF"]
     for _ in range(40):
         w = int(rng.integers(2, 5))
         n_gates = int(rng.integers(1, 6))

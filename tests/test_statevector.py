@@ -68,9 +68,9 @@ def test_xhalf_convention():
     np.testing.assert_allclose(s.amps, [1 / np.sqrt(2), -1j / np.sqrt(2)], atol=1e-15)
 
 
-def test_cnot_and_cz_and_cy_match_dense():
+def test_cnot_and_cz_match_dense():
     rng = np.random.default_rng(0)
-    for kind in ("CNOT", "CZ", "CY", "CPHASE"):
+    for kind in ("CNOT", "CZ", "CPHASE"):
         for targets in [(0, 2), (2, 0), (1, 2)]:
             g = GateOp(kind, targets, angle=0.37 if kind == "CPHASE" else None)
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
@@ -91,8 +91,6 @@ def test_all_gates_match_dense_embedding():
         GateOp("XHALF_DG", (0,)),
         GateOp("RZ", (1,), 1.234),
         GateOp("PHASE", (2,), -0.77),
-        GateOp("U1", (1,), matrix=expm(1j * np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]]))),
-        GateOp("U2", (2, 0), matrix=_random_unitary(rng, 4)),
         GateOp("GPHASE", (), 0.61),
         GateOp("DELAY", (1,), 3e-7),
     ]
@@ -101,8 +99,24 @@ def test_all_gates_match_dense_embedding():
         amps /= np.linalg.norm(amps)
         got = apply_gate(StateVector(amps.copy(), 3), g).amps
         np.testing.assert_allclose(got, dense_on(3, g) @ amps, atol=1e-12)
-        if g.matrix is not None:  # a raw matrix is used as given
-            np.testing.assert_array_equal(gate_matrix(g), g.matrix)
+    # the kernel under every gate, on unitaries no gate kind names
+    raw = [
+        (expm(1j * np.array([[0.3, 0.1 - 0.2j], [0.1 + 0.2j, -0.4]])), (1,)),
+        (_random_unitary(rng, 4), (2, 0)),
+    ]
+    for m, bits in raw:
+        amps = rng.normal(size=8) + 1j * rng.normal(size=8)
+        amps /= np.linalg.norm(amps)
+        got = amps.copy()
+        apply_matrix_inplace(got, m, bits, 3)
+        np.testing.assert_allclose(got, embed(3, m, bits) @ amps, atol=1e-12)
+
+
+def test_gate_op_refuses_raw_matrix_kinds():
+    # the vocabulary is what the builders emit: no raw-matrix U1/U2 and no CY
+    for kind, targets in (("U1", (0,)), ("U2", (0, 1)), ("CY", (0, 1))):
+        with pytest.raises(ValueError, match="unknown gate kind"):
+            GateOp(kind, targets)
 
 
 def test_dense_matrix_kernel_matches_dense_embedding():
@@ -309,35 +323,55 @@ def _random_unitary(rng, dim):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+_RAW = ("raw1", "raw2")  # a random unitary on 1 or 2 bits, run by the kernel itself
+
+
+def _apply_op(arr, op, n):
+    if isinstance(op, GateOp):
+        apply_gate_inplace(arr, op, n)
+    else:
+        apply_matrix_inplace(arr, *op, n)
+
+
 @st.composite
 def _gate_sequences(draw):
     n = draw(st.integers(1, 5))
-    kinds = ONE_QUBIT_KINDS + ZERO_QUBIT_KINDS + (TWO_QUBIT_KINDS if n > 1 else ())
+    kinds = ONE_QUBIT_KINDS + ZERO_QUBIT_KINDS + _RAW[:n] + (TWO_QUBIT_KINDS if n > 1 else ())
     rng = np.random.default_rng(draw(st.integers(0, 2**16)))
-    gates = []
+    ops = []
     for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12)):
+        if kind in _RAW:
+            width = _RAW.index(kind) + 1
+            ops.append((_random_unitary(rng, 1 << width), tuple(draw(st.permutations(range(n)))[:width])))
+            continue
         width = 0 if kind in ZERO_QUBIT_KINDS else 1 if kind in ONE_QUBIT_KINDS else 2
         targets = tuple(draw(st.permutations(range(n)))[:width])
         angle = draw(st.floats(-6.0, 6.0, allow_nan=False)) if kind in _ANGLE_KINDS else None
-        matrix = _random_unitary(rng, 1 << width) if kind in ("U1", "U2") else None
-        gates.append(GateOp(kind, targets, angle, matrix))
-    return n, tuple(gates), draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
+        ops.append(GateOp(kind, targets, angle))
+    return n, tuple(ops), draw(st.integers(1, 6)), draw(st.integers(0, 2**16))
 
 
 @settings(max_examples=100, deadline=None)
 @given(_gate_sequences())
 def test_state_major_batch_matches_per_row_simulate(case):
     # a state-major batch: a (rows, 2^n) view of a C-ordered (2^n, rows) array
-    n, gates, rows, seed = case
+    n, ops, rows, seed = case
     rng = np.random.default_rng(seed)
     init = rng.normal(size=(rows, 1 << n)) + 1j * rng.normal(size=(rows, 1 << n))
     init /= np.linalg.norm(init, axis=1, keepdims=True)
-    circuit = Circuit(n, gates)
-    expected = np.array([simulate(circuit, StateVector(row.copy(), n)).amps for row in init])
+    expected = init.copy()
+    for row in expected:  # one state at a time; simulate runs each gate the same way
+        for op in ops:
+            _apply_op(row, op, n)
+    gates = tuple(op for op in ops if isinstance(op, GateOp))
+    if len(gates) == len(ops):
+        assert np.array_equal(
+            expected, [simulate(Circuit(n, gates), StateVector(row.copy(), n)).amps for row in init]
+        )
     for dtype in (np.complex128, np.complex64):
         batch = np.array(init.T, dtype=dtype, order="C").T  # a copy, state-major
-        for g in gates:
-            apply_gate_inplace(batch, g, n)
+        for op in ops:
+            _apply_op(batch, op, n)
         assert batch.dtype == dtype
         if dtype is np.complex128:  # exact in double precision at every width
             np.testing.assert_array_equal(batch, expected)
