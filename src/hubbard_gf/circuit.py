@@ -14,23 +14,6 @@ from .model import FermionHamiltonian
 from .pauli import PauliString, jw_string_remover
 from .statevector import GateOp, StateVector, apply_gate_inplace, shot_stderr
 
-__all__ = [
-    "Circuit",
-    "TrotterPlan",
-    "simulate",
-    "circuit_unitary",
-    "hopping_pair_block",
-    "hopping_step",
-    "repulsion_step",
-    "dimer_interaction_step",
-    "dimer_hopping_layer",
-    "dimer_trotter_step",
-    "trotter_evolution",
-    "measurement_basis_circuit",
-    "horizontal_hop_value",
-    "pauli_rotation_gates",
-]
-
 
 @dataclass(frozen=True)
 class Circuit:
@@ -114,10 +97,6 @@ class TrotterPlan:
             raise ValueError("steps must be >= 1")
         if not self.dtau > 0:
             raise ValueError("dtau must be positive")
-
-    @property
-    def total_time(self) -> float:
-        return self.dtau * self.steps
 
 
 # -- elementary blocks ---------------------------------------------------------

@@ -19,11 +19,9 @@ from .circuit import TrotterPlan, dimer_trotter_step, hopping_step, repulsion_st
 from .greens import (
     DIMER_ANALYTIC_REF,
     DIMER_PAIRS,
-    CorrelatorSpec,
     advanced_hadamard_test,
     dimer_suite,
     hadamard_test,
-    time_grid,
 )
 from .noise import MitigationConfig, NoiseModel, noisy_dimer_series, zne
 from .oracle import dimer_analytic
@@ -217,13 +215,11 @@ def cmd_correlator(args) -> int:
     elif args.protocol == "direct":
         records = dimer_suite(args.t, args.u, plan, args.phi, args.shots, seed, kind=args.kind)
     else:
-        proto = args.protocol.replace("-", "_")
-        runner = hadamard_test if proto == "hadamard" else advanced_hadamard_test
-        records = {}
-        for name in pairs:
-            source, probe = DIMER_PAIRS[name]
-            spec = CorrelatorSpec(source, probe, time_grid(plan), kind=args.kind, protocol=proto)
-            records[name] = runner(spec, args.t, args.u, plan, args.shots, seed)
+        runner = hadamard_test if args.protocol == "hadamard" else advanced_hadamard_test
+        records = {
+            name: runner(*DIMER_PAIRS[name], args.t, args.u, plan, args.shots, seed, args.kind)
+            for name in pairs
+        }
     out = _outdir(args)
     for name in pairs:
         _write_series(out, name, records[name], header, args)
@@ -272,14 +268,13 @@ def cmd_compare(args) -> int:
     for path in args.csv:
         header, columns, rows = read_csv(path)
         try:
-            name, kind, t, u, plan = _header_settings(header)
+            name, kind, protocol, shots, t, u, plan = _header_settings(header)
         except ValueError as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return 2
-        scale = _full_scale(header.get("protocol"))
+        scale = _full_scale(protocol)
         taus = np.array([float(r[columns.index("tau")]) for r in rows])
         est = scale * np.array([float(r[columns.index("estimate")]) for r in rows])
-        shots = int(float(header.get("shots", 0)))
         dev = np.abs(est - _analytic(name, kind, t, u, taus))
         report = {"csv": path, "max_dev": _json_number(np.max(dev)), "mean_dev": _json_number(np.mean(dev))}
         if shots == 0:
@@ -298,23 +293,26 @@ def cmd_compare(args) -> int:
     return 3 if failures else 0
 
 
-def _header_settings(header) -> tuple[str, str, float, float, TrotterPlan]:
-    """The series, t, u and Trotter plan a CSV header names; ValueError names the key
-    that compare cannot judge (TrotterPlan itself refuses a dtau or steps out of range)."""
-    name, kind = header.get("correlator"), header.get("kind", "retarded")
+def _header_settings(header) -> tuple[str, str, str, int, float, float, TrotterPlan]:
+    """The series, kind, protocol, shots, t, u and Trotter plan a CSV header names; ValueError
+    names the key that compare cannot judge (TrotterPlan itself refuses a dtau or steps out of range)."""
+    name, kind, protocol = header.get("correlator"), header.get("kind", "retarded"), header.get("protocol")
     if name not in DIMER_ANALYTIC_REF:
         raise ValueError(f"invalid header correlator={name}")
     if kind not in ("retarded", "keldysh"):
         raise ValueError(f"invalid header kind={kind}")
+    if protocol not in ("direct", "hadamard", "advanced_hadamard"):
+        raise ValueError(f"invalid header protocol={protocol}")
     read = {}
-    for key, convert in (("t", float), ("u", float), ("dtau", float), ("steps", int)):
+    for key, convert in (("t", float), ("u", float), ("dtau", float), ("steps", int), ("shots", int)):
         try:
             read[key] = convert(header[key])
         except (KeyError, ValueError):
             read[key] = math.nan
-        if not math.isfinite(read[key]):
+        if not math.isfinite(read[key]) or (key == "shots" and read[key] < 0):
             raise ValueError(f"invalid header {key}={header.get(key)}")
-    return name, kind, read["t"], read["u"], TrotterPlan(read["dtau"], read["steps"])
+    plan = TrotterPlan(read["dtau"], read["steps"])
+    return name, kind, protocol, read["shots"], read["t"], read["u"], plan
 
 
 def _json_number(x) -> float | None:

@@ -44,29 +44,11 @@ from .vha import VhaParams, optimal_angles, vha_circuit
 LAMBDA_BY_KIND = {"retarded": math.pi / 2, "keldysh": 0.0}
 
 
-@dataclass(frozen=True)
-class CorrelatorSpec:
-    """Which two Majoranas to correlate, on which time grid, with which protocol."""
-
-    source: MajoranaIndex  # acts at time 0 (the perturbation side)
-    probe: MajoranaIndex   # measured at time tau
-    taus: tuple[float, ...]
-    kind: str = "retarded"
-    protocol: str = "direct"
-
-    def __post_init__(self):
-        if self.kind not in LAMBDA_BY_KIND:
-            raise ValueError(f"kind must be retarded or keldysh, got {self.kind!r}")
-        if self.protocol not in ("hadamard", "advanced_hadamard", "direct"):
-            raise ValueError(f"unknown protocol {self.protocol!r}")
-        if len(self.taus) == 0 or self.taus[0] != 0.0:
-            raise ValueError("time grid must start at 0")
-        if any(b <= a for a, b in zip(self.taus, self.taus[1:])):
-            raise ValueError("time grid must be strictly increasing")
-
-    @property
-    def lam(self) -> float:
-        return LAMBDA_BY_KIND[self.kind]
+def kind_lambda(kind: str) -> float:
+    """The ancilla phase lambda that selects a correlator kind; ValueError for any other kind."""
+    if kind not in LAMBDA_BY_KIND:
+        raise ValueError(f"kind must be retarded or keldysh, got {kind!r}")
+    return LAMBDA_BY_KIND[kind]
 
 
 @dataclass(frozen=True)
@@ -96,52 +78,38 @@ def time_grid(plan: TrotterPlan) -> tuple[float, ...]:
     return tuple(k * plan.dtau for k in range(plan.steps + 1))
 
 
-def dimer_majorana(site: int, spin: str, flavor: str) -> MajoranaIndex:
-    return MajoranaIndex(site, spin, flavor)
-
-
 def _mode_pauli(m: MajoranaIndex, h: FermionHamiltonian, width: int) -> PauliString:
     return jw_mode(h.mode_of(m.site, m.spin), width, m.flavor)
-
-
-def _steps_for(tau: float, plan: TrotterPlan) -> int:
-    j = int(round(tau / plan.dtau))
-    if abs(j * plan.dtau - tau) > 1e-9:
-        raise ValueError(f"tau {tau} is not a multiple of dtau {plan.dtau}")
-    return j
 
 
 # -- Hadamard-test family ------------------------------------------------------------
 
 
 def _hadamard_family(
-    spec: CorrelatorSpec, t: float, u: float, plan: TrotterPlan, shots: int, seed: int,
-    protocol: str,
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan: TrotterPlan,
+    shots: int, seed: int, kind: str, protocol: str,
 ) -> MeasurementRecord:
-    """<psi| U^-j P U^j S |psi> = <U^j psi| P |U^j S psi> per time point.
+    """<psi| U^-j P U^j S |psi> = <U^j psi| P |U^j S psi> at each grid point j.
 
-    psi and S psi are carried forward together along the time grid, so no
+    psi and S psi are carried forward together one step per grid point, so no
     backward evolution is simulated; both variants read this overlap.
     """
+    lam = kind_lambda(kind)
     h = FermionHamiltonian.dimer(t, u)
     width = h.n_modes
-    prb = _mode_pauli(spec.probe, h, width)
+    prb = _mode_pauli(probe, h, width)
     step = dimer_trotter_step(t, u, plan.dtau)
     bra = simulate(dimer_ground_circuit(t, u))
-    ket = apply_pauli(bra, _mode_pauli(spec.source, h, width))
-    imag_part = spec.kind == "keldysh"
-    seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
+    ket = apply_pauli(bra, _mode_pauli(source, h, width))
+    taus = time_grid(plan)
+    seeds = np.random.SeedSequence(seed).generate_state(len(taus))
 
     estimates, stderrs = [], []
-    done = 0
-    for k, tau in enumerate(spec.taus):
-        j = _steps_for(tau, plan)
-        for _ in range(j - done):
-            bra = simulate(step, bra)
-            ket = simulate(step, ket)
-        done = j
+    for k in range(len(taus)):
+        if k:
+            bra, ket = simulate(step, bra), simulate(step, ket)
         overlap = complex(np.vdot(bra.amps, apply_pauli(ket, prb).amps))
-        value = overlap.imag if imag_part else overlap.real
+        value = overlap.imag if kind == "keldysh" else overlap.real
         if shots == 0:
             estimates.append(float(value))
             stderrs.append(0.0)
@@ -152,43 +120,33 @@ def _hadamard_family(
             est = (shots - 2 * ones) / shots
             estimates.append(est)
             stderrs.append(shot_stderr(est, shots))
-    return MeasurementRecord(
-        tuple(spec.taus),
-        tuple(estimates),
-        tuple(stderrs),
-        shots,
-        seed,
-        protocol,
-        0.0,
-        spec.lam,
-    )
+    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, protocol, 0.0, lam)
 
 
 def hadamard_test(
-    spec: CorrelatorSpec, t: float, u: float, plan: TrotterPlan, shots: int, seed: int
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan: TrotterPlan,
+    shots: int, seed: int, kind: str = "retarded",
 ) -> MeasurementRecord:
-    """Ancilla-interferometric estimate of Re <probe(tau) source> per time point.
+    """Ancilla-interferometric estimate of Re <probe(tau) source> on the plan's time grid
+    (Im for kind="keldysh").
 
     The printed form applies controlled forward and backward evolution blocks;
     on a noiseless simulator they act as U^j on both interferometer branches,
     whose overlap through the probe sets the ancilla statistics.
     """
-    if spec.protocol != "hadamard":
-        raise ValueError(f"spec requests protocol {spec.protocol!r}")
-    return _hadamard_family(spec, t, u, plan, shots, seed, "hadamard")
+    return _hadamard_family(source, probe, t, u, plan, shots, seed, kind, "hadamard")
 
 
 def advanced_hadamard_test(
-    spec: CorrelatorSpec, t: float, u: float, plan: TrotterPlan, shots: int, seed: int
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan: TrotterPlan,
+    shots: int, seed: int, kind: str = "retarded",
 ) -> MeasurementRecord:
     """Same estimand with a single uncontrolled forward evolution.
 
     Requires controlled single-Majorana insertions, which only the plain JW
     mapping provides; local encodings expose even products only.
     """
-    if spec.protocol != "advanced_hadamard":
-        raise ValueError(f"spec requests protocol {spec.protocol!r}")
-    return _hadamard_family(spec, t, u, plan, shots, seed, "advanced_hadamard")
+    return _hadamard_family(source, probe, t, u, plan, shots, seed, kind, "advanced_hadamard")
 
 
 # -- direct (linear-response) measurement ----------------------------------------------
@@ -236,45 +194,44 @@ def _direct_pieces(
 
 
 def direct_measurement(
-    spec: CorrelatorSpec,
+    source: MajoranaIndex,
+    probe: MajoranaIndex,
     t: float,
     u: float,
     plan: TrotterPlan,
     phi: float,
     shots: int,
     seed: int,
+    kind: str = "retarded",
     evolution: str = "trotter",
 ) -> MeasurementRecord:
-    """Kubo-style estimate of the probe-source correlator, exact at any Phi.
+    """Kubo-style estimate of the probe-source correlator on the plan's time grid, exact at any Phi.
 
     Occupy the ancilla and kick once with exp(Phi/2 sigma_src x_d), then carry
-    the state along the time grid (Trotterized) or evolve it densely to each
-    point (exact).  Per time point a copy gets the ancilla Z^dag phase lambda
+    the state one Trotter step per grid point (trotter) or evolve it densely to
+    each point (exact).  Per time point a copy gets the ancilla Z^dag phase lambda
     (the step never touches the ancilla, so the two commute), i sigma_probe x_d
     is reduced to a two-qubit parity, estimated and divided by sin Phi.
     """
-    if spec.protocol != "direct":
-        raise ValueError(f"spec requests protocol {spec.protocol!r}")
+    lam = kind_lambda(kind)
     if evolution not in ("trotter", "exact"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
-    pieces = _direct_pieces(spec.source, spec.probe, t, u, plan.dtau, phi)
+    pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
     kicked = simulate(pieces.kick, simulate(pieces.prep))
     if evolution == "exact":
         spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
-    phase = GateOp("RZ", (pieces.anc,), -spec.lam)
-    seeds = np.random.SeedSequence(seed).generate_state(len(spec.taus))
+    phase = GateOp("RZ", (pieces.anc,), -lam)
+    taus = time_grid(plan)
+    seeds = np.random.SeedSequence(seed).generate_state(len(taus))
 
     estimates, stderrs = [], []
-    state, done = kicked, 0
-    for k, tau in enumerate(spec.taus):
-        if evolution == "trotter":
-            j = _steps_for(tau, plan)
-            for _ in range(j - done):
-                state = simulate(pieces.step, state)
-            done = j
-            point = apply_gate(state, phase)
-        else:
-            point = apply_gate(_exact_evolve(kicked, spect, tau, pieces.anc), phase)
+    state = kicked
+    for k, tau in enumerate(taus):
+        if evolution == "exact":
+            state = _exact_evolve(kicked, spect, tau, pieces.anc)
+        elif k:
+            state = simulate(pieces.step, state)
+        point = apply_gate(state, phase)
         if shots == 0:
             val = expectation_pauli(point, pieces.observable) / math.sin(phi)
             estimates.append(float(val))
@@ -285,16 +242,7 @@ def direct_measurement(
             parity = parity_expectation(counts, shots)
             estimates.append(pieces.sign * parity / math.sin(phi))
             stderrs.append(shot_stderr(parity, shots) / abs(math.sin(phi)))
-    return MeasurementRecord(
-        tuple(spec.taus),
-        tuple(estimates),
-        tuple(stderrs),
-        shots,
-        seed,
-        "direct",
-        phi,
-        spec.lam,
-    )
+    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam)
 
 
 def _exact_evolve(state: StateVector, spect, tau: float, n_sys: int) -> StateVector:
@@ -406,9 +354,9 @@ def assemble_complex_green(entries: dict, fill_symmetric: bool = True) -> np.nda
 
 
 DIMER_PAIRS = {
-    "y2y2": (dimer_majorana(0, "down", "y"), dimer_majorana(0, "down", "y")),
-    "y3y3": (dimer_majorana(1, "down", "y"), dimer_majorana(1, "down", "y")),
-    "x3y2": (dimer_majorana(0, "down", "y"), dimer_majorana(1, "down", "x")),
+    "y2y2": (MajoranaIndex(0, "down", "y"), MajoranaIndex(0, "down", "y")),
+    "y3y3": (MajoranaIndex(1, "down", "y"), MajoranaIndex(1, "down", "y")),
+    "x3y2": (MajoranaIndex(0, "down", "y"), MajoranaIndex(1, "down", "x")),
 }
 
 DIMER_ANALYTIC_REF = {"y2y2": "xx_0", "y3y3": "xx_1", "x3y2": "xy_01"}
@@ -436,13 +384,12 @@ def dimer_suite(
     (the protocol-native estimate is half of either).  Each pair draws from the
     seed at its DIMER_PAIRS index, so a series does not depend on which others run.
     """
-    taus = time_grid(plan)
     out = {}
     seeds = dict(zip(DIMER_PAIRS, np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))))
     for name in pairs:
-        source, probe = DIMER_PAIRS[name]
-        spec = CorrelatorSpec(source, probe, taus, kind=kind, protocol="direct")
-        rec = direct_measurement(spec, t, u, plan, phi, shots, int(seeds[name]), evolution)
+        rec = direct_measurement(
+            *DIMER_PAIRS[name], t, u, plan, phi, shots, int(seeds[name]), kind, evolution
+        )
         out[name] = replace(
             rec,
             estimates=tuple(2 * v for v in rec.estimates),

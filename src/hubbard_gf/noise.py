@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, simulate
-from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, MeasurementRecord, direct_series_circuits, time_grid
+from .greens import DIMER_PAIRS, MeasurementRecord, direct_series_circuits, kind_lambda, time_grid
 from .pauli import CliffordCircuit, PauliString, clifford_conjugate
 from .statevector import (
     MAX_QUBITS,
@@ -79,10 +79,6 @@ class NoiseModel:
         if g.kind in VIRTUAL_KINDS:
             return 0.0
         return float(self.durations.get(g.kind, self.durations.get("default", 0.0)))
-
-    @classmethod
-    def zero(cls, n_qubits: int) -> "NoiseModel":
-        return cls(n_qubits)
 
     def to_json(self, path) -> None:
         payload = {
@@ -758,8 +754,8 @@ def noisy_dimer_series(
     Per time point the full gate-level point circuit runs through the configured
     mitigation stack; estimates and stderrs carry the 2/sin(phi) estimator scaling.
     """
+    lam = kind_lambda(kind)
     source, probe = DIMER_PAIRS[name]
-    lam = LAMBDA_BY_KIND[kind]
     circuits, meas_qubits, sign = direct_series_circuits(source, probe, t, u, plan, phi, lam)
     taus = time_grid(plan)
     seeds = np.random.SeedSequence(seed).generate_state(len(taus))

@@ -17,11 +17,9 @@ from hubbard_gf.circuit import (
     simulate,
 )
 from hubbard_gf.greens import (
-    CorrelatorSpec,
     DIMER_ANALYTIC_REF,
     DIMER_PAIRS,
     dimer_ground_circuit,
-    dimer_majorana,
     dimer_suite,
     direct_measurement,
     hadamard_test,
@@ -49,6 +47,7 @@ from hubbard_gf.oracle import (
     lehmann_correlator,
     majorana_operator,
 )
+from hubbard_gf.pauli import MajoranaIndex
 from hubbard_gf.statevector import GateOp, StateVector, apply_gate_inplace
 from hubbard_gf.vha import (
     VhaParams,
@@ -126,8 +125,8 @@ def test_criterion_4_direct_measurement_exactness():
     h, spect = dimer_spectral(t, u)
     plan = TrotterPlan(0.5, 6)
     taus = time_grid(plan)
-    x0 = dimer_majorana(0, "up", "x")
-    y1 = dimer_majorana(1, "up", "y")
+    x0 = MajoranaIndex(0, "up", "x")
+    y1 = MajoranaIndex(1, "up", "y")
     ref = lehmann_correlator(
         majorana_operator(h, 0, "up", "x"), majorana_operator(h, 1, "up", "y"),
         h, np.array(taus), spect,
@@ -136,10 +135,10 @@ def test_criterion_4_direct_measurement_exactness():
     per_phi = []
     for phi in (0.3, 0.8, math.pi / 2):
         rec_r = direct_measurement(
-            CorrelatorSpec(y1, x0, taus, kind="retarded"), t, u, plan, phi, 0, 0, "exact"
+            y1, x0, t, u, plan, phi, 0, 0, "retarded", "exact"
         )
         rec_k = direct_measurement(
-            CorrelatorSpec(y1, x0, taus, kind="keldysh"), t, u, plan, phi, 0, 0, "exact"
+            y1, x0, t, u, plan, phi, 0, 0, "keldysh", "exact"
         )
         worst_r = max(worst_r, float(np.max(np.abs(np.array(rec_r.estimates) - ref.real))))
         worst_k = max(worst_k, float(np.max(np.abs(np.array(rec_k.estimates) - ref.imag))))
@@ -213,10 +212,9 @@ def test_criterion_5_paper_experiment_noiseless():
 def test_criterion_6_protocol_equivalence():
     t, u = 1.0, 4.0
     plan = TrotterPlan(0.314, 25)
-    taus = time_grid(plan)
-    x0 = dimer_majorana(0, "up", "x")
-    rec_h = hadamard_test(CorrelatorSpec(x0, x0, taus, protocol="hadamard"), t, u, plan, 0, 0)
-    rec_d = direct_measurement(CorrelatorSpec(x0, x0, taus), t, u, plan, math.pi / 2, 0, 0)
+    x0 = MajoranaIndex(0, "up", "x")
+    rec_h = hadamard_test(x0, x0, t, u, plan, 0, 0)
+    rec_d = direct_measurement(x0, x0, t, u, plan, math.pi / 2, 0, 0)
     worst = float(np.max(np.abs(np.array(rec_h.estimates) - np.array(rec_d.estimates))))
     criterion(6, worst < 1e-10,
               f"Hadamard test and direct measurement agree on retarded x0-x0 to {worst:.2e}")

@@ -189,7 +189,6 @@ def test_trotter_plan_validation():
         TrotterPlan(0.1, 0)
     with pytest.raises(ValueError):
         TrotterPlan(-0.1, 2)
-    assert TrotterPlan(0.314, 25).total_time == pytest.approx(7.85)
 
 
 def test_measurement_basis_yx_xy():

@@ -152,7 +152,7 @@ def test_noisy_branch_honours_kind_and_refuses_hadamard(tmp_path, capsys):
     from hubbard_gf.noise import NoiseModel
 
     model = tmp_path / "zero.json"
-    NoiseModel.zero(5).to_json(model)
+    NoiseModel(5).to_json(model)
     base = ["correlator", "--steps", "3", "--shots", "4096", "--seed", "5", "--pair", "x3y2",
             "--noise-model", str(model)]
     code, _, err = run_cli(base + ["--kind", "keldysh", "--outdir", str(tmp_path / "k")], capsys)
@@ -220,7 +220,7 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     from hubbard_gf.noise import NoiseModel
 
     model = tmp_path / "zero.json"
-    NoiseModel.zero(5).to_json(model)
+    NoiseModel(5).to_json(model)
     out = tmp_path / "out"
     argv = [str(model) if a == "MODEL" else a for a in flags]
     code, _, err = run_cli(argv + ["--outdir", str(out)], capsys)
@@ -356,6 +356,9 @@ def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
         ("# steps=2", "# steps=0", "steps must be >= 1"),
         ("# kind=retarded", "# kind=advanced", "invalid header kind=advanced"),
         ("# correlator=y2y2", "# correlator=zz", "invalid header correlator=zz"),
+        ("# protocol=direct", "# protocol=hadamrd", "invalid header protocol=hadamrd"),
+        ("# shots=0", "# shots=nan", "invalid header shots=nan"),
+        ("# shots=0", "# shots=-1", "invalid header shots=-1"),
     ],
 )
 def test_compare_refuses_headers_it_cannot_judge(tmp_path, capsys, line, bad, message):
@@ -464,6 +467,29 @@ def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha2
     assert code == 0
     assert hashlib.sha256((tmp_path / "landscape.csv").read_bytes()).hexdigest() == csv_sha256
     assert hashlib.sha256((tmp_path / "landscape.svg").read_bytes()).hexdigest() == svg_sha256
+
+
+@pytest.mark.parametrize(
+    "argv, name, csv_sha256",
+    [
+        (["--shots", "0"], "y2y2",
+         "517590e7ecf33b7c0244fa32c0fe2f6dae1ca47a0c6c8104e7e1da0b187fa7e1"),
+        (["--shots", "4096", "--seed", "7"], "y2y2",
+         "05ffbcaae82a6cd0bf9ab5e0cd2211f73a7e21c6a08376fdbe3e69098ff7b3fa"),
+        (["--shots", "4096", "--seed", "7", "--protocol", "hadamard"], "y2y2",
+         "86ef61ab234981fed602e511c2133333379af5f7497c3156a0e0e3174ce1e3cf"),
+        (["--shots", "0", "--protocol", "advanced-hadamard", "--kind", "keldysh"], "x3y2",
+         "c70afd2e92109482264eb748d791f735f7525d9e67f638fd80bc26ccc04bc2c9"),
+        (["--shots", "0", "--kind", "keldysh", "--pair", "x3y2"], "x3y2",
+         "0093c25a39518e56e65ce35e54f2a697ba16aa9d581a8da0af05b38bf761df90"),
+    ],
+)
+def test_correlator_files_are_pinned(tmp_path, capsys, argv, name, csv_sha256):
+    # identical configs must give identical CSV bytes; these digests predate the
+    # protocols measuring on their plan's time grid
+    code, _, _ = run_cli(["correlator", "--steps", "6", *argv, "--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_sha256
 
 
 def test_vha_sweep_refuses_grids_past_dense_capacity(tmp_path, capsys, monkeypatch):

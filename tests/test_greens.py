@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import strategies as st
 
 from hubbard_gf.circuit import TrotterPlan, dimer_trotter_step, circuit_unitary
 from hubbard_gf.greens import (
-    CorrelatorSpec,
     DIMER_ANALYTIC_REF,
     DIMER_PAIRS,
     MeasurementRecord,
@@ -16,7 +14,6 @@ from hubbard_gf.greens import (
     advanced_hadamard_test,
     assemble_complex_green,
     dimer_ground_circuit,
-    dimer_majorana,
     dimer_suite,
     direct_measurement,
     hadamard_test,
@@ -28,32 +25,33 @@ from hubbard_gf.oracle import (
     lehmann_correlator,
     majorana_operator,
 )
+from hubbard_gf.noise import NO_MITIGATION, NoiseModel, noisy_dimer_series
+from hubbard_gf.pauli import MajoranaIndex
 
 T, U = 1.0, 4.0
 PLAN = TrotterPlan(0.314, 25)
 SHORT = TrotterPlan(0.25, 6)
+ONE_STEP = TrotterPlan(0.314, 1)  # for checks that read tau = 0 only
+
+x0 = MajoranaIndex(0, "up", "x")
+y1 = MajoranaIndex(1, "up", "y")
 
 
-def spec_for(pair, taus, kind="retarded", protocol="direct"):
-    src, prb = pair
-    return CorrelatorSpec(src, prb, taus, kind=kind, protocol=protocol)
-
-
-x0 = dimer_majorana(0, "up", "x")
-y0 = dimer_majorana(0, "up", "y")
-x1 = dimer_majorana(1, "up", "x")
-y1 = dimer_majorana(1, "up", "y")
-
-
-def test_spec_validation():
-    with pytest.raises(ValueError):
-        CorrelatorSpec(x0, x0, (0.1, 0.2))  # does not start at 0
-    with pytest.raises(ValueError):
-        CorrelatorSpec(x0, x0, (0.0, 0.2, 0.2))
-    with pytest.raises(ValueError):
-        CorrelatorSpec(x0, x0, (0.0,), kind="advanced")
-    with pytest.raises(ValueError):
-        CorrelatorSpec(x0, x0, (0.0,), protocol="other")
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda kind: direct_measurement(x0, x0, T, U, ONE_STEP, math.pi / 2, 0, 0, kind),
+        lambda kind: hadamard_test(x0, x0, T, U, ONE_STEP, 0, 0, kind),
+        lambda kind: advanced_hadamard_test(x0, x0, T, U, ONE_STEP, 0, 0, kind),
+        lambda kind: noisy_dimer_series(
+            "y2y2", T, U, ONE_STEP, math.pi / 2, 16, 0, NoiseModel(5), NO_MITIGATION, kind
+        ),
+    ],
+    ids=["direct_measurement", "hadamard_test", "advanced_hadamard_test", "noisy_dimer_series"],
+)
+def test_unknown_kind_is_refused(run):
+    with pytest.raises(ValueError, match="kind must be retarded or keldysh, got 'advanced'"):
+        run("advanced")
 
 
 def test_record_validation():
@@ -64,34 +62,30 @@ def test_record_validation():
 
 
 def test_direct_tau_zero_same_majorana():
-    spec = spec_for((x0, x0), (0.0,))
-    rec = direct_measurement(spec, T, U, PLAN, math.pi / 2, shots=0, seed=0)
+    rec = direct_measurement(x0, x0, T, U, ONE_STEP, math.pi / 2, shots=0, seed=0)
     assert rec.estimates[0] == pytest.approx(1.0, abs=1e-10)
 
 
 def test_direct_phi_validation():
-    spec = spec_for((x0, x0), (0.0,))
     with pytest.raises(ValueError):
-        direct_measurement(spec, T, U, PLAN, math.pi, 0, 0)
+        direct_measurement(x0, x0, T, U, ONE_STEP, math.pi, 0, 0)
     with pytest.raises(ValueError):
-        direct_measurement(spec, T, U, PLAN, 0.0, 0, 0)
+        direct_measurement(x0, x0, T, U, ONE_STEP, 0.0, 0, 0)
 
 
 def test_direct_exact_mode_phi_independent_and_matches_oracle():
     # Appendix-level exactness: dense evolution, any Phi, both kinds
     h, spect = dimer_spectral(T, U)
-    taus = (0.0, 0.5, 1.5)
+    plan = TrotterPlan(0.5, 3)
     a = majorana_operator(h, 0, "up", "x")
     b = majorana_operator(h, 1, "up", "y")
-    ref = lehmann_correlator(a, b, h, np.array(taus), spect)
-    spec_r = spec_for((y1, x0), taus, kind="retarded")
-    spec_k = spec_for((y1, x0), taus, kind="keldysh")
+    ref = lehmann_correlator(a, b, h, np.array(time_grid(plan)), spect)
     vals = {}
     for phi in (0.3, 0.8, math.pi / 2):
-        rec = direct_measurement(spec_r, T, U, PLAN, phi, 0, 0, evolution="exact")
+        rec = direct_measurement(y1, x0, T, U, plan, phi, 0, 0, "retarded", evolution="exact")
         np.testing.assert_allclose(rec.estimates, ref.real, atol=1e-10)
         vals[phi] = rec.estimates
-        rec_k = direct_measurement(spec_k, T, U, PLAN, phi, 0, 0, evolution="exact")
+        rec_k = direct_measurement(y1, x0, T, U, plan, phi, 0, 0, "keldysh", evolution="exact")
         np.testing.assert_allclose(rec_k.estimates, ref.imag, atol=1e-10)
     a_vals = np.array(list(vals.values()))
     assert np.max(np.abs(a_vals - a_vals[0])) < 1e-10
@@ -99,8 +93,7 @@ def test_direct_exact_mode_phi_independent_and_matches_oracle():
 
 def test_direct_trotter_matches_trotterized_oracle():
     taus = time_grid(SHORT)
-    spec = spec_for((y1, x0), taus)
-    rec = direct_measurement(spec, T, U, SHORT, 0.8, 0, 0, evolution="trotter")
+    rec = direct_measurement(y1, x0, T, U, SHORT, 0.8, 0, 0, evolution="trotter")
     h, spect = dimer_spectral(T, U)
     from hubbard_gf.circuit import simulate
 
@@ -132,28 +125,20 @@ def test_dimer_suite_single_pair_equals_its_full_suite_series():
 
 
 def test_direct_shot_mode_within_4_sigma():
-    taus = time_grid(SHORT)
-    spec = spec_for((x0, x0), taus)
-    exact = direct_measurement(spec, T, U, SHORT, math.pi / 2, 0, 0)
-    sampled = direct_measurement(spec, T, U, SHORT, math.pi / 2, 4096, 7)
+    exact = direct_measurement(x0, x0, T, U, SHORT, math.pi / 2, 0, 0)
+    sampled = direct_measurement(x0, x0, T, U, SHORT, math.pi / 2, 4096, 7)
     for e, s, err in zip(exact.estimates, sampled.estimates, sampled.stderrs):
         assert abs(e - s) <= 4 * max(err, 1e-9)
 
 
-def test_hadamard_tau_zero_and_validation():
-    spec = spec_for((x0, x0), (0.0,), protocol="hadamard")
-    rec = hadamard_test(spec, T, U, PLAN, 0, 0)
+def test_hadamard_tau_zero():
+    rec = hadamard_test(x0, x0, T, U, ONE_STEP, 0, 0)
     assert rec.estimates[0] == pytest.approx(1.0, abs=1e-12)
-    with pytest.raises(ValueError):
-        hadamard_test(spec_for((x0, x0), (0.0,)), T, U, PLAN, 0, 0)
 
 
 def test_advanced_hadamard_matches_hadamard():
-    taus = time_grid(SHORT)
-    spec_a = spec_for((x0, x0), taus, protocol="advanced_hadamard")
-    rec_a = advanced_hadamard_test(spec_a, T, U, SHORT, 0, 0)
-    spec_h = spec_for((x0, x0), taus, protocol="hadamard")
-    rec_h = hadamard_test(spec_h, T, U, SHORT, 0, 0)
+    rec_a = advanced_hadamard_test(x0, x0, T, U, SHORT, 0, 0)
+    rec_h = hadamard_test(x0, x0, T, U, SHORT, 0, 0)
     np.testing.assert_allclose(rec_a.estimates, rec_h.estimates, atol=1e-12)
     assert rec_a.estimates[0] == pytest.approx(1.0, abs=1e-12)
 
@@ -161,30 +146,27 @@ def test_advanced_hadamard_matches_hadamard():
 def test_protocol_equivalence_exact_mode():
     # Hadamard test and direct measurement share the Trotterized propagator and
     # must agree to 1e-10 in exact-expectation mode (retarded x0-x0)
-    taus = time_grid(SHORT)
-    rec_h = hadamard_test(spec_for((x0, x0), taus, protocol="hadamard"), T, U, SHORT, 0, 0)
-    rec_d = direct_measurement(spec_for((x0, x0), taus), T, U, SHORT, math.pi / 2, 0, 0)
+    rec_h = hadamard_test(x0, x0, T, U, SHORT, 0, 0)
+    rec_d = direct_measurement(x0, x0, T, U, SHORT, math.pi / 2, 0, 0)
     np.testing.assert_allclose(rec_h.estimates, rec_d.estimates, atol=1e-10)
 
 
 def test_hadamard_shot_mode():
-    taus = (0.0, 0.25, 0.5)
-    spec = spec_for((x0, x0), taus, protocol="hadamard")
-    exact = hadamard_test(spec, T, U, SHORT, 0, 0)
-    rec = hadamard_test(spec, T, U, SHORT, 4096, 3)
+    plan = TrotterPlan(0.25, 2)
+    exact = hadamard_test(x0, x0, T, U, plan, 0, 0)
+    rec = hadamard_test(x0, x0, T, U, plan, 4096, 3)
     for e, s, err in zip(exact.estimates, rec.estimates, rec.stderrs):
         assert abs(e - s) <= 4 * max(err, 1e-9)
-    rec2 = hadamard_test(spec, T, U, SHORT, 4096, 3)
+    rec2 = hadamard_test(x0, x0, T, U, plan, 4096, 3)
     assert rec.estimates == rec2.estimates  # deterministic per seed
 
 
 def test_keldysh_cross_check_lehmann():
     h, spect = dimer_spectral(T, U)
-    taus = (0.0, 0.5, 1.0)
-    spec = spec_for((x0, x0), taus, kind="keldysh")
-    rec = direct_measurement(spec, T, U, PLAN, math.pi / 2, 0, 0, evolution="exact")
+    plan = TrotterPlan(0.5, 2)
+    rec = direct_measurement(x0, x0, T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
     a = majorana_operator(h, 0, "up", "x")
-    ref = lehmann_correlator(a, a, h, np.array(taus), spect)
+    ref = lehmann_correlator(a, a, h, np.array(time_grid(plan)), spect)
     # -(i/2)<[x(tau), x]> = Im <x(tau) x>
     np.testing.assert_allclose(rec.estimates, ref.imag, atol=1e-10)
 
@@ -270,11 +252,8 @@ def test_dimer_suite_keldysh_kind():
 
 
 def test_advanced_and_plain_hadamard_shot_mode_agree_within_errors():
-    taus = time_grid(SHORT)
-    rec_h = hadamard_test(spec_for((x0, x0), taus, protocol="hadamard"), T, U, SHORT, 4096, 5)
-    rec_a = advanced_hadamard_test(
-        spec_for((x0, x0), taus, protocol="advanced_hadamard"), T, U, SHORT, 4096, 6
-    )
+    rec_h = hadamard_test(x0, x0, T, U, SHORT, 4096, 5)
+    rec_a = advanced_hadamard_test(x0, x0, T, U, SHORT, 4096, 6)
     for vh, va, eh, ea in zip(rec_h.estimates, rec_a.estimates, rec_h.stderrs, rec_a.stderrs):
         combined = math.sqrt(eh * eh + ea * ea)
         assert abs(vh - va) <= 5 * max(combined, 1e-9)
@@ -293,7 +272,7 @@ def test_direct_point_circuit_matches_runner():
     for name in ("y2y2", "x3y2"):
         source, probe = DIMER_PAIRS[name]
         taus = time_grid(plan)
-        rec = direct_measurement(CorrelatorSpec(source, probe, taus), T, U, plan, phi, 0, 0)
+        rec = direct_measurement(source, probe, T, U, plan, phi, 0, 0)
         for k in range(len(taus)):
             circ, mq, sign = direct_point_circuit(source, probe, T, U, plan, k, phi, math.pi / 2)
             state = simulate(circ)
@@ -328,17 +307,16 @@ def test_protocols_follow_t_and_u(t, u, phi, kind, pair):
     source, probe = DIMER_PAIRS[pair]
     plan = TrotterPlan(0.3, 4)
     taus = time_grid(plan)
-    spec = CorrelatorSpec(source, probe, taus, kind=kind)
     h, spect = dimer_spectral(t, u)
     ref = lehmann_correlator(
         majorana_operator(h, probe.site, probe.spin, probe.flavor),
         majorana_operator(h, source.site, source.spin, source.flavor),
         h, np.array(taus), spect,
     )
-    exact = direct_measurement(spec, t, u, plan, phi, 0, 0, evolution="exact")
+    exact = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind, evolution="exact")
     np.testing.assert_allclose(
         exact.estimates, ref.real if kind == "retarded" else ref.imag, rtol=0, atol=1e-10
     )
-    trotter = direct_measurement(spec, t, u, plan, phi, 0, 0)
-    hadamard = hadamard_test(replace(spec, protocol="hadamard"), t, u, plan, 0, 0)
+    trotter = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind)
+    hadamard = hadamard_test(source, probe, t, u, plan, 0, 0, kind)
     np.testing.assert_allclose(trotter.estimates, hadamard.estimates, rtol=0, atol=1e-10)

@@ -60,7 +60,7 @@ def test_model_validation_and_json_round_trip(tmp_path):
 
 def test_zero_noise_bit_identical_to_noiseless_sampling():
     c = bell_circuit()
-    model = NoiseModel.zero(2)
+    model = NoiseModel(2)
     got = run_noisy(c, model, shots=500, seed=11)
     state = simulate(c)
     sample_seed = int(np.random.SeedSequence([11, 0]).generate_state(1)[0])
@@ -89,7 +89,7 @@ def test_outcome_index_convention(case):
     counts = sample_counts(StateVector.basis(n, j), qubits, shots, seed=0)
     assert counts.tolist() == want
     prep = Circuit(n, tuple(GateOp("X", (q,)) for q in range(n) if (j >> q) & 1))
-    assert run_noisy(prep, NoiseModel.zero(n), shots, 0, qubits).tolist() == want
+    assert run_noisy(prep, NoiseModel(n), shots, 0, qubits).tolist() == want
     assert parity_expectation(counts, shots) == (-1) ** bin(outcome).count("1")
     identity = [np.eye(2)] * len(qubits)
     assert mitigate_readout(counts, identity).probs.tolist() == (counts / shots).tolist()
@@ -111,7 +111,7 @@ def test_run_noisy_seeded_counts_are_pinned():
 
 def test_run_noisy_width_mismatch():
     with pytest.raises(ValueError):
-        run_noisy(bell_circuit(), NoiseModel.zero(3), 10, 0)
+        run_noisy(bell_circuit(), NoiseModel(3), 10, 0)
 
 
 def test_run_noisy_refuses_width_beyond_density_matrix_capacity():
@@ -719,7 +719,7 @@ def test_noisy_parity_estimate_zero_model_matches_exact():
     from hubbard_gf.statevector import GateOp as G
 
     c = Circuit(2, (G("H", (0,)), G("CNOT", (0, 1))))
-    model = NoiseModel.zero(2)
+    model = NoiseModel(2)
     est, _ = noisy_parity_estimate(c, (0, 1), model, 4096, 3, NO_MITIGATION)
     assert est == pytest.approx(1.0, abs=0.05)  # Bell pair parity +1
 
