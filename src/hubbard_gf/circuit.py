@@ -10,7 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import FermionHamiltonian
 from .pauli import PauliString, jw_string_remover
 from .statevector import GateOp, StateVector, apply_gate_inplace, shot_stderr
 
@@ -118,16 +117,6 @@ def hopping_pair_block(m: int, n: int, theta: float, n_qubits: int) -> Circuit:
     return Circuit(n_qubits, tuple(gates))
 
 
-def _string_remover_gates(m: int, n: int) -> list[GateOp]:
-    return [GateOp(name, targets) for name, targets in jw_string_remover(m, n).gates]
-
-
-def _hopping_gates(m: int, n: int, theta: float, n_qubits: int) -> tuple[GateOp, ...]:
-    """Hopping slice on JW mode qubits m < n: Z-string remover, pair block, remover."""
-    remover = tuple(_string_remover_gates(m, n))
-    return remover + hopping_pair_block(m, n, theta, n_qubits).gates + remover
-
-
 def hopping_step(i: int, j: int, sigma: str, theta: float, n_sites: int) -> Circuit:
     """One Trotter slice exp(-i theta h) of the hopping term h = c^dag_i c_j + h.c.
 
@@ -142,24 +131,22 @@ def hopping_step(i: int, j: int, sigma: str, theta: float, n_sites: int) -> Circ
             raise ValueError(f"site {s} out of range for {n_sites} sites")
     off = 0 if sigma == "up" else 1
     m, n = sorted((2 * (i - 1) + off, 2 * (j - 1) + off))
-    return Circuit(2 * n_sites, _hopping_gates(m, n, theta, 2 * n_sites))
+    remover = tuple(jw_string_remover(m, n))
+    return Circuit(2 * n_sites, remover + hopping_pair_block(m, n, theta, 2 * n_sites).gates + remover)
 
 
 def repulsion_step(i: int, theta: float, n_sites: int) -> Circuit:
     """exp(-i theta n_up n_dn) on site i (1-based), site-major ordering."""
     if not 1 <= i <= n_sites:
         raise ValueError(f"site {i} out of range for {n_sites} sites")
-    return Circuit(2 * n_sites, tuple(repulsion_pair_gates(2 * (i - 1), 2 * i - 1, theta)))
-
-
-def repulsion_pair_gates(a: int, b: int, theta: float) -> list[GateOp]:
-    """exp(-i theta n_a n_b) for an explicit qubit pair."""
-    return [
+    a, b = 2 * (i - 1), 2 * i - 1
+    gates = [
         GateOp("GPHASE", (), -theta / 4),
         GateOp("RZ", (a,), -theta / 2),
         GateOp("RZ", (b,), -theta / 2),
         *_zz_rotation(a, b, theta / 2),
     ]
+    return Circuit(2 * n_sites, tuple(gates))
 
 
 DIMER_QUBITS = {"c_up": 0, "b_up": 1, "c_dn": 2, "b_dn": 3}
@@ -197,29 +184,6 @@ def dimer_trotter_step(t: float, u: float, dtau: float) -> Circuit:
     return dimer_interaction_step(u * dtau) + dimer_hopping_layer(-t * dtau)
 
 
-def trotter_evolution(h: FermionHamiltonian, plan: TrotterPlan) -> Circuit:
-    """First-order product formula for exp(-i H tau), tau = steps * dtau.
-
-    Within a slice the diagonal terms (repulsions, shifts) run first, then the
-    hopping terms sorted by (spin, bond); same layer structure as the dimer's
-    variational circuit.
-    """
-    n_qubits = h.n_modes
-    gates: list[GateOp] = []
-    for rep in sorted(h.repulsions, key=lambda r: r.site):
-        a, b = h.mode_of(rep.site, "up"), h.mode_of(rep.site, "down")
-        gates += repulsion_pair_gates(a, b, rep.strength * plan.dtau)
-    for sh in sorted(h.shifts, key=lambda s: s.site):
-        # exp(-i dtau v n) = GPHASE-free diagonal: PHASE(-v dtau) on each mode qubit
-        for spin in ("up", "down"):
-            gates.append(GateOp("PHASE", (h.mode_of(sh.site, spin),), -sh.value * plan.dtau))
-    for spin in ("up", "down"):
-        for hop in sorted(h.hoppings, key=lambda b: (min(b.i, b.j), max(b.i, b.j))):
-            m, n = sorted((h.mode_of(hop.i, spin), h.mode_of(hop.j, spin)))
-            gates += _hopping_gates(m, n, hop.amplitude * plan.dtau, n_qubits)
-    return Circuit(n_qubits, tuple(gates) * plan.steps)
-
-
 # -- measurement bases ----------------------------------------------------------
 
 
@@ -235,9 +199,9 @@ def measurement_basis_circuit(kind: str, m: int, n: int, n_qubits: int | None = 
         raise ValueError(f"need m < n, got ({m}, {n})")
     width = n_qubits if n_qubits is not None else n + 1
     if kind == "yx_pair":
-        gates = _string_remover_gates(m, n) + [GateOp("H", (m,)), GateOp("H", (n,))]
+        gates = jw_string_remover(m, n) + [GateOp("H", (m,)), GateOp("H", (n,))]
     elif kind == "xy_pair":
-        gates = _string_remover_gates(m, n) + [GateOp("XHALF", (m,)), GateOp("XHALF", (n,))]
+        gates = jw_string_remover(m, n) + [GateOp("XHALF", (m,)), GateOp("XHALF", (n,))]
     elif kind == "horizontal_hop":
         gates = [GateOp("CNOT", (n, m)), GateOp("H", (n,)), GateOp("CNOT", (n, m))]
     else:

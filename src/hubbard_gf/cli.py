@@ -151,6 +151,9 @@ def cmd_vha_sweep(args) -> int:
     if args.shots and args.seed is None:
         print("error: --seed is required for shot-mode runs", file=sys.stderr)
         return 2
+    if args.grid < 1:
+        print("error: --grid must be >= 1", file=sys.stderr)
+        return 2
     if args.grid ** 2 > MAX_GRID_POINTS:  # refused before the state batch is allocated
         print(f"error: --grid {args.grid} exceeds dense capacity ({MAX_GRID_POINTS} points)", file=sys.stderr)
         return 2
@@ -263,6 +266,15 @@ def _write_series(out, name, rec, header, args) -> None:
 
 def cmd_compare(args) -> int:
     """Deviation report against the analytic curves; exit 3 when out of tolerance."""
+    # checked even where the CSVs do not use them; inf stands for an unbounded band
+    for flag in ("sigma", "tol_exact"):
+        value = getattr(args, flag)
+        if value is not None and not value >= 0:
+            print(f"error: --{flag.replace('_', '-')} must be >= 0, got {value}", file=sys.stderr)
+            return 2
+    if not 0 < args.coverage <= 1:
+        print(f"error: --coverage must be in (0, 1], got {args.coverage}", file=sys.stderr)
+        return 2
     failures = 0
     reports = []
     for path in args.csv:
@@ -367,7 +379,7 @@ def main(argv=None) -> int:
         args = ap.parse_args(_config_argv(ap, commands, argv))
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
-    for flag in ("t", "u", "dtau", "phi"):  # also covers values from --config
+    for flag in ("t", "u", "dtau", "phi", "theta"):  # also covers values from --config
         value = getattr(args, flag, None)
         if value is not None and not math.isfinite(value):
             print(f"error: --{flag} must be finite, got {value}", file=sys.stderr)

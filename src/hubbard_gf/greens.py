@@ -21,14 +21,13 @@ from .circuit import (
     Circuit,
     TrotterPlan,
     _letter_basis_gates,
-    _string_remover_gates,
     dimer_trotter_step,
     pauli_rotation_gates,
     simulate,
 )
 from .model import FermionHamiltonian
 from .oracle import build_matrix, diagonalize
-from .pauli import MajoranaIndex, PauliString, jw_mode
+from .pauli import MajoranaIndex, PauliString, jw_mode, jw_string_remover
 from .statevector import (
     GateOp,
     StateVector,
@@ -186,7 +185,7 @@ def _direct_pieces(
         step=dimer_trotter_step(t, u, dtau).widened(width),
         observable=observable,
         # strip the Z string between the endpoints, then rotate their letters onto Z
-        basis=Circuit(width, tuple(_string_remover_gates(m, n) + _letter_basis_gates(observable)[0])),
+        basis=Circuit(width, tuple(jw_string_remover(m, n) + _letter_basis_gates(observable)[0])),
         meas_qubits=(m, n),
         sign=1.0 if observable.phase_exp == 0 else -1.0,
         anc=anc,

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import CliffordCircuit, MajoranaIndex, PauliString, clifford_conjugate, jw_mode
+from .pauli import MajoranaIndex, PauliString, clifford_conjugate, jw_mode
+from .statevector import GateOp, inverse_gate
 
 # (spin, register) -> offset inside the 2x2 cell patch
 _CELL_OFFSETS = {
@@ -323,16 +324,16 @@ def build_measurement_string(r, r_prime, layout: LatticeLayout) -> PauliString:
     return out
 
 
-def measurement_prep_rotations(r, r_prime, layout: LatticeLayout) -> CliffordCircuit:
+def measurement_prep_rotations(r, r_prime, layout: LatticeLayout) -> tuple[GateOp, ...]:
     """The two single-qubit rotations that turn the string's endpoint letters into Zs
     (applied to the state before the reducer)."""
     a, b, corner = _measurement_geometry(r, r_prime, layout)
     q1_start, _ = layout.qubits(layout.majorana(r, "down", "x"))
     _, q2_corner = layout.qubits(layout.majorana(corner, "down", "x", "auxiliary"))
-    return CliffordCircuit((("H", (q1_start,)), ("XHALF", (q2_corner,))))
+    return GateOp("H", (q1_start,)), GateOp("XHALF", (q2_corner,))
 
 
-def build_measurement_reducer(r, r_prime, layout: LatticeLayout) -> CliffordCircuit:
+def build_measurement_reducer(r, r_prime, layout: LatticeLayout) -> tuple[GateOp, ...]:
     """Clifford that maps the two-qubit parity of r' back onto the rotated string.
 
     Structure: a three-CNOT junction block at the corner cell, a CNOT chain along
@@ -350,12 +351,11 @@ def build_measurement_reducer(r, r_prime, layout: LatticeLayout) -> CliffordCirc
     corner_q1a, corner_q2a = q(corner, "down", "auxiliary")
     corner_q1c, corner_q2c = q(corner, "down", "physical")
 
-    gates: list[tuple[str, tuple[int, ...]]] = []
     # junction block: conjugation-neutral alignment CNOTs inside the corner cell
-    gates += [
-        ("CNOT", (corner_q2a, corner_q1a)),
-        ("CNOT", (corner_q2a, corner_q1c)),
-        ("CNOT", (corner_q2a, corner_q2c)),
+    gates = [
+        GateOp("CNOT", (corner_q2a, corner_q1a)),
+        GateOp("CNOT", (corner_q2a, corner_q1c)),
+        GateOp("CNOT", (corner_q2a, corner_q2c)),
     ]
     # horizontal leg: chain from the starting register-1 qubit through every
     # interior cell's four string qubits into the corner's register-2 qubit
@@ -366,7 +366,7 @@ def build_measurement_reducer(r, r_prime, layout: LatticeLayout) -> CliffordCirc
         qc1, qc2 = q(cell, "down", "physical")
         x_chain += [qa1, qa2, qc1, qc2]
     x_chain.append(corner_q2a)
-    gates += [("CNOT", (u, v)) for u, v in zip(x_chain, x_chain[1:])]
+    gates += [GateOp("CNOT", (u, v)) for u, v in zip(x_chain, x_chain[1:])]
     # vertical leg: corner register-2 pair chain down to the measured qubit
     y_chain = [corner_q2a]
     for k in range(b):
@@ -376,18 +376,17 @@ def build_measurement_reducer(r, r_prime, layout: LatticeLayout) -> CliffordCirc
             y_chain.append(q((corner[0], corner[1] - k - 1), "down", "auxiliary")[1])
     meas_q1, meas_q2 = q(r_prime, "down", "auxiliary")
     y_chain.append(meas_q2)
-    gates += [("CNOT", (u, v)) for u, v in zip(y_chain, y_chain[1:])]
-    gates += [("XHALF", (meas_q1,)), ("XHALF", (meas_q2,))]
+    gates += [GateOp("CNOT", (u, v)) for u, v in zip(y_chain, y_chain[1:])]
+    gates += [GateOp("XHALF", (meas_q1,)), GateOp("XHALF", (meas_q2,))]
 
-    reducer = CliffordCircuit(tuple(gates))
     # fix the overall sign against the rotated string, flipping with a Z if needed
     target = reduced_target(r, r_prime, layout)
     parity = PauliString.from_letter_map(n, {meas_q1: "Z", meas_q2: "Z"})
-    got = clifford_conjugate(reducer, parity)
+    got = clifford_conjugate(gates, parity)
     if got == target:
-        return reducer
+        return tuple(gates)
     if got.same_letters(target):
-        return CliffordCircuit((("Z", (meas_q1,)),) + reducer.gates)
+        return (GateOp("Z", (meas_q1,)), *gates)
     raise AssertionError("reducer conjugation does not reproduce the measurement string")
 
 
@@ -396,10 +395,4 @@ def reduced_target(r, r_prime, layout: LatticeLayout) -> PauliString:
     rotated = prep * string * prep^dag."""
     string = build_measurement_string(r, r_prime, layout)
     prep = measurement_prep_rotations(r, r_prime, layout)
-    inverse = CliffordCircuit(
-        tuple(
-            (("XHALF_DG" if name == "XHALF" else name), targets)
-            for name, targets in reversed(prep.gates)
-        )
-    )
-    return clifford_conjugate(inverse, string)
+    return clifford_conjugate([inverse_gate(g) for g in reversed(prep)], string)

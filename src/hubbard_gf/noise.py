@@ -7,7 +7,7 @@ channel on its targets.  Each maximal run of consecutive gates and idle drifts
 on at most two qubits acts on rho as one fused superoperator: the product of
 its per-gate superoperators embedded in the run's bit order.  Two bounded
 process-wide caches hold the per-gate factors and the run products.  Z-axis
-rotations (RZ, PHASE, Z, GPHASE) are virtual: no error, no duration.  Idle
+rotations (RZ, Z, GPHASE) are virtual: no error, no duration.  Idle
 qubits accumulate a deterministic Z-phase drift at a per-qubit rate, which is
 what an XX decoupling sequence refocuses; T1/T2 from the device tables ride
 along as metadata only.  Readout confusion multiplies the measured marginal,
@@ -23,6 +23,7 @@ propagated through readout inversion, the twirl mean and the linear ZNE fit.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -31,7 +32,7 @@ import numpy as np
 
 from .circuit import Circuit, simulate
 from .greens import DIMER_PAIRS, MeasurementRecord, direct_series_circuits, kind_lambda, time_grid
-from .pauli import CliffordCircuit, PauliString, clifford_conjugate
+from .pauli import PauliString, clifford_conjugate
 from .statevector import (
     MAX_QUBITS,
     GateOp,
@@ -46,7 +47,7 @@ from .statevector import (
     shot_stderr,
 )
 
-VIRTUAL_KINDS = {"RZ", "PHASE", "Z", "GPHASE", "DELAY"}
+VIRTUAL_KINDS = {"RZ", "Z", "GPHASE", "DELAY"}
 
 
 @dataclass(frozen=True)
@@ -95,20 +96,30 @@ class NoiseModel:
 
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
+        """Read a to_json file; a ValueError names the path and the key it cannot use."""
         with open(path, encoding="utf-8") as f:
             d = json.load(f)
-        return cls(
-            n_qubits=int(d["n_qubits"]),
-            p1={int(q): float(v["error"]) for q, v in d.get("single_qubit", {}).items()},
-            p2={
-                tuple(int(x) for x in k.split(",")): float(v["error"])
-                for k, v in d.get("two_qubit", {}).items()
-            },
-            readout={int(q): np.asarray(c, dtype=float) for q, c in d.get("readout", {}).items()},
-            idle_rate={int(q): float(r) for q, r in d.get("idle_rate", {}).items()},
-            durations={k: float(v) for k, v in d.get("durations", {}).items()},
-            metadata=d.get("metadata", {}),
-        )
+        if not isinstance(d, dict) or "n_qubits" not in d:
+            what = "missing key n_qubits" if isinstance(d, dict) else "not a JSON object"
+            raise ValueError(f"noise model {path}: {what}")
+        fields = {"metadata": d.get("metadata", {})}
+        for key, (name, read) in _JSON_FIELDS.items():
+            try:
+                if key in d:
+                    fields[name] = read(d[key])
+            except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
+                raise ValueError(f"noise model {path}: invalid {key} ({type(e).__name__}: {e})") from None
+        return cls(**fields)
+
+
+_JSON_FIELDS = {  # to_json key -> (NoiseModel field, reader)
+    "n_qubits": ("n_qubits", int),
+    "single_qubit": ("p1", lambda v: {int(q): float(e["error"]) for q, e in v.items()}),
+    "two_qubit": ("p2", lambda v: {tuple(map(int, k.split(","))): float(e["error"]) for k, e in v.items()}),
+    "readout": ("readout", lambda v: {int(q): np.asarray(c, dtype=float) for q, c in v.items()}),
+    "idle_rate": ("idle_rate", lambda v: {int(q): float(r) for q, r in v.items()}),
+    "durations": ("durations", lambda v: {k: float(x) for k, x in v.items()}),
+}
 
 
 def confusion(p01: float, p10: float) -> np.ndarray:
@@ -492,12 +503,9 @@ def _twirl_table() -> dict[tuple[str, str, str], tuple[str, str, bool]]:
     sign flip): conjugating the pre pair by the gate gives the post pair, negated
     when the flag is set.  All 32 entries come from clifford_conjugate."""
     table = {}
-    for kind in _TWIRL_KINDS:
-        gate = CliffordCircuit(((kind, (0, 1)),))
-        for la in _PAULIS:
-            for lb in _PAULIS:
-                post = clifford_conjugate(gate, PauliString.from_letter_map(2, {0: la, 1: lb}))
-                table[kind, la, lb] = (post.letter_at(0), post.letter_at(1), post.phase_exp == 2)
+    for kind, la, lb in itertools.product(_TWIRL_KINDS, _PAULIS, _PAULIS):
+        post = clifford_conjugate((GateOp(kind, (0, 1)),), PauliString.from_letter_map(2, {0: la, 1: lb}))
+        table[kind, la, lb] = (post.letter_at(0), post.letter_at(1), post.phase_exp == 2)
     return table
 
 

@@ -10,6 +10,7 @@ Qubit 0 is the least-significant / rightmost tensor factor throughout.
 """
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -228,10 +229,9 @@ def jw_majorana(m: MajoranaIndex, n_sites: int) -> PauliString:
     return jw_mode(mode, 2 * n_sites, m.flavor)
 
 
-# -- Clifford circuits and symbolic conjugation ------------------------------
+# -- symbolic Clifford conjugation of GateOp sequences ------------------------
 
-CLIFFORD_1Q = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG")
-CLIFFORD_2Q = ("CNOT", "CZ")
+CLIFFORD_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "CNOT", "CZ")
 
 
 @lru_cache(maxsize=None)
@@ -266,64 +266,36 @@ def _match_pauli(m: np.ndarray, n: int) -> tuple[str, int]:
 
 
 @lru_cache(maxsize=None)
-def _conjugation_table(gate: str) -> dict:
+def _conjugation_table(kind: str, n: int) -> dict:
     """Map (input letters, lsb-first) -> (output letters, phase_exp) for g^dag P g,
-    with g the gate's statevector matrix on targets 0 (and 1)."""
-    n = 1 if gate in CLIFFORD_1Q else 2
-    g = gate_matrix(GateOp(gate, tuple(range(n))))
+    with g the statevector matrix of the n-qubit gate on targets 0 (and 1)."""
+    g = gate_matrix(GateOp(kind, tuple(range(n))))
     return {letters: _match_pauli(g.conj().T @ mm @ g, n) for letters, mm in _pauli_matrices(n)}
 
 
-@dataclass(frozen=True)
-class CliffordCircuit:
-    """Ordered list of named Clifford gates; conjugating a PauliString stays a PauliString."""
-
-    gates: tuple[tuple[str, tuple[int, ...]], ...]
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def __add__(self, other: "CliffordCircuit") -> "CliffordCircuit":
-        return CliffordCircuit(self.gates + other.gates)
-
-    @property
-    def cnot_count(self) -> int:
-        return sum(1 for name, _ in self.gates if name == "CNOT")
-
-    def qubits(self) -> tuple[int, ...]:
-        out: set[int] = set()
-        for _, targets in self.gates:
-            out.update(targets)
-        return tuple(sorted(out))
-
-
-def _conjugate_one_gate(name: str, targets: tuple[int, ...], p: PauliString) -> PauliString:
-    arity = 1 if name in CLIFFORD_1Q else 2 if name in CLIFFORD_2Q else None
-    if len(targets) != arity:
-        raise ValueError(f"unsupported Clifford gate {name}{targets}")
-    out_letters, extra = _conjugation_table(name)["".join(p.letter_at(q) for q in targets)]
-    return _with_letters(p, dict(zip(targets, out_letters)), extra)
-
-
-def _with_letters(p: PauliString, letters: dict[int, str], extra_exp: int) -> PauliString:
+def _conjugate_one_gate(g: GateOp, p: PauliString) -> PauliString:
+    if g.kind not in CLIFFORD_KINDS:  # before the width: a GPHASE has no targets
+        raise ValueError(f"unsupported Clifford gate {g.kind}{g.targets}")
+    if max(g.targets) >= p.width:
+        raise ValueError(f"gate {g.kind} targets {g.targets} exceed width {p.width}")
+    table = _conjugation_table(g.kind, len(g.targets))
+    out_letters, extra = table["".join(p.letter_at(q) for q in g.targets)]
     xbits, zbits = p.xbits, p.zbits
-    for q, ch in letters.items():
+    for q, ch in zip(g.targets, out_letters):
         x, z = _LETTER_TO_BITS[ch]
         xbits = (xbits & ~(1 << q)) | (x << q)
         zbits = (zbits & ~(1 << q)) | (z << q)
-    return PauliString(p.width, xbits, zbits, p.phase_exp + extra_exp)
+    return PauliString(p.width, xbits, zbits, p.phase_exp + extra)
 
 
-def clifford_conjugate(c: CliffordCircuit, p: PauliString) -> PauliString:
-    """Symbolic c^dag * p * c; gates applied first conjugate last."""
-    for name, targets in reversed(c.gates):
-        if targets and max(targets) >= p.width:
-            raise ValueError(f"gate {name} targets {targets} exceed width {p.width}")
-        p = _conjugate_one_gate(name, targets, p)
+def clifford_conjugate(gates: Sequence[GateOp], p: PauliString) -> PauliString:
+    """Symbolic c^dag * p * c, c the circuit of these gates; gates applied first conjugate last."""
+    for g in reversed(gates):
+        p = _conjugate_one_gate(g, p)
     return p
 
 
-def jw_string_remover(m: int, n: int) -> CliffordCircuit:
+def jw_string_remover(m: int, n: int) -> list[GateOp]:
     """Clifford S_mn killing the Z string strictly between qubits m and n.
 
     Built as a fan of CZ gates from each interior qubit onto the endpoint n, so
@@ -332,4 +304,4 @@ def jw_string_remover(m: int, n: int) -> CliffordCircuit:
     """
     if m >= n:
         raise ValueError(f"need m < n, got ({m}, {n})")
-    return CliffordCircuit(tuple(("CZ", (k, n)) for k in range(m + 1, n)))
+    return [GateOp("CZ", (k, n)) for k in range(m + 1, n)]

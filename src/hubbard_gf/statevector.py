@@ -40,7 +40,7 @@ _FIXED = {
     "CZ": np.diag([1, 1, 1, -1]).astype(complex),
 }
 
-ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "RZ", "PHASE", "DELAY")
+ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "RZ", "DELAY")
 TWO_QUBIT_KINDS = ("CNOT", "CZ", "CPHASE")
 ZERO_QUBIT_KINDS = ("GPHASE",)  # bookkeeping gate so builders are phase-exact
 _ARITY = {k: n for n, kinds in enumerate((ZERO_QUBIT_KINDS, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS)) for k in kinds}
@@ -62,7 +62,7 @@ class GateOp:
             raise ValueError(f"{self.kind} takes {n_targets} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets in {self.kind}{self.targets}")
-        if self.kind in ("RZ", "PHASE", "CPHASE", "GPHASE", "DELAY") and self.angle is None:
+        if self.kind in ("RZ", "CPHASE", "GPHASE", "DELAY") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
 
 
@@ -76,8 +76,6 @@ def gate_matrix(g: GateOp) -> np.ndarray:
         return np.eye(2, dtype=complex)
     if g.kind == "RZ":
         return np.array([[np.exp(-1j * g.angle / 2), 0], [0, np.exp(1j * g.angle / 2)]])
-    if g.kind == "PHASE":
-        return np.array([[1, 0], [0, np.exp(1j * g.angle)]])
     return np.diag([1, 1, 1, np.exp(1j * g.angle)])  # CPHASE
 
 
@@ -87,7 +85,7 @@ def inverse_gate(g: GateOp) -> GateOp:
         return g
     if g.kind in ("XHALF", "XHALF_DG"):
         return GateOp("XHALF_DG" if g.kind == "XHALF" else "XHALF", g.targets)
-    return GateOp(g.kind, g.targets, -g.angle)  # RZ, PHASE, CPHASE, GPHASE
+    return GateOp(g.kind, g.targets, -g.angle)  # RZ, CPHASE, GPHASE
 
 
 # -- state container ----------------------------------------------------------

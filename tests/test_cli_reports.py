@@ -109,15 +109,17 @@ def test_vha_sweep_requires_seed_for_shots(tmp_path, capsys):
 @pytest.mark.parametrize(
     "command, flag",
     [("correlator", flag) for flag in ("t", "u", "dtau", "phi")]
-    + [("vha-sweep", flag) for flag in ("t", "u")],
+    + [("vha-sweep", flag) for flag in ("t", "u")]
+    + [("dump-circuit", "theta")],
 )
 def test_non_finite_physics_flags_are_refused(tmp_path, capsys, command, flag, value):
-    argv = {
-        "correlator": ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2"],
-        "vha-sweep": ["vha-sweep", "--grid", "5"],
-    }[command]
     out = tmp_path / "out"
-    code, _, err = run_cli(argv + [f"--{flag}={value}", "--outdir", str(out)], capsys)
+    argv = {
+        "correlator": ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--outdir", str(out)],
+        "vha-sweep": ["vha-sweep", "--grid", "5", "--outdir", str(out)],
+        "dump-circuit": ["dump-circuit", "--which", "repulsion"],  # writes no files
+    }[command]
+    code, _, err = run_cli(argv + [f"--{flag}={value}"], capsys)
     assert code == 2
     assert f"--{flag} must be finite" in err
     assert not out.exists()  # refused before any output directory or CSV
@@ -212,6 +214,7 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISY + ["--phi", "3.141592653589793"], "Phi", id="phi-pi"),
         pytest.param(_NOISY + ["--shots", "0"], "shots", id="shots-0"),
         pytest.param(_SWEEP + ["--grid", "0"], "grid", id="sweep-grid-0"),
+        pytest.param(_SWEEP + ["--grid", "-1"], "--grid must be >= 1", id="sweep-grid--1"),
         pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots", id="sweep-shots--1"),
     ],
 )
@@ -226,6 +229,26 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     code, _, err = run_cli(argv + ["--outdir", str(out)], capsys)
     assert code == 2
     assert message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "not a JSON object"),
+        ("{}", "missing key n_qubits"),
+        ('{"n_qubits": 5, "single_qubit": {"0": 0.1}}', "invalid single_qubit"),
+    ],
+    ids=["list", "no-n_qubits", "bare-error-rate"],
+)
+def test_malformed_noise_model_is_a_usage_error(tmp_path, capsys, text, message):
+    model = tmp_path / "model.json"
+    model.write_text(text)
+    out = tmp_path / "out"
+    argv = [str(model) if a == "MODEL" else a for a in _NOISY]
+    code, _, err = run_cli(argv + ["--outdir", str(out)], capsys)
+    assert code == 2
+    assert f"noise model {model}: {message}" in err
     assert not out.exists()
 
 
@@ -376,6 +399,29 @@ def test_compare_refuses_headers_it_cannot_judge(tmp_path, capsys, line, bad, me
     assert f"error: {path}: {message}" in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--sigma", "-1"], "--sigma must be >= 0"),
+        (["--sigma", "nan"], "--sigma must be >= 0"),
+        (["--tol-exact", "-1"], "--tol-exact must be >= 0"),
+        (["--tol-exact", "nan"], "--tol-exact must be >= 0"),
+        (["--coverage", "0"], "--coverage must be in (0, 1]"),
+        (["--coverage", "2"], "--coverage must be in (0, 1]"),
+        (["--coverage", "nan"], "--coverage must be in (0, 1]"),
+    ],
+)
+@pytest.mark.parametrize("shots", [["--shots", "0"], ["--shots", "256", "--seed", "1"]], ids=["exact", "shots"])
+def test_compare_refuses_flags_it_cannot_judge_with(tmp_path, capsys, shots, flags, message):
+    # refused whether or not the CSV's kind of run uses the flag
+    code, _, _ = run_cli(_CORRELATOR + shots + ["--outdir", str(tmp_path)], capsys)
+    assert code == 0
+    code, out, err = run_cli(["compare", "--csv", str(tmp_path / "y2y2.csv"), *flags], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {message}" in err
+
+
 def test_compare_shot_mode_band(tmp_path, capsys):
     args = [
         "correlator", "--steps", "6", "--shots", "4096", "--seed", "3",
@@ -401,6 +447,23 @@ def test_dump_circuit(capsys):
     code, out, _ = run_cli(["dump-circuit", "--which", "trotter-step", "--dtau", "0.1"], capsys)
     assert code == 0
     assert any(line.startswith("CNOT") for line in out.splitlines())
+
+
+@pytest.mark.parametrize(
+    "which, sha256",
+    [
+        ("slater", "cc04b06fcea2c03305c381f0b87816016569a02cf59bc8c4bea20ba1393fcd06"),
+        ("vha", "2916df5a29df9c44c2afcfbc757b76a98c99e4781efa85b3957e84fa84e78c1a"),
+        ("trotter-step", "bec4bdccb0982fd64b834a77eeaedabc245aefa832765c51409d70be017970ce"),
+        ("hopping", "9a2ed868c6cb6790c377c29d1509babadd249af4acce912fa0b182fb68088a2c"),
+        ("repulsion", "e27d83e7d9b21c4bb0ed472b37466196ff48f19f4acb456f390a50ab40c939b0"),
+    ],
+)
+def test_dump_circuit_text_is_pinned(capsys, which, sha256):
+    # digests of each builder's gate text at its default flags
+    code, out, _ = run_cli(["dump-circuit", "--which", which], capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == sha256
 
 
 def test_config_file_defaults_flags_win(tmp_path, capsys):

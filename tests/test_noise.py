@@ -131,7 +131,7 @@ def test_run_noisy_refuses_width_beyond_density_matrix_capacity():
 def _random_gate(rng, kind, targets):
     if kind == "DELAY":
         return GateOp(kind, targets, float(rng.uniform(0, 1e-6)))
-    if kind in ("RZ", "PHASE", "CPHASE", "GPHASE"):
+    if kind in ("RZ", "CPHASE", "GPHASE"):
         return GateOp(kind, targets, float(rng.uniform(-math.pi, math.pi)))
     return GateOp(kind, targets)
 
@@ -399,14 +399,14 @@ def test_shared_prefix_cuts_density_matrix_passes(monkeypatch):
 
 def test_twirl_table_matches_clifford_conjugation():
     from hubbard_gf.noise import _twirl_table
-    from hubbard_gf.pauli import LETTER_MATRICES, CliffordCircuit, PauliString, clifford_conjugate
+    from hubbard_gf.pauli import LETTER_MATRICES, PauliString, clifford_conjugate
     from hubbard_gf.statevector import gate_matrix
 
     table = _twirl_table()
     assert len(table) == 32
     for (kind, la, lb), (post_a, post_b, flip) in table.items():
         pre = PauliString.from_letter_map(2, {0: la, 1: lb})
-        post = clifford_conjugate(CliffordCircuit(((kind, (0, 1)),)), pre)
+        post = clifford_conjugate([GateOp(kind, (0, 1))], pre)
         assert (post.letter_at(0), post.letter_at(1), post.phase_exp == 2) == (post_a, post_b, flip)
         assert post.phase_exp in (0, 2)
         # the sandwich leaves the gate invariant: U P_pre = sign P_post U (bit 0 = first target)
@@ -421,7 +421,7 @@ def test_twirl_table_matches_clifford_conjugation():
 def test_twirl_draws_one_pauli_pair_per_gate(case, n_variants, seed):
     # the table and the one batched draw give the circuits of one two-letter
     # draw and one Clifford conjugation per CX/CZ
-    from hubbard_gf.pauli import CliffordCircuit, PauliString, clifford_conjugate
+    from hubbard_gf.pauli import PauliString, clifford_conjugate
 
     circuit = case[0]
     rng = np.random.default_rng(seed)
@@ -433,7 +433,7 @@ def test_twirl_draws_one_pauli_pair_per_gate(case, n_variants, seed):
                 continue
             la, lb = (str(x) for x in rng.choice(("I", "X", "Y", "Z"), size=2))
             post = clifford_conjugate(
-                CliffordCircuit(((g.kind, (0, 1)),)), PauliString.from_letter_map(2, {0: la, 1: lb})
+                [GateOp(g.kind, (0, 1))], PauliString.from_letter_map(2, {0: la, 1: lb})
             )
             gates += [GateOp(x, (q,)) for x, q in zip((la, lb), g.targets) if x != "I"]
             gates.append(g)

@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hubbard_gf.pauli import (
-    CliffordCircuit,
     MajoranaIndex,
     PauliString,
     clifford_conjugate,
@@ -158,13 +157,11 @@ def test_jw_mode_range():
 # -- Clifford conjugation ----------------------------------------------------
 
 
-def dense_conjugate(circ, width):
+def dense_conjugate(gates, width):
     dim = 2 ** width
     U = np.eye(dim, dtype=complex)
-    for name, targets in circ.gates:
-        g = gate_matrix(GateOp(name, tuple(range(len(targets)))))
-        full = _embed(g, targets, width)
-        U = full @ U
+    for g in gates:
+        U = _embed(gate_matrix(g), g.targets, width) @ U
     return U
 
 
@@ -199,34 +196,40 @@ def test_clifford_conjugate_matches_dense():
         gl = []
         for _ in range(n_gates):
             if rng.random() < 0.5:
-                gl.append((str(rng.choice(gates1)), (int(rng.integers(0, w)),)))
+                gl.append(GateOp(str(rng.choice(gates1)), (int(rng.integers(0, w)),)))
             else:
                 a, b = rng.choice(w, size=2, replace=False)
-                gl.append((str(rng.choice(["CNOT", "CZ"])), (int(a), int(b))))
-        circ = CliffordCircuit(tuple(gl))
+                gl.append(GateOp(str(rng.choice(["CNOT", "CZ"])), (int(a), int(b))))
         p = random_pauli(rng, w)
-        got = clifford_conjugate(circ, p)
-        U = dense_conjugate(circ, w)
+        got = clifford_conjugate(gl, p)
+        U = dense_conjugate(gl, w)
         np.testing.assert_allclose(got.to_matrix(), U.conj().T @ p.to_matrix() @ U, atol=1e-10)
 
 
 def test_hadamard_exchanges_x_z():
-    circ = CliffordCircuit((("H", (0,)),))
+    circ = [GateOp("H", (0,))]
     assert clifford_conjugate(circ, PauliString.from_label("Z")).label == "+X"
     assert clifford_conjugate(circ, PauliString.from_label("X")).label == "+Z"
 
 
 def test_cnot_zz_collapse():
     # conjugating Z_c Z_t by CNOT(c->t) leaves Z on the target qubit
-    circ = CliffordCircuit((("CNOT", (0, 1)),))
+    circ = [GateOp("CNOT", (0, 1))]
     assert clifford_conjugate(circ, PauliString.from_label("ZZ")).label == "+ZI"
-    circ = CliffordCircuit((("CNOT", (1, 0)),))
+    circ = [GateOp("CNOT", (1, 0))]
     assert clifford_conjugate(circ, PauliString.from_label("ZZ")).label == "+IZ"
 
 
 def test_unsupported_gate():
-    with pytest.raises(ValueError):
-        clifford_conjugate(CliffordCircuit((("T", (0,)),)), PauliString.identity(1))
+    # GPHASE has no targets: the kind is refused before any width check reads them
+    for gate in (
+        GateOp("RZ", (0,), 0.3),
+        GateOp("CPHASE", (0, 1), 0.3),
+        GateOp("GPHASE", (), 0.3),
+        GateOp("DELAY", (0,), 1e-7),
+    ):
+        with pytest.raises(ValueError, match="unsupported Clifford gate"):
+            clifford_conjugate([gate], PauliString.identity(2))
 
 
 # -- Jordan-Wigner string remover ---------------------------------------------

@@ -90,7 +90,6 @@ def test_all_gates_match_dense_embedding():
         GateOp("XHALF", (2,)),
         GateOp("XHALF_DG", (0,)),
         GateOp("RZ", (1,), 1.234),
-        GateOp("PHASE", (2,), -0.77),
         GateOp("GPHASE", (), 0.61),
         GateOp("DELAY", (1,), 3e-7),
     ]
@@ -315,7 +314,7 @@ def test_rotation_inverse_property(xbits, zbits, negate, theta, seed):
     assert out.norm_error() < 1e-12
 
 
-_ANGLE_KINDS = ("RZ", "PHASE", "CPHASE", "GPHASE", "DELAY")
+_ANGLE_KINDS = ("RZ", "CPHASE", "GPHASE", "DELAY")
 
 
 def _random_unitary(rng, dim):

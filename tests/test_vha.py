@@ -224,7 +224,7 @@ def test_parity_basis_schedule_within_5_sigma():
         Circuit(4, (GateOp("X", (0,)), GateOp("X", (1,))))
         + hopping_step(1, 2, "up", 0.6, 2)
         + hopping_step(1, 2, "down", 0.4, 2)
-        + Circuit(4, (GateOp("PHASE", (2,), math.pi / 2), GateOp("PHASE", (3,), math.pi / 2)))
+        + Circuit(4, (GateOp("RZ", (2,), math.pi / 2), GateOp("RZ", (3,), math.pi / 2)))
     )
     exact = measure_energy(prep, h, shots=0)
     assert abs(exact.hopping) > 0.1
