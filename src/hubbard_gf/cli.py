@@ -22,6 +22,7 @@ from .greens import (
     advanced_hadamard_test,
     dimer_suite,
     hadamard_test,
+    time_grid,
 )
 from .noise import MitigationConfig, NoiseModel, noisy_dimer_series, zne
 from .oracle import dimer_analytic
@@ -211,7 +212,7 @@ def cmd_correlator(args) -> int:
         header["noise_model"] = args.noise_model
         records = {
             name: noisy_dimer_series(
-                name, args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
+                *DIMER_PAIRS[name], args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
             )
             for name in pairs
         }
@@ -281,12 +282,12 @@ def cmd_compare(args) -> int:
         header, columns, rows = read_csv(path)
         try:
             name, kind, protocol, shots, t, u, plan = _header_settings(header)
+            taus, est, *stderr = _body_series(columns, rows, shots, plan)
         except ValueError as e:
             print(f"error: {path}: {e}", file=sys.stderr)
             return 2
         scale = _full_scale(protocol)
-        taus = np.array([float(r[columns.index("tau")]) for r in rows])
-        est = scale * np.array([float(r[columns.index("estimate")]) for r in rows])
+        est = scale * est
         dev = np.abs(est - _analytic(name, kind, t, u, taus))
         report = {"csv": path, "max_dev": _json_number(np.max(dev)), "mean_dev": _json_number(np.mean(dev))}
         if shots == 0:
@@ -294,7 +295,7 @@ def cmd_compare(args) -> int:
             ok = bool(np.max(dev) <= tol)
             report["tol"] = _json_number(tol)
         else:
-            err = scale * np.array([float(r[columns.index("stderr")]) for r in rows])
+            err = scale * stderr[0]
             within = dev <= args.sigma * np.maximum(err, 1e-12) + _trotter_bound(name, kind, t, u, plan)
             ok = bool(np.mean(within) >= args.coverage)
             report["in_band_fraction"] = float(np.mean(within))
@@ -325,6 +326,29 @@ def _header_settings(header) -> tuple[str, str, str, int, float, float, TrotterP
             raise ValueError(f"invalid header {key}={header.get(key)}")
     plan = TrotterPlan(read["dtau"], read["steps"])
     return name, kind, protocol, read["shots"], read["t"], read["u"], plan
+
+
+def _body_series(columns, rows, shots, plan) -> np.ndarray:
+    """The tau and estimate columns, and stderr with shots, as rows of floats; ValueError for a
+    body compare cannot judge: a column it needs missing, a row of another width, a cell that
+    is not a float, or taus that are not the plan's time grid."""
+    needed = ("tau", "estimate") + (("stderr",) if shots else ())
+    missing = [c for c in needed if c not in columns]
+    if missing:
+        raise ValueError(f"missing column {', '.join(missing)}")
+    table = []
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise ValueError(f"data row {i} has {len(row)} cells for {len(columns)} columns")
+        try:
+            table.append([float(row[columns.index(c)]) for c in needed])
+        except ValueError as e:
+            raise ValueError(f"data row {i}: {e}") from None
+    data = np.array(table).reshape(-1, len(needed)).T
+    grid = time_grid(plan)
+    if data.shape[1] != len(grid) or not np.all(np.abs(data[0] - grid) <= 1e-12):
+        raise ValueError(f"taus are not the {len(grid)} points of the dtau={plan.dtau} time grid")
+    return data
 
 
 def _json_number(x) -> float | None:

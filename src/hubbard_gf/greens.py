@@ -161,7 +161,7 @@ class _DirectPieces:
     observable: PauliString  # i sigma_probe x_d
     basis: Circuit  # turns the observable into the parity of meas_qubits
     meas_qubits: tuple[int, int]
-    sign: float  # estimate = sign * parity / sin(Phi)
+    sign: float  # direct_estimate's sign
     anc: int
 
 
@@ -231,17 +231,28 @@ def direct_measurement(
         elif k:
             state = simulate(pieces.step, state)
         point = apply_gate(state, phase)
-        if shots == 0:
-            val = expectation_pauli(point, pieces.observable) / math.sin(phi)
-            estimates.append(float(val))
-            stderrs.append(0.0)
+        if shots == 0:  # the observable carries the sign
+            val, err = direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)
         else:
             rotated = simulate(pieces.basis, point)
             counts = sample_counts(rotated, pieces.meas_qubits, shots, int(seeds[k]))
             parity = parity_expectation(counts, shots)
-            estimates.append(pieces.sign * parity / math.sin(phi))
-            stderrs.append(shot_stderr(parity, shots) / abs(math.sin(phi)))
+            val, err = direct_estimate(pieces.sign, parity, shot_stderr(parity, shots), phi)
+        estimates.append(val)
+        stderrs.append(err)
     return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam)
+
+
+def direct_estimate(sign: float, parity: float, stderr: float, phi: float) -> tuple[float, float]:
+    """The protocol-native (estimate, stderr) of one point from its measured parity: sign * parity / sin Phi."""
+    return sign * parity / math.sin(phi), stderr / abs(math.sin(phi))
+
+
+def full_value(rec: MeasurementRecord) -> MeasurementRecord:
+    """The record scaled to the full (anti)commutator: twice the protocol-native estimates and stderrs."""
+    return replace(
+        rec, estimates=tuple(2 * v for v in rec.estimates), stderrs=tuple(2 * s for s in rec.stderrs)
+    )
 
 
 def _exact_evolve(state: StateVector, spect, tau: float, n_sys: int) -> StateVector:
@@ -266,31 +277,12 @@ def direct_point_circuit(
 ) -> tuple[Circuit, tuple[int, int], float]:
     """Fully gate-level 5-qubit circuit for one direct-protocol time point.
 
-    Returns (circuit, parity qubits, estimator sign); the estimate is
-    sign * parity / sin(phi).  The ancilla phase is spread as one Z^dag rotation
-    per Trotter step.  Used by the noisy pipeline; the noiseless runner applies
-    the same pieces with the phase as a single rotation.
+    Returns (circuit, parity qubits, estimator sign) for direct_estimate.  The
+    ancilla phase is spread as one Z^dag rotation per Trotter step.  Used by the
+    noisy pipeline; the noiseless runner applies the same pieces with the phase
+    as a single rotation.
     """
     p = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    return _point_circuit(p, n_steps, lam), p.meas_qubits, p.sign
-
-
-def direct_series_circuits(
-    source: MajoranaIndex,
-    probe: MajoranaIndex,
-    t: float,
-    u: float,
-    plan: TrotterPlan,
-    phi: float,
-    lam: float,
-) -> tuple[tuple[Circuit, ...], tuple[int, int], float]:
-    """direct_point_circuit at steps 0..plan.steps, all built from one set of pieces."""
-    p = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    circuits = tuple(_point_circuit(p, k, lam) for k in range(plan.steps + 1))
-    return circuits, p.meas_qubits, p.sign
-
-
-def _point_circuit(p: _DirectPieces, n_steps: int, lam: float) -> Circuit:
     if n_steps == 0:
         evolution = (GateOp("RZ", (p.anc,), -lam),)
     else:
@@ -302,7 +294,7 @@ def _point_circuit(p: _DirectPieces, n_steps: int, lam: float) -> Circuit:
         (kicked, "evolution"),
         (kicked + len(evolution), "measurement"),
     )
-    return Circuit(p.prep.n_qubits, gates, barriers)
+    return Circuit(p.prep.n_qubits, gates, barriers), p.meas_qubits, p.sign
 
 
 # -- correlator assembly ------------------------------------------------------------
@@ -372,7 +364,6 @@ def dimer_suite(
     phi: float,
     shots: int,
     seed: int,
-    evolution: str = "trotter",
     kind: str = "retarded",
     pairs: tuple[str, ...] = tuple(DIMER_PAIRS),
 ) -> dict[str, MeasurementRecord]:
@@ -380,18 +371,11 @@ def dimer_suite(
 
     Retarded values are the full anticommutators <{probe(tau), source}> = 2 Re
     of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im
-    (the protocol-native estimate is half of either).  Each pair draws from the
+    (full_value of the protocol-native estimate).  Each pair draws from the
     seed at its DIMER_PAIRS index, so a series does not depend on which others run.
     """
-    out = {}
     seeds = dict(zip(DIMER_PAIRS, np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))))
-    for name in pairs:
-        rec = direct_measurement(
-            *DIMER_PAIRS[name], t, u, plan, phi, shots, int(seeds[name]), kind, evolution
-        )
-        out[name] = replace(
-            rec,
-            estimates=tuple(2 * v for v in rec.estimates),
-            stderrs=tuple(2 * s for s in rec.stderrs),
-        )
-    return out
+    return {
+        name: full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, phi, shots, int(seeds[name]), kind))
+        for name in pairs
+    }

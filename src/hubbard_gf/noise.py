@@ -31,8 +31,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, simulate
-from .greens import DIMER_PAIRS, MeasurementRecord, direct_series_circuits, kind_lambda, time_grid
-from .pauli import PauliString, clifford_conjugate
+from .greens import MeasurementRecord, direct_estimate, direct_point_circuit, full_value, kind_lambda, time_grid
+from .pauli import MajoranaIndex, PauliString, clifford_conjugate
 from .statevector import (
     MAX_QUBITS,
     GateOp,
@@ -63,6 +63,18 @@ class NoiseModel:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        n = self.n_qubits
+        for key, rates in (("single_qubit", self.p1), ("readout", self.readout), ("idle_rate", self.idle_rate)):
+            for q in rates:
+                if q not in range(n):
+                    raise ValueError(f"{key} qubit {q!r} is not one of the {n} qubits")
+        pairs = set(itertools.combinations(range(n), 2))
+        for pair in self.p2:
+            if pair not in pairs:
+                raise ValueError(f"two_qubit key {pair!r} is not a pair (a, b) with 0 <= a < b < {n}")
+        for kind, d in self.durations.items():
+            if not (math.isfinite(d) and d >= 0):
+                raise ValueError(f"duration of {kind} must be finite and >= 0, got {d}")
         for p in list(self.p1.values()) + list(self.p2.values()):
             if not 0 <= p <= 1:
                 raise ValueError(f"probability {p} outside [0, 1]")
@@ -109,7 +121,10 @@ class NoiseModel:
                     fields[name] = read(d[key])
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
                 raise ValueError(f"noise model {path}: invalid {key} ({type(e).__name__}: {e})") from None
-        return cls(**fields)
+        try:
+            return cls(**fields)
+        except ValueError as e:
+            raise ValueError(f"noise model {path}: {e}") from None
 
 
 _JSON_FIELDS = {  # to_json key -> (NoiseModel field, reader)
@@ -663,11 +678,13 @@ def zne(scales, samples, order: int) -> ZneResult:
 
 @dataclass(frozen=True)
 class MitigationConfig:
-    readout: bool = True
-    twirl_variants: int = 4
+    """What noisy_parity_estimate applies; the defaults, like the CLI's, mitigate nothing."""
+
+    readout: bool = False
+    twirl_variants: int = 1
     dd_sequence: str = "none"  # none | XX
-    zne_scales: tuple[float, ...] = (1.0, 1.5, 2.0, 2.5, 3.0)
-    zne_order: int = 2
+    zne_scales: tuple[float, ...] = ()
+    zne_order: int = 1
 
     def __post_init__(self):
         if self.twirl_variants < 1:
@@ -681,9 +698,6 @@ class MitigationConfig:
                 raise ValueError("scale factors must be sorted and >= 1")
             if self.zne_order >= len(self.zne_scales):
                 raise ValueError("polynomial order must be below the number of factors")
-
-
-NO_MITIGATION = MitigationConfig(readout=False, twirl_variants=1, dd_sequence="none", zne_scales=())
 
 
 def noisy_parity_estimate(
@@ -746,7 +760,8 @@ def noisy_parity_estimate(
 
 
 def noisy_dimer_series(
-    name: str,
+    source: MajoranaIndex,
+    probe: MajoranaIndex,
     t: float,
     u: float,
     plan,
@@ -757,19 +772,19 @@ def noisy_dimer_series(
     config: MitigationConfig,
     kind: str = "retarded",
 ) -> MeasurementRecord:
-    """Full (anti)commutator series for one dimer pair under noise (kind as in dimer_suite).
+    """The direct protocol's probe-source series under noise, as full_value (kind as in dimer_suite).
 
-    Per time point the full gate-level point circuit runs through the configured
-    mitigation stack; estimates and stderrs carry the 2/sin(phi) estimator scaling.
+    Per time point the full gate-level direct_point_circuit runs through the
+    configured mitigation stack, and direct_estimate scales its parity.
     """
     lam = kind_lambda(kind)
-    source, probe = DIMER_PAIRS[name]
-    circuits, meas_qubits, sign = direct_series_circuits(source, probe, t, u, plan, phi, lam)
     taus = time_grid(plan)
     seeds = np.random.SeedSequence(seed).generate_state(len(taus))
     estimates, stderrs = [], []
-    for k, circuit in enumerate(circuits):
-        parity, err = noisy_parity_estimate(circuit, meas_qubits, model, shots, int(seeds[k]), config)
-        estimates.append(2.0 * sign * parity / math.sin(phi))
-        stderrs.append(2.0 * err / abs(math.sin(phi)))
-    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam)
+    for k in range(len(taus)):
+        circuit, meas_qubits, sign = direct_point_circuit(source, probe, t, u, plan, k, phi, lam)
+        parity, parity_err = noisy_parity_estimate(circuit, meas_qubits, model, shots, int(seeds[k]), config)
+        val, err = direct_estimate(sign, parity, parity_err, phi)
+        estimates.append(val)
+        stderrs.append(err)
+    return full_value(MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam))

@@ -29,7 +29,6 @@ from hubbard_gf.local_mapping import LatticeLayout, build_measurement_reducer
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.noise import (
     MitigationConfig,
-    NO_MITIGATION,
     confusion,
     kolkata_dimer_model,
     mitigate_readout,
@@ -283,8 +282,9 @@ def test_criterion_8_mitigation_properties():
     ideal = {n: np.array(r.estimates) for n, r in dimer_suite(t, u, plan, phi, 0, 0).items()}
     dm, du = [], []
     for name in ideal:
-        mit = noisy_dimer_series(name, t, u, plan, phi, 4096, 42, model, config).estimates
-        unmit = noisy_dimer_series(name, t, u, plan, phi, 4096, 42, model, NO_MITIGATION).estimates
+        pair = DIMER_PAIRS[name]
+        mit = noisy_dimer_series(*pair, t, u, plan, phi, 4096, 42, model, config).estimates
+        unmit = noisy_dimer_series(*pair, t, u, plan, phi, 4096, 42, model, MitigationConfig()).estimates
         dm.append(np.abs(np.array(mit) - ideal[name]))
         du.append(np.abs(np.array(unmit) - ideal[name]))
     frac = float(np.mean(np.max(dm, axis=0) < np.max(du, axis=0)))

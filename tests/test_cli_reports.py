@@ -238,8 +238,14 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
         ("[]", "not a JSON object"),
         ("{}", "missing key n_qubits"),
         ('{"n_qubits": 5, "single_qubit": {"0": 0.1}}', "invalid single_qubit"),
+        ('{"n_qubits": 5, "two_qubit": {"1,0": {"error": 0.01}}}', "two_qubit key (1, 0) is not a pair"),
+        ('{"n_qubits": 5, "two_qubit": {"0": {"error": 0.01}}}', "two_qubit key (0,) is not a pair"),
+        ('{"n_qubits": 5, "single_qubit": {"9": {"error": 0.01}}}', "single_qubit qubit 9 is not one of the 5"),
+        ('{"n_qubits": 5, "readout": {"7": [[1, 0], [0, 1]]}}', "readout qubit 7 is not one of the 5"),
+        ('{"n_qubits": 5, "durations": {"X": -1.0}}', "duration of X must be finite and >= 0, got -1.0"),
     ],
-    ids=["list", "no-n_qubits", "bare-error-rate"],
+    ids=["list", "no-n_qubits", "bare-error-rate", "pair-reversed", "pair-one-qubit", "single-qubit-9",
+         "readout-qubit-7", "negative-duration"],
 )
 def test_malformed_noise_model_is_a_usage_error(tmp_path, capsys, text, message):
     model = tmp_path / "model.json"
@@ -393,6 +399,39 @@ def test_compare_refuses_headers_it_cannot_judge(tmp_path, capsys, line, bad, me
     text = path.read_text()
     assert line + "\n" in text
     path.write_text(text.replace(line + "\n", bad + "\n", 1))
+    code, out, err = run_cli(["compare", "--csv", str(path)], capsys)
+    assert code == 2
+    assert out == ""
+    assert f"error: {path}: {message}" in err
+
+
+def _retau(rows, k, tau):
+    return rows[:k] + [[tau] + rows[k][1:]] + rows[k + 1 :]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (lambda cols, rows: (cols, rows[:-1]), "taus are not the 4 points"),
+        (lambda cols, rows: (cols, rows[:1] + [rows[1][:1]] + rows[2:]), "data row 2 has 1 cells for 7 columns"),
+        (lambda cols, rows: (["err" if c == "stderr" else c for c in cols], rows), "missing column stderr"),
+        (lambda cols, rows: (cols, [rows[0][:1] + ["abc"] + rows[0][2:]] + rows[1:]),
+         "data row 1: could not convert string to float: 'abc'"),
+        (lambda cols, rows: (cols, []), "taus are not the 4 points"),
+        (lambda cols, rows: (cols, _retau(rows, 2, "9.0")), "taus are not the 4 points"),
+    ],
+    ids=["last-row-dropped", "short-row", "stderr-renamed", "estimate-abc", "no-rows", "tau-off-grid"],
+)
+def test_compare_refuses_bodies_it_cannot_judge(tmp_path, capsys, edit, message):
+    code, _, _ = run_cli(
+        ["correlator", "--steps", "3", "--shots", "64", "--seed", "1", "--pair", "y2y2", "--outdir", str(tmp_path)],
+        capsys,
+    )
+    assert code == 0
+    path = tmp_path / "y2y2.csv"
+    header = [line for line in path.read_text().splitlines() if line.startswith("# ")]
+    cols, rows = edit(*read_csv(path)[1:])
+    path.write_text("\n".join(header + [",".join(cols)] + [",".join(r) for r in rows]) + "\n")
     code, out, err = run_cli(["compare", "--csv", str(path)], capsys)
     assert code == 2
     assert out == ""

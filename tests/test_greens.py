@@ -16,6 +16,7 @@ from hubbard_gf.greens import (
     dimer_ground_circuit,
     dimer_suite,
     direct_measurement,
+    full_value,
     hadamard_test,
     time_grid,
 )
@@ -25,7 +26,7 @@ from hubbard_gf.oracle import (
     lehmann_correlator,
     majorana_operator,
 )
-from hubbard_gf.noise import NO_MITIGATION, NoiseModel, noisy_dimer_series
+from hubbard_gf.noise import MitigationConfig, NoiseModel, noisy_dimer_series
 from hubbard_gf.pauli import MajoranaIndex
 
 T, U = 1.0, 4.0
@@ -44,7 +45,7 @@ y1 = MajoranaIndex(1, "up", "y")
         lambda kind: hadamard_test(x0, x0, T, U, ONE_STEP, 0, 0, kind),
         lambda kind: advanced_hadamard_test(x0, x0, T, U, ONE_STEP, 0, 0, kind),
         lambda kind: noisy_dimer_series(
-            "y2y2", T, U, ONE_STEP, math.pi / 2, 16, 0, NoiseModel(5), NO_MITIGATION, kind
+            *DIMER_PAIRS["y2y2"], T, U, ONE_STEP, math.pi / 2, 16, 0, NoiseModel(5), MitigationConfig(), kind
         ),
     ],
     ids=["direct_measurement", "hadamard_test", "advanced_hadamard_test", "noisy_dimer_series"],
@@ -186,7 +187,12 @@ def test_dimer_suite_tau_zero_and_analytic_tracking():
 
 def test_dimer_suite_exact_evolution_matches_analytic():
     plan = TrotterPlan(0.314, 6)
-    suite = dimer_suite(T, U, plan, math.pi / 2, shots=0, seed=0, evolution="exact")
+    suite = {
+        name: full_value(
+            direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, evolution="exact")
+        )
+        for name in DIMER_PAIRS
+    }
     taus = np.array(suite["y2y2"].taus)
     for name, rec in suite.items():
         analytic = 2 * np.real(dimer_analytic(DIMER_ANALYTIC_REF[name], T, U, taus))
@@ -243,7 +249,12 @@ def test_grid_mismatch_rejected():
 
 def test_dimer_suite_keldysh_kind():
     plan = TrotterPlan(0.314, 5)
-    suite = dimer_suite(T, U, plan, math.pi / 2, shots=0, seed=0, evolution="exact", kind="keldysh")
+    suite = {
+        name: full_value(
+            direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
+        )
+        for name in DIMER_PAIRS
+    }
     taus = np.array(suite["y2y2"].taus)
     for name, rec in suite.items():
         analytic = 2 * np.imag(dimer_analytic(DIMER_ANALYTIC_REF[name], T, U, taus))
@@ -279,19 +290,6 @@ def test_direct_point_circuit_matches_runner():
             zz = PauliString.from_letter_map(5, {mq[0]: "Z", mq[1]: "Z"})
             val = sign * expectation_pauli(state, zz) / math.sin(phi)
             assert val == pytest.approx(rec.estimates[k], abs=1e-10)
-
-
-def test_direct_series_circuits_equal_point_circuits():
-    # one set of pieces serves the whole series
-    from hubbard_gf.greens import DIMER_PAIRS, direct_point_circuit, direct_series_circuits
-
-    plan = TrotterPlan(0.314, 4)
-    for name, lam in (("y2y2", math.pi / 2), ("x3y2", 0.0)):
-        source, probe = DIMER_PAIRS[name]
-        circuits, mq, sign = direct_series_circuits(source, probe, T, U, plan, 0.7, lam)
-        assert len(circuits) == plan.steps + 1
-        for k, circ in enumerate(circuits):
-            assert (circ, mq, sign) == direct_point_circuit(source, probe, T, U, plan, k, 0.7, lam)
 
 
 @settings(max_examples=25, deadline=None)

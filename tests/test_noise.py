@@ -11,7 +11,6 @@ from hubbard_gf.circuit import Circuit, circuit_unitary, simulate
 from hubbard_gf.noise import (
     VIRTUAL_KINDS,
     MitigationConfig,
-    NO_MITIGATION,
     NoiseModel,
     confusion,
     dynamical_decoupling,
@@ -379,7 +378,7 @@ def test_shared_prefix_cuts_density_matrix_passes(monkeypatch):
 
     circuit, meas_qubits = _readme_point()
     model = kolkata_dimer_model()
-    config = MitigationConfig(twirl_variants=4, zne_scales=(1.0, 1.5, 2.0), zne_order=1)
+    config = MitigationConfig(readout=True, twirl_variants=4, zne_scales=(1.0, 1.5, 2.0), zne_order=1)
     passes = []
     kernel = noise.apply_matrix_inplace
 
@@ -448,11 +447,12 @@ def test_readme_mitigated_series_is_pinned():
     # README noisy example: y2y2, 6 steps, 4096 shots, seed 42, readout
     # mitigation, twirl 4, ZNE 1/1.5/2 at order 1
     from hubbard_gf.circuit import TrotterPlan
+    from hubbard_gf.greens import DIMER_PAIRS
     from hubbard_gf.noise import noisy_dimer_series
 
     config = MitigationConfig(readout=True, twirl_variants=4, zne_scales=(1.0, 1.5, 2.0),
                               zne_order=1)
-    rec = noisy_dimer_series("y2y2", 1.0, 4.0, TrotterPlan(0.314, 6), math.pi / 2, 4096,
+    rec = noisy_dimer_series(*DIMER_PAIRS["y2y2"], 1.0, 4.0, TrotterPlan(0.314, 6), math.pi / 2, 4096,
                              42, kolkata_dimer_model(), config)
     assert rec.estimates == (
         2.0440025551982726,
@@ -712,7 +712,8 @@ def test_mitigation_config_validation():
         MitigationConfig(zne_scales=(2.0, 1.0))
     with pytest.raises(ValueError):
         MitigationConfig(zne_scales=(1.0, 2.0), zne_order=2)
-    assert NO_MITIGATION.twirl_variants == 1
+    default = MitigationConfig()
+    assert (default.readout, default.twirl_variants, default.zne_scales) == (False, 1, ())
 
 
 def test_noisy_parity_estimate_zero_model_matches_exact():
@@ -720,7 +721,7 @@ def test_noisy_parity_estimate_zero_model_matches_exact():
 
     c = Circuit(2, (G("H", (0,)), G("CNOT", (0, 1))))
     model = NoiseModel(2)
-    est, _ = noisy_parity_estimate(c, (0, 1), model, 4096, 3, NO_MITIGATION)
+    est, _ = noisy_parity_estimate(c, (0, 1), model, 4096, 3, MitigationConfig())
     assert est == pytest.approx(1.0, abs=0.05)  # Bell pair parity +1
 
 
@@ -740,7 +741,7 @@ def test_propagated_stderr_identities():
 
     c, model = _skewed_pair()
     # no mitigation: the stderr of one draw's parity
-    value, err = noisy_parity_estimate(c, (0, 1), model, 1024, 5, NO_MITIGATION)
+    value, err = noisy_parity_estimate(c, (0, 1), model, 1024, 5, MitigationConfig())
     assert err == pytest.approx(float(shot_stderr(value, 1024)), rel=1e-12)
     # an identity confusion inverts to the signs themselves: readout on changes nothing
     exact = NoiseModel(2, p2=model.p2, readout={0: np.eye(2), 1: np.eye(2)})

@@ -2,6 +2,7 @@
 the benchmark's own self-tests must pass against the package."""
 import importlib
 import importlib.util
+import json
 import os
 import subprocess
 import sys
@@ -39,3 +40,41 @@ def test_perfbench_selftest_passes():
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+_TRACED_NOISY_RUN = """
+import json, sys
+src, perfbench, out = sys.argv[1:4]
+sys.path[:0] = [src, perfbench]
+from hubbard_gf import cli
+from hubbard_gf.noise import kolkata_dimer_model
+from tracing import Recorder, summarize
+
+kolkata_dimer_model().to_json(out + "/kolkata.json")
+recorder = Recorder()
+recorder.install()
+rc = cli.main([
+    "correlator", "--steps", "2", "--shots", "256", "--seed", "42", "--pair", "y2y2",
+    "--noise-model", out + "/kolkata.json", "--readout-mitigation", "--twirl", "2",
+    "--zne-scales", "1", "2", "--outdir", out,
+])
+totals = {}
+summarize(recorder.spans, totals)
+with open(out + "/spans.json", "w") as f:
+    json.dump({"rc": rc, **totals}, f)
+"""
+
+
+def test_noisy_run_spans_its_point_circuits(tmp_path):
+    # the noisy series builds each point with the traced direct_point_circuit,
+    # so a traced noisy run counts one circuit and one estimate per time point
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ untouched
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_NOISY_RUN, str(ROOT / "src"), str(ROOT / "perfbench"), str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    totals = json.loads((tmp_path / "spans.json").read_text())
+    assert totals["rc"] == 0
+    assert totals["greens.direct_point_circuit.calls"] == 3
+    assert totals["noise.noisy_parity_estimate.calls"] == 3
