@@ -21,6 +21,8 @@ from .greens import (
     DIMER_PAIRS,
     advanced_hadamard_test,
     dimer_suite,
+    direct_measurement,
+    full_value,
     hadamard_test,
     time_grid,
 )
@@ -359,7 +361,7 @@ def _json_number(x) -> float | None:
 
 def _trotter_bound(name, kind, t, u, plan) -> float:
     """Measured first-order Trotter deviation of the exact pipeline (the one pair) at these settings."""
-    rec = dimer_suite(t, u, plan, math.pi / 2, 0, 0, kind=kind, pairs=(name,))[name]
+    rec = full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, math.pi / 2, 0, 0, kind))
     return float(np.max(np.abs(np.array(rec.estimates) - _analytic(name, kind, t, u, rec.taus)))) + 1e-9
 
 
@@ -410,7 +412,7 @@ def main(argv=None) -> int:
             return 2
     try:
         return COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError) as e:
+    except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

@@ -101,7 +101,7 @@ def _hadamard_family(
     bra = simulate(dimer_ground_circuit(t, u))
     ket = apply_pauli(bra, _mode_pauli(source, h, width))
     taus = time_grid(plan)
-    seeds = np.random.SeedSequence(seed).generate_state(len(taus))
+    seeds = np.random.SeedSequence(seed).generate_state(len(taus)) if shots else None
 
     estimates, stderrs = [], []
     for k in range(len(taus)):
@@ -210,7 +210,9 @@ def direct_measurement(
     the state one Trotter step per grid point (trotter) or evolve it densely to
     each point (exact).  Per time point a copy gets the ancilla Z^dag phase lambda
     (the step never touches the ancilla, so the two commute), i sigma_probe x_d
-    is reduced to a two-qubit parity, estimated and divided by sin Phi.
+    is reduced to a two-qubit parity, estimated and divided by sin Phi.  Shot
+    point k draws from the k-th seed of SeedSequence(seed); a shot-free run
+    derives no seeds.
     """
     lam = kind_lambda(kind)
     if evolution not in ("trotter", "exact"):
@@ -221,7 +223,7 @@ def direct_measurement(
         spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
     phase = GateOp("RZ", (pieces.anc,), -lam)
     taus = time_grid(plan)
-    seeds = np.random.SeedSequence(seed).generate_state(len(taus))
+    seeds = np.random.SeedSequence(seed).generate_state(len(taus)) if shots else None
 
     estimates, stderrs = [], []
     state = kicked

@@ -689,6 +689,8 @@ class MitigationConfig:
     def __post_init__(self):
         if self.twirl_variants < 1:
             raise ValueError(f"twirl variants must be >= 1, got {self.twirl_variants}")
+        if self.dd_sequence not in ("none", "XX"):
+            raise ValueError(f"dd sequence must be none or XX, got {self.dd_sequence!r}")
         if self.zne_order < 0:
             raise ValueError(f"polynomial order must be >= 0, got {self.zne_order}")
         if self.zne_scales:

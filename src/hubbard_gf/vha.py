@@ -296,21 +296,23 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
     alpha's interaction block and every beta's 16x16 hopping-layer unitary are
     built gate by gate on the whole stack of angles, and one einsum applies
     every layer to every prefix.  Shot-mode point k (row-major) draws from the
-    k-th seed of SeedSequence(seed).  Grids past MAX_GRID_POINTS are refused.
+    k-th seed of SeedSequence(seed); an exact sweep derives no seeds.  Grids
+    past MAX_GRID_POINTS are refused.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     if alphas.size == 0 or betas.size == 0:
         raise ValueError("empty grid")
-    if alphas.size * betas.size > MAX_GRID_POINTS:
-        raise ValueError(f"{alphas.size * betas.size} grid points exceed dense capacity {MAX_GRID_POINTS}")
+    n_points = alphas.size * betas.size
+    if n_points > MAX_GRID_POINTS:
+        raise ValueError(f"{n_points} grid points exceed dense capacity {MAX_GRID_POINTS}")
     prefixes = np.repeat(simulate(slater_prep_circuit()).amps[None], alphas.size, axis=0)
     _run_per_angle([dimer_interaction_step(a) for a in alphas.tolist()], prefixes)
     layers = np.repeat(np.eye(16, dtype=complex)[None], betas.size, axis=0)
     _run_per_angle([dimer_hopping_layer(b) for b in betas.tolist()], layers.transpose(0, 2, 1))
-    seeds = np.random.SeedSequence(seed).generate_state(alphas.size * betas.size)
+    seeds = np.random.SeedSequence(seed).generate_state(n_points) if shots else ()
     energies, stderrs, _, _ = _energy_estimates(
-        np.einsum("bij,aj->abi", layers, prefixes).reshape(len(seeds), -1),
+        np.einsum("bij,aj->abi", layers, prefixes).reshape(n_points, -1),
         FermionHamiltonian.dimer(t, u), shots, seeds,
     )
     shape = (alphas.size, betas.size)
@@ -334,7 +336,7 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    seeds = iter(np.random.SeedSequence(seed).generate_state(max(budget, 1)))
+    seeds = iter(np.random.SeedSequence(seed).generate_state(budget)) if shots else None
     terms = hamiltonian_pauli_terms(FermionHamiltonian.dimer(t, u))
     evals = 0
     trace: list[float] = []

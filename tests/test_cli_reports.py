@@ -2,6 +2,9 @@ import hashlib
 import json
 import math
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -216,19 +219,26 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_SWEEP + ["--grid", "0"], "grid", id="sweep-grid-0"),
         pytest.param(_SWEEP + ["--grid", "-1"], "--grid must be >= 1", id="sweep-grid--1"),
         pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots", id="sweep-shots--1"),
+        # a path the OS refuses is a usage error naming it, like a missing one
+        pytest.param(["compare", "--csv", "DIR"], "Is a directory: '{DIR}'", id="compare-csv-directory"),
+        pytest.param(_NOISELESS + ["--outdir", "/dev/null/x"], "Not a directory: '/dev/null/x'",
+                     id="outdir-under-a-file"),
+        pytest.param(_NOISELESS + ["--outdir", "MODEL"], "File exists: '{MODEL}'", id="outdir-is-a-file"),
     ],
 )
 def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     # flags are validated on every run, noiseless ones too, before anything is written
     from hubbard_gf.noise import NoiseModel
 
-    model = tmp_path / "zero.json"
-    NoiseModel(5).to_json(model)
+    paths = {"MODEL": str(tmp_path / "zero.json"), "DIR": str(tmp_path)}
+    NoiseModel(5).to_json(paths["MODEL"])
     out = tmp_path / "out"
-    argv = [str(model) if a == "MODEL" else a for a in flags]
-    code, _, err = run_cli(argv + ["--outdir", str(out)], capsys)
+    argv = [paths.get(a, a) for a in flags]
+    if argv[0] != "compare":  # an --outdir among the flags comes later and wins
+        argv[1:1] = ["--outdir", str(out)]
+    code, _, err = run_cli(argv, capsys)
     assert code == 2
-    assert message in err
+    assert message.format(**paths) in err
     assert not out.exists()
 
 
@@ -310,6 +320,43 @@ def test_correlator_byte_reproducible(tmp_path, capsys):
     a = (tmp_path / "a" / "y3y3.csv").read_bytes()
     b = (tmp_path / "b" / "y3y3.csv").read_bytes()
     assert a == b
+
+
+_FRESH_MAIN = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from hubbard_gf import cli
+code = cli.main(sys.argv[2:])
+print(code, "numpy.random" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loads",
+    [
+        (["compare", "--csv", "CSV"], False),
+        (["vha-sweep", "--grid", "5", "--shots", "0"], False),
+        (["correlator", "--protocol", "hadamard", "--shots", "0", "--steps", "2"], False),
+        (["correlator", "--shots", "64", "--seed", "1", "--steps", "2"], True),
+    ],
+    ids=["compare", "vha-sweep-exact", "hadamard-exact", "direct-shots"],
+)
+def test_only_shot_runs_load_numpy_random(tmp_path, capsys, argv, loads):
+    # a fresh interpreter, since this one already holds numpy.random: shot-free
+    # runs derive no seeds, so they never import it
+    code, _, _ = run_cli(
+        ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--outdir", str(tmp_path)], capsys
+    )
+    assert code == 0
+    argv = [str(tmp_path / "y2y2.csv") if a == "CSV" else a for a in argv]
+    outdir = [] if argv[0] == "compare" else ["--outdir", str(tmp_path / "out")]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_MAIN, str(src), *argv, *outdir],
+        capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == f"0 {loads}"
 
 
 def test_single_pair_run_writes_its_full_run_bytes(tmp_path, capsys):

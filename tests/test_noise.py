@@ -712,6 +712,8 @@ def test_mitigation_config_validation():
         MitigationConfig(zne_scales=(2.0, 1.0))
     with pytest.raises(ValueError):
         MitigationConfig(zne_scales=(1.0, 2.0), zne_order=2)
+    with pytest.raises(ValueError, match="dd sequence must be none or XX, got 'YY'"):
+        MitigationConfig(dd_sequence="YY")  # noisy_parity_estimate would run no decoupling
     default = MitigationConfig()
     assert (default.readout, default.twirl_variants, default.zne_scales) == (False, 1, ())
 
