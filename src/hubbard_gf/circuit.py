@@ -6,6 +6,7 @@ phase), which keeps the dense oracles in the tests strict.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -96,6 +97,8 @@ class TrotterPlan:
             raise ValueError("steps must be >= 1")
         if not self.dtau > 0:
             raise ValueError("dtau must be positive")
+        if not math.isfinite(self.steps * self.dtau):
+            raise ValueError(f"steps * dtau must be finite, got {self.steps} * {self.dtau}")
 
 
 # -- elementary blocks ---------------------------------------------------------

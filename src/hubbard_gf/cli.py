@@ -24,7 +24,6 @@ from .greens import (
     direct_measurement,
     full_value,
     hadamard_test,
-    time_grid,
 )
 from .noise import MitigationConfig, NoiseModel, noisy_dimer_series, zne
 from .oracle import dimer_analytic
@@ -32,7 +31,7 @@ from .reports import (
     correlator_svg,
     default_outdir,
     landscape_svg,
-    read_csv,
+    read_measurement_csv,
     write_landscape_csv,
     write_measurement_csv,
 )
@@ -185,6 +184,9 @@ def cmd_vha_sweep(args) -> int:
 
 
 def cmd_correlator(args) -> int:
+    if not args.t > 0:  # the dimer closed forms behind every overlay need a positive hopping
+        print(f"error: --t must be positive, got {args.t}", file=sys.stderr)
+        return 2
     if args.shots < 0:  # one refusal for every protocol, before any of them draws
         print("error: shots must be >= 1", file=sys.stderr)
         return 2
@@ -204,14 +206,11 @@ def cmd_correlator(args) -> int:
     seed = args.seed or 0
     plan = TrotterPlan(args.dtau, args.steps)
     pairs = list(DIMER_PAIRS) if args.pair == "all" else [args.pair]
-    # each record CSV names the protocol and phi that produced it
-    header = {
-        "command": "correlator", "t": args.t, "u": args.u, "dtau": args.dtau,
-        "steps": args.steps, "kind": args.kind, "shots": args.shots, "seed": seed,
-    }
+    # the SVG overlays come first, so settings whose closed forms overflow are refused before any run
+    dense = np.linspace(0, plan.steps * plan.dtau, 200)
+    overlays = {name: _analytic(name, args.kind, args.t, args.u, dense) for name in pairs}
     if args.noise_model:
         model = NoiseModel.from_json(args.noise_model)
-        header["noise_model"] = args.noise_model
         records = {
             name: noisy_dimer_series(
                 *DIMER_PAIRS[name], args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
@@ -228,7 +227,20 @@ def cmd_correlator(args) -> int:
         }
     out = _outdir(args)
     for name in pairs:
-        _write_series(out, name, records[name], header, args)
+        rec, stem = records[name], f"{name}_noisy" if args.noise_model else name
+        csv_path = os.path.join(out, f"{stem}.csv")
+        write_measurement_csv(csv_path, name, rec, args.t, args.u, plan, args.kind, seed, args.noise_model)
+        scale = _full_scale(rec.protocol)
+        correlator_svg(
+            os.path.join(out, f"{stem}.svg"),
+            f"{name} {args.kind} ({rec.protocol}{', noisy' if args.noise_model else ''})",
+            rec.taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense, overlays[name],
+            config_lines=(
+                f"dtau={args.dtau} steps={args.steps}",
+                f"phi={args.phi:.4f} shots={args.shots} seed={rec.seed}",
+            ),
+        )
+        print(f"wrote {csv_path}")
     return 0
 
 
@@ -247,26 +259,6 @@ def _full_scale(protocol) -> float:
     return 2.0 if protocol in ("hadamard", "advanced_hadamard") else 1.0
 
 
-def _write_series(out, name, rec, header, args) -> None:
-    """The record's CSV and SVG overlay; a noisy run's files are named {name}_noisy."""
-    scale = _full_scale(rec.protocol)
-    stem = f"{name}_noisy" if args.noise_model else name
-    csv_path = os.path.join(out, f"{stem}.csv")
-    write_measurement_csv(csv_path, name, rec, header)
-    dense = np.linspace(0, rec.taus[-1], 200)
-    correlator_svg(
-        os.path.join(out, f"{stem}.svg"),
-        f"{name} {args.kind} ({rec.protocol}{', noisy' if args.noise_model else ''})",
-        rec.taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense,
-        _analytic(name, args.kind, args.t, args.u, dense),
-        config_lines=(
-            f"dtau={args.dtau} steps={args.steps}",
-            f"phi={args.phi:.4f} shots={args.shots} seed={rec.seed}",
-        ),
-    )
-    print(f"wrote {csv_path}")
-
-
 def cmd_compare(args) -> int:
     """Deviation report against the analytic curves; exit 3 when out of tolerance."""
     # checked even where the CSVs do not use them; inf stands for an unbounded band
@@ -281,24 +273,21 @@ def cmd_compare(args) -> int:
     failures = 0
     reports = []
     for path in args.csv:
-        header, columns, rows = read_csv(path)
         try:
-            name, kind, protocol, shots, t, u, plan = _header_settings(header)
-            taus, est, *stderr = _body_series(columns, rows, shots, plan)
-        except ValueError as e:
+            csv = read_measurement_csv(path)
+            analytic, bound = _analytic(csv.correlator, csv.kind, csv.t, csv.u, csv.taus), _trotter_bound(csv)
+        except ValueError as e:  # a CSV, or a closed form or bound at its settings, that cannot be judged
             print(f"error: {path}: {e}", file=sys.stderr)
             return 2
-        scale = _full_scale(protocol)
-        est = scale * est
-        dev = np.abs(est - _analytic(name, kind, t, u, taus))
+        scale = _full_scale(csv.protocol)
+        dev = np.abs(scale * csv.estimates - analytic)
         report = {"csv": path, "max_dev": _json_number(np.max(dev)), "mean_dev": _json_number(np.mean(dev))}
-        if shots == 0:
-            tol = args.tol_exact if args.tol_exact is not None else _trotter_bound(name, kind, t, u, plan)
+        if csv.shots == 0:
+            tol = args.tol_exact if args.tol_exact is not None else bound
             ok = bool(np.max(dev) <= tol)
             report["tol"] = _json_number(tol)
         else:
-            err = scale * stderr[0]
-            within = dev <= args.sigma * np.maximum(err, 1e-12) + _trotter_bound(name, kind, t, u, plan)
+            within = dev <= args.sigma * np.maximum(scale * csv.stderrs, 1e-12) + bound
             ok = bool(np.mean(within) >= args.coverage)
             report["in_band_fraction"] = float(np.mean(within))
         reports.append(report | {"status": "PASS" if ok else "FAIL"})
@@ -308,60 +297,21 @@ def cmd_compare(args) -> int:
     return 3 if failures else 0
 
 
-def _header_settings(header) -> tuple[str, str, str, int, float, float, TrotterPlan]:
-    """The series, kind, protocol, shots, t, u and Trotter plan a CSV header names; ValueError
-    names the key that compare cannot judge (TrotterPlan itself refuses a dtau or steps out of range)."""
-    name, kind, protocol = header.get("correlator"), header.get("kind", "retarded"), header.get("protocol")
-    if name not in DIMER_ANALYTIC_REF:
-        raise ValueError(f"invalid header correlator={name}")
-    if kind not in ("retarded", "keldysh"):
-        raise ValueError(f"invalid header kind={kind}")
-    if protocol not in ("direct", "hadamard", "advanced_hadamard"):
-        raise ValueError(f"invalid header protocol={protocol}")
-    read = {}
-    for key, convert in (("t", float), ("u", float), ("dtau", float), ("steps", int), ("shots", int)):
-        try:
-            read[key] = convert(header[key])
-        except (KeyError, ValueError):
-            read[key] = math.nan
-        if not math.isfinite(read[key]) or (key == "shots" and read[key] < 0):
-            raise ValueError(f"invalid header {key}={header.get(key)}")
-    plan = TrotterPlan(read["dtau"], read["steps"])
-    return name, kind, protocol, read["shots"], read["t"], read["u"], plan
-
-
-def _body_series(columns, rows, shots, plan) -> np.ndarray:
-    """The tau and estimate columns, and stderr with shots, as rows of floats; ValueError for a
-    body compare cannot judge: a column it needs missing, a row of another width, a cell that
-    is not a float, or taus that are not the plan's time grid."""
-    needed = ("tau", "estimate") + (("stderr",) if shots else ())
-    missing = [c for c in needed if c not in columns]
-    if missing:
-        raise ValueError(f"missing column {', '.join(missing)}")
-    table = []
-    for i, row in enumerate(rows, 1):
-        if len(row) != len(columns):
-            raise ValueError(f"data row {i} has {len(row)} cells for {len(columns)} columns")
-        try:
-            table.append([float(row[columns.index(c)]) for c in needed])
-        except ValueError as e:
-            raise ValueError(f"data row {i}: {e}") from None
-    data = np.array(table).reshape(-1, len(needed)).T
-    grid = time_grid(plan)
-    if data.shape[1] != len(grid) or not np.all(np.abs(data[0] - grid) <= 1e-12):
-        raise ValueError(f"taus are not the {len(grid)} points of the dtau={plan.dtau} time grid")
-    return data
-
-
 def _json_number(x) -> float | None:
     """Strict JSON has no NaN or infinity: a non-finite value is reported as null."""
     x = float(x)
     return x if math.isfinite(x) else None
 
 
-def _trotter_bound(name, kind, t, u, plan) -> float:
-    """Measured first-order Trotter deviation of the exact pipeline (the one pair) at these settings."""
-    rec = full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, math.pi / 2, 0, 0, kind))
+def _trotter_bound(csv) -> float:
+    """Measured first-order Trotter deviation of the exact pipeline (the one pair) at a CSV's settings.
+
+    A direct CSV is bounded at its own kick angle, since round-off scales with 1 / sin Phi; a
+    Hadamard CSV has no kick (it records phi=0) and is bounded at pi/2.
+    """
+    name, kind, t, u = csv.correlator, csv.kind, csv.t, csv.u
+    phi = csv.phi if csv.protocol == "direct" else math.pi / 2
+    rec = full_value(direct_measurement(*DIMER_PAIRS[name], t, u, csv.plan, phi, 0, 0, kind))
     return float(np.max(np.abs(np.array(rec.estimates) - _analytic(name, kind, t, u, rec.taus)))) + 1e-9
 
 

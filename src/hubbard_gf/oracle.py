@@ -1,6 +1,7 @@
 """Classical ground truth: dense diagonalization, Lehmann correlators, dimer closed forms."""
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,11 +156,6 @@ def lehmann_correlator(
     return complex(out[0]) if np.ndim(tau) == 0 else out
 
 
-def dimer_energy_scales(t: float, u: float) -> tuple[float, float]:
-    """The two combinations sqrt(U^2 + 16 t^2), sqrt(U^2 + 64 t^2)."""
-    return float(np.sqrt(u * u + 16 * t * t)), float(np.sqrt(u * u + 64 * t * t))
-
-
 def dimer_ground_energy(t: float, u: float) -> float:
     return -0.25 * (u + np.sqrt(u * u + 64 * t * t))
 
@@ -173,19 +169,25 @@ def dimer_sector_energies(t: float, u: float) -> tuple[float, float]:
 
 
 def dimer_analytic(which: str, t: float, u: float, tau):
-    """Closed-form dimer correlators; `which` is xx_0, xx_1 or xy_01."""
+    """Closed-form dimer correlators; `which` is xx_0, xx_1 or xy_01.
+
+    The frequencies e1 = sqrt(U^2 + 16 t^2) / 4 and e2 = sqrt(U^2 + 64 t^2) / 4 enter
+    by hypot and ratios, so no square overflows; ValueError where a phase e2 tau would.
+    """
     if not t > 0:
         raise ValueError("t must be positive")
-    u1, u2 = dimer_energy_scales(t, u)
+    e1, e2 = math.hypot(u / 4, t), math.hypot(u / 4, 2 * t)
     taus = np.asarray(tau, dtype=float)
-    envelope = np.exp(-0.25j * taus * u2)
-    c, s = np.cos(taus * u1 / 4), np.sin(taus * u1 / 4)
-    if which == "xx_0":
-        out = envelope * (c - 1j * (u * u - 32 * t * t) / (u1 * u2) * s)
+    if not math.isfinite(e2 * float(np.max(np.abs(taus), initial=0.0))):
+        raise ValueError(f"the dimer closed forms overflow at t={t}, U={u} up to tau={np.max(np.abs(taus))}")
+    envelope = np.exp(-1j * taus * e2)
+    c, s = np.cos(taus * e1), np.sin(taus * e1)
+    if which == "xx_0":  # (U^2 - 32 t^2) / (16 e1 e2)
+        out = envelope * (c - 1j * ((u / 4 / e1) * (u / 4 / e2) - 2 * (t / e1) * (t / e2)) * s)
     elif which == "xx_1":
-        out = envelope * (c + 1j * (u * u + 32 * t * t) / (u1 * u2) * s)
+        out = envelope * (c + 1j * ((u / 4 / e1) * (u / 4 / e2) + 2 * (t / e1) * (t / e2)) * s)
     elif which == "xy_01":
-        out = 4 * envelope * (2j * t / u2 * c - t / u1 * s)
+        out = envelope * (2j * t / e2 * c - t / e1 * s)
     else:
         raise ValueError(f"unknown correlator {which!r}")
     return complex(out) if np.ndim(tau) == 0 else out

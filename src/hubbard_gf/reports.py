@@ -6,11 +6,14 @@ configuration and seed, so re-running a config reproduces the bytes exactly.
 from __future__ import annotations
 
 import itertools
+import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .circuit import TrotterPlan
+from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, time_grid
 from .vha import canonical_angles
 
 
@@ -44,24 +47,75 @@ def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
     return header, columns, rows
 
 
-def write_measurement_csv(path, name: str, record, header: dict | None = None) -> None:
+def write_measurement_csv(path, name: str, record, t, u, plan, kind, seed, noise_model=None) -> None:
+    """The record's rows under the header read_measurement_csv reads back; `seed` is the run's."""
     meta = {
-        "correlator": name,
-        "protocol": record.protocol,
-        "phi": record.phi,
-        "lambda": record.lam,
-        "shots": record.shots,
-        "seed": record.seed,
-    }
-    meta.update(header or {})
-    write_csv(
-        path,
-        meta,
-        ["tau", "estimate", "stderr", "shots", "protocol", "phi", "lambda"],
-        [
-            (float(t), float(e), float(s), record.shots, record.protocol, record.phi, record.lam)
-            for t, e, s in zip(record.taus, record.estimates, record.stderrs)
-        ],
+        "correlator": name, "protocol": record.protocol, "phi": record.phi, "lambda": record.lam,
+        "shots": record.shots, "seed": seed, "command": "correlator", "t": t, "u": u,
+        "dtau": plan.dtau, "steps": plan.steps, "kind": kind,
+    } | ({"noise_model": noise_model} if noise_model else {})
+    fixed = (record.shots, record.protocol, record.phi, record.lam)
+    rows = ((*map(float, point), *fixed) for point in zip(record.taus, record.estimates, record.stderrs))
+    write_csv(path, meta, ["tau", "estimate", "stderr", "shots", "protocol", "phi", "lambda"], rows)
+
+
+@dataclass(frozen=True)
+class CorrelatorCsv:
+    """A correlator CSV's settings and its tau, estimate and stderr columns (zeros without shots)."""
+
+    correlator: str
+    kind: str
+    protocol: str
+    shots: int
+    phi: float
+    t: float
+    u: float
+    plan: TrotterPlan
+    taus: np.ndarray
+    estimates: np.ndarray
+    stderrs: np.ndarray
+
+
+def read_measurement_csv(path) -> CorrelatorCsv:
+    """A CSV of write_measurement_csv's layout; ValueError names the header key or the body
+    defect that cannot be judged.  Values are held to no bound, so a nan estimate is returned."""
+    header, columns, rows = read_csv(path)
+    name, kind, protocol = header.get("correlator"), header.get("kind"), header.get("protocol")
+    if name not in DIMER_PAIRS:
+        raise ValueError(f"invalid header correlator={name}")
+    if kind not in LAMBDA_BY_KIND:
+        raise ValueError(f"invalid header kind={kind}")
+    if protocol not in ("direct", "hadamard", "advanced_hadamard"):
+        raise ValueError(f"invalid header protocol={protocol}")
+    read = {}
+    for key in ("t", "u", "phi", "lambda", "dtau", "steps", "shots"):
+        try:
+            read[key] = (int if key in ("steps", "shots") else float)(header[key])
+        except (KeyError, ValueError):
+            read[key] = math.nan
+        wrong = {"shots": read[key] < 0, "lambda": read[key] != LAMBDA_BY_KIND[kind]}.get(key, False)
+        if not math.isfinite(read[key]) or wrong:
+            raise ValueError(f"invalid header {key}={header.get(key)}")
+    plan = TrotterPlan(read["dtau"], read["steps"])  # refuses a dtau or steps out of range
+    needed = ("tau", "estimate") + (("stderr",) if read["shots"] else ())
+    missing = [c for c in needed if c not in columns]
+    if missing:
+        raise ValueError(f"missing column {', '.join(missing)}")
+    table = []
+    for i, row in enumerate(rows, 1):
+        if len(row) != len(columns):
+            raise ValueError(f"data row {i} has {len(row)} cells for {len(columns)} columns")
+        try:
+            table.append([float(row[columns.index(c)]) for c in needed])
+        except ValueError as e:
+            raise ValueError(f"data row {i}: {e}") from None
+    data = np.array(table).reshape(-1, len(needed)).T
+    grid = time_grid(plan)
+    if data.shape[1] != len(grid) or not np.all(np.abs(data[0] - grid) <= 1e-12):
+        raise ValueError(f"taus are not the {len(grid)} points of the dtau={plan.dtau} time grid")
+    stderrs = data[2] if read["shots"] else np.zeros(len(grid))
+    return CorrelatorCsv(
+        name, kind, protocol, read["shots"], read["phi"], read["t"], read["u"], plan, data[0], data[1], stderrs
     )
 
 

@@ -13,6 +13,7 @@ leading axes are a batch (the VHA landscape and the columns of
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -64,6 +65,8 @@ class GateOp:
             raise ValueError(f"duplicate targets in {self.kind}{self.targets}")
         if self.kind in ("RZ", "CPHASE", "GPHASE", "DELAY") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
+        if self.angle is not None and not math.isfinite(self.angle):
+            raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
 
 
 def gate_matrix(g: GateOp) -> np.ndarray:

@@ -182,6 +182,8 @@ def test_trotter_plan_validation():
         TrotterPlan(0.1, 0)
     with pytest.raises(ValueError):
         TrotterPlan(-0.1, 2)
+    with pytest.raises(ValueError, match="steps \\* dtau must be finite"):
+        TrotterPlan(1e308, 2)  # each dtau is finite, the last grid point is not
 
 
 def test_measurement_basis_yx_xy():

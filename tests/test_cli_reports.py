@@ -1,17 +1,25 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import re
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hubbard_gf import cli
+from hubbard_gf.circuit import TrotterPlan
 from hubbard_gf.cli import main
-from hubbard_gf.reports import read_csv, write_csv
+from hubbard_gf.greens import DIMER_PAIRS
+from hubbard_gf.reports import read_csv, read_measurement_csv, write_csv, write_measurement_csv
 
 
 def run_cli(args, capsys):
@@ -224,6 +232,18 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISELESS + ["--outdir", "/dev/null/x"], "Not a directory: '/dev/null/x'",
                      id="outdir-under-a-file"),
         pytest.param(_NOISELESS + ["--outdir", "MODEL"], "File exists: '{MODEL}'", id="outdir-is-a-file"),
+        # finite flags whose closed-form phase, gate angle U * dtau or time grid is not
+        pytest.param(_NOISELESS + ["--u", "1e154", "--dtau", "1e300", "--steps", "1", "--protocol",
+                                   "advanced-hadamard", "--kind", "keldysh"],
+                     "the dimer closed forms overflow at t=1.0, U=1e+154 up to tau=1e+300", id="phase-overflow"),
+        pytest.param(_NOISELESS + ["--u", "1e154", "--dtau", "5e154", "--steps", "1", "--protocol",
+                                   "advanced-hadamard", "--kind", "keldysh"], "angle must be finite, got inf",
+                     id="angle-overflow"),
+        pytest.param(_NOISELESS + ["--t", "1e-10", "--u", "1e-10", "--dtau", "1e308"],
+                     "steps * dtau must be finite, got 2 * 1e+308", id="time-grid-overflow"),
+        # the closed forms of every overlay need a positive hopping
+        pytest.param(_NOISELESS + ["--t", "0"], "--t must be positive, got 0.0", id="t-0"),
+        pytest.param(_NOISELESS + ["--t", "-1"], "--t must be positive, got -1.0", id="t--1"),
     ],
 )
 def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
@@ -435,17 +455,21 @@ def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
         ("# protocol=direct", "# protocol=hadamrd", "invalid header protocol=hadamrd"),
         ("# shots=0", "# shots=nan", "invalid header shots=nan"),
         ("# shots=0", "# shots=-1", "invalid header shots=-1"),
+        # on a Keldysh CSV: a kind that is not assumed, a lambda that is not ignored
+        ("# kind=keldysh", None, "invalid header kind=None"),
+        ("# lambda=0.0", "# lambda=1.5707963267948966", "invalid header lambda=1.5707963267948966"),
     ],
 )
 def test_compare_refuses_headers_it_cannot_judge(tmp_path, capsys, line, bad, message):
-    code, _, _ = run_cli(
-        ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--outdir", str(tmp_path)], capsys
-    )
-    assert code == 0
-    path = tmp_path / "y2y2.csv"
+    # the line is edited (or deleted, for bad=None) in the first CSV holding it, retarded then Keldysh
+    for kind in ("retarded", "keldysh"):
+        argv = ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--kind", kind]
+        code, _, _ = run_cli(argv + ["--outdir", str(tmp_path / kind)], capsys)
+        assert code == 0
+    paths = (tmp_path / kind / "y2y2.csv" for kind in ("retarded", "keldysh"))
+    path = next(p for p in paths if line + "\n" in p.read_text())
     text = path.read_text()
-    assert line + "\n" in text
-    path.write_text(text.replace(line + "\n", bad + "\n", 1))
+    path.write_text(text.replace(line + "\n", "" if bad is None else bad + "\n", 1))
     code, out, err = run_cli(["compare", "--csv", str(path)], capsys)
     assert code == 2
     assert out == ""
@@ -654,3 +678,105 @@ def test_vha_sweep_refuses_grids_past_dense_capacity(tmp_path, capsys, monkeypat
     assert not out.exists()
     code, _, err = run_cli(["vha-sweep", "--grid", "1024", "--outdir", str(out)], capsys)
     assert code == 2 and "the sweep ran" in err  # the largest grid that fits reaches the sweep
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [
+        ["--u", "1e160", "--dtau", "1e-3"],  # U^2 overflows in the closed forms
+        ["--t", "1e155", "--dtau", "1e-160"],  # so does t^2
+        ["--phi", "1e-9"],  # round-off scaled by 1 / sin Phi, far above it at pi/2
+    ],
+    ids=["u-1e160", "t-1e155", "phi-1e-9"],
+)
+def test_compare_passes_its_own_exact_output_at_extreme_settings(tmp_path, capsys, flags):
+    code, _, err = run_cli(["correlator", "--steps", "3", "--shots", "0", *flags, "--outdir", str(tmp_path)], capsys)
+    assert code == 0, err
+    code, out, _ = run_cli(["compare", "--csv", *map(str, sorted(tmp_path.glob("*.csv")))], capsys)
+    assert code == 0, out
+    assert [r["status"] for r in json.loads(out)["reports"]] == ["PASS"] * 3
+
+
+def _run_quietly(argv) -> int:
+    """cli.main with its output discarded (hypothesis examples cannot take capsys)."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main(argv)
+
+
+@settings(max_examples=24, deadline=None)
+@given(
+    protocol=st.sampled_from(["direct", "hadamard", "advanced-hadamard", "noisy"]),
+    kind=st.sampled_from(["retarded", "keldysh"]),
+    shots=st.sampled_from([0, 64]),
+    pair=st.sampled_from(sorted(DIMER_PAIRS)),
+    t=st.floats(0.05, 5.0),
+    u=st.floats(-10.0, 10.0),
+    dtau=st.floats(1e-3, 1.0),
+    phi=st.floats(0.05, math.pi - 0.05),
+    steps=st.integers(1, 3),
+)
+def test_measurement_csv_round_trip(protocol, kind, shots, pair, t, u, dtau, phi, steps):
+    # what the CLI hands the writer, read_measurement_csv returns: settings equal, columns bit for bit
+    from hubbard_gf.noise import kolkata_dimer_model
+
+    shots = 64 if protocol == "noisy" else shots  # a noisy run draws shots
+    written = []
+
+    def spy(*args):
+        written.append(args)
+        write_measurement_csv(*args)
+
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(cli, "write_measurement_csv", spy):
+        kolkata_dimer_model().to_json(f"{tmp}/model.json")
+        extra = ["--noise-model", f"{tmp}/model.json"] if protocol == "noisy" else ["--protocol", protocol]
+        argv = ["correlator", *extra, "--kind", kind, "--shots", str(shots), "--seed", "5", "--pair", pair,
+                f"--t={t}", f"--u={u}", f"--dtau={dtau}", f"--phi={phi}", "--steps", str(steps), "--outdir", tmp]
+        assert _run_quietly(argv) == 0
+        [(path, name, record, t_, u_, plan, kind_, _seed, _model)] = written
+        csv = read_measurement_csv(path)
+    assert (csv.correlator, csv.kind, csv.protocol, csv.shots, csv.phi) == (
+        name, kind_, record.protocol, record.shots, record.phi
+    )
+    assert (csv.t, csv.u, csv.plan) == (t_, u_, plan) == (t, u, TrotterPlan(dtau, steps))
+    for column, values in ((csv.taus, record.taus), (csv.estimates, record.estimates), (csv.stderrs, record.stderrs)):
+        assert column.tobytes() == np.array(values, dtype=float).tobytes()
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)  # t and dtau, mostly
+_TYPICAL = st.sampled_from([1.0, 4.0, 0.314, 1.5707963267948966])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    values=st.fixed_dictionaries(
+        {"t": st.one_of(_POSITIVE, _FINITE, _TYPICAL), "u": st.one_of(_FINITE, _TYPICAL),
+         "dtau": st.one_of(_POSITIVE, _FINITE, _TYPICAL), "phi": st.one_of(_FINITE, _TYPICAL)}
+    ),
+    steps=st.integers(1, 3),
+    kind=st.sampled_from(["retarded", "keldysh"]),
+    protocol=st.sampled_from(["direct", "hadamard", "advanced-hadamard"]),
+    pair=st.sampled_from(sorted(DIMER_PAIRS) + ["all"]),
+    shots=st.sampled_from([0, 64]),
+    in_config=st.sets(st.sampled_from(["t", "u", "dtau", "phi", "steps", "kind", "protocol", "pair", "shots"])),
+)
+def test_every_finite_correlator_config_runs_or_is_refused(values, steps, kind, protocol, pair, shots, in_config):
+    # exit 0 or 2; a refused run leaves no directory, a finished one finite cells that compare
+    # passes when the run is exact (a shot verdict is a statistical one, so it is not asserted)
+    settings_ = {**values, "steps": steps, "kind": kind, "protocol": protocol, "pair": pair, "shots": shots}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out"
+        config = Path(tmp) / "run.json"
+        config.write_text(json.dumps({k: v for k, v in settings_.items() if k in in_config}))
+        flags = [f"--{k}={v}" for k, v in settings_.items() if k not in in_config]
+        code = _run_quietly(["--config", str(config), "correlator", "--seed", "3", *flags, "--outdir", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        paths = sorted(map(str, out.glob("*.csv")))
+        for path in paths:
+            _, columns, rows = read_csv(path)
+            assert all(math.isfinite(float(cell)) for row in rows for c, cell in zip(columns, row) if c != "protocol")
+        if shots == 0:
+            assert _run_quietly(["compare", "--csv", *paths]) == 0

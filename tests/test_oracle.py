@@ -195,6 +195,17 @@ def test_dimer_analytic_edge_values():
         dimer_analytic("xx_0", 0.0, u, 0.0)
 
 
+@pytest.mark.parametrize("t, u", [(1.0, 4.0), (1.0, -4.0), (3.0, 0.5)])
+@pytest.mark.parametrize("which", ["xx_0", "xx_1", "xy_01"])
+def test_dimer_analytic_scales_past_squares_that_overflow(t, u, which):
+    # G(tau; t, U) = G(tau / s; s t, s U): at s = 2^520 (~3e156) U^2 and t^2 overflow
+    s = 2.0**520
+    taus = np.linspace(0.0, 3.0, 7)
+    np.testing.assert_allclose(
+        dimer_analytic(which, s * t, s * u, taus / s), dimer_analytic(which, t, u, taus), rtol=0, atol=1e-12
+    )
+
+
 def test_sector_energies():
     e_hop, e_int = dimer_sector_energies(1.0, 4.0)
     assert e_hop == pytest.approx(-1.78885438, abs=1e-7)

@@ -148,6 +148,9 @@ def test_gate_validation():
         GateOp("RZ", (0,))
     with pytest.raises(ValueError):
         apply_gate(StateVector.zero(1), GateOp("H", (3,)))
+    for angle in (np.inf, -np.inf, np.nan):  # e.g. an overflowed U * dtau
+        with pytest.raises(ValueError, match="angle must be finite"):
+            GateOp("RZ", (0,), angle)
 
 
 def test_inverse_gate_round_trip():
