@@ -67,7 +67,11 @@ class MeasurementRecord:
         if self.shots == 0:  # a shot estimate divided by sin Phi may exceed the bound
             for v in self.estimates:
                 if abs(v) > 2 + 1e-9:
-                    raise ValueError(f"estimate {v} violates the Majorana norm bound")
+                    cause = "" if self.protocol != "direct" else (  # the estimator divides by sin Phi
+                        f": at the kick phi={self.phi:g}, 1/sin(phi) = {1 / abs(math.sin(self.phi)):.3g}"
+                        " scales the round-off of the exact parity; use a larger phi"
+                    )
+                    raise ValueError(f"estimate {v} violates the Majorana norm bound{cause}")
         for s in self.stderrs:
             if s < 0:
                 raise ValueError("stderr must be nonnegative")
@@ -374,9 +378,13 @@ def dimer_suite(
     Retarded values are the full anticommutators <{probe(tau), source}> = 2 Re
     of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im
     (full_value of the protocol-native estimate).  Each pair draws from the
-    seed at its DIMER_PAIRS index, so a series does not depend on which others run.
+    seed at its DIMER_PAIRS index, so a series does not depend on which others run;
+    a shot-free suite derives no seeds, and every record names the run seed.
     """
-    seeds = dict(zip(DIMER_PAIRS, np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))))
+    seeds = (
+        dict(zip(DIMER_PAIRS, np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))))
+        if shots else dict.fromkeys(DIMER_PAIRS, seed)
+    )
     return {
         name: full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, phi, shots, int(seeds[name]), kind))
         for name in pairs

@@ -5,8 +5,9 @@ Noisy circuits run on an exact density matrix, held as one complex vector over
 MAX_QUBITS // 2 = 12.  Every non-virtual gate is followed by a depolarizing
 channel on its targets.  Each maximal run of consecutive gates and idle drifts
 on at most two qubits acts on rho as one fused superoperator: the product of
-its per-gate superoperators embedded in the run's bit order.  Two bounded
-process-wide caches hold the per-gate factors and the run products.  Z-axis
+its per-gate superoperators embedded in the run's bit order.  A bounded
+process-wide cache holds the per-gate factors; the run products live only as
+long as the one twirl variant whose gates (each keyed once) they fuse.  Z-axis
 rotations (RZ, Z, GPHASE) are virtual: no error, no duration.  Idle
 qubits accumulate a deterministic Z-phase drift at a per-qubit rate, which is
 what an XX decoupling sequence refocuses; T1/T2 from the device tables ride
@@ -289,80 +290,77 @@ def _superoperator(g: GateOp, p: float) -> np.ndarray:
     return s
 
 
-def _gate_key(g: GateOp, model: NoiseModel) -> tuple:
-    """What fixes the gate's superoperator, its error probability last."""
-    return (g.kind, g.targets, g.angle, _error_prob(g, model))
-
-
-def _cache_put(cache: dict, key, value: np.ndarray, entries: int) -> np.ndarray:
-    """Store a read-only value; a full cache is emptied first."""
-    value.flags.writeable = False
-    if len(cache) >= entries:
-        cache.clear()
-    cache[key] = value
-    return value
-
-
-# process-wide caches of 16x16 (or 4x4) complex matrices, 4 KiB each at most
-_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}  # per gate and block
+# process-wide cache of 16x16 (or 4x4) complex matrices, 4 KiB each at most
+_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}  # per gate key and block
 _SUPEROP_CACHE_ENTRIES = 1024
-_RUN_CACHE: dict[tuple, np.ndarray] = {}  # per fused run
-_RUN_CACHE_ENTRIES = 128
 
 
-def _block_superoperator(g: GateOp, key: tuple, block: tuple[int, ...]) -> np.ndarray:
-    """_superoperator of the gate and its error probability (key[-1]) on the
-    vectorized rho of the block qubits (bit i = ket of block[i], bit k + i = its
-    bra), cached under (key, block)."""
+def _block_superoperator(key: tuple, block: tuple[int, ...]) -> np.ndarray:
+    """_superoperator of the gate key (kind, targets, angle, error probability)
+    on the vectorized rho of the block qubits (bit i = ket of block[i], bit k + i
+    = its bra), cached read-only under (key, block); a full cache is emptied first."""
     s = _SUPEROP_CACHE.get((key, block))
     if s is None:
+        kind, targets, angle, p = key
         k = len(block)
-        local = tuple(block.index(t) for t in g.targets)
+        local = tuple(block.index(t) for t in targets)
         s = np.eye(4**k, dtype=complex)  # row j becomes the image of basis vector j
         bits = local + tuple(k + i for i in local)
-        apply_matrix_inplace(s, _superoperator(g, key[-1]), bits, 2 * k)
-        s = _cache_put(_SUPEROP_CACHE, (key, block), s.T.copy(), _SUPEROP_CACHE_ENTRIES)
+        apply_matrix_inplace(s, _superoperator(GateOp(kind, targets, angle), p), bits, 2 * k)
+        s = s.T.copy()
+        s.flags.writeable = False
+        if len(_SUPEROP_CACHE) >= _SUPEROP_CACHE_ENTRIES:
+            _SUPEROP_CACHE.clear()
+        _SUPEROP_CACHE[key, block] = s
     return s
 
 
-def _run_superoperator(block: tuple[int, ...], run, model: NoiseModel) -> np.ndarray:
-    """Product of the run's block superoperators (later gates multiply from the
-    left), cached under the block and its gates' keys."""
-    keys = tuple(_gate_key(g, model) for g in run)
-    s = _RUN_CACHE.get((block, keys))
-    if s is None:
-        for g, key in zip(run, keys):
-            e = _block_superoperator(g, key, block)
-            s = e if s is None else e @ s
-        s = _cache_put(_RUN_CACHE, (block, keys), s, _RUN_CACHE_ENTRIES)
-    return s
-
-
-def _two_qubit_runs(gates):
-    """Maximal runs of consecutive gates whose joint support is at most two
-    qubits, as (support in first-touch order, gates of the run).  The split
-    restarts at every run boundary, so the runs of a stream that begins with a
-    run's first gate are the runs from there on."""
-    block: tuple[int, ...] = ()
-    run: list[GateOp] = []
+def _compile(gates, keys: dict, model: NoiseModel) -> list[tuple]:
+    """Each gate as its key (kind, targets, angle, error probability): what fixes
+    its superoperator.  keys maps each gate already seen to its key, so a gate
+    that recurs (in the prefix or in any fold tail) is keyed once."""
+    out = []
     for g in gates:
-        new = [t for t in g.targets if t not in block]
+        key = keys.get(g)
+        if key is None:
+            key = keys[g] = (g.kind, g.targets, g.angle, _error_prob(g, model))
+        out.append(key)
+    return out
+
+
+def _two_qubit_runs(stream):
+    """Maximal runs of consecutive gate keys whose joint support is at most two
+    qubits, as (support in first-touch order, the run's keys as a tuple).  The
+    split restarts at every run boundary, so the runs of a stream that begins
+    with a run's first gate are the runs from there on."""
+    block: tuple[int, ...] = ()
+    run: list[tuple] = []
+    for key in stream:
+        new = [t for t in key[1] if t not in block]
         if len(block) + len(new) > 2:
-            yield block, run
-            block, run = g.targets, [g]
+            yield block, tuple(run)
+            block, run = key[1], [key]
             continue
         if new:
             block += tuple(new)
-        run.append(g)
+        run.append(key)
     if run:
-        yield block, run
+        yield block, tuple(run)
 
 
-def _apply_runs(rho: np.ndarray, runs, model: NoiseModel, n: int) -> np.ndarray:
-    """Apply each fused run's superoperator to the vectorized rho, in place."""
+def _apply_runs(rho: np.ndarray, runs, products: dict, n: int) -> np.ndarray:
+    """Apply each fused run's superoperator to the vectorized rho, in place.  The
+    product of a run's block superoperators (later gates multiply from the left)
+    is kept in products under the run's keys, which fix its block too."""
     for block, run in runs:
-        bits = block + tuple(n + t for t in block)
-        apply_matrix_inplace(rho, _run_superoperator(block, run, model), bits, 2 * n)
+        fused = products.get(run)
+        if fused is None:
+            s = None
+            for key in run:
+                e = _block_superoperator(key, block)
+                s = e if s is None else e @ s
+            fused = products[run] = (block + tuple(n + t for t in block), s)
+        apply_matrix_inplace(rho, fused[1], fused[0], 2 * n)
     return rho
 
 
@@ -385,6 +383,7 @@ def _distributions(
     which each tail re-runs with its own gates: runs split as they would over the
     whole stream, and with drift on each tail's schedule continues from the
     circuit's ready times, so every distribution is the one of the whole circuit.
+    Gate keys and run products are computed once per call and dropped with it.
     """
     if circuit.n_qubits != model.n_qubits:
         raise ValueError(
@@ -406,16 +405,18 @@ def _distributions(
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
     ready = [0.0] * n if drift else None
-    runs = list(_two_qubit_runs(_acting_gates(circuit.gates, model, ready)))
-    last = runs.pop()[1] if runs else []
-    _apply_runs(rho, runs, model, n)
+    keys: dict[GateOp, tuple] = {}
+    products: dict[tuple, tuple] = {}
+    runs = list(_two_qubit_runs(_compile(_acting_gates(circuit.gates, model, ready), keys, model)))
+    last = list(runs.pop()[1]) if runs else []
+    _apply_runs(rho, runs, products, n)
     out = []
     for tail in tails:
         tail_ready = None if ready is None else list(ready)
-        gates = last + _acting_gates(tail, model, tail_ready)
+        gates = _acting_gates(tail, model, tail_ready)
         if tail_ready is not None:
             gates += _drift_gates(_idle_tail(tail_ready), model)
-        point = _apply_runs(rho.copy(), _two_qubit_runs(gates), model, n)
+        point = _apply_runs(rho.copy(), _two_qubit_runs(last + _compile(gates, keys, model)), products, n)
         diag = point[:: (1 << n) + 1].real  # rho[i, i] sits at i + (i << n)
         out.append(_readout(marginalize(diag, n, measure_qubits), measure_qubits, model))
     return out

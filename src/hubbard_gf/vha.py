@@ -297,7 +297,8 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
     built gate by gate on the whole stack of angles, and one einsum applies
     every layer to every prefix.  Shot-mode point k (row-major) draws from the
     k-th seed of SeedSequence(seed); an exact sweep derives no seeds.  Grids
-    past MAX_GRID_POINTS are refused.
+    past MAX_GRID_POINTS are refused, and so are t and U whose energies, energy
+    range or stderrs overflow the float range.
     """
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
@@ -311,10 +312,14 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
     layers = np.repeat(np.eye(16, dtype=complex)[None], betas.size, axis=0)
     _run_per_angle([dimer_hopping_layer(b) for b in betas.tolist()], layers.transpose(0, 2, 1))
     seeds = np.random.SeedSequence(seed).generate_state(n_points) if shots else ()
-    energies, stderrs, _, _ = _energy_estimates(
-        np.einsum("bij,aj->abi", layers, prefixes).reshape(n_points, -1),
-        FermionHamiltonian.dimer(t, u), shots, seeds,
-    )
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
+        energies, stderrs, _, _ = _energy_estimates(
+            np.einsum("bij,aj->abi", layers, prefixes).reshape(n_points, -1),
+            FermionHamiltonian.dimer(t, u), shots, seeds,
+        )
+        span = energies.max() - energies.min()
+    if not (np.isfinite(span) and np.isfinite(stderrs).all()):
+        raise ValueError(f"the energies at t={t}, U={u} overflow the float range")
     shape = (alphas.size, betas.size)
     return LandscapeResult(alphas, betas, energies.reshape(shape), stderrs.reshape(shape))
 

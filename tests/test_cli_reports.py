@@ -7,6 +7,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 from unittest import mock
 
@@ -357,9 +358,10 @@ print(code, "numpy.random" in sys.modules)
         (["compare", "--csv", "CSV"], False),
         (["vha-sweep", "--grid", "5", "--shots", "0"], False),
         (["correlator", "--protocol", "hadamard", "--shots", "0", "--steps", "2"], False),
+        (["correlator", "--shots", "0", "--seed", "1", "--steps", "2"], False),
         (["correlator", "--shots", "64", "--seed", "1", "--steps", "2"], True),
     ],
-    ids=["compare", "vha-sweep-exact", "hadamard-exact", "direct-shots"],
+    ids=["compare", "vha-sweep-exact", "hadamard-exact", "direct-exact", "direct-shots"],
 )
 def test_only_shot_runs_load_numpy_random(tmp_path, capsys, argv, loads):
     # a fresh interpreter, since this one already holds numpy.random: shot-free
@@ -665,6 +667,26 @@ def test_correlator_files_are_pinned(tmp_path, capsys, argv, name, csv_sha256):
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_sha256
 
 
+def test_noisy_drift_run_is_pinned(tmp_path, capsys, monkeypatch):
+    # idle drift under XX decoupling, twirl, ZNE and readout mitigation: the schedule,
+    # the drift gates and the fused runs behind them keep their bytes (digest taken
+    # before the run products were scoped to one twirl variant)
+    from hubbard_gf.noise import kolkata_dimer_model
+
+    monkeypatch.chdir(tmp_path)  # the CSV header names the model path as given
+    kolkata_dimer_model(idle_rate=2e5).to_json("model.json")
+    code, _, _ = run_cli(
+        ["correlator", "--steps", "4", "--shots", "4096", "--seed", "5", "--pair", "y2y2",
+         "--noise-model", "model.json", "--dd", "XX", "--readout-mitigation", "--twirl", "4",
+         "--zne-scales", "1.0", "1.5", "2.0", "--outdir", "out"],
+        capsys,
+    )
+    assert code == 0
+    assert hashlib.sha256(Path("out/y2y2_noisy.csv").read_bytes()).hexdigest() == (
+        "d9455a3377111073ea20c7376642866e0ca2fa2a369aa84d024197554330b1c5"
+    )
+
+
 def test_vha_sweep_refuses_grids_past_dense_capacity(tmp_path, capsys, monkeypatch):
     # grid^2 points of 2^4 amplitudes each may not pass statevector's 2^24 amplitudes
     def sweep(*args, **kwargs):
@@ -695,6 +717,16 @@ def test_compare_passes_its_own_exact_output_at_extreme_settings(tmp_path, capsy
     code, out, _ = run_cli(["compare", "--csv", *map(str, sorted(tmp_path.glob("*.csv")))], capsys)
     assert code == 0, out
     assert [r["status"] for r in json.loads(out)["reports"]] == ["PASS"] * 3
+
+
+def test_weak_kick_refusal_names_the_kick(tmp_path, capsys):
+    # the exact direct estimate divides the parity by sin Phi, round-off included: a run
+    # past the norm bound is refused, and the message names the kick as the cause
+    argv = ["correlator", "--phi", "1e-7", "--steps", "3", "--shots", "0", "--outdir", str(tmp_path / "out")]
+    code, _, err = run_cli(argv, capsys)
+    assert code == 2
+    assert not (tmp_path / "out").exists()
+    assert "at the kick phi=1e-07, 1/sin(phi) = 1e+07 scales the round-off" in err
 
 
 def _run_quietly(argv) -> int:
@@ -780,3 +812,26 @@ def test_every_finite_correlator_config_runs_or_is_refused(values, steps, kind, 
             assert all(math.isfinite(float(cell)) for row in rows for c, cell in zip(columns, row) if c != "protocol")
         if shots == 0:
             assert _run_quietly(["compare", "--csv", *paths]) == 0
+
+
+@settings(max_examples=100, deadline=None)
+@given(t=st.one_of(_FINITE, _TYPICAL), u=st.one_of(_FINITE, _TYPICAL), grid=st.integers(1, 5),
+       shots=st.sampled_from([0, 64]))
+def test_every_finite_vha_sweep_config_runs_or_is_refused(t, u, grid, shots):
+    # exit 0 or 2 with no numpy warning; a refused sweep leaves no directory, a finished
+    # one finite cells, a finite optimum and a colour in 0-255 for every grid cell
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        out = Path(tmp) / "out"
+        code = _run_quietly(["vha-sweep", f"--t={t}", f"--u={u}", "--grid", str(grid), "--shots", str(shots),
+                             "--seed", "3", "--outdir", str(out)])
+        assert code in (0, 2)
+        if code == 2:
+            assert not out.exists()
+            return
+        meta, _, rows = read_csv(str(out / "landscape.csv"))
+        assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+        assert all(math.isfinite(float(meta[k])) for k in ("optimum_alpha", "optimum_beta", "optimum_energy"))
+        colours = re.findall(r'fill="rgb\((-?\d+),60,(-?\d+)\)"', (out / "landscape.svg").read_text())
+        assert len(colours) == grid * grid
+        assert all(0 <= int(c) <= 255 for pair in colours for c in pair)
