@@ -245,8 +245,8 @@ def _letter_basis_gates(p: PauliString) -> tuple[list[GateOp], list[GateOp]]:
 def pauli_rotation_gates(p: PauliString, theta: float) -> list[GateOp]:
     """Gate-level exp(-i theta/2 P): basis changes, CNOT chain, one Z rotation.
 
-    Matches the fused statevector kernel exactly; the string's +-1 phase is folded
-    into the rotation angle (imaginary phases are not rotations and are rejected).
+    The string's +-1 phase is folded into the rotation angle (imaginary phases
+    are not rotations and are rejected).
     """
     if not p.is_hermitian:
         raise ValueError(f"rotation generator must be Hermitian, got {p.label}")

@@ -36,10 +36,6 @@ class Shift:
     value: float
 
 
-def site_major_order(n_sites: int) -> tuple[tuple[int, str], ...]:
-    return tuple((s, spin) for s in range(n_sites) for spin in ("up", "down"))
-
-
 def dimer_order() -> tuple[tuple[int, str], ...]:
     # site 0 = the interacting site, site 1 = the bath site
     return ((0, "up"), (1, "up"), (0, "down"), (1, "down"))
@@ -56,7 +52,7 @@ class FermionHamiltonian:
     mode_order: tuple[tuple[int, str], ...] = field(default=())
 
     def __post_init__(self):
-        order = self.mode_order or site_major_order(self.n_sites)
+        order = self.mode_order or ((s, spin) for s in range(self.n_sites) for spin in ("up", "down"))
         object.__setattr__(self, "mode_order", tuple(order))
         if len(self.mode_order) != 2 * self.n_sites:
             raise ValueError("mode_order must list every (site, spin) pair once")
@@ -89,13 +85,4 @@ class FermionHamiltonian:
             repulsions=(Repulsion(0, u),),
             shifts=(Shift(0, -u / 2),),
             mode_order=dimer_order(),
-        )
-
-    @classmethod
-    def hubbard_chain(cls, n_sites: int, t: float, u: float) -> "FermionHamiltonian":
-        """Open chain with uniform hopping amplitude +t and on-site repulsion U."""
-        return cls(
-            n_sites=n_sites,
-            hoppings=tuple(Hopping(i, i + 1, t) for i in range(n_sites - 1)),
-            repulsions=tuple(Repulsion(i, u) for i in range(n_sites)),
         )

@@ -578,15 +578,13 @@ def _with_insertions(circuit: Circuit, gates: list[GateOp], starts: list[int]) -
 # -- dynamical decoupling --------------------------------------------------------------
 
 
-def dynamical_decoupling(circuit: Circuit, model: NoiseModel, sequence: str = "XX") -> Circuit:
+def dynamical_decoupling(circuit: Circuit, model: NoiseModel) -> Circuit:
     """Insert X pairs (split by delays) into idle windows large enough to hold them.
 
     The pair flips the sign of the coherent idle drift halfway through the window,
     refocusing it; the composed unitary is unchanged.  A pair goes in front of
     the gate that ends its window, in that gate's barrier stage.
     """
-    if sequence != "XX":
-        raise ValueError(f"unsupported sequence {sequence!r}")
     x_dur = model.durations.get("X", model.durations.get("default", 0.0))
     windows = idle_windows(circuit, model)
     insertions: dict[int, list[GateOp]] = {}
@@ -664,6 +662,8 @@ def zne(scales, samples, order: int) -> ZneResult:
         raise ValueError("scales must be sorted and >= 1")
     if len(ys) != len(xs):
         raise ValueError(f"need one sample per scale, got {len(ys)} for {len(xs)} scales")
+    if order < 0:
+        raise ValueError(f"polynomial order must be >= 0, got {order}")
     if len(xs) <= order:
         raise ValueError("need more scale points than the polynomial order")
     if len(set(xs)) <= order:

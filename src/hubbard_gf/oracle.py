@@ -122,7 +122,8 @@ def diagonalize(m: np.ndarray) -> SpectralData:
 
 def ground_state(m: np.ndarray) -> tuple[float, StateVector]:
     spec = diagonalize(m)
-    return spec.ground_energy, StateVector.from_amps(spec.ground_vector)
+    amps = np.asarray(spec.ground_vector, dtype=complex)
+    return spec.ground_energy, StateVector(amps, amps.size.bit_length() - 1)
 
 
 def lehmann_correlator(

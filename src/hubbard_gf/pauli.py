@@ -51,29 +51,6 @@ class PauliString:
         return cls(width, 0, 0, 0)
 
     @classmethod
-    def from_label(cls, label: str) -> "PauliString":
-        """Parse the canonical text form, e.g. "-YZII" or "+i·XX" (qubit w-1 first)."""
-        s = label.strip().replace("·", "").replace("*", "")
-        exp = 0
-        if s.startswith(("+", "-")):
-            exp = 0 if s[0] == "+" else 2
-            s = s[1:]
-        if s.startswith(("i", "j")):
-            exp += 1
-            s = s[1:]
-        s = s.strip()
-        if not s or any(ch not in "IXYZ" for ch in s):
-            raise ValueError(f"not a Pauli label: {label!r}")
-        xbits = zbits = 0
-        width = len(s)
-        for pos, ch in enumerate(s):
-            q = width - 1 - pos
-            x, z = _LETTER_TO_BITS[ch]
-            xbits |= x << q
-            zbits |= z << q
-        return cls(width, xbits, zbits, exp)
-
-    @classmethod
     def from_letter_map(cls, width: int, letters: dict[int, str], phase_exp: int = 0) -> "PauliString":
         """Build from {qubit: letter}; unlisted qubits are identity."""
         xbits = zbits = 0
@@ -212,21 +189,6 @@ def jw_mode(mode: int, n_modes: int, flavor: str) -> PauliString:
         letters[mode] = "Y"
         return PauliString.from_letter_map(n_modes, letters, 2)
     raise ValueError(f"flavor must be 'x' or 'y', got {flavor!r}")
-
-
-def jw_majorana(m: MajoranaIndex, n_sites: int) -> PauliString:
-    """Jordan-Wigner image of a physical-register Majorana on a 2*n_sites register.
-
-    Mode ordering is site-major with spin up before down inside each site
-    (site s, 1-based, occupies qubits 2(s-1) and 2s-1).  Cluster layouts that
-    use a different linear ordering (the dimer does) go through jw_mode.
-    """
-    if m.register != "physical":
-        raise ValueError("jw_majorana covers physical modes only")
-    if not 1 <= m.site <= n_sites:
-        raise ValueError(f"site {m.site} out of range for {n_sites} sites")
-    mode = 2 * (m.site - 1) + (0 if m.spin == "up" else 1)
-    return jw_mode(mode, 2 * n_sites, m.flavor)
 
 
 # -- symbolic Clifford conjugation of GateOp sequences ------------------------

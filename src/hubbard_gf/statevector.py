@@ -1,4 +1,4 @@
-"""Dense statevector simulation: gate kernels, Pauli rotations, expectations, sampling.
+"""Dense statevector simulation: gate kernels, Pauli strings, expectations, sampling.
 
 Amplitudes are indexed so that bit q of the basis index is the value of qubit q
 (qubit 0 = least significant).  There is one gate kernel: `apply_matrix_inplace`
@@ -113,22 +113,8 @@ class StateVector:
         amps[index] = 1.0
         return cls(amps, n)
 
-    @classmethod
-    def from_amps(cls, amps: np.ndarray) -> "StateVector":
-        amps = np.asarray(amps, dtype=complex)
-        n = int(np.log2(len(amps)))
-        if 1 << n != len(amps):
-            raise ValueError("amplitude array length must be a power of two")
-        return cls(amps, n)
-
     def copy(self) -> "StateVector":
         return StateVector(self.amps.copy(), self.n)
-
-    def norm_error(self) -> float:
-        return abs(float(np.linalg.norm(self.amps)) - 1.0)
-
-    def fidelity(self, other: "StateVector") -> float:
-        return abs(np.vdot(self.amps, other.amps)) ** 2
 
 
 # -- kernels ------------------------------------------------------------------
@@ -190,14 +176,7 @@ def apply_gate(s: StateVector, g: GateOp) -> StateVector:
     return out
 
 
-# -- Pauli application, rotation, expectation ---------------------------------
-
-
-def _parity(v: np.ndarray) -> np.ndarray:
-    v = v.copy()
-    for shift in (32, 16, 8, 4, 2, 1):
-        v ^= v >> shift
-    return v & 1
+# -- Pauli application and expectation ---------------------------------------
 
 
 _PAULI_CACHE: dict[tuple, tuple] = {}
@@ -211,7 +190,7 @@ def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
         return hit
     dim = 1 << p.width
     idx = np.arange(dim, dtype=np.int64)
-    signs = 1.0 - 2.0 * _parity(idx & np.int64(p.zbits))
+    signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(p.zbits)) & 1)
     canon = (p.phase_exp + (p.xbits & p.zbits).bit_count()) % 4
     coef = (1j ** canon) * signs
     perm = idx ^ np.int64(p.xbits)
@@ -229,17 +208,6 @@ def apply_pauli(s: StateVector, p: PauliString) -> StateVector:
     out = np.empty_like(s.amps)
     out[perm] = coef * s.amps
     return StateVector(out, s.n)
-
-
-def apply_pauli_rotation(s: StateVector, p: PauliString, theta: float) -> StateVector:
-    """exp(-i theta/2 P) |s> as a fused kernel; P must be Hermitian."""
-    if not p.is_hermitian:
-        raise ValueError(f"rotation generator must be Hermitian, got {p.label}")
-    if p.width != s.n:
-        raise ValueError(f"width mismatch: string {p.width}, state {s.n}")
-    ps = apply_pauli(s, p)
-    amps = np.cos(theta / 2) * s.amps - 1j * np.sin(theta / 2) * ps.amps
-    return StateVector(amps, s.n)
 
 
 def expectation_pauli(s: StateVector, p: PauliString) -> float:

@@ -7,7 +7,6 @@ E(alpha, beta) = -2t cos(alpha/2) - (U/4)(1 - sin(alpha/2) sin(4 beta)) come out
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -54,10 +53,6 @@ class VhaParams:
     @classmethod
     def single(cls, alpha: float, beta: float) -> "VhaParams":
         return cls(((alpha, beta),))
-
-    @property
-    def p(self) -> int:
-        return len(self.layers)
 
 
 @dataclass(frozen=True)
@@ -108,8 +103,11 @@ def variational_energy_formula(t: float, u: float, alpha: float, beta: float) ->
 
 
 def optimal_angles(t: float, u: float) -> tuple[float, float]:
-    """Minimizer of the closed form: alpha* = -2 atan(U / 8t), beta* = pi/8."""
-    return -2 * math.atan2(u, 8 * t), math.pi / 8
+    """Minimizer of the closed form: alpha* = -2 atan(U / 8t), beta* = pi/8.
+
+    atan2(u / 8, t) rather than atan2(u, 8 t): 8 t overflows for |t| above 2.2e307.
+    """
+    return -2 * math.atan2(u / 8, t), math.pi / 8
 
 
 def canonical_angles(alpha: float, beta: float) -> tuple[float, float]:
@@ -233,14 +231,10 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
     return EnergyEstimate(value, stderr, shots, hopping, interaction)
 
 
-def measure_dimer_energy(params: VhaParams, t: float, u: float, shots: int, seed: int = 0) -> EnergyEstimate:
-    return measure_energy(vha_circuit(params), FermionHamiltonian.dimer(t, u), shots, seed)
-
-
 # -- landscape and optimization ----------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)  # LandscapeResult.points builds one per grid point
+@dataclass(frozen=True)
 class LandscapePoint:
     alpha: float
     beta: float
@@ -263,13 +257,6 @@ class LandscapeResult:
         i, j = np.unravel_index(np.argmin(self.energies), self.energies.shape)
         values = (self.alphas[i], self.betas[j], self.energies[i, j], self.stderrs[i, j])
         return LandscapePoint(*map(float, values))
-
-    @property
-    def points(self) -> tuple[LandscapePoint, ...]:
-        """Every grid point, row-major, built on request."""
-        grid = itertools.product(self.alphas.tolist(), self.betas.tolist())
-        values = zip(self.energies.ravel().tolist(), self.stderrs.ravel().tolist())
-        return tuple(LandscapePoint(a, b, e, s) for (a, b), (e, s) in zip(grid, values))
 
 
 MAX_GRID_POINTS = (1 << MAX_QUBITS) >> 4  # a sweep's state batch holds 2^4 amplitudes per point
@@ -342,7 +329,8 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
     if budget < 1:
         raise ValueError("budget must be >= 1")
     seeds = iter(np.random.SeedSequence(seed).generate_state(budget)) if shots else None
-    terms = hamiltonian_pauli_terms(FermionHamiltonian.dimer(t, u))
+    h = FermionHamiltonian.dimer(t, u)
+    terms = hamiltonian_pauli_terms(h)
     evals = 0
     trace: list[float] = []
 
@@ -350,7 +338,7 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
         nonlocal evals
         evals += 1
         if shots:
-            return measure_dimer_energy(VhaParams.single(a, b), t, u, shots, int(next(seeds))).value
+            return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, int(next(seeds))).value
         return float(_pauli_sum(vha_state(VhaParams.single(a, b)).amps[None], terms)[0])
 
     best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))

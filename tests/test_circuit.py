@@ -12,14 +12,13 @@ from hubbard_gf.circuit import (
     hopping_step,
     horizontal_hop_value,
     measurement_basis_circuit,
-    pauli_rotation_gates,
     repulsion_step,
     simulate,
 )
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import build_matrix
 from hubbard_gf.pauli import PauliString, jw_mode
-from hubbard_gf.statevector import GateOp, StateVector, apply_pauli_rotation, sample_counts
+from hubbard_gf.statevector import GateOp, StateVector, sample_counts
 
 
 def pauli_sum_matrix(terms, width):
@@ -235,19 +234,6 @@ def test_measurement_basis_validation():
         measurement_basis_circuit("bogus", 0, 1, 2)
     with pytest.raises(ValueError):
         measurement_basis_circuit("yx_pair", 2, 1, 3)
-
-
-def test_pauli_rotation_gates_match_fused_kernel():
-    rng = np.random.default_rng(12)
-    for label in ["XZZX", "YIIZ", "ZZII", "XYZX", "-XZYI"]:
-        p = PauliString.from_label(label)
-        theta = float(rng.uniform(-2, 2))
-        amps = rng.normal(size=16) + 1j * rng.normal(size=16)
-        amps /= np.linalg.norm(amps)
-        s = StateVector(amps.copy(), 4)
-        ref = apply_pauli_rotation(s, p, theta)
-        got = simulate(Circuit(4, tuple(pauli_rotation_gates(p, theta))), s)
-        np.testing.assert_allclose(got.amps, ref.amps, atol=1e-12)
 
 
 def test_hopping_gate_count_constant_in_cluster_size():

@@ -109,6 +109,17 @@ def test_landscape_marker_sits_on_nearest_grid_cell(tmp_path, capsys, grid):
         assert abs(axis[drawn] - optimum) == np.min(np.abs(axis - optimum))
 
 
+def test_closed_form_optimum_at_hoppings_where_8t_overflows(tmp_path, capsys):
+    # -2 atan(U / 8t) at t=3e307, U=1e308 is -0.7896, though 8t is past the float range
+    args = ["--t", "3e307", "--u", "1e308"]
+    code, out, _ = run_cli(["vha-sweep", "--grid", "3", "--outdir", str(tmp_path)] + args, capsys)
+    assert code == 0
+    assert "closed-form optimum alpha=-0.7896 beta=0.3927" in out
+    code, out, _ = run_cli(["dump-circuit", "--which", "vha"] + args, capsys)
+    assert code == 0
+    assert "RZ(-0.3947911197) 2" in out  # the interaction block turns by alpha / 2
+
+
 def test_vha_sweep_requires_seed_for_shots(tmp_path, capsys):
     code, _, err = run_cli(
         ["vha-sweep", "--grid", "3", "--shots", "16", "--outdir", str(tmp_path)], capsys
@@ -228,6 +239,7 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_SWEEP + ["--grid", "0"], "grid", id="sweep-grid-0"),
         pytest.param(_SWEEP + ["--grid", "-1"], "--grid must be >= 1", id="sweep-grid--1"),
         pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots", id="sweep-shots--1"),
+        pytest.param(["zne-demo", "--order", "-1"], "polynomial order must be >= 0, got -1", id="zne-demo-order--1"),
         # a path the OS refuses is a usage error naming it, like a missing one
         pytest.param(["compare", "--csv", "DIR"], "Is a directory: '{DIR}'", id="compare-csv-directory"),
         pytest.param(_NOISELESS + ["--outdir", "/dev/null/x"], "Not a directory: '/dev/null/x'",
@@ -255,7 +267,8 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     NoiseModel(5).to_json(paths["MODEL"])
     out = tmp_path / "out"
     argv = [paths.get(a, a) for a in flags]
-    if argv[0] != "compare":  # an --outdir among the flags comes later and wins
+    # compare and zne-demo write no files; elsewhere an --outdir among the flags comes later and wins
+    if argv[0] not in ("compare", "zne-demo"):
         argv[1:1] = ["--outdir", str(out)]
     code, _, err = run_cli(argv, capsys)
     assert code == 2

@@ -71,8 +71,8 @@ def test_single_free_site():
 
 
 def test_size_guard():
-    with pytest.raises(ValueError):
-        build_matrix(FermionHamiltonian.hubbard_chain(7, 1.0, 1.0))
+    with pytest.raises(ValueError, match="14 qubits exceeds dense oracle capacity"):
+        build_matrix(FermionHamiltonian(n_sites=7))
 
 
 @pytest.mark.parametrize("t,u", [(1.0, 0.0), (1.0, 4.0), (1.0, 8.0)])

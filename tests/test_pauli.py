@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.pauli import (
-    MajoranaIndex,
+    PHASE_LABELS,
     PauliString,
     clifford_conjugate,
     commutes,
-    jw_majorana,
     jw_mode,
     jw_string_remover,
     multiply,
@@ -39,9 +39,7 @@ def paulis(max_width=16):
 
 
 def test_single_qubit_products():
-    x = PauliString.from_label("X")
-    y = PauliString.from_label("Y")
-    z = PauliString.from_label("Z")
+    x, y, z = (PauliString.from_letter_map(1, {0: letter}) for letter in "XYZ")
     assert (x * y).label == "+iZ"
     assert (y * x).label == "-iZ"
     assert (y * z).label == "+iX"
@@ -54,7 +52,9 @@ def test_label_round_trip():
     rng = np.random.default_rng(3)
     for _ in range(100):
         p = random_pauli(rng, int(rng.integers(1, 9)))
-        assert PauliString.from_label(p.label) == p
+        letters = {q: p.letter_at(q) for q in range(p.width)}
+        assert PauliString.from_letter_map(p.width, letters, p.phase_exp) == p
+        assert p.label == PHASE_LABELS[p.phase_exp] + "".join(letters[q] for q in reversed(range(p.width)))
 
 
 def test_multiply_matches_dense():
@@ -98,39 +98,29 @@ def test_is_hermitian_matches_dense():
 
 
 def test_commutes_parity_rule():
-    assert commutes(PauliString.from_label("XX"), PauliString.from_label("ZZ"))
-    assert commutes(PauliString.from_label("XI"), PauliString.from_label("IZ"))
-    assert not commutes(PauliString.from_label("X"), PauliString.from_label("Z"))
+    xx, zz = (PauliString.from_letter_map(2, {0: letter, 1: letter}) for letter in "XZ")
+    assert commutes(xx, zz)
+    assert commutes(PauliString.from_letter_map(2, {1: "X"}), PauliString.from_letter_map(2, {0: "Z"}))
+    assert not commutes(PauliString.from_letter_map(1, {0: "X"}), PauliString.from_letter_map(1, {0: "Z"}))
 
 
 # -- Jordan-Wigner -----------------------------------------------------------
 
 
 def test_jw_four_cases_nc2():
-    # site-major ordering, spin up before down, site 1 on the lowest qubits
-    assert jw_majorana(MajoranaIndex(1, "up", "x"), 2).label == "+IIIX"
-    assert jw_majorana(MajoranaIndex(1, "down", "y"), 2).label == "-IIYZ"
-    assert jw_majorana(MajoranaIndex(2, "up", "x"), 2).label == "+IXZZ"
-    assert jw_majorana(MajoranaIndex(2, "down", "y"), 2).label == "-YZZZ"
-
-
-def test_jw_rejects_auxiliary_and_bad_site():
-    with pytest.raises(ValueError):
-        jw_majorana(MajoranaIndex(1, "up", "x", register="auxiliary"), 2)
-    with pytest.raises(ValueError):
-        jw_majorana(MajoranaIndex(3, "up", "x"), 2)
+    # the default mode order is site-major, spin up before down, site 0 on the lowest qubits
+    h = FermionHamiltonian(2)
+    assert jw_mode(h.mode_of(0, "up"), h.n_modes, "x").label == "+IIIX"
+    assert jw_mode(h.mode_of(0, "down"), h.n_modes, "y").label == "-IIYZ"
+    assert jw_mode(h.mode_of(1, "up"), h.n_modes, "x").label == "+IXZZ"
+    assert jw_mode(h.mode_of(1, "down"), h.n_modes, "y").label == "-YZZZ"
 
 
 def test_jw_anticommutation_relations_nc3():
     # {x_i, x_j} = 2 delta_ij, {x_i, y_j} = 0, checked symbolically via multiply
-    n_sites = 3
-    modes = [
-        jw_majorana(MajoranaIndex(s, sp, fl), n_sites)
-        for s in (1, 2, 3)
-        for sp in ("up", "down")
-        for fl in ("x", "y")
-    ]
-    ident = PauliString.identity(2 * n_sites)
+    n_modes = 6
+    modes = [jw_mode(k, n_modes, fl) for k in range(n_modes) for fl in ("x", "y")]
+    ident = PauliString.identity(n_modes)
     for i, a in enumerate(modes):
         for j, b in enumerate(modes):
             anti_ab = a * b
@@ -144,14 +134,17 @@ def test_jw_anticommutation_relations_nc3():
 
 
 def test_jw_product_matches_dense_16():
-    a = jw_majorana(MajoranaIndex(1, "up", "x"), 2)
-    b = jw_majorana(MajoranaIndex(1, "up", "y"), 2)
+    a = jw_mode(0, 4, "x")
+    b = jw_mode(0, 4, "y")
     np.testing.assert_allclose((a * b).to_matrix(), a.to_matrix() @ b.to_matrix(), atol=1e-12)
 
 
 def test_jw_mode_range():
-    with pytest.raises(ValueError):
-        jw_mode(4, 4, "x")
+    for mode in (4, -1):
+        with pytest.raises(ValueError, match="out of range"):
+            jw_mode(mode, 4, "x")
+    with pytest.raises(ValueError, match="flavor must be"):
+        jw_mode(0, 4, "z")
 
 
 # -- Clifford conjugation ----------------------------------------------------
@@ -208,16 +201,15 @@ def test_clifford_conjugate_matches_dense():
 
 def test_hadamard_exchanges_x_z():
     circ = [GateOp("H", (0,))]
-    assert clifford_conjugate(circ, PauliString.from_label("Z")).label == "+X"
-    assert clifford_conjugate(circ, PauliString.from_label("X")).label == "+Z"
+    assert clifford_conjugate(circ, PauliString.from_letter_map(1, {0: "Z"})).label == "+X"
+    assert clifford_conjugate(circ, PauliString.from_letter_map(1, {0: "X"})).label == "+Z"
 
 
 def test_cnot_zz_collapse():
     # conjugating Z_c Z_t by CNOT(c->t) leaves Z on the target qubit
-    circ = [GateOp("CNOT", (0, 1))]
-    assert clifford_conjugate(circ, PauliString.from_label("ZZ")).label == "+ZI"
-    circ = [GateOp("CNOT", (1, 0))]
-    assert clifford_conjugate(circ, PauliString.from_label("ZZ")).label == "+IZ"
+    zz = PauliString.from_letter_map(2, {0: "Z", 1: "Z"})
+    assert clifford_conjugate([GateOp("CNOT", (0, 1))], zz).label == "+ZI"
+    assert clifford_conjugate([GateOp("CNOT", (1, 0))], zz).label == "+IZ"
 
 
 def test_unsupported_gate():
@@ -247,7 +239,8 @@ def test_string_remover_rejects_bad_order():
 @pytest.mark.parametrize("label", ["XZZX", "YZZY", "YZZX", "XZZY"])
 def test_string_remover_strips_string(label):
     s = jw_string_remover(0, 3)
-    start = PauliString.from_label(label)
+    start = PauliString.from_letter_map(4, {3: label[0], 2: "Z", 1: "Z", 0: label[3]})
+    assert start.letters == label
     out = clifford_conjugate(s, start)
     assert out.letters == label[0] + "II" + label[3]
     assert out.phase_exp == start.phase_exp
@@ -273,12 +266,11 @@ def test_jw_commutes_exhaustive_four_sites():
     # distinct Majoranas always anticommute: every x-y pair fails commutes, and
     # an x-x pair commutes exactly when it is the same mode squaring to identity;
     # exhaustive over all mode pairs up to N_c = 4
-    n_sites = 4
-    labels = [(s, sp) for s in range(1, n_sites + 1) for sp in ("up", "down")]
-    for a in labels:
-        for b in labels:
-            x_a = jw_majorana(MajoranaIndex(a[0], a[1], "x"), n_sites)
-            x_b = jw_majorana(MajoranaIndex(b[0], b[1], "x"), n_sites)
-            y_b = jw_majorana(MajoranaIndex(b[0], b[1], "y"), n_sites)
+    n_modes = 8
+    for a in range(n_modes):
+        for b in range(n_modes):
+            x_a = jw_mode(a, n_modes, "x")
+            x_b = jw_mode(b, n_modes, "x")
+            y_b = jw_mode(b, n_modes, "y")
             assert not commutes(x_a, y_b)
             assert commutes(x_a, x_b) == (a == b)

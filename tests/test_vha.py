@@ -1,11 +1,13 @@
+import itertools
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from hubbard_gf.model import FermionHamiltonian
+from hubbard_gf.model import FermionHamiltonian, Hopping, Repulsion
 from hubbard_gf.oracle import (
     build_matrix,
     dimer_ground_energy,
@@ -25,7 +27,6 @@ from hubbard_gf.vha import (
     _hop_bases,
     _run_per_angle,
     landscape_sweep,
-    measure_dimer_energy,
     measure_energy,
     optimal_angles,
     optimize,
@@ -51,7 +52,7 @@ def test_params_validation():
         VhaParams(())
     with pytest.raises(ValueError):
         VhaParams.single(7.0, 0.0)
-    assert VhaParams.single(0.1, 0.2).p == 1
+    assert len(VhaParams.single(0.1, 0.2).layers) == 1
 
 
 def test_slater_state_particle_number_and_fidelity():
@@ -63,7 +64,7 @@ def test_slater_state_particle_number_and_fidelity():
         n_total += 0.5 * (1 - expectation_pauli(state, z))
     assert n_total == pytest.approx(2.0, abs=1e-12)
     e0, gs = ground_state(build_matrix(FermionHamiltonian.dimer(1.0, 0.0)))
-    assert state.fidelity(gs) == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(state.amps, gs.amps)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_slater_hopping_energy():
@@ -75,34 +76,37 @@ def test_slater_hopping_energy():
 def test_vha_zero_angles_is_slater():
     s1 = vha_state(VhaParams.single(0.0, 0.0))
     s2 = simulate(slater_prep_circuit())
-    assert s1.fidelity(s2) == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(s1.amps, s2.amps)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vha_energy_matches_closed_form_random_angles():
     rng = np.random.default_rng(0)
     t, u = 1.0, 4.0
+    h = FermionHamiltonian.dimer(t, u)
     for _ in range(25):
         a, b = rng.uniform(-math.pi, math.pi, size=2)
-        est = measure_dimer_energy(VhaParams.single(float(a), float(b)), t, u, shots=0)
+        est = measure_energy(vha_circuit(VhaParams.single(float(a), float(b))), h, shots=0)
         assert est.value == pytest.approx(variational_energy_formula(t, u, a, b), abs=1e-12)
 
 
 def test_vha_energy_at_printed_values():
     t, u = 1.0, 4.0
     assert variational_energy_formula(t, u, 0.0, 0.0) == pytest.approx(-3.0)
-    est = measure_dimer_energy(VhaParams.single(0.0, 0.0), t, u, shots=0)
+    h = FermionHamiltonian.dimer(t, u)
+    est = measure_energy(vha_circuit(VhaParams.single(0.0, 0.0)), h, shots=0)
     assert est.value == pytest.approx(-3.0, abs=1e-12)
-    est = measure_dimer_energy(VhaParams.single(-0.92, 0.39), t, u, shots=0)
+    est = measure_energy(vha_circuit(VhaParams.single(-0.92, 0.39)), h, shots=0)
     assert est.value == pytest.approx(-3.2360, abs=1e-3)
 
 
 def test_optimal_angles_reach_ground_energy_and_fidelity():
     for t, u in [(1.0, 0.0), (1.0, 4.0), (1.0, 8.0)]:
         a, b = optimal_angles(t, u)
-        est = measure_dimer_energy(VhaParams.single(a, b), t, u, shots=0)
+        h = FermionHamiltonian.dimer(t, u)
+        est = measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots=0)
         assert est.value == pytest.approx(dimer_ground_energy(t, u), abs=1e-10)
-        _, gs = ground_state(build_matrix(FermionHamiltonian.dimer(t, u)))
-        assert vha_state(VhaParams.single(a, b)).fidelity(gs) >= 1 - 1e-8
+        _, gs = ground_state(build_matrix(h))
+        assert abs(np.vdot(vha_state(VhaParams.single(a, b)).amps, gs.amps)) ** 2 >= 1 - 1e-8
 
 
 def test_optimal_angles_match_figure_values():
@@ -111,10 +115,18 @@ def test_optimal_angles_match_figure_values():
     assert b == pytest.approx(0.39, abs=0.02)
 
 
+@settings(max_examples=200, deadline=None)
+@given(t=st.floats(-1e300, 1e300), u=st.floats(-1e300, 1e300))
+def test_optimal_alpha_keeps_its_bits_wherever_8t_is_finite(t, u):
+    # atan2(U / 8, t) is atan2(U, 8t) exactly unless 8t overflows or U / 8 loses bits
+    assume(u == 0 or abs(u) >= 8 * sys.float_info.min)
+    assert optimal_angles(t, u)[0] == -2 * math.atan2(u, 8 * t)
+
+
 def test_energy_breakdown_matches_sector_energies():
     t, u = 1.0, 4.0
-    a, b = optimal_angles(t, u)
-    est = measure_dimer_energy(VhaParams.single(a, b), t, u, shots=0)
+    circuit = vha_circuit(VhaParams.single(*optimal_angles(t, u)))
+    est = measure_energy(circuit, FermionHamiltonian.dimer(t, u), shots=0)
     e_hop, e_int = dimer_sector_energies(t, u)
     assert est.hopping == pytest.approx(e_hop, abs=1e-10)
     assert est.interaction == pytest.approx(e_int, abs=1e-10)
@@ -138,11 +150,11 @@ def test_repulsion_estimator_exact_on_computational_state():
 
 def test_shot_mode_converges_to_exact():
     t, u = 1.0, 4.0
-    a, b = optimal_angles(t, u)
-    exact = measure_dimer_energy(VhaParams.single(a, b), t, u, shots=0).value
+    circuit, h = vha_circuit(VhaParams.single(*optimal_angles(t, u))), FermionHamiltonian.dimer(t, u)
+    exact = measure_energy(circuit, h, shots=0).value
     errs = []
     for shots in (256, 4096, 65536):
-        est = measure_dimer_energy(VhaParams.single(a, b), t, u, shots=shots, seed=11)
+        est = measure_energy(circuit, h, shots=shots, seed=11)
         errs.append(abs(est.value - exact))
         # within 5 sigma of the exact value
         assert abs(est.value - exact) < 5 * max(est.stderr, 1e-12)
@@ -150,16 +162,16 @@ def test_shot_mode_converges_to_exact():
 
 
 def test_stderr_scaling():
-    t, u = 1.0, 4.0
-    est1 = measure_dimer_energy(VhaParams.single(-0.9, 0.4), t, u, shots=256, seed=3)
-    est2 = measure_dimer_energy(VhaParams.single(-0.9, 0.4), t, u, shots=256 * 16, seed=3)
+    circuit, h = vha_circuit(VhaParams.single(-0.9, 0.4)), FermionHamiltonian.dimer(1.0, 4.0)
+    est1 = measure_energy(circuit, h, shots=256, seed=3)
+    est2 = measure_energy(circuit, h, shots=256 * 16, seed=3)
     assert est2.stderr == pytest.approx(est1.stderr / 4, rel=0.3)
 
 
 def test_4096_shot_estimate_within_4_sigma():
     t, u = 1.0, 4.0
-    a, b = optimal_angles(t, u)
-    est = measure_dimer_energy(VhaParams.single(a, b), t, u, shots=4096, seed=7)
+    est = measure_energy(vha_circuit(VhaParams.single(*optimal_angles(t, u))), FermionHamiltonian.dimer(t, u),
+                         shots=4096, seed=7)
     assert abs(est.value - (-3.23607)) <= 4 * est.stderr + 1e-6
 
 
@@ -168,9 +180,10 @@ def test_landscape_grid_and_argmin():
     alphas = np.linspace(-math.pi, math.pi, 21)
     betas = np.linspace(-math.pi, math.pi, 21)
     res = landscape_sweep(t, u, alphas, betas)
-    for p in res.points[:50]:
-        assert p.energy == pytest.approx(
-            variational_energy_formula(t, u, p.alpha, p.beta), abs=1e-12
+    for k in range(50):
+        i, j = divmod(k, len(betas))
+        assert res.energies[i, j] == pytest.approx(
+            variational_energy_formula(t, u, alphas[i], betas[j]), abs=1e-12
         )
     a_star, b_star = optimal_angles(t, u)
     da = alphas[1] - alphas[0]
@@ -191,34 +204,37 @@ _angles = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=4)
 )
 def test_exact_landscape_equals_closed_form_and_per_point_energy(alphas, betas, t, u):
     res = landscape_sweep(t, u, alphas, betas)
-    assert [(p.alpha, p.beta) for p in res.points] == [(a, b) for a in alphas for b in betas]
-    for p in res.points:
-        assert p.stderr == 0.0
-        assert abs(p.energy - variational_energy_formula(t, u, p.alpha, p.beta)) < 1e-12
-        single = measure_dimer_energy(VhaParams.single(p.alpha, p.beta), t, u, shots=0)
-        assert abs(p.energy - single.value) < 1e-12
-    # the first grid point with the lowest energy
-    assert res.best == min(res.points, key=lambda p: p.energy)
+    assert (res.alphas.tolist(), res.betas.tolist()) == (alphas, betas)
+    assert res.energies.shape == res.stderrs.shape == (len(alphas), len(betas))
+    assert not res.stderrs.any()
+    h = FermionHamiltonian.dimer(t, u)
+    for (i, a), (j, b) in itertools.product(enumerate(alphas), enumerate(betas)):
+        assert abs(res.energies[i, j] - variational_energy_formula(t, u, a, b)) < 1e-12
+        single = measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots=0)
+        assert abs(res.energies[i, j] - single.value) < 1e-12
+    # the first grid point, row-major, with the lowest energy
+    low = res.energies.min()
+    first = list(itertools.product(alphas, betas))[res.energies.ravel().tolist().index(low)]
+    assert res.best == LandscapePoint(*first, low, 0.0)
 
 
 def test_shot_landscape_seeded_and_within_4_sigma():
     t, u = 1.0, 4.0
     grid = np.linspace(-math.pi, math.pi, 13)
     res = landscape_sweep(t, u, grid, grid, shots=256, seed=17)
-    assert res.points == landscape_sweep(t, u, grid, grid, shots=256, seed=17).points
-    assert res.points != landscape_sweep(t, u, grid, grid, shots=256, seed=18).points
-    within = [
-        abs(p.energy - variational_energy_formula(t, u, p.alpha, p.beta)) <= 4 * p.stderr
-        for p in res.points
-    ]
-    assert np.mean(within) >= 0.95
+    again = landscape_sweep(t, u, grid, grid, shots=256, seed=17)
+    other = landscape_sweep(t, u, grid, grid, shots=256, seed=18)
+    assert np.array_equal(res.energies, again.energies) and np.array_equal(res.stderrs, again.stderrs)
+    assert not np.array_equal(res.energies, other.energies)
+    closed = np.array([[variational_energy_formula(t, u, a, b) for b in grid] for a in grid])
+    assert np.mean(np.abs(res.energies - closed) <= 4 * res.stderrs) >= 0.95
 
 
 def test_parity_basis_schedule_within_5_sigma():
     # site-major ordering puts each bond's modes two qubits apart, so every
     # hopping runs the two string-removed parity bases instead of the
     # diagonalization circuit
-    h = FermionHamiltonian.hubbard_chain(2, 1.0, 4.0)
+    h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, 1.0),), repulsions=(Repulsion(0, 4.0), Repulsion(1, 4.0)))
     # both electrons on site 0, partly hopped to site 1, the hop phase made real
     prep = (
         Circuit(4, (GateOp("X", (0,)), GateOp("X", (1,))))
@@ -260,7 +276,7 @@ def test_optimize_u_zero_alpha_irrelevant():
 def test_optimize_budget_and_improvement():
     start = VhaParams.single(0.5, -0.5)
     res = optimize(1.0, 4.0, initial=start, budget=40)
-    start_e = measure_dimer_energy(start, 1.0, 4.0, shots=0).value
+    start_e = measure_energy(vha_circuit(start), FermionHamiltonian.dimer(1.0, 4.0), shots=0).value
     assert res.energy <= start_e
     assert res.evaluations <= 40
     with pytest.raises(ValueError):
@@ -334,7 +350,9 @@ _axis = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5)
 )
 def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed, chain):
     # the chain's site-major modes put each bond two qubits apart: parity bases
-    h = FermionHamiltonian.hubbard_chain(2, t, u) if chain else FermionHamiltonian.dimer(t, u)
+    h = FermionHamiltonian.dimer(t, u)
+    if chain:
+        h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, t),), repulsions=(Repulsion(0, u), Repulsion(1, u)))
     amps = np.array([vha_state(VhaParams.single(a, b)).amps for a in alphas for b in betas])
     seeds = np.random.SeedSequence(seed).generate_state(len(amps))
     batched = _energy_estimates(amps, h, shots, seeds)
@@ -352,7 +370,9 @@ def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed
 def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid(chain):
     # numpy squares an array as x * x and Python a float with libm pow; they differ
     # about once in a thousand squares, which small hypothesis batches rarely show
-    h = FermionHamiltonian.hubbard_chain(2, 1.0, 4.0) if chain else FermionHamiltonian.dimer(1.0, 4.0)
+    h = FermionHamiltonian.dimer(1.0, 4.0)
+    if chain:
+        h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, 1.0),), repulsions=(Repulsion(0, 4.0), Repulsion(1, 4.0)))
     axis = np.linspace(-math.pi, math.pi, 13).tolist()
     amps = np.array([vha_state(VhaParams.single(a, b)).amps for a in axis for b in axis])
     seeds = np.random.SeedSequence(17).generate_state(len(amps))
@@ -385,9 +405,8 @@ def test_angle_stacks_equal_per_angle_circuits(angles):
 def test_landscape_best_is_the_first_minimum():
     res = LandscapeResult(np.array([0.1, 0.2]), np.array([0.3, 0.4, 0.5]),
                           np.array([[1.0, -2.0, 0.0], [-2.0, -2.0, 3.0]]), np.zeros((2, 3)))
+    # the row-major first of the three -2.0 entries: (0.1, 0.4), not (0.2, 0.3)
     assert res.best == LandscapePoint(0.1, 0.4, -2.0, 0.0)
-    assert res.best == min(res.points, key=lambda p: p.energy)
-    assert [(p.alpha, p.beta) for p in res.points] == [(a, b) for a in (0.1, 0.2) for b in (0.3, 0.4, 0.5)]
 
 
 def test_landscape_refuses_grids_past_dense_capacity():
