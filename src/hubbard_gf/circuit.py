@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, jw_string_remover
-from .statevector import GateOp, StateVector, apply_gate_inplace, shot_stderr
+from .statevector import GateOp, apply_gate_inplace, basis_state, shot_stderr
 
 
 @dataclass(frozen=True)
@@ -64,13 +64,14 @@ class Circuit:
         return "\n".join(lines) + "\n"
 
 
-def simulate(circuit: Circuit, initial: StateVector | None = None) -> StateVector:
-    """Run the circuit on |0...0> or on a copy of the given initial state."""
-    state = StateVector.zero(circuit.n_qubits) if initial is None else initial.copy()
-    if state.n != circuit.n_qubits:
+def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
+    """Run the circuit on |0...0> or on a copy of the given amplitudes; leading axes
+    of initial are a batch, each row run as it would be alone."""
+    state = basis_state(circuit.n_qubits) if initial is None else np.array(initial, dtype=complex)
+    if state.shape[-1] != 1 << circuit.n_qubits:
         raise ValueError("initial state width does not match circuit")
     for g in circuit.gates:
-        apply_gate_inplace(state.amps, g, state.n)
+        apply_gate_inplace(state, g, circuit.n_qubits)
     return state
 
 

@@ -151,14 +151,11 @@ def _outdir(args) -> str:
 
 def cmd_vha_sweep(args) -> int:
     if args.shots and args.seed is None:
-        print("error: --seed is required for shot-mode runs", file=sys.stderr)
-        return 2
+        raise ValueError("--seed is required for shot-mode runs")
     if args.grid < 1:
-        print("error: --grid must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("--grid must be >= 1")
     if args.grid ** 2 > MAX_GRID_POINTS:  # refused before the state batch is allocated
-        print(f"error: --grid {args.grid} exceeds dense capacity ({MAX_GRID_POINTS} points)", file=sys.stderr)
-        return 2
+        raise ValueError(f"--grid {args.grid} exceeds dense capacity ({MAX_GRID_POINTS} points)")
     grid = np.linspace(-math.pi, math.pi, args.grid)
     res = landscape_sweep(args.t, args.u, grid, grid, shots=args.shots, seed=args.seed or 0)
     out = _outdir(args)
@@ -174,9 +171,10 @@ def cmd_vha_sweep(args) -> int:
         f"dimer variational energy (t={args.t}, U={args.u})",
         grid, grid, res.energies, best=(a, b),
     )
-    ref = optimal_angles(args.t, args.u)
+    ref, energy = optimal_angles(args.t, args.u), res.best.energy
+    spec = ".8f" if abs(energy) < 1e8 else ".8e"  # fixed point takes 300 digits at 1e300
     print(
-        f"optimum: alpha={a:.4f} beta={b:.4f} energy={res.best.energy:.8f} "
+        f"optimum: alpha={a:.4f} beta={b:.4f} energy={energy:{spec}} "
         f"(closed-form optimum alpha={ref[0]:.4f} beta={ref[1]:.4f})"
     )
     print(f"wrote {csv_path}")
@@ -185,17 +183,13 @@ def cmd_vha_sweep(args) -> int:
 
 def cmd_correlator(args) -> int:
     if not args.t > 0:  # the dimer closed forms behind every overlay need a positive hopping
-        print(f"error: --t must be positive, got {args.t}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--t must be positive, got {args.t}")
     if args.shots < 0:  # one refusal for every protocol, before any of them draws
-        print("error: shots must be >= 1", file=sys.stderr)
-        return 2
+        raise ValueError("shots must be >= 1")
     if args.shots and args.seed is None:
-        print("error: --seed is required for shot-mode runs", file=sys.stderr)
-        return 2
+        raise ValueError("--seed is required for shot-mode runs")
     if args.noise_model and args.protocol != "direct":
-        print("error: --noise-model runs the direct protocol only", file=sys.stderr)
-        return 2
+        raise ValueError("--noise-model runs the direct protocol only")
     config = MitigationConfig(  # mitigation flags are validated on noiseless runs too
         readout=args.readout_mitigation,
         twirl_variants=args.twirl,
@@ -265,11 +259,9 @@ def cmd_compare(args) -> int:
     for flag in ("sigma", "tol_exact"):
         value = getattr(args, flag)
         if value is not None and not value >= 0:
-            print(f"error: --{flag.replace('_', '-')} must be >= 0, got {value}", file=sys.stderr)
-            return 2
+            raise ValueError(f"--{flag.replace('_', '-')} must be >= 0, got {value}")
     if not 0 < args.coverage <= 1:
-        print(f"error: --coverage must be in (0, 1], got {args.coverage}", file=sys.stderr)
-        return 2
+        raise ValueError(f"--coverage must be in (0, 1], got {args.coverage}")
     failures = 0
     reports = []
     for path in args.csv:
@@ -277,8 +269,7 @@ def cmd_compare(args) -> int:
             csv = read_measurement_csv(path)
             analytic, bound = _analytic(csv.correlator, csv.kind, csv.t, csv.u, csv.taus), _trotter_bound(csv)
         except ValueError as e:  # a CSV, or a closed form or bound at its settings, that cannot be judged
-            print(f"error: {path}: {e}", file=sys.stderr)
-            return 2
+            raise ValueError(f"{path}: {e}") from e
         scale = _full_scale(csv.protocol)
         dev = np.abs(scale * csv.estimates - analytic)
         report = {"csv": path, "max_dev": _json_number(np.max(dev)), "mean_dev": _json_number(np.mean(dev))}
@@ -355,12 +346,11 @@ def main(argv=None) -> int:
         args = ap.parse_args(_config_argv(ap, commands, argv))
     except SystemExit as e:
         return 2 if e.code not in (0,) else 0
-    for flag in ("t", "u", "dtau", "phi", "theta"):  # also covers values from --config
-        value = getattr(args, flag, None)
-        if value is not None and not math.isfinite(value):
-            print(f"error: --{flag} must be finite, got {value}", file=sys.stderr)
-            return 2
     try:
+        for flag in ("t", "u", "dtau", "phi", "theta"):  # also covers values from --config
+            value = getattr(args, flag, None)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"--{flag} must be finite, got {value}")
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -30,7 +30,6 @@ from .oracle import build_matrix, diagonalize
 from .pauli import MajoranaIndex, PauliString, jw_mode, jw_string_remover
 from .statevector import (
     GateOp,
-    StateVector,
     apply_gate,
     apply_pauli,
     expectation_pauli,
@@ -94,24 +93,25 @@ def _hadamard_family(
 ) -> MeasurementRecord:
     """<psi| U^-j P U^j S |psi> = <U^j psi| P |U^j S psi> at each grid point j.
 
-    psi and S psi are carried forward together one step per grid point, so no
-    backward evolution is simulated; both variants read this overlap.
+    psi and S psi are carried forward together, as one two-row batch, one step
+    per grid point, so no backward evolution is simulated; both variants read
+    this overlap.
     """
     lam = kind_lambda(kind)
     h = FermionHamiltonian.dimer(t, u)
     width = h.n_modes
     prb = _mode_pauli(probe, h, width)
     step = dimer_trotter_step(t, u, plan.dtau)
-    bra = simulate(dimer_ground_circuit(t, u))
-    ket = apply_pauli(bra, _mode_pauli(source, h, width))
+    psi = simulate(dimer_ground_circuit(t, u))
+    pair = np.stack([psi, apply_pauli(psi, _mode_pauli(source, h, width))])
     taus = time_grid(plan)
     seeds = np.random.SeedSequence(seed).generate_state(len(taus)) if shots else None
 
     estimates, stderrs = [], []
     for k in range(len(taus)):
         if k:
-            bra, ket = simulate(step, bra), simulate(step, ket)
-        overlap = complex(np.vdot(bra.amps, apply_pauli(ket, prb).amps))
+            pair = simulate(step, pair)
+        overlap = complex(np.vdot(pair[0], apply_pauli(pair[1], prb)))
         value = overlap.imag if kind == "keldysh" else overlap.real
         if shots == 0:
             estimates.append(float(value))
@@ -261,14 +261,14 @@ def full_value(rec: MeasurementRecord) -> MeasurementRecord:
     )
 
 
-def _exact_evolve(state: StateVector, spect, tau: float, n_sys: int) -> StateVector:
+def _exact_evolve(state: np.ndarray, spect, tau: float, n_sys: int) -> np.ndarray:
     """Dense exp(-i H tau) on the system factor, identity on the ancilla."""
     dim = 1 << n_sys
     v = spect.eigenvectors
-    amps = state.amps.reshape(2, dim).T  # columns: ancilla 0/1 blocks
+    amps = state.reshape(2, dim).T  # columns: ancilla 0/1 blocks
     phases = np.exp(-1j * spect.eigenvalues * tau)
     evolved = v @ (phases[:, None] * (v.conj().T @ amps))
-    return StateVector(evolved.T.reshape(-1).copy(), state.n)
+    return evolved.T.reshape(-1)
 
 
 def direct_point_circuit(

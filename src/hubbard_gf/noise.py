@@ -290,28 +290,20 @@ def _superoperator(g: GateOp, p: float) -> np.ndarray:
     return s
 
 
-# process-wide cache of 16x16 (or 4x4) complex matrices, 4 KiB each at most
-_SUPEROP_CACHE: dict[tuple, np.ndarray] = {}  # per gate key and block
-_SUPEROP_CACHE_ENTRIES = 1024
-
-
+# a process-wide cache of 16x16 (or 4x4) complex matrices, 4 KiB each at most
+@functools.lru_cache(maxsize=1024)
 def _block_superoperator(key: tuple, block: tuple[int, ...]) -> np.ndarray:
     """_superoperator of the gate key (kind, targets, angle, error probability)
     on the vectorized rho of the block qubits (bit i = ket of block[i], bit k + i
-    = its bra), cached read-only under (key, block); a full cache is emptied first."""
-    s = _SUPEROP_CACHE.get((key, block))
-    if s is None:
-        kind, targets, angle, p = key
-        k = len(block)
-        local = tuple(block.index(t) for t in targets)
-        s = np.eye(4**k, dtype=complex)  # row j becomes the image of basis vector j
-        bits = local + tuple(k + i for i in local)
-        apply_matrix_inplace(s, _superoperator(GateOp(kind, targets, angle), p), bits, 2 * k)
-        s = s.T.copy()
-        s.flags.writeable = False
-        if len(_SUPEROP_CACHE) >= _SUPEROP_CACHE_ENTRIES:
-            _SUPEROP_CACHE.clear()
-        _SUPEROP_CACHE[key, block] = s
+    = its bra), read-only because the cache shares it."""
+    kind, targets, angle, p = key
+    k = len(block)
+    local = tuple(block.index(t) for t in targets)
+    s = np.eye(4**k, dtype=complex)  # row j becomes the image of basis vector j
+    bits = local + tuple(k + i for i in local)
+    apply_matrix_inplace(s, _superoperator(GateOp(kind, targets, angle), p), bits, 2 * k)
+    s = s.T.copy()
+    s.flags.writeable = False
     return s
 
 

@@ -8,7 +8,6 @@ import numpy as np
 
 from .model import FermionHamiltonian
 from .pauli import PauliString, jw_mode
-from .statevector import StateVector
 
 MAX_MATRIX_QUBITS = 12
 
@@ -82,19 +81,19 @@ def build_matrix(h: FermionHamiltonian) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Eigendecomposition with deterministic eigenvector phases."""
+    """Eigendecomposition with deterministic eigenvector phases; eigenvalues ascend,
+    so the ground state is column 0."""
 
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-    ground_index: int = 0
 
     @property
     def ground_energy(self) -> float:
-        return float(self.eigenvalues[self.ground_index])
+        return float(self.eigenvalues[0])
 
     @property
     def ground_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, self.ground_index]
+        return self.eigenvectors[:, 0]
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
@@ -117,13 +116,12 @@ def diagonalize(m: np.ndarray) -> SpectralData:
     resid = np.max(np.abs(m @ evecs - evecs * evals[None, :]))
     if resid > 1e-9:
         raise AssertionError(f"eigenpair residual too large: {resid}")
-    return SpectralData(evals, evecs, 0)
+    return SpectralData(evals, evecs)
 
 
-def ground_state(m: np.ndarray) -> tuple[float, StateVector]:
+def ground_state(m: np.ndarray) -> tuple[float, np.ndarray]:
     spec = diagonalize(m)
-    amps = np.asarray(spec.ground_vector, dtype=complex)
-    return spec.ground_energy, StateVector(amps, amps.size.bit_length() - 1)
+    return spec.ground_energy, np.asarray(spec.ground_vector, dtype=complex)
 
 
 def lehmann_correlator(

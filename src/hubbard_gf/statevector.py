@@ -5,10 +5,12 @@ Amplitudes are indexed so that bit q of the basis index is the value of qubit q
 gathers the amplitudes of the target bits and multiplies a dense 2^k x 2^k
 matrix into them.  Every gate runs as its `gate_matrix` through it (DELAY is a
 no-op, GPHASE a scalar), and the noise module runs its vectorized density
-matrices through it.  The kernel acts on a trailing axis of length 2^n, so
-leading axes are a batch (the VHA landscape and the columns of
-`circuit_unitary` are such batches).  Capacity is dense double precision up to
-24 qubits.
+matrices through it.  A state is its complex amplitude array, with no class
+around it: the functions here and `circuit.simulate` take and return arrays
+whose trailing axis holds the 2^n amplitudes.  The kernel acts on that axis,
+so leading axes are a batch (the VHA landscape, psi and S psi of a Hadamard
+test, and the columns of `circuit_unitary` are such batches).  Capacity is
+dense double precision up to 24 qubits.
 """
 from __future__ import annotations
 
@@ -91,35 +93,20 @@ def inverse_gate(g: GateOp) -> GateOp:
     return GateOp(g.kind, g.targets, -g.angle)  # RZ, CPHASE, GPHASE
 
 
-# -- state container ----------------------------------------------------------
+# -- states and kernels -------------------------------------------------------
 
 
-@dataclass
-class StateVector:
-    """Normalized complex amplitudes over 2^n basis states."""
-
-    amps: np.ndarray
-    n: int
-
-    @classmethod
-    def zero(cls, n: int) -> "StateVector":
-        return cls.basis(n, 0)
-
-    @classmethod
-    def basis(cls, n: int, index: int) -> "StateVector":
-        if n > MAX_QUBITS:
-            raise ValueError(f"{n} qubits exceeds dense capacity {MAX_QUBITS}")
-        amps = np.zeros(1 << n, dtype=complex)
-        amps[index] = 1.0
-        return cls(amps, n)
-
-    def copy(self) -> "StateVector":
-        return StateVector(self.amps.copy(), self.n)
+def basis_state(n: int, index: int = 0) -> np.ndarray:
+    """The amplitudes of basis state |index> over n qubits."""
+    if n > MAX_QUBITS:
+        raise ValueError(f"{n} qubits exceeds dense capacity {MAX_QUBITS}")
+    amps = np.zeros(1 << n, dtype=complex)
+    amps[index] = 1.0
+    return amps
 
 
-# -- kernels ------------------------------------------------------------------
-
-
+# bounded by index entries, not by keys: one key's array holds 2^n entries
+# (128 MiB for a one-qubit gate at 24 qubits), so a key count bounds no memory
 _GATHER_CACHE: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
 _GATHER_CACHE_ELEMENTS = 1 << 24  # cached index entries, summed over keys
 
@@ -169,52 +156,45 @@ def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
     apply_matrix_inplace(arr, gate_matrix(g), g.targets, n)
 
 
-def apply_gate(s: StateVector, g: GateOp) -> StateVector:
-    """Pure gate application; returns a new state."""
-    out = s.copy()
-    apply_gate_inplace(out.amps, g, s.n)
+def apply_gate(amps: np.ndarray, g: GateOp) -> np.ndarray:
+    """Pure gate application; returns new amplitudes."""
+    out = amps.copy()
+    apply_gate_inplace(out, g, amps.shape[-1].bit_length() - 1)
     return out
 
 
 # -- Pauli application and expectation ---------------------------------------
 
 
-_PAULI_CACHE: dict[tuple, tuple] = {}
-
-
+@functools.lru_cache(maxsize=256)
 def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
-    """(source index permutation, coefficient array) so that (P s)[perm] = coef * s."""
-    key = (p.width, p.xbits, p.zbits, p.phase_exp)
-    hit = _PAULI_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """(source index permutation, coefficient array) so that (P s)[perm] = coef * s,
+    read-only because the cache shares them."""
     dim = 1 << p.width
     idx = np.arange(dim, dtype=np.int64)
     signs = 1.0 - 2.0 * (np.bitwise_count(idx & np.int64(p.zbits)) & 1)
     canon = (p.phase_exp + (p.xbits & p.zbits).bit_count()) % 4
     coef = (1j ** canon) * signs
     perm = idx ^ np.int64(p.xbits)
-    if len(_PAULI_CACHE) > 256:
-        _PAULI_CACHE.clear()
-    _PAULI_CACHE[key] = (perm, coef)
+    perm.flags.writeable = coef.flags.writeable = False
     return perm, coef
 
 
-def apply_pauli(s: StateVector, p: PauliString) -> StateVector:
-    """Exact application of a Pauli string operator to the state."""
-    if p.width != s.n:
-        raise ValueError(f"width mismatch: string {p.width}, state {s.n}")
+def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
+    """Exact application of a Pauli string operator to the amplitudes."""
+    if amps.shape[-1] != 1 << p.width:
+        raise ValueError(f"width mismatch: string {p.width}, state {amps.shape[-1]} amplitudes")
     perm, coef = _pauli_action(p)
-    out = np.empty_like(s.amps)
-    out[perm] = coef * s.amps
-    return StateVector(out, s.n)
+    out = np.empty_like(amps)
+    out[..., perm] = coef * amps
+    return out
 
 
-def expectation_pauli(s: StateVector, p: PauliString) -> float:
+def expectation_pauli(amps: np.ndarray, p: PauliString) -> float:
     """<s|P|s> for Hermitian P; the imaginary residue is checked and discarded."""
     if not p.is_hermitian:
         raise ValueError(f"expectation needs a Hermitian string, got {p.label}")
-    val = complex(np.vdot(s.amps, apply_pauli(s, p).amps))
+    val = complex(np.vdot(amps, apply_pauli(amps, p)))
     if abs(val.imag) > 1e-10:
         raise ValueError(f"expectation came out complex: {val}")
     return val.real
@@ -223,9 +203,12 @@ def expectation_pauli(s: StateVector, p: PauliString) -> float:
 # -- measurement --------------------------------------------------------------
 
 
-def marginal_probs(s: StateVector, qubits: tuple[int, ...]) -> np.ndarray:
-    """Born probabilities of the listed qubits; bit i of the result index = qubits[i]."""
-    return marginalize(np.abs(s.amps) ** 2, s.n, qubits)
+def marginal_probs(amps: np.ndarray, qubits: tuple[int, ...]) -> np.ndarray:
+    """Born probabilities of the listed qubits; bit i of the result index = qubits[i].
+
+    Leading axes of amps are a batch, as in marginalize.
+    """
+    return marginalize(np.abs(amps) ** 2, amps.shape[-1].bit_length() - 1, qubits)
 
 
 def marginalize(probs: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarray:
@@ -247,14 +230,14 @@ def marginalize(probs: np.ndarray, n: int, qubits: tuple[int, ...]) -> np.ndarra
     return np.transpose(marg, tuple(range(lead)) + tuple(order)).reshape(probs.shape[:-1] + (-1,))
 
 
-def sample_counts(s: StateVector, qubits: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
+def sample_counts(amps: np.ndarray, qubits: tuple[int, ...], shots: int, seed: int) -> np.ndarray:
     """Multinomial draw from the marginal Born distribution; deterministic per seed.
 
     Entry j counts outcome j, whose bit i is the outcome of qubits[i].
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    probs = marginal_probs(s, tuple(qubits))
+    probs = marginal_probs(amps, tuple(qubits))
     return multinomial_counts(probs / probs.sum(), shots, seed)
 
 

@@ -25,11 +25,11 @@ from .oracle import hamiltonian_pauli_terms, split_pauli_terms
 from .statevector import (
     MAX_QUBITS,
     GateOp,
-    StateVector,
     _pauli_action,  # shared kernel plumbing
     apply_matrix_inplace,
     gate_matrix,
-    marginalize,
+    marginal_probs,
+    multinomial_counts,
     parity_signs,
     shot_stderr,
 )
@@ -93,7 +93,7 @@ def vha_circuit(params: VhaParams) -> Circuit:
     return circ
 
 
-def vha_state(params: VhaParams) -> StateVector:
+def vha_state(params: VhaParams) -> np.ndarray:
     return simulate(vha_circuit(params))
 
 
@@ -187,15 +187,15 @@ def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds
         return e_hop + e_int, np.zeros(len(amps)), e_hop, e_int
     n = h.n_modes
     runs = [(amps, tuple(range(n)))] + [
-        (simulate(measurement_basis_circuit(kind, a, b, n), StateVector(amps, n)).amps, (a, b))
+        (simulate(measurement_basis_circuit(kind, a, b, n), amps), (a, b))
         for _, a, b, kinds in _hop_bases(h) for kind in kinds
     ]
-    probs = [marginalize(np.abs(batch) ** 2, n, qubits) for batch, qubits in runs]
+    probs = [marginal_probs(batch, qubits) for batch, qubits in runs]
     probs = [p / p.sum(axis=1, keepdims=True) for p in probs]
     counts = [np.empty(p.shape, dtype=np.int64) for p in probs]
     for k, seed in enumerate(seeds):
         for c, p, s in zip(counts, probs, np.random.SeedSequence(int(seed)).generate_state(len(probs))):
-            c[k] = np.random.default_rng(int(s)).multinomial(shots, p[k])
+            c[k] = multinomial_counts(p[k], shots, int(s))
     # float_power is libm pow, as float ** 2 is on one point; ndarray ** 2 is
     # x * x, which rounds differently about once in a thousand squares
     e_int, var_int, e_hop, var_hop = (np.zeros(len(amps)) for _ in range(4))
@@ -226,7 +226,7 @@ def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds
 
 def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: int = 0) -> EnergyEstimate:
     """Energy of the circuit's output state under h: the one-row batch of _energy_estimates."""
-    state = simulate(circuit).amps[None]
+    state = simulate(circuit)[None]
     value, stderr, hopping, interaction = (float(x[0]) for x in _energy_estimates(state, h, shots, (seed,)))
     return EnergyEstimate(value, stderr, shots, hopping, interaction)
 
@@ -294,7 +294,7 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
     n_points = alphas.size * betas.size
     if n_points > MAX_GRID_POINTS:
         raise ValueError(f"{n_points} grid points exceed dense capacity {MAX_GRID_POINTS}")
-    prefixes = np.repeat(simulate(slater_prep_circuit()).amps[None], alphas.size, axis=0)
+    prefixes = np.repeat(simulate(slater_prep_circuit())[None], alphas.size, axis=0)
     _run_per_angle([dimer_interaction_step(a) for a in alphas.tolist()], prefixes)
     layers = np.repeat(np.eye(16, dtype=complex)[None], betas.size, axis=0)
     _run_per_angle([dimer_hopping_layer(b) for b in betas.tolist()], layers.transpose(0, 2, 1))
@@ -339,7 +339,7 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
         evals += 1
         if shots:
             return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, int(next(seeds))).value
-        return float(_pauli_sum(vha_state(VhaParams.single(a, b)).amps[None], terms)[0])
+        return float(_pauli_sum(vha_state(VhaParams.single(a, b))[None], terms)[0])
 
     best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))
     best_e = energy(best_a, best_b)

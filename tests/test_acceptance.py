@@ -47,7 +47,7 @@ from hubbard_gf.oracle import (
     majorana_operator,
 )
 from hubbard_gf.pauli import MajoranaIndex
-from hubbard_gf.statevector import GateOp, StateVector, apply_gate_inplace
+from hubbard_gf.statevector import GateOp, apply_gate_inplace, basis_state
 from hubbard_gf.vha import (
     VhaParams,
     landscape_sweep,
@@ -154,7 +154,7 @@ def test_criterion_4_direct_measurement_exactness():
 def trotterized_reference(t, u, plan, name):
     """Independent Trotterized-propagator correlator via matrix powers."""
     h, _ = dimer_spectral(t, u)
-    psi = simulate(dimer_ground_circuit(t, u)).amps
+    psi = simulate(dimer_ground_circuit(t, u))
     step_u = circuit_unitary(dimer_trotter_step(t, u, plan.dtau))
     source, probe = DIMER_PAIRS[name]
     a_m = majorana_operator(h, probe.site, probe.spin, probe.flavor).to_matrix()
@@ -331,7 +331,7 @@ def test_criterion_9_simulator_oracles():
               f"builder unitaries equal matrix exponentials on <=6 qubits (max err {worst:.2e})")
 
     rng = np.random.default_rng(1)
-    state = StateVector.zero(4)
+    state = basis_state(4)
     kinds = ["H", "X", "Z", "XHALF", "RZ", "CNOT", "CZ"]
     for _ in range(10_000):
         kind = str(rng.choice(kinds))
@@ -342,6 +342,6 @@ def test_criterion_9_simulator_oracles():
             g = GateOp(kind, (int(rng.integers(0, 4)),), float(rng.uniform(-math.pi, math.pi)))
         else:
             g = GateOp(kind, (int(rng.integers(0, 4)),))
-        apply_gate_inplace(state.amps, g, 4)
-    drift = abs(float(np.linalg.norm(state.amps)) - 1.0)
+        apply_gate_inplace(state, g, 4)
+    drift = abs(float(np.linalg.norm(state)) - 1.0)
     criterion(9, drift < 1e-9, f"norm drift over 10^4 gates is {drift:.2e} < 1e-9")

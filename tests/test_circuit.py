@@ -18,7 +18,7 @@ from hubbard_gf.circuit import (
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import build_matrix
 from hubbard_gf.pauli import PauliString, jw_mode
-from hubbard_gf.statevector import GateOp, StateVector, sample_counts
+from hubbard_gf.statevector import GateOp, basis_state, sample_counts
 
 
 def pauli_sum_matrix(terms, width):
@@ -121,13 +121,13 @@ def test_repulsion_step_matches_expm():
 def test_repulsion_phases():
     theta = 0.5
     c = repulsion_step(1, theta, 1)
-    s = simulate(c, StateVector.basis(2, 3))  # |11>
-    ref = simulate(c, StateVector.basis(2, 0))  # |00>
-    rel = (s.amps[3] / ref.amps[0])
+    s = simulate(c, basis_state(2, 3))  # |11>
+    ref = simulate(c, basis_state(2, 0))  # |00>
+    rel = (s[3] / ref[0])
     np.testing.assert_allclose(rel, np.exp(-1j * theta), atol=1e-12)
     for idx in (1, 2):  # single occupancy: no phase relative to |00>
-        s1 = simulate(c, StateVector.basis(2, idx))
-        np.testing.assert_allclose(s1.amps[idx] / ref.amps[0], 1.0, atol=1e-12)
+        s1 = simulate(c, basis_state(2, idx))
+        np.testing.assert_allclose(s1[idx] / ref[0], 1.0, atol=1e-12)
 
 
 def test_dimer_interaction_forms_agree_and_match_generator():
@@ -215,15 +215,14 @@ def test_horizontal_hop_value_readout():
     # eigenstate (|01> + |10>)/sqrt(2) of the hop on qubits (0,1) has value +1
     amps = np.zeros(4, dtype=complex)
     amps[1] = amps[2] = 1 / np.sqrt(2)
-    s = StateVector(amps, 2)
     c = measurement_basis_circuit("horizontal_hop", 0, 1, 2)
-    out = simulate(c, s)
+    out = simulate(c, amps)
     counts = sample_counts(out, (0, 1), 500, seed=1)
     mean, err = horizontal_hop_value(counts)
     assert mean == pytest.approx(1.0)
     # and on |00>, |11> the value is 0
     for idx in (0, 3):
-        out = simulate(c, StateVector.basis(2, idx))
+        out = simulate(c, basis_state(2, idx))
         counts = sample_counts(out, (0, 1), 500, seed=2)
         mean, _ = horizontal_hop_value(counts)
         assert mean == pytest.approx(0.0)

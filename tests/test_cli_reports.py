@@ -13,7 +13,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hubbard_gf import cli
@@ -830,18 +830,23 @@ def test_every_finite_correlator_config_runs_or_is_refused(values, steps, kind, 
 @settings(max_examples=100, deadline=None)
 @given(t=st.one_of(_FINITE, _TYPICAL), u=st.one_of(_FINITE, _TYPICAL), grid=st.integers(1, 5),
        shots=st.sampled_from([0, 64]))
+@example(t=3e307, u=1e308, grid=3, shots=0)  # an optimum energy of -8.5e307
 def test_every_finite_vha_sweep_config_runs_or_is_refused(t, u, grid, shots):
     # exit 0 or 2 with no numpy warning; a refused sweep leaves no directory, a finished
-    # one finite cells, a finite optimum and a colour in 0-255 for every grid cell
+    # one finite cells, a finite optimum, a colour in 0-255 for every grid cell and a
+    # readable optimum line
     with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        out = Path(tmp) / "out"
-        code = _run_quietly(["vha-sweep", f"--t={t}", f"--u={u}", "--grid", str(grid), "--shots", str(shots),
-                             "--seed", "3", "--outdir", str(out)])
+        out, stdout = Path(tmp) / "out", io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["vha-sweep", f"--t={t}", f"--u={u}", "--grid", str(grid), "--shots", str(shots),
+                         "--seed", "3", "--outdir", str(out)])
         assert code in (0, 2)
         if code == 2:
             assert not out.exists()
             return
+        optimum = stdout.getvalue().splitlines()[0]
+        assert optimum.startswith("optimum: ") and len(optimum) < 200, optimum
         meta, _, rows = read_csv(str(out / "landscape.csv"))
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
         assert all(math.isfinite(float(meta[k])) for k in ("optimum_alpha", "optimum_beta", "optimum_energy"))

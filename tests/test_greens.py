@@ -98,7 +98,7 @@ def test_direct_trotter_matches_trotterized_oracle():
     h, spect = dimer_spectral(T, U)
     from hubbard_gf.circuit import simulate
 
-    psi = simulate(dimer_ground_circuit(T, U)).amps
+    psi = simulate(dimer_ground_circuit(T, U))
     step_u = circuit_unitary(dimer_trotter_step(T, U, SHORT.dtau))
     a_m = majorana_operator(h, 0, "up", "x").to_matrix()
     b_m = majorana_operator(h, 1, "up", "y").to_matrix()

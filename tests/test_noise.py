@@ -30,7 +30,7 @@ from hubbard_gf.statevector import (
     GateOp,
     apply_gate_inplace,
     apply_matrix_inplace,
-    StateVector,
+    basis_state,
     marginalize,
     parity_expectation,
     sample_counts,
@@ -85,7 +85,7 @@ def test_outcome_index_convention(case):
     outcome = sum(((j >> q) & 1) << i for i, q in enumerate(qubits))
     want = [0] * (1 << len(qubits))
     want[outcome] = shots
-    counts = sample_counts(StateVector.basis(n, j), qubits, shots, seed=0)
+    counts = sample_counts(basis_state(n, j), qubits, shots, seed=0)
     assert counts.tolist() == want
     prep = Circuit(n, tuple(GateOp("X", (q,)) for q in range(n) if (j >> q) & 1))
     assert run_noisy(prep, NoiseModel(n), shots, 0, qubits).tolist() == want
@@ -661,7 +661,7 @@ def run_noisy_fidelity(circuit, model):
     for drift in _drift_gates(tail, model):
         apply_gate_inplace(amps, drift, n)
     ideal = simulate(Circuit(n, tuple(g for g in circuit.gates if g.kind != "DELAY")))
-    return abs(np.vdot(ideal.amps, amps)) ** 2
+    return abs(np.vdot(ideal, amps)) ** 2
 
 
 def test_fold_circuit_counts_and_unitary():

@@ -13,6 +13,7 @@ from hubbard_gf.oracle import (
     lehmann_correlator,
     majorana_operator,
 )
+from hubbard_gf.statevector import MAX_QUBITS, basis_state
 
 
 def fermion_ops(h):
@@ -73,13 +74,16 @@ def test_single_free_site():
 def test_size_guard():
     with pytest.raises(ValueError, match="14 qubits exceeds dense oracle capacity"):
         build_matrix(FermionHamiltonian(n_sites=7))
+    # the statevector's own guard, before 2^25 amplitudes are allocated
+    with pytest.raises(ValueError, match=f"{MAX_QUBITS + 1} qubits exceeds dense capacity {MAX_QUBITS}"):
+        basis_state(MAX_QUBITS + 1)
 
 
 @pytest.mark.parametrize("t,u", [(1.0, 0.0), (1.0, 4.0), (1.0, 8.0)])
 def test_ground_state_energy_closed_form(t, u):
     e0, vec = ground_state(build_matrix(FermionHamiltonian.dimer(t, u)))
     assert abs(e0 - dimer_ground_energy(t, u)) < 1e-10
-    assert abs(np.linalg.norm(vec.amps) - 1) < 1e-12
+    assert abs(np.linalg.norm(vec) - 1) < 1e-12
 
 
 def test_ground_state_amplitude_ratio():
@@ -88,7 +92,7 @@ def test_ground_state_amplitude_ratio():
     h = FermionHamiltonian.dimer(t, u)
     _, vec = ground_state(build_matrix(h))
     c_ratio = (np.sqrt(u * u + 64 * t * t) - u) / (8 * t)
-    amps = np.abs(vec.amps)
+    amps = np.abs(vec)
     # doubly-occupied-site components: |0101> (both on site) and |1010> (both on bath)
     # singly-occupied: |0110>, |1001>
     assert amps[0b0101] == pytest.approx(amps[0b1010], abs=1e-12)
@@ -107,7 +111,7 @@ def test_ground_state_u_zero_is_slater():
     f_up = (cd[(0, "up")] + cd[(1, "up")]) / np.sqrt(2)
     f_dn = (cd[(0, "down")] + cd[(1, "down")]) / np.sqrt(2)
     slater = f_dn @ (f_up @ vac)
-    assert abs(np.vdot(slater, vec.amps)) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(slater, vec)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_non_hermitian_rejected():

@@ -1,10 +1,14 @@
-"""No module of the package keeps a module-level import it never reads.
+"""No module of the package keeps a module-level import it never reads, nor a
+private name the package never uses.
 
-A static check on the source with `ast` (no lint tool is needed): every name a
-module-level `import` binds must be read somewhere in the module.  `from
-__future__` imports and imports under `if TYPE_CHECKING:` are exempt.
+Static checks on the source with `ast` (no lint tool is needed): every name a
+module-level `import` binds must be read somewhere in the module (`from
+__future__` imports and imports under `if TYPE_CHECKING:` are exempt), and
+every private module-level function, class or assignment (`_x`) must be
+referenced somewhere in the package outside its own definition.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -45,3 +49,70 @@ def test_the_check_flags_an_unused_import_and_spares_the_exempt_ones():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_keeps_an_unused_import(path):
     assert _unused_imports(path.read_text()) == []
+
+
+def _private_definitions(tree: ast.Module):
+    """(name, node) per module-level function, class or assigned name that starts with one _."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if name.startswith("_") and not name.startswith("__"):
+                yield name, node
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name is read, reached as an attribute or imported under node."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+    return out
+
+
+def _unreferenced_privates(sources: dict[str, str]) -> list[str]:
+    """Private module-level names of these modules that no module references outside their definition."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unused = []
+    for module, tree in trees.items():
+        for name, node in _private_definitions(tree):
+            # an assignment's targets are stores; a def or class may name itself inside
+            own = _references(node)[name] if not isinstance(node, (ast.Assign, ast.AnnAssign)) else 0
+            if everywhere[name] == own:
+                unused.append(f"{module}.{name} (line {node.lineno})")
+    return unused
+
+
+def test_the_check_flags_an_unreferenced_private_name():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "_CACHE: dict = {}\n"
+            "_UNUSED = 4\n"
+            "def _helper(k):\n"
+            "    return _helper(k - 1) if k else _LIMIT\n"
+            "def _used_elsewhere():\n"
+            "    return 0\n"
+            "class _Dead:\n"
+            "    _also = _Dead\n"
+            "def public():\n"
+            "    _CACHE[0] = 1\n"
+        ),
+        "b": "from .a import _used_elsewhere\n",
+    }
+    assert _unreferenced_privates(sources) == ["a._UNUSED (line 3)", "a._helper (line 4)", "a._Dead (line 8)"]
+
+
+def test_no_private_name_goes_unreferenced():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _unreferenced_privates(sources) == []

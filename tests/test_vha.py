@@ -44,7 +44,7 @@ from hubbard_gf.circuit import (
     measurement_basis_circuit,
     simulate,
 )
-from hubbard_gf.statevector import GateOp, StateVector, sample_counts
+from hubbard_gf.statevector import GateOp, sample_counts
 
 
 def test_params_validation():
@@ -64,7 +64,7 @@ def test_slater_state_particle_number_and_fidelity():
         n_total += 0.5 * (1 - expectation_pauli(state, z))
     assert n_total == pytest.approx(2.0, abs=1e-12)
     e0, gs = ground_state(build_matrix(FermionHamiltonian.dimer(1.0, 0.0)))
-    assert abs(np.vdot(state.amps, gs.amps)) ** 2 == pytest.approx(1.0, abs=1e-10)
+    assert abs(np.vdot(state, gs)) ** 2 == pytest.approx(1.0, abs=1e-10)
 
 
 def test_slater_hopping_energy():
@@ -76,7 +76,7 @@ def test_slater_hopping_energy():
 def test_vha_zero_angles_is_slater():
     s1 = vha_state(VhaParams.single(0.0, 0.0))
     s2 = simulate(slater_prep_circuit())
-    assert abs(np.vdot(s1.amps, s2.amps)) ** 2 == pytest.approx(1.0, abs=1e-12)
+    assert abs(np.vdot(s1, s2)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_vha_energy_matches_closed_form_random_angles():
@@ -106,7 +106,7 @@ def test_optimal_angles_reach_ground_energy_and_fidelity():
         est = measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots=0)
         assert est.value == pytest.approx(dimer_ground_energy(t, u), abs=1e-10)
         _, gs = ground_state(build_matrix(h))
-        assert abs(np.vdot(vha_state(VhaParams.single(a, b)).amps, gs.amps)) ** 2 >= 1 - 1e-8
+        assert abs(np.vdot(vha_state(VhaParams.single(a, b)), gs)) ** 2 >= 1 - 1e-8
 
 
 def test_optimal_angles_match_figure_values():
@@ -291,7 +291,7 @@ def _per_point_reference(amps, h, shots, seeds):
     time: sample_counts per run, then Python float arithmetic on that point's histograms."""
     n = h.n_modes
     runs = [(amps, tuple(range(n)))] + [
-        (simulate(measurement_basis_circuit(kind, a, b, n), StateVector(amps, n)).amps, (a, b))
+        (simulate(measurement_basis_circuit(kind, a, b, n), amps), (a, b))
         for _, a, b, kinds in _hop_bases(h) for kind in kinds
     ]
 
@@ -301,7 +301,7 @@ def _per_point_reference(amps, h, shots, seeds):
     out = []
     for k, seed in enumerate(seeds):
         run_seeds = np.random.SeedSequence(int(seed)).generate_state(len(runs))
-        counts = iter([sample_counts(StateVector(batch[k], n), qubits, shots, int(s))
+        counts = iter([sample_counts(batch[k], qubits, shots, int(s))
                        for (batch, qubits), s in zip(runs, run_seeds)])
         comp = next(counts).tolist()
         e_int = var_int = 0.0
@@ -353,7 +353,7 @@ def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed
     h = FermionHamiltonian.dimer(t, u)
     if chain:
         h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, t),), repulsions=(Repulsion(0, u), Repulsion(1, u)))
-    amps = np.array([vha_state(VhaParams.single(a, b)).amps for a in alphas for b in betas])
+    amps = np.array([vha_state(VhaParams.single(a, b)) for a in alphas for b in betas])
     seeds = np.random.SeedSequence(seed).generate_state(len(amps))
     batched = _energy_estimates(amps, h, shots, seeds)
     assert list(zip(*(x.tolist() for x in batched))) == _per_point_reference(amps, h, shots, seeds)
@@ -374,7 +374,7 @@ def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid(chain):
     if chain:
         h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, 1.0),), repulsions=(Repulsion(0, 4.0), Repulsion(1, 4.0)))
     axis = np.linspace(-math.pi, math.pi, 13).tolist()
-    amps = np.array([vha_state(VhaParams.single(a, b)).amps for a in axis for b in axis])
+    amps = np.array([vha_state(VhaParams.single(a, b)) for a in axis for b in axis])
     seeds = np.random.SeedSequence(17).generate_state(len(amps))
     batched = _energy_estimates(amps, h, 256, seeds)
     assert list(zip(*(x.tolist() for x in batched))) == _per_point_reference(amps, h, 256, seeds)
@@ -385,7 +385,7 @@ def test_measure_energy_is_the_batch_of_one(shots, seed):
     circuit = vha_circuit(VhaParams.single(-0.7, 0.3))
     h = FermionHamiltonian.dimer(1.0, 4.0)
     est = measure_energy(circuit, h, shots, seed)
-    row = [float(x[0]) for x in _energy_estimates(simulate(circuit).amps[None], h, shots, (seed,))]
+    row = [float(x[0]) for x in _energy_estimates(simulate(circuit)[None], h, shots, (seed,))]
     assert [est.value, est.stderr, est.hopping, est.interaction] == row
     assert est.shots == shots
 
@@ -396,9 +396,9 @@ def test_angle_stacks_equal_per_angle_circuits(angles):
     layers = np.repeat(np.eye(16, dtype=complex)[None], len(angles), axis=0)
     _run_per_angle([dimer_hopping_layer(b) for b in angles], layers.transpose(0, 2, 1))
     assert np.array_equal(layers, np.array([circuit_unitary(dimer_hopping_layer(b)) for b in angles]))
-    prefixes = np.repeat(simulate(slater_prep_circuit()).amps[None], len(angles), axis=0)
+    prefixes = np.repeat(simulate(slater_prep_circuit())[None], len(angles), axis=0)
     _run_per_angle([dimer_interaction_step(a) for a in angles], prefixes)
-    singles = [simulate(slater_prep_circuit() + dimer_interaction_step(a)).amps for a in angles]
+    singles = [simulate(slater_prep_circuit() + dimer_interaction_step(a)) for a in angles]
     assert np.array_equal(prefixes, np.array(singles))
 
 
