@@ -24,6 +24,7 @@ from .greens import (
     direct_measurement,
     full_value,
     hadamard_test,
+    pair_seeds,
 )
 from .noise import MitigationConfig, NoiseModel, noisy_dimer_series, zne
 from .oracle import dimer_analytic
@@ -198,6 +199,7 @@ def cmd_correlator(args) -> int:
         zne_order=args.zne_order,
     )
     seed = args.seed or 0
+    seeds = pair_seeds(seed, args.shots)
     plan = TrotterPlan(args.dtau, args.steps)
     pairs = list(DIMER_PAIRS) if args.pair == "all" else [args.pair]
     # the SVG overlays come first, so settings whose closed forms overflow are refused before any run
@@ -207,7 +209,8 @@ def cmd_correlator(args) -> int:
         model = NoiseModel.from_json(args.noise_model)
         records = {
             name: noisy_dimer_series(
-                *DIMER_PAIRS[name], args.t, args.u, plan, args.phi, args.shots, seed, model, config, args.kind
+                *DIMER_PAIRS[name], args.t, args.u, plan, args.phi, args.shots, seeds[name], model, config,
+                args.kind,
             )
             for name in pairs
         }
@@ -216,7 +219,7 @@ def cmd_correlator(args) -> int:
     else:
         runner = hadamard_test if args.protocol == "hadamard" else advanced_hadamard_test
         records = {
-            name: runner(*DIMER_PAIRS[name], args.t, args.u, plan, args.shots, seed, args.kind)
+            name: runner(*DIMER_PAIRS[name], args.t, args.u, plan, args.shots, seeds[name], args.kind)
             for name in pairs
         }
     out = _outdir(args)
@@ -231,7 +234,7 @@ def cmd_correlator(args) -> int:
             rec.taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense, overlays[name],
             config_lines=(
                 f"dtau={args.dtau} steps={args.steps}",
-                f"phi={args.phi:.4f} shots={args.shots} seed={rec.seed}",
+                f"phi={args.phi:.4f} shots={args.shots} seed={seed}",
             ),
         )
         print(f"wrote {csv_path}")
@@ -351,6 +354,8 @@ def main(argv=None) -> int:
             value = getattr(args, flag, None)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"--{flag} must be finite, got {value}")
+        if getattr(args, "seed", None) is not None and args.seed < 0:  # the root of every seed tree
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -33,6 +33,7 @@ from .statevector import (
     apply_gate,
     apply_pauli,
     expectation_pauli,
+    child_seeds,
     parity_expectation,
     sample_counts,
     shot_stderr,
@@ -57,7 +58,6 @@ class MeasurementRecord:
     estimates: tuple[float, ...]
     stderrs: tuple[float, ...]
     shots: int
-    seed: int
     protocol: str
     phi: float
     lam: float
@@ -105,7 +105,7 @@ def _hadamard_family(
     psi = simulate(dimer_ground_circuit(t, u))
     pair = np.stack([psi, apply_pauli(psi, _mode_pauli(source, h, width))])
     taus = time_grid(plan)
-    seeds = np.random.SeedSequence(seed).generate_state(len(taus)) if shots else None
+    seeds = child_seeds(seed, len(taus)) if shots else None
 
     estimates, stderrs = [], []
     for k in range(len(taus)):
@@ -118,12 +118,11 @@ def _hadamard_family(
             stderrs.append(0.0)
         else:
             p0 = min(1.0, max(0.0, (1 + value) / 2))
-            rng = np.random.default_rng(int(seeds[k]))
-            ones = int(rng.binomial(shots, 1 - p0))
+            ones = int(np.random.default_rng(seeds[k]).binomial(shots, 1 - p0))
             est = (shots - 2 * ones) / shots
             estimates.append(est)
             stderrs.append(shot_stderr(est, shots))
-    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, protocol, 0.0, lam)
+    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, protocol, 0.0, lam)
 
 
 def hadamard_test(
@@ -215,8 +214,8 @@ def direct_measurement(
     each point (exact).  Per time point a copy gets the ancilla Z^dag phase lambda
     (the step never touches the ancilla, so the two commute), i sigma_probe x_d
     is reduced to a two-qubit parity, estimated and divided by sin Phi.  Shot
-    point k draws from the k-th seed of SeedSequence(seed); a shot-free run
-    derives no seeds.
+    point k draws from child k of the seed (statevector.child_seeds); a
+    shot-free run derives no seeds.
     """
     lam = kind_lambda(kind)
     if evolution not in ("trotter", "exact"):
@@ -227,7 +226,7 @@ def direct_measurement(
         spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
     phase = GateOp("RZ", (pieces.anc,), -lam)
     taus = time_grid(plan)
-    seeds = np.random.SeedSequence(seed).generate_state(len(taus)) if shots else None
+    seeds = child_seeds(seed, len(taus)) if shots else None
 
     estimates, stderrs = [], []
     state = kicked
@@ -241,12 +240,12 @@ def direct_measurement(
             val, err = direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)
         else:
             rotated = simulate(pieces.basis, point)
-            counts = sample_counts(rotated, pieces.meas_qubits, shots, int(seeds[k]))
+            counts = sample_counts(rotated, pieces.meas_qubits, shots, seeds[k])
             parity = parity_expectation(counts, shots)
             val, err = direct_estimate(pieces.sign, parity, shot_stderr(parity, shots), phi)
         estimates.append(val)
         stderrs.append(err)
-    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam)
+    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, "direct", phi, lam)
 
 
 def direct_estimate(sign: float, parity: float, stderr: float, phi: float) -> tuple[float, float]:
@@ -364,28 +363,26 @@ def dimer_ground_circuit(t: float, u: float) -> Circuit:
 
 
 def dimer_suite(
-    t: float,
-    u: float,
-    plan: TrotterPlan,
-    phi: float,
-    shots: int,
-    seed: int,
-    kind: str = "retarded",
+    t: float, u: float, plan: TrotterPlan, phi: float, shots: int, seed: int, kind: str = "retarded",
     pairs: tuple[str, ...] = tuple(DIMER_PAIRS),
 ) -> dict[str, MeasurementRecord]:
     """The listed dimer series (all three by default) exactly as in the experiment pipeline.
 
     Retarded values are the full anticommutators <{probe(tau), source}> = 2 Re
     of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im
-    (full_value of the protocol-native estimate).  Each pair draws from the
-    seed at its DIMER_PAIRS index, so a series does not depend on which others run;
-    a shot-free suite derives no seeds, and every record names the run seed.
+    (full_value of the protocol-native estimate).  Each pair draws from its
+    pair_seeds entry, so a series does not depend on which others run.
     """
-    seeds = (
-        dict(zip(DIMER_PAIRS, np.random.SeedSequence(seed).generate_state(len(DIMER_PAIRS))))
-        if shots else dict.fromkeys(DIMER_PAIRS, seed)
-    )
+    seeds = pair_seeds(seed, shots)
     return {
-        name: full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, phi, shots, int(seeds[name]), kind))
+        name: full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, phi, shots, seeds[name], kind))
         for name in pairs
     }
+
+
+def pair_seeds(seed: int, shots: int) -> dict[str, int]:
+    """Each pair's seed: the run seed's child at its DIMER_PAIRS index, for every protocol.
+
+    A shot-free run draws nothing, so it derives no seeds and passes the run seed on.
+    """
+    return dict(zip(DIMER_PAIRS, child_seeds(seed, len(DIMER_PAIRS)) if shots else [seed] * len(DIMER_PAIRS)))

@@ -12,8 +12,7 @@ rotations (RZ, Z, GPHASE) are virtual: no error, no duration.  Idle
 qubits accumulate a deterministic Z-phase drift at a per-qubit rate, which is
 what an XX decoupling sequence refocuses; T1/T2 from the device tables ride
 along as metadata only.  Readout confusion multiplies the measured marginal,
-and the counts are one seeded multinomial draw from the result (seed schedule
-in run_noisy).
+and the counts are one seeded multinomial draw from the result.
 
 Global folding G -> G (G^dag G)^k keeps G as the head of every folded circuit,
 so noisy_parity_estimate evolves rho through each twirl variant once and
@@ -38,6 +37,7 @@ from .statevector import (
     MAX_QUBITS,
     GateOp,
     apply_matrix_inplace,
+    child_seeds,
     gate_matrix,
     inverse_gate,
     marginal_probs,
@@ -81,8 +81,12 @@ class NoiseModel:
                 raise ValueError(f"probability {p} outside [0, 1]")
         for q, c in self.readout.items():
             c = np.asarray(c, dtype=float)
-            if c.shape != (2, 2) or np.any(c < -1e-12) or np.max(np.abs(c.sum(axis=1) - 1)) > 1e-9:
-                raise ValueError(f"readout confusion for qubit {q} is not row-stochastic")
+            finite = c.shape == (2, 2) and np.isfinite(c).all()
+            if not finite or np.any(c < -1e-12) or np.max(np.abs(c.sum(axis=1) - 1)) > 1e-9:
+                raise ValueError(f"readout confusion for qubit {q} is not a finite row-stochastic matrix")
+        for q, rate in self.idle_rate.items():
+            if not math.isfinite(rate):
+                raise ValueError(f"idle_rate of qubit {q} must be finite, got {rate}")
 
     def pair_p(self, a: int, b: int) -> float:
         return self.p2.get((a, b) if a < b else (b, a), 0.0)
@@ -422,13 +426,6 @@ def noisy_distribution(
     return _distributions(circuit, ((),), model, measure_qubits)[0]
 
 
-def _draw(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
-    """The counts run_noisy draws at this seed: one multinomial with the integer
-    derived from SeedSequence([seed, 0])."""
-    sample_seed = int(np.random.SeedSequence([seed, 0]).generate_state(1)[0])
-    return multinomial_counts(probs, shots, sample_seed)
-
-
 def run_noisy(
     circuit: Circuit,
     model: NoiseModel,
@@ -442,18 +439,17 @@ def run_noisy(
     The density matrix is exact: every non-virtual gate is followed by its
     depolarizing channel, idle gaps add coherent Z drift and the readout
     confusion multiplies the measured marginal.  Circuits wider than
-    MAX_QUBITS // 2 = 12 qubits are refused (rho holds 4^n values).  Seed
-    schedule: the draw uses the integer derived from SeedSequence([seed, 0]).
-    With no gate noise and no drift the state is the noiseless statevector, so
-    the draw is bit for bit noiseless sample_counts with that integer (readout
-    confusion still applies).  Entry j counts outcome j, whose bit i is
-    measure_qubits[i], as in sample_counts.
+    MAX_QUBITS // 2 = 12 qubits are refused (rho holds 4^n values).  The
+    draw is multinomial_counts at the seed itself, so with no gate noise and no
+    drift (the state is then the noiseless statevector) it is bit for bit
+    sample_counts at that seed (readout confusion still applies).  Entry j
+    counts outcome j, whose bit i is measure_qubits[i], as in sample_counts.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
     if measure_qubits is None:
         measure_qubits = tuple(range(circuit.n_qubits))
-    return _draw(noisy_distribution(circuit, model, tuple(measure_qubits)), shots, seed)
+    return multinomial_counts(noisy_distribution(circuit, model, tuple(measure_qubits)), shots, seed)
 
 
 # -- readout mitigation -----------------------------------------------------------
@@ -706,9 +702,10 @@ def noisy_parity_estimate(
     """(parity, stderr) of meas_qubits under the noise model with the configured mitigation.
 
     Every folded circuit begins with its twirl variant, so each variant's
-    density matrix is evolved once and shared by all ZNE scales.  Variant vi at
-    scale si draws exactly what run_noisy(fold_circuit(variant, scale)) draws
-    with seed entry vi * len(scales) + si of SeedSequence(seed).
+    density matrix is evolved once and shared by all ZNE scales.  The seed's
+    child 0 seeds pauli_twirl, and variant vi at scale si draws exactly what
+    run_noisy(fold_circuit(variant, scale)) draws at child 1 + vi * len(scales)
+    + si (statevector.child_seeds).
 
     The stderr is the delta method through readout inversion: a draw's parity
     is c . counts / shots, c the parity signs through the inverse confusions
@@ -718,20 +715,14 @@ def noisy_parity_estimate(
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")
-    base = circuit
-    if config.dd_sequence == "XX":
-        base = dynamical_decoupling(base, model)
-    variants = (
-        pauli_twirl(base, config.twirl_variants, seed)
-        if config.twirl_variants > 1
-        else [base]
-    )
+    base = dynamical_decoupling(circuit, model) if config.dd_sequence == "XX" else circuit
+    scale_list = tuple(config.zne_scales) or (1.0,)
+    twirl_seed, *draw_seeds = child_seeds(seed, 1 + config.twirl_variants * len(scale_list))
+    variants = pauli_twirl(base, config.twirl_variants, twirl_seed) if config.twirl_variants > 1 else [base]
     confusions = [model.readout.get(q, np.eye(2)) for q in meas_qubits]
     coeffs = parity_signs(1 << len(meas_qubits))
     if config.readout:
         coeffs = _per_bit(coeffs, [np.linalg.inv(c) for c in confusions])
-    scale_list = tuple(config.zne_scales) or (1.0,)
-    seeds = np.random.SeedSequence(seed).generate_state(len(variants) * len(scale_list))
     vals = np.zeros((len(scale_list), len(variants)))
     realized = np.zeros_like(vals)  # variants differ in noisy-gate count, so average
     variances = np.zeros_like(vals)
@@ -740,7 +731,7 @@ def noisy_parity_estimate(
         tails = [folded.gates[len(var.gates):] for folded, _ in folds]
         dists = _distributions(var, tails, model, meas_qubits)
         for si, (probs, (_, r)) in enumerate(zip(dists, folds)):
-            counts = _draw(probs, shots, int(seeds[vi * len(scale_list) + si]))
+            counts = multinomial_counts(probs, shots, draw_seeds[vi * len(scale_list) + si])
             freqs = counts / shots
             dist = mitigate_readout(counts, confusions).probs if config.readout else freqs
             vals[si, vi] = parity_expectation(dist)
@@ -755,31 +746,23 @@ def noisy_parity_estimate(
 
 
 def noisy_dimer_series(
-    source: MajoranaIndex,
-    probe: MajoranaIndex,
-    t: float,
-    u: float,
-    plan,
-    phi: float,
-    shots: int,
-    seed: int,
-    model: NoiseModel,
-    config: MitigationConfig,
-    kind: str = "retarded",
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan, phi: float, shots: int, seed: int,
+    model: NoiseModel, config: MitigationConfig, kind: str = "retarded",
 ) -> MeasurementRecord:
     """The direct protocol's probe-source series under noise, as full_value (kind as in dimer_suite).
 
     Per time point the full gate-level direct_point_circuit runs through the
-    configured mitigation stack, and direct_estimate scales its parity.
+    configured mitigation stack at child k of the seed (statevector.child_seeds),
+    and direct_estimate scales its parity.
     """
     lam = kind_lambda(kind)
     taus = time_grid(plan)
-    seeds = np.random.SeedSequence(seed).generate_state(len(taus))
+    seeds = child_seeds(seed, len(taus))
     estimates, stderrs = [], []
     for k in range(len(taus)):
         circuit, meas_qubits, sign = direct_point_circuit(source, probe, t, u, plan, k, phi, lam)
-        parity, parity_err = noisy_parity_estimate(circuit, meas_qubits, model, shots, int(seeds[k]), config)
+        parity, parity_err = noisy_parity_estimate(circuit, meas_qubits, model, shots, seeds[k], config)
         val, err = direct_estimate(sign, parity, parity_err, phi)
         estimates.append(val)
         stderrs.append(err)
-    return full_value(MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, seed, "direct", phi, lam))
+    return full_value(MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, "direct", phi, lam))

@@ -246,6 +246,16 @@ def multinomial_counts(probs: np.ndarray, shots: int, seed: int) -> np.ndarray:
     return np.random.default_rng(seed).multinomial(shots, probs)
 
 
+def child_seeds(seed: int, n: int) -> list[int]:
+    """Children 0..n-1 of a seed: child i is SeedSequence(seed).generate_state(n)[i], for any n > i.
+
+    The one rule by which every draw's seed comes down from the run seed: run ->
+    pair (greens.pair_seeds) -> time point -> a noisy point's twirl (child 0) and
+    draws, or run -> VHA grid point -> measurement run.  Only shot runs call it.
+    """
+    return np.random.SeedSequence(seed).generate_state(n).tolist()
+
+
 @functools.cache
 def parity_signs(length: int) -> np.ndarray:
     """(-1)^popcount(j) for j < length, as a read-only int array cached per length."""

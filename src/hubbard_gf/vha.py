@@ -27,6 +27,7 @@ from .statevector import (
     GateOp,
     _pauli_action,  # shared kernel plumbing
     apply_matrix_inplace,
+    child_seeds,
     gate_matrix,
     marginal_probs,
     multinomial_counts,
@@ -176,8 +177,8 @@ def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds
     and chemical shift; each hopping bond runs the two-qubit diagonalization
     circuit when its modes are JW-adjacent and the two string-removed parity
     bases when they are not.  Each run rotates and marginalizes the batch once;
-    row k draws `shots` samples per run, one multinomial each, seeded by
-    SeedSequence(seeds[k]).generate_state(runs).  The estimators are array
+    row k draws `shots` samples per run, one multinomial each, run r seeded by
+    child r of seeds[k] (statevector.child_seeds).  The estimators are array
     arithmetic in a one-row batch's operation order.
     """
     if shots < 0:
@@ -194,8 +195,8 @@ def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds
     probs = [p / p.sum(axis=1, keepdims=True) for p in probs]
     counts = [np.empty(p.shape, dtype=np.int64) for p in probs]
     for k, seed in enumerate(seeds):
-        for c, p, s in zip(counts, probs, np.random.SeedSequence(int(seed)).generate_state(len(probs))):
-            c[k] = multinomial_counts(p[k], shots, int(s))
+        for c, p, s in zip(counts, probs, child_seeds(seed, len(probs))):
+            c[k] = multinomial_counts(p[k], shots, s)
     # float_power is libm pow, as float ** 2 is on one point; ndarray ** 2 is
     # x * x, which rounds differently about once in a thousand squares
     e_int, var_int, e_hop, var_hop = (np.zeros(len(amps)) for _ in range(4))
@@ -282,8 +283,8 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
     The grid is one state batch: the Slater state is simulated once, every
     alpha's interaction block and every beta's 16x16 hopping-layer unitary are
     built gate by gate on the whole stack of angles, and one einsum applies
-    every layer to every prefix.  Shot-mode point k (row-major) draws from the
-    k-th seed of SeedSequence(seed); an exact sweep derives no seeds.  Grids
+    every layer to every prefix.  Shot-mode point k (row-major) draws from child k
+    of the seed (statevector.child_seeds); an exact sweep derives no seeds.  Grids
     past MAX_GRID_POINTS are refused, and so are t and U whose energies, energy
     range or stderrs overflow the float range.
     """
@@ -298,7 +299,7 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
     _run_per_angle([dimer_interaction_step(a) for a in alphas.tolist()], prefixes)
     layers = np.repeat(np.eye(16, dtype=complex)[None], betas.size, axis=0)
     _run_per_angle([dimer_hopping_layer(b) for b in betas.tolist()], layers.transpose(0, 2, 1))
-    seeds = np.random.SeedSequence(seed).generate_state(n_points) if shots else ()
+    seeds = child_seeds(seed, n_points) if shots else ()
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow is refused below
         energies, stderrs, _, _ = _energy_estimates(
             np.einsum("bij,aj->abi", layers, prefixes).reshape(n_points, -1),
@@ -328,7 +329,7 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    seeds = iter(np.random.SeedSequence(seed).generate_state(budget)) if shots else None
+    seeds = iter(child_seeds(seed, budget)) if shots else None
     h = FermionHamiltonian.dimer(t, u)
     terms = hamiltonian_pauli_terms(h)
     evals = 0
@@ -338,7 +339,7 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
         nonlocal evals
         evals += 1
         if shots:
-            return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, int(next(seeds))).value
+            return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, next(seeds)).value
         return float(_pauli_sum(vha_state(VhaParams.single(a, b))[None], terms)[0])
 
     best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))

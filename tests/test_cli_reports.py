@@ -239,6 +239,13 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_SWEEP + ["--grid", "0"], "grid", id="sweep-grid-0"),
         pytest.param(_SWEEP + ["--grid", "-1"], "--grid must be >= 1", id="sweep-grid--1"),
         pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots", id="sweep-shots--1"),
+        # the run seed roots every seed tree, drawn from or not
+        pytest.param(_NOISELESS + ["--seed", "-3"], "--seed must be >= 0, got -3", id="exact-seed--3"),
+        pytest.param(_CORRELATOR + ["--shots", "64", "--seed", "-3"], "--seed must be >= 0, got -3",
+                     id="seed--3"),
+        pytest.param(_NOISY + ["--seed", "-1"], "--seed must be >= 0, got -1", id="noisy-seed--1"),
+        pytest.param(_SWEEP + ["--shots", "64", "--seed", "-1"], "--seed must be >= 0, got -1",
+                     id="sweep-seed--1"),
         pytest.param(["zne-demo", "--order", "-1"], "polynomial order must be >= 0, got -1", id="zne-demo-order--1"),
         # a path the OS refuses is a usage error naming it, like a missing one
         pytest.param(["compare", "--csv", "DIR"], "Is a directory: '{DIR}'", id="compare-csv-directory"),
@@ -287,9 +294,17 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
         ('{"n_qubits": 5, "single_qubit": {"9": {"error": 0.01}}}', "single_qubit qubit 9 is not one of the 5"),
         ('{"n_qubits": 5, "readout": {"7": [[1, 0], [0, 1]]}}', "readout qubit 7 is not one of the 5"),
         ('{"n_qubits": 5, "durations": {"X": -1.0}}', "duration of X must be finite and >= 0, got -1.0"),
+        # y2y2 reads qubits 2 and 4
+        ('{"n_qubits": 5, "readout": {"0": [[NaN, 0], [0, 1]]}}',
+         "readout confusion for qubit 0 is not a finite row-stochastic matrix"),
+        ('{"n_qubits": 5, "readout": {"4": [[1, 0], [NaN, NaN]]}}',
+         "readout confusion for qubit 4 is not a finite row-stochastic matrix"),
+        ('{"n_qubits": 5, "idle_rate": {"2": NaN}}', "idle_rate of qubit 2 must be finite, got nan"),
+        ('{"n_qubits": 5, "idle_rate": {"1": -Infinity}}', "idle_rate of qubit 1 must be finite, got -inf"),
     ],
     ids=["list", "no-n_qubits", "bare-error-rate", "pair-reversed", "pair-one-qubit", "single-qubit-9",
-         "readout-qubit-7", "negative-duration"],
+         "readout-qubit-7", "negative-duration", "readout-nan-unmeasured", "readout-nan-measured",
+         "idle-rate-nan", "idle-rate-inf"],
 )
 def test_malformed_noise_model_is_a_usage_error(tmp_path, capsys, text, message):
     model = tmp_path / "model.json"
@@ -402,6 +417,62 @@ def test_single_pair_run_writes_its_full_run_bytes(tmp_path, capsys):
     assert code == 0
     assert sorted(p.name for p in (tmp_path / "one").iterdir()) == ["x3y2.csv", "x3y2.svg"]
     assert (tmp_path / "one" / "x3y2.csv").read_bytes() == (tmp_path / "all" / "x3y2.csv").read_bytes()
+
+
+def _generator_seeds(argv) -> tuple[list[int], list[int]]:
+    """(twirl seeds, draw seeds) of a quiet CLI run: the seed of every numpy generator it
+    builds, in call order, split by whether noise.pauli_twirl built it."""
+    from hubbard_gf import noise
+
+    twirls, draws, twirling = [], [], []
+    default_rng, pauli_twirl = np.random.default_rng, noise.pauli_twirl
+
+    def rng(seed):
+        (twirls if twirling else draws).append(seed)
+        return default_rng(seed)
+
+    def twirl(*args):
+        twirling.append(True)
+        try:
+            return pauli_twirl(*args)
+        finally:
+            twirling.pop()
+
+    with mock.patch.object(np.random, "default_rng", rng), mock.patch.object(noise, "pauli_twirl", twirl):
+        assert _run_quietly(argv) == 0
+    return twirls, draws
+
+
+@settings(max_examples=16, deadline=None)
+@given(
+    protocol=st.sampled_from(["direct", "hadamard", "advanced-hadamard", "noisy"]),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(1, 2),
+    shots=st.sampled_from([1, 64]),
+)
+def test_every_pair_draws_from_its_own_branch_of_the_seed_tree(protocol, seed, steps, shots):
+    # run -> pair -> point: a pair's CSV does not depend on which other pairs run, no two
+    # pairs share a generator seed, and a noisy point's twirl seed is none of its draw seeds
+    from hubbard_gf.noise import kolkata_dimer_model
+
+    stem = "{}_noisy.csv" if protocol == "noisy" else "{}.csv"
+    with tempfile.TemporaryDirectory() as tmp:
+        kolkata_dimer_model().to_json(f"{tmp}/model.json")
+        extra = (["--noise-model", f"{tmp}/model.json", "--twirl", "2", "--zne-scales", "1", "2"]
+                 if protocol == "noisy" else ["--protocol", protocol])
+        argv = ["correlator", *extra, "--steps", str(steps), "--shots", str(shots), "--seed", str(seed)]
+        twirls, draws = _generator_seeds(argv + ["--pair", "all", "--outdir", f"{tmp}/all"])
+        for name in DIMER_PAIRS:
+            _generator_seeds(argv + ["--pair", name, "--outdir", f"{tmp}/{name}"])
+            one, every = (Path(tmp, d, stem.format(name)).read_bytes() for d in (name, "all"))
+            assert one == every
+    # the pairs run one after another in DIMER_PAIRS order, each drawing as often
+    assert len(draws) == 3 * (steps + 1) * (4 if protocol == "noisy" else 1)
+    per_pair = len(draws) // 3
+    branches = [set(draws[i * per_pair : (i + 1) * per_pair]) for i in range(3)]
+    assert len(set.union(*branches)) == sum(map(len, branches))
+    assert len(twirls) == (3 * (steps + 1) if protocol == "noisy" else 0)
+    assert not set(twirls) & set(draws)
 
 
 def test_compare_detects_wrong_dtau(tmp_path, capsys):
@@ -611,6 +682,8 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
         ({"steps": [2, 3]}, ["correlator", "--shots", "0"], "argument --steps: invalid int value: '[2, 3]'"),
         ({"zne_scales": ["two"]}, ["correlator", "--steps", "2"], "argument --zne-scales: invalid float value: 'two'"),
         ({"readout-mitigation": "yes"}, ["correlator", "--steps", "2"], "argument --readout-mitigation: --config value must be true or false"),
+        ({"seed": -3}, ["correlator", "--steps", "2", "--shots", "0"], "--seed must be >= 0, got -3"),
+        ({"seed": -1}, ["vha-sweep", "--grid", "3", "--shots", "16"], "--seed must be >= 0, got -1"),
     ],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, config, argv, message):
@@ -665,7 +738,7 @@ def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha2
         (["--shots", "4096", "--seed", "7"], "y2y2",
          "05ffbcaae82a6cd0bf9ab5e0cd2211f73a7e21c6a08376fdbe3e69098ff7b3fa"),
         (["--shots", "4096", "--seed", "7", "--protocol", "hadamard"], "y2y2",
-         "86ef61ab234981fed602e511c2133333379af5f7497c3156a0e0e3174ce1e3cf"),
+         "547d6c27e8434d61981eb9b3cd09622f1e4e6811faeb1580b987b9fb7d919a3d"),
         (["--shots", "0", "--protocol", "advanced-hadamard", "--kind", "keldysh"], "x3y2",
          "c70afd2e92109482264eb748d791f735f7525d9e67f638fd80bc26ccc04bc2c9"),
         (["--shots", "0", "--kind", "keldysh", "--pair", "x3y2"], "x3y2",
@@ -674,7 +747,8 @@ def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha2
 )
 def test_correlator_files_are_pinned(tmp_path, capsys, argv, name, csv_sha256):
     # identical configs must give identical CSV bytes; these digests predate the
-    # protocols measuring on their plan's time grid
+    # protocols measuring on their plan's time grid, except the Hadamard shot run's,
+    # which each pair draws from its own child of the run seed
     code, _, _ = run_cli(["correlator", "--steps", "6", *argv, "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_sha256
@@ -683,7 +757,7 @@ def test_correlator_files_are_pinned(tmp_path, capsys, argv, name, csv_sha256):
 def test_noisy_drift_run_is_pinned(tmp_path, capsys, monkeypatch):
     # idle drift under XX decoupling, twirl, ZNE and readout mitigation: the schedule,
     # the drift gates and the fused runs behind them keep their bytes (digest taken
-    # before the run products were scoped to one twirl variant)
+    # when the draws moved to the seed tree of statevector.child_seeds)
     from hubbard_gf.noise import kolkata_dimer_model
 
     monkeypatch.chdir(tmp_path)  # the CSV header names the model path as given
@@ -696,7 +770,7 @@ def test_noisy_drift_run_is_pinned(tmp_path, capsys, monkeypatch):
     )
     assert code == 0
     assert hashlib.sha256(Path("out/y2y2_noisy.csv").read_bytes()).hexdigest() == (
-        "d9455a3377111073ea20c7376642866e0ca2fa2a369aa84d024197554330b1c5"
+        "4f0f6b328b3c0ee3b4da14bf5dcb57f8503076a270fcd5b15065455efbd407c7"
     )
 
 

@@ -57,9 +57,9 @@ def test_unknown_kind_is_refused(run):
 
 def test_record_validation():
     with pytest.raises(ValueError):
-        MeasurementRecord((0.0,), (2.5,), (0.0,), 0, 0, "direct", 1.0, 0.0)
+        MeasurementRecord((0.0,), (2.5,), (0.0,), 0, "direct", 1.0, 0.0)
     with pytest.raises(ValueError):
-        MeasurementRecord((0.0,), (1.0,), (-0.1,), 0, 0, "direct", 1.0, 0.0)
+        MeasurementRecord((0.0,), (1.0,), (-0.1,), 0, "direct", 1.0, 0.0)
 
 
 def test_direct_tau_zero_same_majorana():

@@ -1,11 +1,12 @@
 """No module of the package keeps a module-level import it never reads, nor a
-private name the package never uses.
+private name the package never uses, and one function derives every seed.
 
 Static checks on the source with `ast` (no lint tool is needed): every name a
 module-level `import` binds must be read somewhere in the module (`from
-__future__` imports and imports under `if TYPE_CHECKING:` are exempt), and
-every private module-level function, class or assignment (`_x`) must be
-referenced somewhere in the package outside its own definition.
+__future__` imports and imports under `if TYPE_CHECKING:` are exempt), every
+private module-level function, class or assignment (`_x`) must be referenced
+somewhere in the package outside its own definition, and `SeedSequence` is
+named in exactly one function of the package.
 """
 import ast
 from collections import Counter
@@ -116,3 +117,52 @@ def test_the_check_flags_an_unreferenced_private_name():
 def test_no_private_name_goes_unreferenced():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _unreferenced_privates(sources) == []
+
+
+def _sites_naming(sources: dict[str, str], name: str) -> list[str]:
+    """Where these modules name `name` (as a name, an attribute or an import), sorted and
+    distinct: the innermost enclosing def or class as module.outer.inner, or the module."""
+    sites = set()
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            scope = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            inner = f"{where}.{child.name}" if scope else where
+            if (isinstance(child, ast.Name) and child.id == name) or (
+                isinstance(child, ast.Attribute) and child.attr == name
+            ) or (isinstance(child, ast.alias) and child.name.split(".")[-1] == name):
+                sites.add(inner)
+            visit(child, inner)
+
+    for module, source in sources.items():
+        visit(ast.parse(source), module)
+    return sorted(sites)
+
+
+def test_the_check_finds_every_site_that_names_seedsequence():
+    sources = {
+        "a": (
+            "import numpy as np\n"
+            "def seeds(s, n):\n"
+            "    return np.random.SeedSequence(s).generate_state(n)\n"
+            "class Draws:\n"
+            "    def child(self, s):\n"
+            "        def inner():\n"
+            "            return SS(s)\n"
+            "        return inner\n"
+        ),
+        "b": (
+            "from numpy.random import SeedSequence as SS\n"
+            "def words(n):\n"
+            "    \"\"\"SeedSequence in a docstring names nothing.\"\"\"\n"
+            "    return SS(n)\n"
+        ),
+    }
+    assert _sites_naming(sources, "SeedSequence") == ["a.seeds", "b"]
+    assert _sites_naming(sources, "SS") == ["a.Draws.child.inner", "b.words"]
+
+
+def test_one_function_derives_every_seed():
+    # the seed tree has one rule: statevector.child_seeds
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _sites_naming(sources, "SeedSequence") == ["statevector.child_seeds"]

@@ -288,10 +288,11 @@ def test_optimize_budget_and_improvement():
 
 def _per_point_reference(amps, h, shots, seeds):
     """(value, stderr, hopping, interaction) per row, drawn and estimated one point at a
-    time: sample_counts per run, then Python float arithmetic on that point's histograms."""
+    time: each row rotated by its own simulate call, sample_counts per run, then Python
+    float arithmetic on that point's histograms."""
     n = h.n_modes
-    runs = [(amps, tuple(range(n)))] + [
-        (simulate(measurement_basis_circuit(kind, a, b, n), amps), (a, b))
+    runs = [(Circuit(n), tuple(range(n)))] + [
+        (measurement_basis_circuit(kind, a, b, n), (a, b))
         for _, a, b, kinds in _hop_bases(h) for kind in kinds
     ]
 
@@ -301,8 +302,8 @@ def _per_point_reference(amps, h, shots, seeds):
     out = []
     for k, seed in enumerate(seeds):
         run_seeds = np.random.SeedSequence(int(seed)).generate_state(len(runs))
-        counts = iter([sample_counts(batch[k], qubits, shots, int(s))
-                       for (batch, qubits), s in zip(runs, run_seeds)])
+        counts = iter([sample_counts(simulate(basis, amps[k]), qubits, shots, int(s))
+                       for (basis, qubits), s in zip(runs, run_seeds)])
         comp = next(counts).tolist()
         e_int = var_int = 0.0
         for rep in h.repulsions:
