@@ -76,7 +76,8 @@ def simulate(circuit: Circuit, initial: np.ndarray | None = None) -> np.ndarray:
 
 
 def circuit_unitary(circuit: Circuit) -> np.ndarray:
-    """Dense unitary of the whole circuit (oracle use; <= 10 qubits)."""
+    """Dense unitary of the whole circuit (<= 10 qubits): the noiseless Trotter step's
+    fused matrix, and oracle use."""
     if circuit.n_qubits > 10:
         raise ValueError("circuit_unitary limited to 10 qubits")
     dim = 1 << circuit.n_qubits

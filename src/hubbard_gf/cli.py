@@ -8,6 +8,7 @@ directory.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -45,6 +46,12 @@ from .vha import (
     slater_prep_circuit,
     vha_circuit,
 )
+
+# A command is one short process, and what these imports built (numpy's and this
+# package's module graph) stays alive until it exits.  Freezing it moves it out of
+# the collector's generations, so neither the gen-2 collections during main nor the
+# interpreter's final collection at shutdown scan it again.
+gc.freeze()
 
 
 def _add_common(p):
@@ -151,6 +158,8 @@ def _outdir(args) -> str:
 
 
 def cmd_vha_sweep(args) -> int:
+    if args.shots < 0:  # before the seed check, which would name the seed as the fault
+        raise ValueError("shots must be >= 0")
     if args.shots and args.seed is None:
         raise ValueError("--seed is required for shot-mode runs")
     if args.grid < 1:

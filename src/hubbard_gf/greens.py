@@ -21,6 +21,7 @@ from .circuit import (
     Circuit,
     TrotterPlan,
     _letter_basis_gates,
+    circuit_unitary,
     dimer_trotter_step,
     pauli_rotation_gates,
     simulate,
@@ -31,6 +32,7 @@ from .pauli import MajoranaIndex, PauliString, jw_mode, jw_string_remover
 from .statevector import (
     GateOp,
     apply_gate,
+    apply_matrix_inplace,
     apply_pauli,
     expectation_pauli,
     child_seeds,
@@ -95,13 +97,14 @@ def _hadamard_family(
 
     psi and S psi are carried forward together, as one two-row batch, one step
     per grid point, so no backward evolution is simulated; both variants read
-    this overlap.
+    this overlap.  The step's 16x16 unitary is built once and applied as one
+    kernel call per grid point.
     """
     lam = kind_lambda(kind)
     h = FermionHamiltonian.dimer(t, u)
     width = h.n_modes
     prb = _mode_pauli(probe, h, width)
-    step = dimer_trotter_step(t, u, plan.dtau)
+    step = circuit_unitary(dimer_trotter_step(t, u, plan.dtau))
     psi = simulate(dimer_ground_circuit(t, u))
     pair = np.stack([psi, apply_pauli(psi, _mode_pauli(source, h, width))])
     taus = time_grid(plan)
@@ -110,7 +113,7 @@ def _hadamard_family(
     estimates, stderrs = [], []
     for k in range(len(taus)):
         if k:
-            pair = simulate(step, pair)
+            apply_matrix_inplace(pair, step, tuple(range(width)), width)
         overlap = complex(np.vdot(pair[0], apply_pauli(pair[1], prb)))
         value = overlap.imag if kind == "keldysh" else overlap.real
         if shots == 0:
@@ -160,7 +163,7 @@ class _DirectPieces:
 
     prep: Circuit  # widened ground circuit, then X on the ancilla
     kick: Circuit  # exp(Phi/2 sigma_src x_d)
-    step: Circuit  # one Trotter step on the widened register
+    step: Circuit  # one Trotter step on the system qubits, below the ancilla
     observable: PauliString  # i sigma_probe x_d
     basis: Circuit  # turns the observable into the parity of meas_qubits
     meas_qubits: tuple[int, int]
@@ -185,7 +188,7 @@ def _direct_pieces(
     return _DirectPieces(
         prep=dimer_ground_circuit(t, u).widened(width) + Circuit(width, (GateOp("X", (anc,)),)),
         kick=Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi))),
-        step=dimer_trotter_step(t, u, dtau).widened(width),
+        step=dimer_trotter_step(t, u, dtau),
         observable=observable,
         # strip the Z string between the endpoints, then rotate their letters onto Z
         basis=Circuit(width, tuple(jw_string_remover(m, n) + _letter_basis_gates(observable)[0])),
@@ -209,10 +212,11 @@ def direct_measurement(
 ) -> MeasurementRecord:
     """Kubo-style estimate of the probe-source correlator on the plan's time grid, exact at any Phi.
 
-    Occupy the ancilla and kick once with exp(Phi/2 sigma_src x_d), then carry
-    the state one Trotter step per grid point (trotter) or evolve it densely to
-    each point (exact).  Per time point a copy gets the ancilla Z^dag phase lambda
-    (the step never touches the ancilla, so the two commute), i sigma_probe x_d
+    Occupy the ancilla and kick once with exp(Phi/2 sigma_src x_d), then give
+    the kicked state the ancilla Z^dag phase lambda (the step never touches the
+    ancilla, so the phase commutes with every step).  Carry it one Trotter step
+    per grid point, as one kernel call with the step's 16x16 unitary (trotter),
+    or evolve it densely to each point (exact).  At each point i sigma_probe x_d
     is reduced to a two-qubit parity, estimated and divided by sin Phi.  Shot
     point k draws from child k of the seed (statevector.child_seeds); a
     shot-free run derives no seeds.
@@ -221,21 +225,22 @@ def direct_measurement(
     if evolution not in ("trotter", "exact"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
     pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    kicked = simulate(pieces.kick, simulate(pieces.prep))
+    kicked = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
     if evolution == "exact":
         spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
-    phase = GateOp("RZ", (pieces.anc,), -lam)
+    else:
+        step = circuit_unitary(pieces.step)
+    system = tuple(range(pieces.anc))
     taus = time_grid(plan)
     seeds = child_seeds(seed, len(taus)) if shots else None
 
     estimates, stderrs = [], []
-    state = kicked
+    point = kicked
     for k, tau in enumerate(taus):
         if evolution == "exact":
-            state = _exact_evolve(kicked, spect, tau, pieces.anc)
+            point = _exact_evolve(kicked, spect, tau, pieces.anc)
         elif k:
-            state = simulate(pieces.step, state)
-        point = apply_gate(state, phase)
+            apply_matrix_inplace(point, step, system, pieces.anc + 1)
         if shots == 0:  # the observable carries the sign
             val, err = direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)
         else:
@@ -300,50 +305,6 @@ def direct_point_circuit(
         (kicked + len(evolution), "measurement"),
     )
     return Circuit(p.prep.n_qubits, gates, barriers), p.meas_qubits, p.sign
-
-
-# -- correlator assembly ------------------------------------------------------------
-
-
-UNITARY_M = np.array([[1, 1], [1j, -1j]], dtype=complex) / np.sqrt(2)
-
-
-def assemble_complex_green(entries: dict, fill_symmetric: bool = True) -> np.ndarray:
-    """Rebuild the complex fermion block G = (1/2) M^dag g M from measured parts.
-
-    `entries` maps flavor pairs 'xx', 'xy', 'yx', 'yy' to (retarded, keldysh)
-    series; retarded = Re and keldysh = Im of <sigma_a(tau) sigma_b>.  Missing
-    'yy' is filled from 'xx' and missing 'yx' from -'xy' (the dimer symmetries).
-    Returns an array of shape (T, 2, 2).
-    """
-    data = dict(entries)
-    if fill_symmetric:
-        if "yy" not in data and "xx" in data:
-            data["yy"] = data["xx"]
-        if "yx" not in data and "xy" in data:
-            ret, kel = data["xy"]
-            data["yx"] = (-np.asarray(ret), -np.asarray(kel))
-    missing = {"xx", "xy", "yx", "yy"} - set(data)
-    if missing:
-        raise ValueError(f"missing correlator entries: {sorted(missing)}")
-    series = {}
-    length = None
-    for key, (ret, kel) in data.items():
-        ret, kel = np.asarray(ret, dtype=float), np.asarray(kel, dtype=float)
-        if ret.shape != kel.shape:
-            raise ValueError("retarded/keldysh grids differ")
-        if length is None:
-            length = len(ret)
-        elif len(ret) != length:
-            raise ValueError("correlator series share no common time grid")
-        series[key] = ret + 1j * kel
-    out = np.empty((length, 2, 2), dtype=complex)
-    for k in range(length):
-        g = np.array(
-            [[series["xx"][k], series["xy"][k]], [series["yx"][k], series["yy"][k]]]
-        ) / 1j
-        out[k] = 0.5 * UNITARY_M.conj().T @ g @ UNITARY_M
-    return out
 
 
 # -- the dimer experiment ---------------------------------------------------------------

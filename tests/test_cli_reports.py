@@ -238,7 +238,10 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISY + ["--shots", "0"], "shots", id="shots-0"),
         pytest.param(_SWEEP + ["--grid", "0"], "grid", id="sweep-grid-0"),
         pytest.param(_SWEEP + ["--grid", "-1"], "--grid must be >= 1", id="sweep-grid--1"),
-        pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots", id="sweep-shots--1"),
+        pytest.param(_SWEEP + ["--shots", "-1", "--seed", "3"], "shots must be >= 0", id="sweep-shots--1"),
+        # a negative count is named as the fault before the seed is asked for or drawn from
+        pytest.param(_SWEEP + ["--shots", "-5"], "shots must be >= 0", id="sweep-shots--5-unseeded"),
+        pytest.param(_SWEEP + ["--shots", "-5", "--seed", "3"], "shots must be >= 0", id="sweep-shots--5"),
         # the run seed roots every seed tree, drawn from or not
         pytest.param(_NOISELESS + ["--seed", "-3"], "--seed must be >= 0, got -3", id="exact-seed--3"),
         pytest.param(_CORRELATOR + ["--shots", "64", "--seed", "-3"], "--seed must be >= 0, got -3",
@@ -407,6 +410,17 @@ def test_only_shot_runs_load_numpy_random(tmp_path, capsys, argv, loads):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == f"0 {loads}"
+
+
+def test_cli_import_freezes_the_import_graph():
+    # a command is one short process: what the imports built is frozen once, so no
+    # collection scans it again, while the collector itself stays on for main
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = f"import gc, sys; sys.path.insert(0, {str(src)!r}); import hubbard_gf.cli; " \
+        "print(gc.isenabled(), gc.get_freeze_count() > 0)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["True", "True"]
 
 
 def test_single_pair_run_writes_its_full_run_bytes(tmp_path, capsys):
@@ -734,21 +748,22 @@ def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha2
     "argv, name, csv_sha256",
     [
         (["--shots", "0"], "y2y2",
-         "517590e7ecf33b7c0244fa32c0fe2f6dae1ca47a0c6c8104e7e1da0b187fa7e1"),
+         "8b6e47ac29400a558448b721e1ff68af6c968571b58a7257c420c3642ca49b03"),
         (["--shots", "4096", "--seed", "7"], "y2y2",
          "05ffbcaae82a6cd0bf9ab5e0cd2211f73a7e21c6a08376fdbe3e69098ff7b3fa"),
         (["--shots", "4096", "--seed", "7", "--protocol", "hadamard"], "y2y2",
          "547d6c27e8434d61981eb9b3cd09622f1e4e6811faeb1580b987b9fb7d919a3d"),
         (["--shots", "0", "--protocol", "advanced-hadamard", "--kind", "keldysh"], "x3y2",
-         "c70afd2e92109482264eb748d791f735f7525d9e67f638fd80bc26ccc04bc2c9"),
+         "da814fb3625320465847f6251cf0150e8265c37f6bea8915deed4b68f4468538"),
         (["--shots", "0", "--kind", "keldysh", "--pair", "x3y2"], "x3y2",
-         "0093c25a39518e56e65ce35e54f2a697ba16aa9d581a8da0af05b38bf761df90"),
+         "22289452d04046ff1a18f9ebb49a682873a94179e783668df117e2b8576d4956"),
     ],
 )
 def test_correlator_files_are_pinned(tmp_path, capsys, argv, name, csv_sha256):
-    # identical configs must give identical CSV bytes; these digests predate the
-    # protocols measuring on their plan's time grid, except the Hadamard shot run's,
-    # which each pair draws from its own child of the run seed
+    # identical configs must give identical CSV bytes; the shot runs' digests predate
+    # the protocols measuring on their plan's time grid, except the Hadamard shot run's,
+    # which each pair draws from its own child of the run seed; the exact runs' were
+    # taken when each noiseless Trotter step became one fused unitary (last-ulp moves)
     code, _, _ = run_cli(["correlator", "--steps", "6", *argv, "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_sha256
@@ -787,6 +802,20 @@ def test_vha_sweep_refuses_grids_past_dense_capacity(tmp_path, capsys, monkeypat
     assert not out.exists()
     code, _, err = run_cli(["vha-sweep", "--grid", "1024", "--outdir", str(out)], capsys)
     assert code == 2 and "the sweep ran" in err  # the largest grid that fits reaches the sweep
+
+
+def test_vha_sweep_refuses_negative_shots_before_the_sweep(tmp_path, capsys, monkeypatch):
+    # with or without a seed, a negative count is the fault named, and no grid point is seeded
+    def sweep(*args, **kwargs):
+        raise ValueError("the sweep ran")
+
+    monkeypatch.setattr(cli, "landscape_sweep", sweep)
+    for seed in ([], ["--seed", "3"]):
+        out = tmp_path / "out"
+        code, _, err = run_cli(["vha-sweep", "--grid", "3", "--shots", "-5", *seed, "--outdir", str(out)], capsys)
+        assert code == 2
+        assert "shots must be >= 0" in err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize(

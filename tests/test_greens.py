@@ -10,9 +10,7 @@ from hubbard_gf.greens import (
     DIMER_ANALYTIC_REF,
     DIMER_PAIRS,
     MeasurementRecord,
-    UNITARY_M,
     advanced_hadamard_test,
-    assemble_complex_green,
     dimer_ground_circuit,
     dimer_suite,
     direct_measurement,
@@ -199,54 +197,6 @@ def test_dimer_suite_exact_evolution_matches_analytic():
         np.testing.assert_allclose(rec.estimates, analytic, atol=1e-10)
 
 
-def test_assemble_complex_green():
-    h, spect = dimer_spectral(T, U)
-    taus = np.linspace(0.0, 2.0, 5)
-    ops = {
-        "x": majorana_operator(h, 0, "up", "x"),
-        "y": majorana_operator(h, 0, "up", "y"),
-    }
-    entries = {}
-    for a in "xy":
-        for b in "xy":
-            series = lehmann_correlator(ops[a], ops[b], h, taus, spect)
-            entries[a + b] = (series.real, series.imag)
-    G = assemble_complex_green(entries, fill_symmetric=False)
-    # M is unitary
-    np.testing.assert_allclose(UNITARY_M.conj().T @ UNITARY_M, np.eye(2), atol=1e-15)
-    # tau = 0: i(G_00 + G_11) = <c c^dag> + <c^dag c> = 1
-    assert (1j * (G[0, 0, 0] + G[0, 1, 1])).real == pytest.approx(1.0, abs=1e-10)
-    # reconstructed <c(tau) c^dag> matches the Lehmann oracle directly
-    x, y = ops["x"].to_matrix(), ops["y"].to_matrix()
-    c = (x - 1j * y) / 2
-    cd = c.conj().T
-    v = spect.eigenvectors
-    gs = spect.ground_vector
-    for k, tau in enumerate(taus):
-        u_t = v @ np.diag(np.exp(-1j * spect.eigenvalues * tau)) @ v.conj().T
-        ref = (u_t @ gs).conj() @ (c @ (u_t @ (cd @ gs)))
-        assert 1j * G[k, 0, 0] == pytest.approx(ref, abs=1e-10)
-    # symmetric fill reproduces the full assembly for the dimer
-    partial = {"xx": entries["xx"], "xy": entries["xy"]}
-    G2 = assemble_complex_green(partial, fill_symmetric=True)
-    np.testing.assert_allclose(G2, G, atol=1e-12)
-    with pytest.raises(ValueError):
-        assemble_complex_green({"xx": entries["xx"]}, fill_symmetric=False)
-
-
-def test_grid_mismatch_rejected():
-    with pytest.raises(ValueError):
-        assemble_complex_green(
-            {
-                "xx": ([0.0, 1.0], [0.0, 0.0]),
-                "xy": ([0.0], [0.0]),
-                "yx": ([0.0], [0.0]),
-                "yy": ([0.0, 1.0], [0.0, 0.0]),
-            },
-            fill_symmetric=False,
-        )
-
-
 def test_dimer_suite_keldysh_kind():
     plan = TrotterPlan(0.314, 5)
     suite = {
@@ -318,3 +268,90 @@ def test_protocols_follow_t_and_u(t, u, phi, kind, pair):
     trotter = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind)
     hadamard = hadamard_test(source, probe, t, u, plan, 0, 0, kind)
     np.testing.assert_allclose(trotter.estimates, hadamard.estimates, rtol=0, atol=1e-10)
+
+
+def _replayed_series(protocol, source, probe, t, u, plan, phi, kind):
+    """A noiseless protocol-native series with each Trotter step replayed gate by gate
+    through simulate: the direct one from every point's gate-level circuit, the Hadamard
+    one by carrying psi and S psi through dimer_trotter_step."""
+    from hubbard_gf.circuit import simulate
+    from hubbard_gf.greens import direct_point_circuit, kind_lambda
+    from hubbard_gf.model import FermionHamiltonian
+    from hubbard_gf.pauli import PauliString, jw_mode
+    from hubbard_gf.statevector import apply_pauli, expectation_pauli
+
+    if protocol == "direct":
+        out = []
+        for k in range(plan.steps + 1):
+            circ, mq, sign = direct_point_circuit(source, probe, t, u, plan, k, phi, kind_lambda(kind))
+            zz = PauliString.from_letter_map(5, {mq[0]: "Z", mq[1]: "Z"})
+            out.append(sign * expectation_pauli(simulate(circ), zz) / math.sin(phi))
+        return out
+    h = FermionHamiltonian.dimer(t, u)
+    src, prb = (jw_mode(h.mode_of(m.site, m.spin), h.n_modes, m.flavor) for m in (source, probe))
+    psi = simulate(dimer_ground_circuit(t, u))
+    pair = np.stack([psi, apply_pauli(psi, src)])
+    step = dimer_trotter_step(t, u, plan.dtau)
+    out = []
+    for k in range(plan.steps + 1):
+        if k:
+            pair = simulate(step, pair)
+        overlap = complex(np.vdot(pair[0], apply_pauli(pair[1], prb)))
+        out.append(overlap.imag if kind == "keldysh" else overlap.real)
+    return out
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    t=st.floats(0.05, 3.0),
+    u=st.floats(-8.0, 8.0),
+    dtau=st.floats(0.01, 1.0),
+    steps=st.integers(1, 8),
+    phi=st.floats(0.3, math.pi - 0.3),
+    kind=st.sampled_from(("retarded", "keldysh")),
+    protocol=st.sampled_from(("direct", "hadamard", "advanced_hadamard")),
+    pair=st.sampled_from(sorted(DIMER_PAIRS)),
+)
+def test_fused_step_equals_gate_by_gate_replay(t, u, dtau, steps, phi, kind, protocol, pair):
+    # the noiseless protocols apply each step as its fused 16x16 unitary; the series
+    # equal a replay of the step's gates to round-off
+    source, probe = DIMER_PAIRS[pair]
+    plan = TrotterPlan(dtau, steps)
+    if protocol == "direct":
+        rec = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind)
+    else:
+        runner = hadamard_test if protocol == "hadamard" else advanced_hadamard_test
+        rec = runner(source, probe, t, u, plan, 0, 0, kind)
+    want = _replayed_series(protocol, source, probe, t, u, plan, phi, kind)
+    np.testing.assert_allclose(rec.estimates, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("protocol", ["direct", "hadamard"])
+def test_fused_step_is_one_kernel_call_per_grid_point(monkeypatch, protocol):
+    # a gate-by-gate replay costs one kernel call per step gate (32 per grid point);
+    # the fused step costs one per grid point past tau = 0, on top of a fixed cost:
+    # the prep, the kick and the step's unitary, each built once
+    import hubbard_gf.greens as greens
+    import hubbard_gf.statevector as statevector
+
+    calls = []
+    kernel = statevector.apply_matrix_inplace
+
+    def counting(vec, m, bits, n):
+        calls.append(bits)
+        kernel(vec, m, bits, n)
+
+    monkeypatch.setattr(statevector, "apply_matrix_inplace", counting)  # every gate, via apply_gate_inplace
+    monkeypatch.setattr(greens, "apply_matrix_inplace", counting)  # the fused steps
+    source, probe = DIMER_PAIRS["y2y2"]
+    counts = {}
+    for steps in (5, 25):
+        calls.clear()
+        plan = TrotterPlan(0.314, steps)
+        if protocol == "direct":
+            direct_measurement(source, probe, T, U, plan, math.pi / 2, 0, 0)
+        else:
+            hadamard_test(source, probe, T, U, plan, 0, 0)
+        counts[steps] = len(calls)
+    assert counts[25] - counts[5] == 20
+    assert counts[25] <= 25 + 80
