@@ -14,6 +14,16 @@ import math
 import os
 import sys
 
+# No command's matrix product (the largest is 16x16 by 16x64, in the noisy engine) is
+# big enough for a BLAS worker pool to help, so OpenBLAS starts none unless the user
+# sets its variable; it reads the variable once, when numpy loads.
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+# Everything the imports below build survives until exit and is frozen after them,
+# so the collections they would trigger only scan objects that all survive.
+_collecting = gc.isenabled()
+gc.disable()
+
 import numpy as np
 
 from .circuit import TrotterPlan, dimer_trotter_step, hopping_step, repulsion_step
@@ -52,6 +62,8 @@ from .vha import (
 # the collector's generations, so neither the gen-2 collections during main nor the
 # interpreter's final collection at shutdown scan it again.
 gc.freeze()
+if _collecting:
+    gc.enable()
 
 
 def _add_common(p):
@@ -195,7 +207,7 @@ def cmd_correlator(args) -> int:
     if not args.t > 0:  # the dimer closed forms behind every overlay need a positive hopping
         raise ValueError(f"--t must be positive, got {args.t}")
     if args.shots < 0:  # one refusal for every protocol, before any of them draws
-        raise ValueError("shots must be >= 1")
+        raise ValueError("shots must be >= 0")
     if args.shots and args.seed is None:
         raise ValueError("--seed is required for shot-mode runs")
     if args.noise_model and args.protocol != "direct":

@@ -28,8 +28,19 @@ def write_csv(path, header: dict, columns: list[str], rows) -> None:
     lines = [f"# {k}={_fmt(v)}" for k, v in header.items()]
     lines.append(",".join(columns))
     lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
-    with open(path, "w", encoding="utf-8", newline="\n") as f:
-        f.write("\n".join(lines) + "\n")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path, text: str) -> None:
+    """Replace the file's content with text, keeping its inode.
+
+    It is cut to the new length after the write, not emptied at open (O_TRUNC): on
+    ext4 a file emptied and then rewritten waits for writeback when it is closed,
+    and re-running a command into the same outdir rewrites every file it holds.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="\n") as f:
+        f.write(text)
+        f.truncate()
 
 
 def read_csv(path) -> tuple[dict, list[str], list[list[str]]]:
@@ -227,8 +238,7 @@ def correlator_svg(
             f'fill="#555" font-family="monospace">{line}</text>'
         )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
@@ -262,8 +272,7 @@ def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
         f'font-family="sans-serif">beta (energy color: blue=min, red=max)</text>'
     )
     parts.append("</svg>")
-    with open(path, "w", encoding="utf-8") as f:
-        f.write("\n".join(parts) + "\n")
+    _write_text(path, "\n".join(parts) + "\n")
 
 
 def default_outdir() -> str:

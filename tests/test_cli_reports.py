@@ -3,6 +3,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -229,9 +230,9 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISELESS + ["--dtau", "-1"], "dtau", id="dtau--1"),
         pytest.param(_CORRELATOR + ["--shots", "-5", "--seed", "5"], "shots", id="shots--5"),
         pytest.param(_CORRELATOR + ["--protocol", "hadamard", "--shots", "-5", "--seed", "5"],
-                     "shots must be >= 1", id="hadamard-shots--5"),
+                     "shots must be >= 0", id="hadamard-shots--5"),
         pytest.param(_CORRELATOR + ["--protocol", "advanced-hadamard", "--shots", "-5"],
-                     "shots must be >= 1", id="advanced-hadamard-shots--5"),
+                     "shots must be >= 0", id="advanced-hadamard-shots--5"),
         pytest.param(_NOISELESS + ["--phi", "0"], "Phi", id="noiseless-phi-0"),
         pytest.param(_NOISY + ["--phi", "0"], "Phi", id="phi-0"),
         pytest.param(_NOISY + ["--phi", "3.141592653589793"], "Phi", id="phi-pi"),
@@ -412,15 +413,100 @@ def test_only_shot_runs_load_numpy_random(tmp_path, capsys, argv, loads):
     assert proc.stdout.splitlines()[-1] == f"0 {loads}"
 
 
+_FRESH_IMPORT = """
+import gc, json, os, sys
+sys.path.insert(0, sys.argv[1])
+exec(sys.argv[2])
+before = dict(os.environ)
+import hubbard_gf.cli
+changed = sorted(k for k in set(before) | set(os.environ) if before.get(k) != os.environ.get(k))
+threads = len(os.listdir("/proc/self/task")) if os.path.isdir("/proc/self/task") else None
+print(json.dumps([gc.isenabled(), gc.get_freeze_count() > 0, changed, os.environ.get("OPENBLAS_NUM_THREADS"), threads]))
+"""
+
+
 def test_cli_import_freezes_the_import_graph():
     # a command is one short process: what the imports built is frozen once, so no
-    # collection scans it again, while the collector itself stays on for main
-    src = Path(__file__).resolve().parents[1] / "src"
-    code = f"import gc, sys; sys.path.insert(0, {str(src)!r}); import hubbard_gf.cli; " \
-        "print(gc.isenabled(), gc.get_freeze_count() > 0)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["True", "True"]
+    # collection scans it again, and the collector is put back as the user left it;
+    # OpenBLAS starts no worker pool unless the user sets its variable, and the
+    # environment is left alone when numpy was loaded first (too late to matter)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    cases = [  # user's variable, code run first, then (collector on, frozen, changed keys, value)
+        ({}, "", [True, True, ["OPENBLAS_NUM_THREADS"], "1"]),
+        ({"OPENBLAS_NUM_THREADS": "3"}, "", [True, True, [], "3"]),
+        ({}, "import numpy", [True, True, [], None]),
+        ({}, "gc.disable()", [False, True, ["OPENBLAS_NUM_THREADS"], "1"]),
+    ]
+    for user, first, expected in cases:
+        proc = subprocess.run([sys.executable, "-c", _FRESH_IMPORT, src, first], env=env | user,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        *got, threads = json.loads(proc.stdout)
+        assert got == expected, (user, first)
+        if expected[3] == "1" and threads is not None:  # Linux lists the process's threads
+            assert threads == 1
+
+
+_MAIN_EACH = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hubbard_gf import cli
+sys.exit(max(cli.main(argv) for argv in json.loads(sys.argv[2])))
+"""
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # the CLI starts OpenBLAS single-threaded unless the user sets its variable; a
+    # user who does must get the same bytes, noisy engine and VHA batches included
+    from hubbard_gf.noise import kolkata_dimer_model
+
+    kolkata_dimer_model().to_json(tmp_path / "model.json")
+    runs = [
+        ["correlator", "--steps", "4", "--shots", "0"],
+        ["correlator", "--steps", "2", "--shots", "256", "--seed", "42", "--pair", "y2y2",
+         "--noise-model", str(tmp_path / "model.json"), "--readout-mitigation", "--twirl", "2",
+         "--zne-scales", "1", "2"],
+        ["vha-sweep", "--grid", "5"],
+        ["vha-sweep", "--grid", "5", "--shots", "64", "--seed", "3"],
+    ]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    for threads in ("1", "2"):
+        argvs = [argv + ["--outdir", str(tmp_path / threads / str(i))] for i, argv in enumerate(runs)]
+        proc = subprocess.run(
+            [sys.executable, "-c", _MAIN_EACH, src, json.dumps(argvs)],
+            env=os.environ | {"OPENBLAS_NUM_THREADS": threads}, capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+    files = sorted(p.relative_to(tmp_path / "1") for p in (tmp_path / "1").rglob("*") if p.is_file())
+    assert len(files) == 2 * (len(DIMER_PAIRS) + 3)  # a CSV and an SVG per pair, noisy run and sweep
+    assert files == sorted(p.relative_to(tmp_path / "2") for p in (tmp_path / "2").rglob("*") if p.is_file())
+    for name in files:
+        assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name
+
+
+@pytest.mark.parametrize(
+    "longer, shorter",
+    [
+        (["correlator", "--steps", "6", "--shots", "0"], ["correlator", "--steps", "2", "--shots", "0"]),
+        (["vha-sweep", "--grid", "9"], ["vha-sweep", "--grid", "3"]),
+    ],
+    ids=["correlator", "vha-sweep"],
+)
+def test_a_shorter_rerun_into_one_outdir_writes_its_own_bytes(tmp_path, capsys, longer, shorter):
+    # outputs are rewritten in place and cut to length after the write, not emptied at
+    # open: every CSV and SVG a shorter re-run rewrites keeps its inode and holds
+    # exactly what a run into a new outdir writes
+    inodes = {}
+    for argv, out in ((longer, "same"), (shorter, "same"), (shorter, "fresh")):
+        code, _, err = run_cli(argv + ["--outdir", str(tmp_path / out)], capsys)
+        assert code == 0, err
+        inodes.setdefault(out, {p.name: p.stat().st_ino for p in (tmp_path / out).iterdir()})
+    fresh = sorted(p.name for p in (tmp_path / "fresh").iterdir())
+    assert fresh == sorted(p.name for p in (tmp_path / "same").iterdir())
+    for name in fresh:
+        assert (tmp_path / "same" / name).stat().st_ino == inodes["same"][name]
+        assert (tmp_path / "same" / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes(), name
 
 
 def test_single_pair_run_writes_its_full_run_bytes(tmp_path, capsys):
