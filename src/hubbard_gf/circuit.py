@@ -231,7 +231,8 @@ def horizontal_hop_value(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # -- Pauli-string gadgets --------------------------------------------------------
 
 
-def _letter_basis_gates(p: PauliString) -> tuple[list[GateOp], list[GateOp]]:
+def letter_basis_gates(p: PauliString) -> tuple[list[GateOp], list[GateOp]]:
+    """(pre, post): the gates that turn each letter of p into Z (H for X, XHALF for Y), and back."""
     pre, post = [], []
     for q in p.support:
         letter = p.letter_at(q)
@@ -256,7 +257,7 @@ def pauli_rotation_gates(p: PauliString, theta: float) -> list[GateOp]:
     if not support:
         return [GateOp("GPHASE", (), -theta / 2 * (1 if p.phase_exp == 0 else -1))]
     angle = theta if p.phase_exp == 0 else -theta
-    pre, post = _letter_basis_gates(p)
+    pre, post = letter_basis_gates(p)
     chain = [GateOp("CNOT", (a, b)) for a, b in zip(support, support[1:])]
     return pre + chain + [GateOp("RZ", (support[-1],), angle)] + chain[::-1] + post
 

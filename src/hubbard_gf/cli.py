@@ -33,7 +33,6 @@ from .greens import (
     advanced_hadamard_test,
     dimer_suite,
     direct_measurement,
-    full_value,
     hadamard_test,
     pair_seeds,
 )
@@ -248,11 +247,10 @@ def cmd_correlator(args) -> int:
         rec, stem = records[name], f"{name}_noisy" if args.noise_model else name
         csv_path = os.path.join(out, f"{stem}.csv")
         write_measurement_csv(csv_path, name, rec, args.t, args.u, plan, args.kind, seed, args.noise_model)
-        scale = _full_scale(rec.protocol)
         correlator_svg(
             os.path.join(out, f"{stem}.svg"),
             f"{name} {args.kind} ({rec.protocol}{', noisy' if args.noise_model else ''})",
-            rec.taus, np.array(rec.estimates) * scale, np.array(rec.stderrs) * scale, dense, overlays[name],
+            rec.taus, rec.estimates, rec.stderrs, dense, overlays[name],
             config_lines=(
                 f"dtau={args.dtau} steps={args.steps}",
                 f"phi={args.phi:.4f} shots={args.shots} seed={seed}",
@@ -266,15 +264,6 @@ def _analytic(name, kind, t, u, taus) -> np.ndarray:
     """Closed-form full (anti)commutator: 2 Re (retarded) or 2 Im (keldysh) of the correlator."""
     series = dimer_analytic(DIMER_ANALYTIC_REF[name], t, u, np.asarray(taus, dtype=float))
     return 2 * (np.real(series) if kind == "retarded" else np.imag(series))
-
-
-def _full_scale(protocol) -> float:
-    """Factor from a CSV's estimates to the full (anti)commutator.
-
-    Direct-protocol CSVs hold the full value; the Hadamard protocols record
-    their native estimate, half of it.
-    """
-    return 2.0 if protocol in ("hadamard", "advanced_hadamard") else 1.0
 
 
 def cmd_compare(args) -> int:
@@ -294,15 +283,14 @@ def cmd_compare(args) -> int:
             analytic, bound = _analytic(csv.correlator, csv.kind, csv.t, csv.u, csv.taus), _trotter_bound(csv)
         except ValueError as e:  # a CSV, or a closed form or bound at its settings, that cannot be judged
             raise ValueError(f"{path}: {e}") from e
-        scale = _full_scale(csv.protocol)
-        dev = np.abs(scale * csv.estimates - analytic)
+        dev = np.abs(csv.estimates - analytic)
         report = {"csv": path, "max_dev": _json_number(np.max(dev)), "mean_dev": _json_number(np.mean(dev))}
         if csv.shots == 0:
             tol = args.tol_exact if args.tol_exact is not None else bound
             ok = bool(np.max(dev) <= tol)
             report["tol"] = _json_number(tol)
         else:
-            within = dev <= args.sigma * np.maximum(scale * csv.stderrs, 1e-12) + bound
+            within = dev <= args.sigma * np.maximum(csv.stderrs, 1e-12) + bound
             ok = bool(np.mean(within) >= args.coverage)
             report["in_band_fraction"] = float(np.mean(within))
         reports.append(report | {"status": "PASS" if ok else "FAIL"})
@@ -326,7 +314,7 @@ def _trotter_bound(csv) -> float:
     """
     name, kind, t, u = csv.correlator, csv.kind, csv.t, csv.u
     phi = csv.phi if csv.protocol == "direct" else math.pi / 2
-    rec = full_value(direct_measurement(*DIMER_PAIRS[name], t, u, csv.plan, phi, 0, 0, kind))
+    rec = direct_measurement(*DIMER_PAIRS[name], t, u, csv.plan, phi, 0, 0, kind)
     return float(np.max(np.abs(np.array(rec.estimates) - _analytic(name, kind, t, u, rec.taus)))) + 1e-9
 
 

@@ -6,23 +6,24 @@ Sites here are 0-based and resolve to qubits through the Hamiltonian's mode orde
 The direct protocol prepares the ancilla occupied, kicks the system with
 exp(Phi/2 * sigma_src x_d), evolves system and ancilla (the ancilla picks up the
 phase lambda = eps_d * tau as one Z^dag rotation), measures the two-qubit-reduced
-bilinear i sigma_probe x_d and divides by sin Phi.  lambda = pi/2 selects the
+bilinear i sigma_probe x_d and scales it by 2 / sin Phi.  lambda = pi/2 selects the
 retarded (anticommutator) combination, lambda = 0 the Keldysh (commutator) one,
-exactly at any Phi.
+exactly at any Phi.  Every protocol returns the full value: <{probe(tau), source}>
+(retarded) or -i<[probe(tau), source]> (Keldysh).
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .circuit import (
     Circuit,
     TrotterPlan,
-    _letter_basis_gates,
     circuit_unitary,
     dimer_trotter_step,
+    letter_basis_gates,
     pauli_rotation_gates,
     simulate,
 )
@@ -54,7 +55,7 @@ def kind_lambda(kind: str) -> float:
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """Per-time-point estimates with shot statistics and full provenance."""
+    """Per-time-point full-value estimates with shot statistics and full provenance."""
 
     taus: tuple[float, ...]
     estimates: tuple[float, ...]
@@ -97,8 +98,8 @@ def _hadamard_family(
 
     psi and S psi are carried forward together, as one two-row batch, one step
     per grid point, so no backward evolution is simulated; both variants read
-    this overlap.  The step's 16x16 unitary is built once and applied as one
-    kernel call per grid point.
+    this overlap, and the record holds twice it.  The step's 16x16 unitary is
+    built once and applied as one kernel call per grid point.
     """
     lam = kind_lambda(kind)
     h = FermionHamiltonian.dimer(t, u)
@@ -117,14 +118,14 @@ def _hadamard_family(
         overlap = complex(np.vdot(pair[0], apply_pauli(pair[1], prb)))
         value = overlap.imag if kind == "keldysh" else overlap.real
         if shots == 0:
-            estimates.append(float(value))
+            estimates.append(2 * float(value))
             stderrs.append(0.0)
         else:
             p0 = min(1.0, max(0.0, (1 + value) / 2))
             ones = int(np.random.default_rng(seeds[k]).binomial(shots, 1 - p0))
             est = (shots - 2 * ones) / shots
-            estimates.append(est)
-            stderrs.append(shot_stderr(est, shots))
+            estimates.append(2 * est)
+            stderrs.append(2 * shot_stderr(est, shots))
     return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, protocol, 0.0, lam)
 
 
@@ -132,8 +133,8 @@ def hadamard_test(
     source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan: TrotterPlan,
     shots: int, seed: int, kind: str = "retarded",
 ) -> MeasurementRecord:
-    """Ancilla-interferometric estimate of Re <probe(tau) source> on the plan's time grid
-    (Im for kind="keldysh").
+    """Ancilla-interferometric estimate of 2 Re <probe(tau) source> on the plan's time grid
+    (2 Im for kind="keldysh").
 
     The printed form applies controlled forward and backward evolution blocks;
     on a noiseless simulator they act as U^j on both interferometer branches,
@@ -191,7 +192,7 @@ def _direct_pieces(
         step=dimer_trotter_step(t, u, dtau),
         observable=observable,
         # strip the Z string between the endpoints, then rotate their letters onto Z
-        basis=Circuit(width, tuple(jw_string_remover(m, n) + _letter_basis_gates(observable)[0])),
+        basis=Circuit(width, tuple(jw_string_remover(m, n) + letter_basis_gates(observable)[0])),
         meas_qubits=(m, n),
         sign=1.0 if observable.phase_exp == 0 else -1.0,
         anc=anc,
@@ -217,7 +218,7 @@ def direct_measurement(
     ancilla, so the phase commutes with every step).  Carry it one Trotter step
     per grid point, as one kernel call with the step's 16x16 unitary (trotter),
     or evolve it densely to each point (exact).  At each point i sigma_probe x_d
-    is reduced to a two-qubit parity, estimated and divided by sin Phi.  Shot
+    is reduced to a two-qubit parity, estimated and scaled by 2 / sin Phi.  Shot
     point k draws from child k of the seed (statevector.child_seeds); a
     shot-free run derives no seeds.
     """
@@ -254,15 +255,8 @@ def direct_measurement(
 
 
 def direct_estimate(sign: float, parity: float, stderr: float, phi: float) -> tuple[float, float]:
-    """The protocol-native (estimate, stderr) of one point from its measured parity: sign * parity / sin Phi."""
-    return sign * parity / math.sin(phi), stderr / abs(math.sin(phi))
-
-
-def full_value(rec: MeasurementRecord) -> MeasurementRecord:
-    """The record scaled to the full (anti)commutator: twice the protocol-native estimates and stderrs."""
-    return replace(
-        rec, estimates=tuple(2 * v for v in rec.estimates), stderrs=tuple(2 * s for s in rec.stderrs)
-    )
+    """The full-value (estimate, stderr) of one point from its measured parity: 2 sign * parity / sin Phi."""
+    return 2 * sign * parity / math.sin(phi), 2 * stderr / abs(math.sin(phi))
 
 
 def _exact_evolve(state: np.ndarray, spect, tau: float, n_sys: int) -> np.ndarray:
@@ -330,14 +324,13 @@ def dimer_suite(
     """The listed dimer series (all three by default) exactly as in the experiment pipeline.
 
     Retarded values are the full anticommutators <{probe(tau), source}> = 2 Re
-    of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im
-    (full_value of the protocol-native estimate).  Each pair draws from its
-    pair_seeds entry, so a series does not depend on which others run.
+    of the analytic correlators, Keldysh ones -i<[probe(tau), source]> = 2 Im.
+    Each pair draws from its pair_seeds entry, so a series does not depend on
+    which others run.
     """
     seeds = pair_seeds(seed, shots)
     return {
-        name: full_value(direct_measurement(*DIMER_PAIRS[name], t, u, plan, phi, shots, seeds[name], kind))
-        for name in pairs
+        name: direct_measurement(*DIMER_PAIRS[name], t, u, plan, phi, shots, seeds[name], kind) for name in pairs
     }
 
 

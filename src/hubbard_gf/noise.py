@@ -31,8 +31,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import Circuit, simulate
-from .greens import MeasurementRecord, direct_estimate, direct_point_circuit, full_value, kind_lambda, time_grid
+from .greens import MeasurementRecord, direct_estimate, direct_point_circuit, kind_lambda, time_grid
 from .pauli import MajoranaIndex, PauliString, clifford_conjugate
+from .reports import write_text
 from .statevector import (
     MAX_QUBITS,
     GateOp,
@@ -108,8 +109,7 @@ class NoiseModel:
             "durations": self.durations,
             "metadata": self.metadata,
         }
-        with open(path, "w", encoding="utf-8") as f:
-            json.dump(payload, f, indent=2, sort_keys=True)
+        write_text(path, json.dumps(payload, indent=2, sort_keys=True))
 
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
@@ -749,7 +749,7 @@ def noisy_dimer_series(
     source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan, phi: float, shots: int, seed: int,
     model: NoiseModel, config: MitigationConfig, kind: str = "retarded",
 ) -> MeasurementRecord:
-    """The direct protocol's probe-source series under noise, as full_value (kind as in dimer_suite).
+    """The direct protocol's probe-source series under noise, as full values (kind as in dimer_suite).
 
     Per time point the full gate-level direct_point_circuit runs through the
     configured mitigation stack at child k of the seed (statevector.child_seeds),
@@ -765,4 +765,4 @@ def noisy_dimer_series(
         val, err = direct_estimate(sign, parity, parity_err, phi)
         estimates.append(val)
         stderrs.append(err)
-    return full_value(MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, "direct", phi, lam))
+    return MeasurementRecord(taus, tuple(estimates), tuple(stderrs), shots, "direct", phi, lam)

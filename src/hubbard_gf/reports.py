@@ -16,6 +16,10 @@ from .circuit import TrotterPlan
 from .greens import DIMER_PAIRS, LAMBDA_BY_KIND, time_grid
 from .vha import canonical_angles
 
+# A correlator CSV's estimate and stderr columns per unit of the full (anti)commutator
+# that records hold: the Hadamard CSVs keep their protocol's native half.
+_CSV_SCALE = {"direct": 1.0, "hadamard": 0.5, "advanced_hadamard": 0.5}
+
 
 def _fmt(x) -> str:
     if isinstance(x, float):  # np.float64 too, whose repr is "np.float64(...)"
@@ -28,10 +32,10 @@ def write_csv(path, header: dict, columns: list[str], rows) -> None:
     lines = [f"# {k}={_fmt(v)}" for k, v in header.items()]
     lines.append(",".join(columns))
     lines += (row if isinstance(row, str) else ",".join(map(_fmt, row)) for row in rows)
-    _write_text(path, "\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
-def _write_text(path, text: str) -> None:
+def write_text(path, text: str) -> None:
     """Replace the file's content with text, keeping its inode.
 
     It is cut to the new length after the write, not emptied at open (O_TRUNC): on
@@ -65,14 +69,15 @@ def write_measurement_csv(path, name: str, record, t, u, plan, kind, seed, noise
         "shots": record.shots, "seed": seed, "command": "correlator", "t": t, "u": u,
         "dtau": plan.dtau, "steps": plan.steps, "kind": kind,
     } | ({"noise_model": noise_model} if noise_model else {})
-    fixed = (record.shots, record.protocol, record.phi, record.lam)
-    rows = ((*map(float, point), *fixed) for point in zip(record.taus, record.estimates, record.stderrs))
+    fixed, scale = (record.shots, record.protocol, record.phi, record.lam), _CSV_SCALE[record.protocol]
+    points = zip(record.taus, record.estimates, record.stderrs)
+    rows = ((float(tau), float(scale * v), float(scale * s), *fixed) for tau, v, s in points)
     write_csv(path, meta, ["tau", "estimate", "stderr", "shots", "protocol", "phi", "lambda"], rows)
 
 
 @dataclass(frozen=True)
 class CorrelatorCsv:
-    """A correlator CSV's settings and its tau, estimate and stderr columns (zeros without shots)."""
+    """A correlator CSV's settings, its taus, and its full-value estimates and stderrs (zeros without shots)."""
 
     correlator: str
     kind: str
@@ -88,15 +93,16 @@ class CorrelatorCsv:
 
 
 def read_measurement_csv(path) -> CorrelatorCsv:
-    """A CSV of write_measurement_csv's layout; ValueError names the header key or the body
-    defect that cannot be judged.  Values are held to no bound, so a nan estimate is returned."""
+    """A CSV of write_measurement_csv's layout, its columns scaled back to full values;
+    ValueError names the header key or the body defect that cannot be judged.  Values are
+    held to no bound, so a nan estimate is returned."""
     header, columns, rows = read_csv(path)
     name, kind, protocol = header.get("correlator"), header.get("kind"), header.get("protocol")
     if name not in DIMER_PAIRS:
         raise ValueError(f"invalid header correlator={name}")
     if kind not in LAMBDA_BY_KIND:
         raise ValueError(f"invalid header kind={kind}")
-    if protocol not in ("direct", "hadamard", "advanced_hadamard"):
+    if protocol not in _CSV_SCALE:
         raise ValueError(f"invalid header protocol={protocol}")
     read = {}
     for key in ("t", "u", "phi", "lambda", "dtau", "steps", "shots"):
@@ -124,9 +130,11 @@ def read_measurement_csv(path) -> CorrelatorCsv:
     grid = time_grid(plan)
     if data.shape[1] != len(grid) or not np.all(np.abs(data[0] - grid) <= 1e-12):
         raise ValueError(f"taus are not the {len(grid)} points of the dtau={plan.dtau} time grid")
-    stderrs = data[2] if read["shots"] else np.zeros(len(grid))
+    scale = _CSV_SCALE[protocol]
+    stderrs = data[2] / scale if read["shots"] else np.zeros(len(grid))
     return CorrelatorCsv(
-        name, kind, protocol, read["shots"], read["phi"], read["t"], read["u"], plan, data[0], data[1], stderrs
+        name, kind, protocol, read["shots"], read["phi"], read["t"], read["u"], plan,
+        data[0], data[1] / scale, stderrs,
     )
 
 
@@ -238,7 +246,7 @@ def correlator_svg(
             f'fill="#555" font-family="monospace">{line}</text>'
         )
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
@@ -272,7 +280,7 @@ def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
         f'font-family="sans-serif">beta (energy color: blue=min, red=max)</text>'
     )
     parts.append("</svg>")
-    _write_text(path, "\n".join(parts) + "\n")
+    write_text(path, "\n".join(parts) + "\n")
 
 
 def default_outdir() -> str:

@@ -167,7 +167,7 @@ def apply_gate(amps: np.ndarray, g: GateOp) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
+def pauli_action(p: PauliString) -> tuple[np.ndarray, np.ndarray]:
     """(source index permutation, coefficient array) so that (P s)[perm] = coef * s,
     read-only because the cache shares them."""
     dim = 1 << p.width
@@ -184,7 +184,7 @@ def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
     """Exact application of a Pauli string operator to the amplitudes."""
     if amps.shape[-1] != 1 << p.width:
         raise ValueError(f"width mismatch: string {p.width}, state {amps.shape[-1]} amplitudes")
-    perm, coef = _pauli_action(p)
+    perm, coef = pauli_action(p)
     out = np.empty_like(amps)
     out[..., perm] = coef * amps
     return out

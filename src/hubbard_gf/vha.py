@@ -25,13 +25,13 @@ from .oracle import hamiltonian_pauli_terms, split_pauli_terms
 from .statevector import (
     MAX_QUBITS,
     GateOp,
-    _pauli_action,  # shared kernel plumbing
     apply_matrix_inplace,
     child_seeds,
     gate_matrix,
     marginal_probs,
     multinomial_counts,
     parity_signs,
+    pauli_action,
     shot_stderr,
 )
 
@@ -145,7 +145,7 @@ def _pauli_sum(amps: np.ndarray, terms) -> np.ndarray:
             raise ValueError(f"expectation needs a Hermitian string, got {p.label}")
         if amps.shape[-1] != 1 << p.width:
             raise ValueError(f"width mismatch: string {p.width}, state {amps.shape[-1]} amplitudes")
-        perm, coef = _pauli_action(p)  # (P s)[perm] = coef * s
+        perm, coef = pauli_action(p)  # (P s)[perm] = coef * s
         for lo in range(0, len(amps), _BLOCK_ROWS):
             rows = amps[lo : lo + _BLOCK_ROWS]
             vals[lo : lo + _BLOCK_ROWS] = np.einsum("bi,i,bi->b", rows[:, perm].conj(), coef, rows)

@@ -968,6 +968,12 @@ def test_measurement_csv_round_trip(protocol, kind, shots, pair, t, u, dtau, phi
         assert _run_quietly(argv) == 0
         [(path, name, record, t_, u_, plan, kind_, _seed, _model)] = written
         csv = read_measurement_csv(path)
+        _, columns, rows = read_csv(path)
+    # the Hadamard CSVs hold their protocol's native half of the full value the record holds
+    factor = 0.5 if record.protocol in ("hadamard", "advanced_hadamard") else 1.0
+    for column, values in (("estimate", record.estimates), ("stderr", record.stderrs)):
+        cells = [float(row[columns.index(column)]) for row in rows]
+        assert np.array(cells).tobytes() == (factor * np.array(values, dtype=float)).tobytes()
     assert (csv.correlator, csv.kind, csv.protocol, csv.shots, csv.phi) == (
         name, kind_, record.protocol, record.shots, record.phi
     )

@@ -14,7 +14,6 @@ from hubbard_gf.greens import (
     dimer_ground_circuit,
     dimer_suite,
     direct_measurement,
-    full_value,
     hadamard_test,
     time_grid,
 )
@@ -36,7 +35,7 @@ x0 = MajoranaIndex(0, "up", "x")
 y1 = MajoranaIndex(1, "up", "y")
 
 
-@pytest.mark.parametrize(
+EVERY_RUNNER = pytest.mark.parametrize(  # each measures a Majorana paired with itself
     "run",
     [
         lambda kind: direct_measurement(x0, x0, T, U, ONE_STEP, math.pi / 2, 0, 0, kind),
@@ -48,9 +47,19 @@ y1 = MajoranaIndex(1, "up", "y")
     ],
     ids=["direct_measurement", "hadamard_test", "advanced_hadamard_test", "noisy_dimer_series"],
 )
+
+
+@EVERY_RUNNER
 def test_unknown_kind_is_refused(run):
     with pytest.raises(ValueError, match="kind must be retarded or keldysh, got 'advanced'"):
         run("advanced")
+
+
+@EVERY_RUNNER
+def test_every_runner_returns_the_full_anticommutator(run):
+    # one convention: {gamma, gamma} = 2 at tau = 0, whichever protocol reads it; the
+    # noiseless runners read it to the round-off of the prepared state's norm (~1e-14)
+    assert run("retarded").estimates[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_record_validation():
@@ -62,7 +71,7 @@ def test_record_validation():
 
 def test_direct_tau_zero_same_majorana():
     rec = direct_measurement(x0, x0, T, U, ONE_STEP, math.pi / 2, shots=0, seed=0)
-    assert rec.estimates[0] == pytest.approx(1.0, abs=1e-10)
+    assert rec.estimates[0] == pytest.approx(2.0, abs=1e-10)
 
 
 def test_direct_phi_validation():
@@ -82,10 +91,10 @@ def test_direct_exact_mode_phi_independent_and_matches_oracle():
     vals = {}
     for phi in (0.3, 0.8, math.pi / 2):
         rec = direct_measurement(y1, x0, T, U, plan, phi, 0, 0, "retarded", evolution="exact")
-        np.testing.assert_allclose(rec.estimates, ref.real, atol=1e-10)
-        vals[phi] = rec.estimates
+        np.testing.assert_allclose(np.array(rec.estimates) / 2, ref.real, atol=1e-10)
+        vals[phi] = np.array(rec.estimates) / 2
         rec_k = direct_measurement(y1, x0, T, U, plan, phi, 0, 0, "keldysh", evolution="exact")
-        np.testing.assert_allclose(rec_k.estimates, ref.imag, atol=1e-10)
+        np.testing.assert_allclose(np.array(rec_k.estimates) / 2, ref.imag, atol=1e-10)
     a_vals = np.array(list(vals.values()))
     assert np.max(np.abs(a_vals - a_vals[0])) < 1e-10
 
@@ -103,7 +112,7 @@ def test_direct_trotter_matches_trotterized_oracle():
     for k, tau in enumerate(taus):
         u_t = np.linalg.matrix_power(step_u, k)
         ref = (u_t @ psi).conj() @ (a_m @ (u_t @ (b_m @ psi)))
-        assert rec.estimates[k] == pytest.approx(ref.real, abs=1e-10)
+        assert rec.estimates[k] / 2 == pytest.approx(ref.real, abs=1e-10)
 
 
 def test_dimer_suite_weak_kick_shot_mode_within_4_sigma():
@@ -132,14 +141,14 @@ def test_direct_shot_mode_within_4_sigma():
 
 def test_hadamard_tau_zero():
     rec = hadamard_test(x0, x0, T, U, ONE_STEP, 0, 0)
-    assert rec.estimates[0] == pytest.approx(1.0, abs=1e-12)
+    assert rec.estimates[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_advanced_hadamard_matches_hadamard():
     rec_a = advanced_hadamard_test(x0, x0, T, U, SHORT, 0, 0)
     rec_h = hadamard_test(x0, x0, T, U, SHORT, 0, 0)
     np.testing.assert_allclose(rec_a.estimates, rec_h.estimates, atol=1e-12)
-    assert rec_a.estimates[0] == pytest.approx(1.0, abs=1e-12)
+    assert rec_a.estimates[0] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_protocol_equivalence_exact_mode():
@@ -166,8 +175,8 @@ def test_keldysh_cross_check_lehmann():
     rec = direct_measurement(x0, x0, T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
     a = majorana_operator(h, 0, "up", "x")
     ref = lehmann_correlator(a, a, h, np.array(time_grid(plan)), spect)
-    # -(i/2)<[x(tau), x]> = Im <x(tau) x>
-    np.testing.assert_allclose(rec.estimates, ref.imag, atol=1e-10)
+    # -i<[x(tau), x]> = 2 Im <x(tau) x>
+    np.testing.assert_allclose(np.array(rec.estimates) / 2, ref.imag, atol=1e-10)
 
 
 def test_dimer_suite_tau_zero_and_analytic_tracking():
@@ -186,9 +195,7 @@ def test_dimer_suite_tau_zero_and_analytic_tracking():
 def test_dimer_suite_exact_evolution_matches_analytic():
     plan = TrotterPlan(0.314, 6)
     suite = {
-        name: full_value(
-            direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, evolution="exact")
-        )
+        name: direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, evolution="exact")
         for name in DIMER_PAIRS
     }
     taus = np.array(suite["y2y2"].taus)
@@ -200,9 +207,7 @@ def test_dimer_suite_exact_evolution_matches_analytic():
 def test_dimer_suite_keldysh_kind():
     plan = TrotterPlan(0.314, 5)
     suite = {
-        name: full_value(
-            direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
-        )
+        name: direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
         for name in DIMER_PAIRS
     }
     taus = np.array(suite["y2y2"].taus)
@@ -239,7 +244,7 @@ def test_direct_point_circuit_matches_runner():
             state = simulate(circ)
             zz = PauliString.from_letter_map(5, {mq[0]: "Z", mq[1]: "Z"})
             val = sign * expectation_pauli(state, zz) / math.sin(phi)
-            assert val == pytest.approx(rec.estimates[k], abs=1e-10)
+            assert val == pytest.approx(rec.estimates[k] / 2, abs=1e-10)
 
 
 @settings(max_examples=25, deadline=None)
@@ -263,7 +268,7 @@ def test_protocols_follow_t_and_u(t, u, phi, kind, pair):
     )
     exact = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind, evolution="exact")
     np.testing.assert_allclose(
-        exact.estimates, ref.real if kind == "retarded" else ref.imag, rtol=0, atol=1e-10
+        np.array(exact.estimates) / 2, ref.real if kind == "retarded" else ref.imag, rtol=0, atol=1e-10
     )
     trotter = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind)
     hadamard = hadamard_test(source, probe, t, u, plan, 0, 0, kind)
@@ -271,7 +276,7 @@ def test_protocols_follow_t_and_u(t, u, phi, kind, pair):
 
 
 def _replayed_series(protocol, source, probe, t, u, plan, phi, kind):
-    """A noiseless protocol-native series with each Trotter step replayed gate by gate
+    """Half a noiseless protocol's full-value series, each Trotter step replayed gate by gate
     through simulate: the direct one from every point's gate-level circuit, the Hadamard
     one by carrying psi and S psi through dimer_trotter_step."""
     from hubbard_gf.circuit import simulate
@@ -323,7 +328,7 @@ def test_fused_step_equals_gate_by_gate_replay(t, u, dtau, steps, phi, kind, pro
         runner = hadamard_test if protocol == "hadamard" else advanced_hadamard_test
         rec = runner(source, probe, t, u, plan, 0, 0, kind)
     want = _replayed_series(protocol, source, probe, t, u, plan, phi, kind)
-    np.testing.assert_allclose(rec.estimates, want, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(np.array(rec.estimates) / 2, want, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("protocol", ["direct", "hadamard"])

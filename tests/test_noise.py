@@ -57,6 +57,28 @@ def test_model_validation_and_json_round_trip(tmp_path):
     assert back.metadata["T1"] == model.metadata["T1"]
 
 
+def test_a_smaller_model_written_over_a_larger_one_holds_its_own_bytes(tmp_path, monkeypatch):
+    # to_json rewrites the file in place and cuts it to length after the write, as the
+    # report writers do: the inode stays, the bytes are those of a fresh write, and no
+    # path is opened for writing, which would empty the file first (O_TRUNC)
+    same, fresh = tmp_path / "same.json", tmp_path / "fresh.json"
+    kolkata_dimer_model().to_json(same)
+    inode = same.stat().st_ino
+    opened, real_open = [], open
+
+    def spy(file, mode="r", *args, **kwargs):
+        opened.append((file, mode))
+        return real_open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", spy)
+    NoiseModel(2, p1={0: 0.01}).to_json(same)
+    monkeypatch.undo()
+    assert [file for file, mode in opened if "w" in mode and not isinstance(file, int)] == []
+    NoiseModel(2, p1={0: 0.01}).to_json(fresh)
+    assert same.stat().st_ino == inode
+    assert same.read_bytes() == fresh.read_bytes()
+
+
 def test_zero_noise_bit_identical_to_noiseless_sampling():
     c = bell_circuit()
     model = NoiseModel(2)

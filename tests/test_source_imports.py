@@ -1,12 +1,14 @@
 """No module of the package keeps a module-level import it never reads, nor a
-private name the package never uses, and one function derives every seed.
+private name the package never uses, nor reaches into another module's private
+names, and one function derives every seed.
 
 Static checks on the source with `ast` (no lint tool is needed): every name a
 module-level `import` binds must be read somewhere in the module (`from
 __future__` imports and imports under `if TYPE_CHECKING:` are exempt), every
 private module-level function, class or assignment (`_x`) must be referenced
-somewhere in the package outside its own definition, and `SeedSequence` is
-named in exactly one function of the package.
+somewhere in the package outside its own definition, no module imports a
+private name (`from m import _x`) or reads one off a module it imported
+(`m._x`), and `SeedSequence` is named in exactly one function of the package.
 """
 import ast
 from collections import Counter
@@ -52,6 +54,10 @@ def test_no_module_keeps_an_unused_import(path):
     assert _unused_imports(path.read_text()) == []
 
 
+def _is_private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def _private_definitions(tree: ast.Module):
     """(name, node) per module-level function, class or assigned name that starts with one _."""
     for node in tree.body:
@@ -62,9 +68,8 @@ def _private_definitions(tree: ast.Module):
             names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
         else:
             continue
-        for name in names:
-            if name.startswith("_") and not name.startswith("__"):
-                yield name, node
+        for name in filter(_is_private, names):
+            yield name, node
 
 
 def _references(node: ast.AST) -> Counter:
@@ -117,6 +122,54 @@ def test_the_check_flags_an_unreferenced_private_name():
 def test_no_private_name_goes_unreferenced():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _unreferenced_privates(sources) == []
+
+
+def _private_imports(sources: dict[str, str]) -> list[str]:
+    """Private names these modules take from another module, in source order: imported with
+    `from m import _x`, or read as `m._x` off a name that an import binds."""
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        imports = [n for n in ast.walk(tree) if isinstance(n, (ast.Import, ast.ImportFrom))]
+        modules = {alias.asname or alias.name.split(".")[0] for n in imports for alias in n.names}
+        for n in ast.walk(tree):
+            if isinstance(n, ast.ImportFrom):
+                names = [alias.name for alias in n.names]
+            elif isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name) and n.value.id in modules:
+                names = [f"{n.value.id}.{n.attr}"]
+            else:
+                continue
+            found += [(module, n.lineno, n.col_offset, name) for name in names if _is_private(name.split(".")[-1])]
+    return [f"{module}: {name} (line {line})" for module, line, _, name in sorted(found)]
+
+
+def test_the_check_flags_a_private_name_taken_from_another_module():
+    sources = {
+        "a": (
+            "_LIMIT = 3\n"
+            "def _helper():\n"
+            "    return _LIMIT\n"
+            "def public(parser):\n"
+            "    return _helper() + len(parser._actions)\n"
+        ),
+        "b": (
+            "from __future__ import annotations\n"
+            "import numpy as np\n"
+            "from . import a\n"
+            "from .a import _helper, public\n"
+            "def f(x):\n"
+            "    from .a import _LIMIT\n"
+            "    return a._helper() + a.public(x) + np.__version__ + np._core + x._private + _LIMIT\n"
+        ),
+    }
+    assert _private_imports(sources) == [
+        "b: _helper (line 4)", "b: _LIMIT (line 6)", "b: a._helper (line 7)", "b: np._core (line 7)"
+    ]
+
+
+def test_no_module_takes_another_modules_private_name():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert _private_imports(sources) == []
 
 
 def _sites_naming(sources: dict[str, str], name: str) -> list[str]:
