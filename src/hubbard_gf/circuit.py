@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .pauli import PauliString, jw_string_remover
-from .statevector import GateOp, apply_gate_inplace, basis_state, shot_stderr
+from .statevector import MAX_QUBITS, GateOp, apply_gate_inplace, basis_state, shot_stderr
 
 
 @dataclass(frozen=True)
@@ -97,6 +97,8 @@ class TrotterPlan:
     def __post_init__(self):
         if self.steps < 1:
             raise ValueError("steps must be >= 1")
+        if self.steps >= 1 << MAX_QUBITS:  # the time grid's steps + 1 points stay in the dense budget
+            raise ValueError(f"steps must be < 2**{MAX_QUBITS}, got {self.steps}")
         if not self.dtau > 0:
             raise ValueError("dtau must be positive")
         if not math.isfinite(self.steps * self.dtau):

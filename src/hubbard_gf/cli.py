@@ -169,10 +169,6 @@ def _outdir(args) -> str:
 
 
 def cmd_vha_sweep(args) -> int:
-    if args.shots < 0:  # before the seed check, which would name the seed as the fault
-        raise ValueError("shots must be >= 0")
-    if args.shots and args.seed is None:
-        raise ValueError("--seed is required for shot-mode runs")
     if args.grid < 1:
         raise ValueError("--grid must be >= 1")
     if args.grid ** 2 > MAX_GRID_POINTS:  # refused before the state batch is allocated
@@ -205,10 +201,6 @@ def cmd_vha_sweep(args) -> int:
 def cmd_correlator(args) -> int:
     if not args.t > 0:  # the dimer closed forms behind every overlay need a positive hopping
         raise ValueError(f"--t must be positive, got {args.t}")
-    if args.shots < 0:  # one refusal for every protocol, before any of them draws
-        raise ValueError("shots must be >= 0")
-    if args.shots and args.seed is None:
-        raise ValueError("--seed is required for shot-mode runs")
     if args.noise_model and args.protocol != "direct":
         raise ValueError("--noise-model runs the direct protocol only")
     config = MitigationConfig(  # mitigation flags are validated on noiseless runs too
@@ -365,6 +357,13 @@ def main(argv=None) -> int:
                 raise ValueError(f"--{flag} must be finite, got {value}")
         if getattr(args, "seed", None) is not None and args.seed < 0:  # the root of every seed tree
             raise ValueError(f"--seed must be >= 0, got {args.seed}")
+        shots = getattr(args, "shots", 0)  # one refusal for every command and protocol, before any draw
+        if shots < 0:  # before the seed check, which would name the seed as the fault
+            raise ValueError("shots must be >= 0")
+        if shots >= 1 << 63:  # numpy's binomial and multinomial draw int64 counts
+            raise ValueError(f"shots must be <= 2**63 - 1, got {shots}")
+        if shots and args.seed is None:
+            raise ValueError("--seed is required for shot-mode runs")
         return COMMANDS[args.command](args)
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)

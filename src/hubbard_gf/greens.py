@@ -215,20 +215,22 @@ def direct_measurement(
 
     Occupy the ancilla and kick once with exp(Phi/2 sigma_src x_d), then give
     the kicked state the ancilla Z^dag phase lambda (the step never touches the
-    ancilla, so the phase commutes with every step).  Carry it one Trotter step
-    per grid point, as one kernel call with the step's 16x16 unitary (trotter),
-    or evolve it densely to each point (exact).  At each point i sigma_probe x_d
-    is reduced to a two-qubit parity, estimated and scaled by 2 / sin Phi.  Shot
-    point k draws from child k of the seed (statevector.child_seeds); a
-    shot-free run derives no seeds.
+    ancilla, so the phase commutes with every step).  Carry it one step per
+    grid point, as one kernel call with the step's 16x16 unitary: the Trotter
+    step (trotter) or exp(-i H dtau) from the dense spectrum (exact).  At each
+    point i sigma_probe x_d is reduced to a two-qubit parity, estimated and
+    scaled by 2 / sin Phi.  Shot point k draws from child k of the seed
+    (statevector.child_seeds); a shot-free run derives no seeds.
     """
     lam = kind_lambda(kind)
     if evolution not in ("trotter", "exact"):
         raise ValueError(f"unknown evolution mode {evolution!r}")
     pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    kicked = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
+    point = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
     if evolution == "exact":
         spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
+        v = spect.eigenvectors
+        step = (v * np.exp(-1j * spect.eigenvalues * plan.dtau)) @ v.conj().T
     else:
         step = circuit_unitary(pieces.step)
     system = tuple(range(pieces.anc))
@@ -236,11 +238,8 @@ def direct_measurement(
     seeds = child_seeds(seed, len(taus)) if shots else None
 
     estimates, stderrs = [], []
-    point = kicked
-    for k, tau in enumerate(taus):
-        if evolution == "exact":
-            point = _exact_evolve(kicked, spect, tau, pieces.anc)
-        elif k:
+    for k in range(len(taus)):
+        if k:
             apply_matrix_inplace(point, step, system, pieces.anc + 1)
         if shots == 0:  # the observable carries the sign
             val, err = direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)
@@ -257,16 +256,6 @@ def direct_measurement(
 def direct_estimate(sign: float, parity: float, stderr: float, phi: float) -> tuple[float, float]:
     """The full-value (estimate, stderr) of one point from its measured parity: 2 sign * parity / sin Phi."""
     return 2 * sign * parity / math.sin(phi), 2 * stderr / abs(math.sin(phi))
-
-
-def _exact_evolve(state: np.ndarray, spect, tau: float, n_sys: int) -> np.ndarray:
-    """Dense exp(-i H tau) on the system factor, identity on the ancilla."""
-    dim = 1 << n_sys
-    v = spect.eigenvectors
-    amps = state.reshape(2, dim).T  # columns: ancilla 0/1 blocks
-    phases = np.exp(-1j * spect.eigenvalues * tau)
-    evolved = v @ (phases[:, None] * (v.conj().T @ amps))
-    return evolved.T.reshape(-1)
 
 
 def direct_point_circuit(

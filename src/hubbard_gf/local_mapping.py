@@ -112,21 +112,6 @@ class LatticeLayout:
         """Plain Jordan-Wigner image of the same mode, width n_modes (oracle side)."""
         return jw_mode(self.mode_index(m), self.n_modes, m.flavor)
 
-    def dump(self) -> str:
-        """Cell -> qubit-pair listing for test goldens."""
-        lines = [f"extended cluster {self.side_cells}x{self.side_cells} cells, "
-                 f"{self.n_modes} modes, {self.n_qubits} qubits"]
-        for ry in range(self.side_cells):
-            for rx in range(self.side_cells):
-                tag = "physical" if self.is_physical_cell((rx, ry)) else "boundary"
-                lines.append(f"cell ({rx},{ry}) [{tag}]")
-                for spin in ("up", "down"):
-                    for reg in ("physical", "auxiliary"):
-                        m = self.majorana((rx, ry), spin, "x", reg)
-                        q1, q2 = self.qubits(m)
-                        lines.append(f"  {reg[:4]} {spin:4s}: q1={q1} q2={q2}")
-        return "\n".join(lines) + "\n"
-
 
 def jw_reference_bilinear(b: BilinearOp, layout: LatticeLayout) -> PauliString:
     """i * first * second through the plain JW reference encoding."""

@@ -50,6 +50,9 @@ from .statevector import (
 )
 
 VIRTUAL_KINDS = {"RZ", "Z", "GPHASE", "DELAY"}
+# the dense budget 2^MAX_QUBITS, counted in gates (of one folded circuit or of all
+# twirl variants) and in draws per point: larger requests are refused before allocating
+MAX_GATES = 1 << MAX_QUBITS
 
 
 @dataclass(frozen=True)
@@ -216,24 +219,14 @@ def _idle_tail(ready: list[float]):
     return tuple((q, end - r) for q, r in enumerate(ready) if end - r > 0)
 
 
-def schedule_ops(circuit: Circuit, model: NoiseModel):
-    """ASAP schedule as (ops, tail): ops pairs each gate with the (qubit, seconds)
-    idle time each target accumulated before it, tail lists each qubit's idle
-    time from its last gate to the end of the circuit."""
-    ready = [0.0] * circuit.n_qubits
-    ops = _schedule(circuit.gates, model, ready)
-    return ops, _idle_tail(ready)
-
-
 def idle_windows(circuit: Circuit, model: NoiseModel) -> dict[int, list[tuple[int, float]]]:
     """Per qubit: (gate index before which the window sits, window seconds).
 
     These are the schedule's idle gaps on qubits that some earlier gate already used.
     """
-    ops, _ = schedule_ops(circuit, model)
     used: set[int] = set()
     windows: dict[int, list[tuple[int, float]]] = {q: [] for q in range(circuit.n_qubits)}
-    for i, (g, gaps) in enumerate(ops):
+    for i, (g, gaps) in enumerate(_schedule(circuit.gates, model, [0.0] * circuit.n_qubits)):
         for q, dt in gaps:
             if q in used:
                 windows[q].append((i, dt))
@@ -471,18 +464,24 @@ class MitigatedDistribution:
     clipped_mass: float
 
 
-def mitigate_readout(counts: np.ndarray, confusions: list) -> MitigatedDistribution:
-    """Invert the tensor-product confusion; clip negatives and renormalize.
-
-    `confusions[i]` belongs to the qubit behind bit i of the outcome index.
-    """
-    p_obs = counts / counts.sum()
+def _inverse_confusions(confusions: list) -> list[np.ndarray]:
+    """The inverse of each 2x2 confusion matrix; ValueError for a singular one."""
     invs = []
     for c in confusions:
         c = np.asarray(c, dtype=float)
         if abs(np.linalg.det(c)) < 1e-12:
             raise ValueError("confusion matrix is singular")
         invs.append(np.linalg.inv(c))
+    return invs
+
+
+def mitigate_readout(counts: np.ndarray, confusions: list) -> MitigatedDistribution:
+    """Invert the tensor-product confusion; clip negatives and renormalize.
+
+    `confusions[i]` belongs to the qubit behind bit i of the outcome index.
+    """
+    p_obs = counts / counts.sum()
+    invs = _inverse_confusions(confusions)
     # p_obs = (tensor C)^T p_true
     p_true = _per_bit(p_obs, [inv.T for inv in invs])
     clipped = float(-p_true[p_true < 0].sum())
@@ -530,6 +529,8 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     """
     if n_variants < 1:
         raise ValueError("n_variants must be >= 1")
+    if n_variants * len(circuit) > MAX_GATES:
+        raise ValueError(f"{n_variants} twirl variants of {len(circuit)} gates exceed 2**{MAX_QUBITS} gates")
     table = _twirl_table()
     n_twirled = sum(g.kind in _TWIRL_KINDS for g in circuit.gates)
     draws = np.random.default_rng(seed).choice(len(_PAULIS), size=(n_variants, n_twirled, 2))
@@ -616,13 +617,15 @@ def fold_circuit(circuit: Circuit, scale: float) -> tuple[Circuit, float]:
     k_full = int((scale - 1) // 2)
     remainder = (scale - 1) / 2 - k_full
     m = int(round(remainder * n_noisy))
+    suffix_start = noisy_idx[n_noisy - m] if m > 0 else len(circuit)
+    if len(circuit) * (1 + 2 * k_full) + 2 * (len(circuit) - suffix_start) > MAX_GATES:
+        raise ValueError(f"folding {len(circuit)} gates to scale {scale:g} exceeds 2**{MAX_QUBITS} gates")
     gates = list(circuit.gates)
     if k_full:
         inv_all = [inverse_gate(g) for g in reversed(circuit.gates)]
         for _ in range(k_full):
             gates += inv_all + list(circuit.gates)
     if m > 0:
-        suffix_start = noisy_idx[n_noisy - m]
         suffix = list(circuit.gates[suffix_start:])
         gates += [inverse_gate(g) for g in reversed(suffix)] + suffix
     folded = Circuit(circuit.n_qubits, tuple(gates))
@@ -678,6 +681,9 @@ class MitigationConfig:
     def __post_init__(self):
         if self.twirl_variants < 1:
             raise ValueError(f"twirl variants must be >= 1, got {self.twirl_variants}")
+        v, s = self.twirl_variants, max(1, len(self.zne_scales))
+        if v * s > MAX_GATES:  # a point draws (and derives a seed) per variant and scale
+            raise ValueError(f"twirl variants x scale factors must be <= 2**{MAX_QUBITS}, got {v} x {s}")
         if self.dd_sequence not in ("none", "XX"):
             raise ValueError(f"dd sequence must be none or XX, got {self.dd_sequence!r}")
         if self.zne_order < 0:
@@ -687,6 +693,8 @@ class MitigationConfig:
                 raise ValueError("scale factors must be finite")
             if list(self.zne_scales) != sorted(self.zne_scales) or self.zne_scales[0] < 1:
                 raise ValueError("scale factors must be sorted and >= 1")
+            if self.zne_scales[-1] > MAX_GATES:  # a one-gate circuit folded that far passes the budget
+                raise ValueError(f"scale factors must be <= 2**{MAX_QUBITS}, got {self.zne_scales[-1]:g}")
             if self.zne_order >= len(self.zne_scales):
                 raise ValueError("polynomial order must be below the number of factors")
 
@@ -721,8 +729,8 @@ def noisy_parity_estimate(
     variants = pauli_twirl(base, config.twirl_variants, twirl_seed) if config.twirl_variants > 1 else [base]
     confusions = [model.readout.get(q, np.eye(2)) for q in meas_qubits]
     coeffs = parity_signs(1 << len(meas_qubits))
-    if config.readout:
-        coeffs = _per_bit(coeffs, [np.linalg.inv(c) for c in confusions])
+    if config.readout:  # a singular confusion is refused here, before any evolution
+        coeffs = _per_bit(coeffs, _inverse_confusions(confusions))
     vals = np.zeros((len(scale_list), len(variants)))
     realized = np.zeros_like(vals)  # variants differ in noisy-gate count, so average
     variances = np.zeros_like(vals)

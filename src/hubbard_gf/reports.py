@@ -111,7 +111,7 @@ def read_measurement_csv(path) -> CorrelatorCsv:
         except (KeyError, ValueError):
             read[key] = math.nan
         wrong = {"shots": read[key] < 0, "lambda": read[key] != LAMBDA_BY_KIND[kind]}.get(key, False)
-        if not math.isfinite(read[key]) or wrong:
+        if not -math.inf < read[key] < math.inf or wrong:  # compares an int past the float range exactly
             raise ValueError(f"invalid header {key}={header.get(key)}")
     plan = TrotterPlan(read["dtau"], read["steps"])  # refuses a dtau or steps out of range
     needed = ("tau", "estimate") + (("stderr",) if read["shots"] else ())
@@ -127,11 +127,11 @@ def read_measurement_csv(path) -> CorrelatorCsv:
         except ValueError as e:
             raise ValueError(f"data row {i}: {e}") from None
     data = np.array(table).reshape(-1, len(needed)).T
-    grid = time_grid(plan)
-    if data.shape[1] != len(grid) or not np.all(np.abs(data[0] - grid) <= 1e-12):
-        raise ValueError(f"taus are not the {len(grid)} points of the dtau={plan.dtau} time grid")
+    # the row count first, so a header's steps sizes no grid the body does not hold
+    if data.shape[1] != plan.steps + 1 or not np.all(np.abs(data[0] - time_grid(plan)) <= 1e-12):
+        raise ValueError(f"taus are not the {plan.steps + 1} points of the dtau={plan.dtau} time grid")
     scale = _CSV_SCALE[protocol]
-    stderrs = data[2] / scale if read["shots"] else np.zeros(len(grid))
+    stderrs = data[2] / scale if read["shots"] else np.zeros(data.shape[1])
     return CorrelatorCsv(
         name, kind, protocol, read["shots"], read["phi"], read["t"], read["u"], plan,
         data[0], data[1] / scale, stderrs,

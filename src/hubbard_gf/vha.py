@@ -21,7 +21,7 @@ from .circuit import (
     simulate,
 )
 from .model import FermionHamiltonian
-from .oracle import hamiltonian_pauli_terms, split_pauli_terms
+from .oracle import split_pauli_terms
 from .statevector import (
     MAX_QUBITS,
     GateOp,
@@ -331,16 +331,14 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
         raise ValueError("budget must be >= 1")
     seeds = iter(child_seeds(seed, budget)) if shots else None
     h = FermionHamiltonian.dimer(t, u)
-    terms = hamiltonian_pauli_terms(h)
     evals = 0
     trace: list[float] = []
 
     def energy(a: float, b: float) -> float:
         nonlocal evals
         evals += 1
-        if shots:
-            return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, next(seeds)).value
-        return float(_pauli_sum(vha_state(VhaParams.single(a, b))[None], terms)[0])
+        seed = next(seeds) if shots else 0
+        return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, seed).value
 
     best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))
     best_e = energy(best_a, best_b)

@@ -250,6 +250,19 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISY + ["--seed", "-1"], "--seed must be >= 0, got -1", id="noisy-seed--1"),
         pytest.param(_SWEEP + ["--shots", "64", "--seed", "-1"], "--seed must be >= 0, got -1",
                      id="sweep-seed--1"),
+        # numpy draws int64 counts; main checks --shots for both commands, before their own checks
+        pytest.param(_CORRELATOR + ["--shots", "99999999999999999999", "--seed", "1"],
+                     "shots must be <= 2**63 - 1, got 99999999999999999999", id="shots-past-int64"),
+        pytest.param(_SWEEP + ["--shots", "99999999999999999999", "--seed", "1"],
+                     "shots must be <= 2**63 - 1, got 99999999999999999999", id="sweep-shots-past-int64"),
+        pytest.param(_CORRELATOR + ["--shots", "9223372036854775808"], "shots must be <= 2**63 - 1",
+                     id="shots-2**63-unseeded"),
+        pytest.param(_CORRELATOR + ["--t", "0", "--shots", "-5"], "shots must be >= 0", id="t-0-and-shots--5"),
+        # a singular confusion is refused where its inverse is first taken, before any evolution
+        pytest.param(_NOISY[:-1] + ["SINGULAR", "--readout-mitigation"], "confusion matrix is singular",
+                     id="readout-singular"),
+        pytest.param(_NOISY[:-1] + ["NEAR_SINGULAR", "--readout-mitigation"], "confusion matrix is singular",
+                     id="readout-near-singular"),
         pytest.param(["zne-demo", "--order", "-1"], "polynomial order must be >= 0, got -1", id="zne-demo-order--1"),
         # a path the OS refuses is a usage error naming it, like a missing one
         pytest.param(["compare", "--csv", "DIR"], "Is a directory: '{DIR}'", id="compare-csv-directory"),
@@ -272,10 +285,13 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
 )
 def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     # flags are validated on every run, noiseless ones too, before anything is written
-    from hubbard_gf.noise import NoiseModel
+    from hubbard_gf.noise import NoiseModel, confusion
 
     paths = {"MODEL": str(tmp_path / "zero.json"), "DIR": str(tmp_path)}
     NoiseModel(5).to_json(paths["MODEL"])
+    for name, p10 in (("SINGULAR", 0.5), ("NEAR_SINGULAR", 0.5 - 1e-13)):  # y2y2 reads qubits 2 and 4
+        paths[name] = str(tmp_path / f"{name}.json")
+        NoiseModel(5, readout={2: confusion(0.5, p10)}).to_json(paths[name])
     out = tmp_path / "out"
     argv = [paths.get(a, a) for a in flags]
     # compare and zne-demo write no files; elsewhere an --outdir among the flags comes later and wins
@@ -284,6 +300,59 @@ def test_noisy_twirl_below_one_is_refused(tmp_path, capsys, flags, message):
     code, _, err = run_cli(argv, capsys)
     assert code == 2
     assert message.format(**paths) in err
+    assert not out.exists()
+
+
+_CAPPED_MAIN = """
+import resource, sys
+cap = 512 << 20  # a refused run and the README noisy example need under half of it
+resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+sys.path.insert(0, sys.argv[1])
+from hubbard_gf import cli
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        pytest.param(_NOISY + ["--zne-scales", "1e308", "--zne-order", "0"],
+                     "scale factors must be <= 2**24, got 1e+308", id="zne-scale-1e308"),
+        pytest.param(_NOISY + ["--zne-scales", "1", "1000001"],
+                     "folding 52 gates to scale 1e+06 exceeds 2**24 gates", id="zne-fold-past-budget"),
+        pytest.param(_NOISY + ["--twirl", "1000000000000"],
+                     "twirl variants x scale factors must be <= 2**24, got 1000000000000 x 1", id="twirl-1e12"),
+        pytest.param(_NOISY + ["--twirl", "1000000"],
+                     "1000000 twirl variants of 52 gates exceed 2**24 gates", id="twirl-past-budget"),
+        pytest.param(_NOISELESS + ["--steps", "1000000000000"], "steps must be < 2**24, got 1000000000000",
+                     id="steps-1e12"),
+        # a CSV that claims more points than its body holds sizes no time grid from the claim
+        pytest.param(["compare", "--csv", "LIE=1000000000000"], "steps must be < 2**24, got 1000000000000",
+                     id="compare-steps-1e12"),
+        pytest.param(["compare", "--csv", "LIE=16777215"],
+                     "taus are not the 16777216 points of the dtau=0.314 time grid", id="compare-steps-2**24-1"),
+    ],
+)
+def test_size_flags_are_refused_before_allocating(tmp_path, capsys, flags, message):
+    # each would allocate from the flag (or header) alone; a capped address space turns that
+    # into an exit code rather than a starved host
+    from hubbard_gf.noise import NoiseModel
+
+    model, out = tmp_path / "zero.json", tmp_path / "out"
+    NoiseModel(5).to_json(model)
+    argv = [str(model) if a == "MODEL" else a for a in flags]
+    if argv[0] == "compare":  # a 2-step CSV whose header claims LIE=<steps>
+        code, _, _ = run_cli(_NOISELESS + ["--outdir", str(tmp_path)], capsys)
+        assert code == 0
+        lie = tmp_path / "lie.csv"
+        lie.write_text((tmp_path / "y2y2.csv").read_text().replace("# steps=2\n", f"# steps={argv[2][4:]}\n"))
+        argv[2], message = str(lie), f"{lie}: {message}"
+    else:
+        argv[1:1] = ["--outdir", str(out)]
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _CAPPED_MAIN, str(src), *argv],
+                          capture_output=True, text=True, timeout=120)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
     assert not out.exists()
 
 
@@ -636,6 +705,8 @@ def test_compare_writes_strict_json_for_non_finite_deviations(tmp_path, capsys):
         ("# dtau=0.314", "# dtau=0.0", "dtau must be positive"),
         ("# steps=2", "# steps=2.5", "invalid header steps=2.5"),
         ("# steps=2", "# steps=0", "steps must be >= 1"),
+        pytest.param("# steps=2", "# steps=1" + "0" * 400, "steps must be < 2**24, got 1" + "0" * 400,
+                     id="steps-past-the-float-range"),
         ("# kind=retarded", "# kind=advanced", "invalid header kind=advanced"),
         ("# correlator=y2y2", "# correlator=zz", "invalid header correlator=zz"),
         ("# protocol=direct", "# protocol=hadamrd", "invalid header protocol=hadamrd"),

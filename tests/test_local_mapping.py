@@ -402,10 +402,3 @@ def test_commutation_matches_jw_reference_l1(inventory):
     ops = inventory(lay)
     for (m1, ref1), (m2, ref2) in itertools.combinations(ops, 2):
         assert commutes(m1, m2) == commutes(ref1, ref2)
-
-
-def test_layout_dump_smoke(lay):
-    text = lay.dump()
-    assert "cell (0,0) [physical]" in text
-    assert "cell (2,2) [boundary]" in text
-    assert f"{lay.n_qubits} qubits" in text

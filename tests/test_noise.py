@@ -188,13 +188,15 @@ def noisy_cases(draw):
 def branch_sum_distribution(circuit, model, measured):
     """Readout distribution as the explicit sum over every Pauli error branch:
     one pure state per combination of errors, weighted by its probability."""
-    from hubbard_gf.noise import _drift_gates, _error_prob, schedule_ops
+    from hubbard_gf.noise import _drift_gates, _error_prob, _idle_tail, _schedule
 
     n = circuit.n_qubits
     states = np.zeros((1, 1 << n), dtype=complex)
     states[0, 0] = 1.0
     weights = np.ones(1)
-    ops, tail = schedule_ops(circuit, model)
+    ready = [0.0] * n
+    ops = _schedule(circuit.gates, model, ready)
+    tail = _idle_tail(ready)
     for g, gaps in ops:
         for drift in _drift_gates(gaps, model):
             apply_gate_inplace(states, drift, n)
@@ -257,7 +259,7 @@ def fusable_cases(draw):
 
 def per_gate_distribution(circuit, model, measured):
     """Unfused reference: one _superoperator per gate and idle drift, applied to rho in order."""
-    from hubbard_gf.noise import _drift_gates, _error_prob, _readout, _superoperator, schedule_ops
+    from hubbard_gf.noise import _drift_gates, _error_prob, _idle_tail, _readout, _schedule, _superoperator
 
     n = circuit.n_qubits
     rho = np.zeros(1 << (2 * n), dtype=complex)
@@ -267,7 +269,9 @@ def per_gate_distribution(circuit, model, measured):
         s = _superoperator(g, _error_prob(g, model))
         apply_matrix_inplace(rho, s, g.targets + tuple(n + t for t in g.targets), 2 * n)
 
-    ops, tail = schedule_ops(circuit, model)
+    ready = [0.0] * n
+    ops = _schedule(circuit.gates, model, ready)
+    tail = _idle_tail(ready)
     for g, gaps in ops:
         for drift in _drift_gates(gaps, model):
             apply(drift)
@@ -671,13 +675,15 @@ def test_twirl_and_dd_keep_every_gate_in_its_barrier_stage():
 
 def run_noisy_fidelity(circuit, model):
     # deterministic coherent part only: one statevector, no sampling
-    from hubbard_gf.noise import _drift_gates, schedule_ops
+    from hubbard_gf.noise import _drift_gates, _idle_tail, _schedule
     from hubbard_gf.statevector import apply_gate_inplace
 
     n = circuit.n_qubits
     amps = np.zeros(1 << n, dtype=complex)
     amps[0] = 1.0
-    ops, tail = schedule_ops(circuit, model)
+    ready = [0.0] * n
+    ops = _schedule(circuit.gates, model, ready)
+    tail = _idle_tail(ready)
     for g, gaps in ops:
         for drift in _drift_gates(gaps, model):
             apply_gate_inplace(amps, drift, n)

@@ -1,6 +1,6 @@
 """No module of the package keeps a module-level import it never reads, nor a
-private name the package never uses, nor reaches into another module's private
-names, and one function derives every seed.
+private name the package never uses, nor a public name nothing reaches, nor
+reaches into another module's private names, and one function derives every seed.
 
 Static checks on the source with `ast` (no lint tool is needed): every name a
 module-level `import` binds must be read somewhere in the module (`from
@@ -9,6 +9,9 @@ private module-level function, class or assignment (`_x`) must be referenced
 somewhere in the package outside its own definition, no module imports a
 private name (`from m import _x`) or reads one off a module it imported
 (`m._x`), and `SeedSequence` is named in exactly one function of the package.
+Every public module-level function or class, and every public method of such a
+class, is referenced elsewhere in the package, imported by `perfbench/` or named
+by its tracing layers, or listed with its reason in `REACH_ALLOWLIST`.
 """
 import ast
 from collections import Counter
@@ -17,6 +20,7 @@ from pathlib import Path
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "hubbard_gf"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -122,6 +126,106 @@ def test_the_check_flags_an_unreferenced_private_name():
 def test_no_private_name_goes_unreferenced():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert _unreferenced_privates(sources) == []
+
+
+def _public_definitions(tree: ast.Module):
+    """(name, node) per public module-level function or class, and per public method of a
+    module-level class as Class.method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield f"{node.name}.{item.name}", item
+
+
+def _outside_references(sources: dict[str, str]) -> set[str]:
+    """The package names these (perfbench) modules reach: what they import from hubbard_gf, and
+    each dotted part of the attribute strings of the Layer entries in tracing.LAYERS, which
+    Recorder.install resolves with getattr."""
+    reached = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("hubbard_gf"):
+                reached.update(alias.name for alias in n.names)
+            elif isinstance(n, ast.Call) and isinstance(n.func, ast.Name) and n.func.id == "Layer":
+                reached.update(part for attr in ast.literal_eval(n.args[1]) for part in attr.split("."))
+    return reached
+
+
+def _unreached_publics(sources: dict[str, str], outside: set[str]) -> list[str]:
+    """Public names of these modules (module.name) that no module references outside their
+    definition and that the outside names do not include."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    unreached = []
+    for module, tree in trees.items():
+        for name, node in _public_definitions(tree):
+            short = name.split(".")[-1]
+            if everywhere[short] == _references(node)[short] and short not in outside:
+                unreached.append(f"{module}.{name}")
+    return unreached
+
+
+def test_the_check_flags_an_unreached_public_name():
+    sources = {
+        "a": (
+            "def used():\n"
+            "    return 1\n"
+            "def traced():\n"
+            "    return 2\n"
+            "def imported():\n"
+            "    return 3\n"
+            "def dead(k):\n"
+            "    return dead(k - 1) if k else used()\n"
+            "class Model:\n"
+            "    def method(self):\n"
+            "        return self.helper()\n"
+            "    def helper(self):\n"
+            "        return 4\n"
+            "    def _private(self):\n"
+            "        return 5\n"
+        ),
+        "b": "from .a import Model\n",
+    }
+    outside = {
+        "bench": (
+            "from hubbard_gf.a import imported\n"
+            "from json import dead\n"  # not the package's
+            "LAYERS = {'t': Layer('hubbard_gf.a', ('traced', 'Model.__init__'))}\n"
+        ),
+    }
+    assert _outside_references(outside) == {"imported", "traced", "Model", "__init__"}
+    assert _unreached_publics(sources, _outside_references(outside)) == ["a.dead", "a.Model.method"]
+
+
+# Public names the reach rule does not see used, each with what it serves; anything else unreached is deleted
+REACH_ALLOWLIST = {
+    **dict.fromkeys(
+        (f"local_mapping.{name}" for name in (
+            "jw_reference_bilinear", "map_hopping_x", "map_hopping_y", "hopping_bilinears",
+            "source_operator", "source_bilinear", "measurement_bilinear",
+        )),
+        "criterion 7, through conftest.mapping_inventory",
+    ),
+    "local_mapping.build_measurement_reducer": "criterion 7: the reducer's CNOT count",
+    "oracle.ground_state": "criterion 1",
+    "oracle.dimer_ground_energy": "criterion 1",
+    "vha.optimize": "criterion 1",
+    "oracle.lehmann_correlator": "criteria 3 and 4",
+    "oracle.dimer_spectral": "criteria 3 and 4",
+    "pauli.commutes": "criterion 7",
+    "oracle.dimer_sector_energies": "the closed-form reference of test_vha's hopping/interaction split",
+    "noise.NoiseModel.to_json": "perfbench's workloads write the noisy example's model file with it",
+}
+
+
+def test_every_public_name_is_reached():
+    # by the package, by perfbench, or by one entry above; no entry outlives its reason
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    outside = _outside_references({path.stem: path.read_text() for path in sorted(PERFBENCH.glob("*.py"))})
+    assert sorted(_unreached_publics(sources, outside)) == sorted(REACH_ALLOWLIST)
 
 
 def _private_imports(sources: dict[str, str]) -> list[str]:

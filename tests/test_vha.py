@@ -268,6 +268,31 @@ def test_optimize_exact_converges():
     assert all(b <= a + 1e-15 for a, b in zip(res.trace, res.trace[1:]))
 
 
+def test_exact_optimize_measures_through_measure_energy(monkeypatch):
+    # an exact optimization evaluates each angle pair as measure_energy does, and draws nothing
+    from hubbard_gf import vha
+
+    circuits = []
+    real = vha.measure_energy
+
+    def recorded(circuit, h, shots, seed=0):
+        circuits.append(circuit)
+        assert (shots, seed) == (0, 0)
+        return real(circuit, h, shots, seed)
+
+    monkeypatch.setattr(vha, "measure_energy", recorded)
+    monkeypatch.setattr(vha, "child_seeds", None)  # a shot-free run derives no seeds
+    res = optimize(1.0, 4.0, budget=300)
+    h = FermionHamiltonian.dimer(1.0, 4.0)
+    energies = [real(circuit, h, shots=0).value for circuit in circuits]
+    assert len(energies) == len(res.trace) == res.evaluations == 206
+    # the trace holds the best energy so far, each one of measure_energy's values bit for bit
+    assert res.trace[0] == energies[0] and set(res.trace) <= set(energies)
+    assert all(best <= e + 1e-15 for best, e in zip(res.trace, energies))  # descent takes gains > 1e-15
+    assert res.params.layers == ((-0.9272952249739105, 0.3926990816987235),)
+    assert res.energy == -3.2360679774997787
+
+
 def test_optimize_u_zero_alpha_irrelevant():
     res = optimize(1.0, 0.0, budget=200)
     assert res.energy == pytest.approx(-2.0, abs=1e-8)
