@@ -323,7 +323,7 @@ def cmd_dump_circuit(args) -> int:
     if args.which == "slater":
         circ = slater_prep_circuit()
     elif args.which == "vha":
-        circ = vha_circuit(VhaParams.single(*optimal_angles(args.t, args.u)))
+        circ = vha_circuit(VhaParams(*optimal_angles(args.t, args.u)))
     elif args.which == "trotter-step":
         circ = dimer_trotter_step(args.t, args.u, args.dtau)
     elif args.which == "hopping":

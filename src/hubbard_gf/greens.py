@@ -303,7 +303,7 @@ DIMER_ANALYTIC_REF = {"y2y2": "xx_0", "y3y3": "xx_1", "x3y2": "xy_01"}
 
 
 def dimer_ground_circuit(t: float, u: float) -> Circuit:
-    return vha_circuit(VhaParams.single(*optimal_angles(t, u)))
+    return vha_circuit(VhaParams(*optimal_angles(t, u)))
 
 
 def dimer_suite(

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Circuit, simulate
+from .circuit import Circuit
 from .greens import MeasurementRecord, direct_estimate, direct_point_circuit, kind_lambda, time_grid
 from .pauli import MajoranaIndex, PauliString, clifford_conjugate
 from .reports import write_text
@@ -41,7 +41,6 @@ from .statevector import (
     child_seeds,
     gate_matrix,
     inverse_gate,
-    marginal_probs,
     marginalize,
     multinomial_counts,
     parity_expectation,
@@ -73,9 +72,9 @@ class NoiseModel:
             for q in rates:
                 if q not in range(n):
                     raise ValueError(f"{key} qubit {q!r} is not one of the {n} qubits")
-        pairs = set(itertools.combinations(range(n), 2))
-        for pair in self.p2:
-            if pair not in pairs:
+        for pair in self.p2:  # a key equal to some (a, b) with 0 <= a < b < n, checked without listing them
+            if not (isinstance(pair, tuple) and len(pair) == 2 and pair[0] in range(n)
+                    and pair[1] in range(n) and pair[0] < pair[1]):
                 raise ValueError(f"two_qubit key {pair!r} is not a pair (a, b) with 0 <= a < b < {n}")
         for kind, d in self.durations.items():
             if not (math.isfinite(d) and d >= 0):
@@ -381,19 +380,10 @@ def _distributions(
     n = circuit.n_qubits
     if n > MAX_QUBITS // 2:
         raise ValueError(f"{n} qubits exceed the density-matrix capacity {MAX_QUBITS // 2}")
-    drift = any(model.idle_rate.values())
-    if not (drift or any(model.p1.values()) or any(model.p2.values())):
-        # gate-exact statevector path; bit-identical to noiseless sampling
-        state = simulate(circuit)
-        return [
-            _readout(marginal_probs(simulate(Circuit(n, tuple(tail)), state), measure_qubits),
-                     measure_qubits, model)
-            for tail in tails
-        ]
     # rho as one vector over 2n qubits: ket qubit q at bit q, bra qubit q at bit n + q
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
-    ready = [0.0] * n if drift else None
+    ready = [0.0] * n if any(model.idle_rate.values()) else None
     keys: dict[GateOp, tuple] = {}
     products: dict[tuple, tuple] = {}
     runs = list(_two_qubit_runs(_compile(_acting_gates(circuit.gates, model, ready), keys, model)))
@@ -434,9 +424,9 @@ def run_noisy(
     confusion multiplies the measured marginal.  Circuits wider than
     MAX_QUBITS // 2 = 12 qubits are refused (rho holds 4^n values).  The
     draw is multinomial_counts at the seed itself, so with no gate noise and no
-    drift (the state is then the noiseless statevector) it is bit for bit
-    sample_counts at that seed (readout confusion still applies).  Entry j
-    counts outcome j, whose bit i is measure_qubits[i], as in sample_counts.
+    drift the distribution is the noiseless one up to rounding, and the draw
+    that of sample_counts at that seed (readout confusion still applies).  Entry
+    j counts outcome j, whose bit i is measure_qubits[i], as in sample_counts.
     """
     if shots < 1:
         raise ValueError("shots must be >= 1")

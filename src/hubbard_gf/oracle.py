@@ -130,12 +130,11 @@ def lehmann_correlator(
     h: FermionHamiltonian,
     tau,
     spectral: SpectralData | None = None,
-    state: np.ndarray | None = None,
 ):
-    """<psi| A(tau) B |psi> via the eigenstate decomposition of the propagator.
+    """<psi| A(tau) B |psi> in the ground state psi, via the eigenstate decomposition of
+    the propagator.
 
-    A(tau) = e^{iHt} A e^{-iHt}; psi defaults to the ground state.  `tau` may be
-    a scalar or an array; the return matches.
+    A(tau) = e^{iHt} A e^{-iHt}.  `tau` may be a scalar or an array; the return matches.
     """
     if opA.width != opB.width:
         raise ValueError("operator widths differ")
@@ -143,7 +142,7 @@ def lehmann_correlator(
         spectral = diagonalize(build_matrix(h))
     if opA.width != int(np.log2(len(spectral.eigenvalues))):
         raise ValueError("operator width does not match the Hamiltonian")
-    psi = spectral.ground_vector if state is None else np.asarray(state, dtype=complex)
+    psi = spectral.ground_vector
     v = spectral.eigenvectors
     wb = v.conj().T @ (opB.to_matrix() @ psi)
     u_psi = v.conj().T @ psi

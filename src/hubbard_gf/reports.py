@@ -138,11 +138,11 @@ def read_measurement_csv(path) -> CorrelatorCsv:
     )
 
 
-def write_landscape_csv(path, result, header: dict | None = None) -> None:
+def write_landscape_csv(path, result, header: dict) -> None:
     """Landscape rows, formatted as _fmt would from the result's arrays, each angle once;
     the header names the optimum folded by vha.canonical_angles."""
     best = result.best
-    meta = dict(header or {})
+    meta = dict(header)
     meta["optimum_alpha"], meta["optimum_beta"] = canonical_angles(best.alpha, best.beta)
     meta["optimum_energy"] = best.energy
     angles = itertools.product(*(map(repr, axis.tolist()) for axis in (result.alphas, result.betas)))
@@ -182,17 +182,17 @@ def correlator_svg(
     taus,
     measured,
     stderr,
-    analytic_taus=None,
-    analytic=None,
+    analytic_taus,
+    analytic,
     config_lines: tuple[str, ...] = (),
 ) -> None:
     """Overlay plot: analytic polyline, measured points, shaded stderr band."""
     taus = np.asarray(taus, dtype=float)
     measured = np.asarray(measured, dtype=float)
     stderr = np.asarray(stderr, dtype=float)
-    ana_t = taus if analytic_taus is None else np.asarray(analytic_taus, dtype=float)
-    ana = None if analytic is None else np.asarray(analytic, dtype=float)
-    ys = [measured - stderr, measured + stderr] + ([ana] if ana is not None else [])
+    ana_t = np.asarray(analytic_taus, dtype=float)
+    ana = np.asarray(analytic, dtype=float)
+    ys = [measured - stderr, measured + stderr, ana]
     ylo = min(float(np.min(y)) for y in ys)
     yhi = max(float(np.max(y)) for y in ys)
     pad = 0.08 * max(yhi - ylo, 1e-9)
@@ -234,9 +234,8 @@ def correlator_svg(
         pts = " ".join(f"{a:.1f},{b:.1f}" for a, b in upper + lower)
         parts.append(f'<polygon points="{pts}" fill="#c6d9f1" opacity="0.7"/>')
     # analytic curve
-    if ana is not None:
-        pts = " ".join(f"{fr.x(t):.1f},{fr.y(v):.1f}" for t, v in zip(ana_t, ana))
-        parts.append(f'<polyline points="{pts}" stroke="#1f4e9c" fill="none" stroke-width="1.6"/>')
+    pts = " ".join(f"{fr.x(t):.1f},{fr.y(v):.1f}" for t, v in zip(ana_t, ana))
+    parts.append(f'<polyline points="{pts}" stroke="#1f4e9c" fill="none" stroke-width="1.6"/>')
     # measured points
     for t, m in zip(taus, measured):
         parts.append(f'<circle cx="{fr.x(t):.1f}" cy="{fr.y(m):.1f}" r="3.2" fill="#c0392b"/>')
@@ -249,8 +248,8 @@ def correlator_svg(
     write_text(path, "\n".join(parts) + "\n")
 
 
-def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
-    """Simple heatmap of the energy landscape (row-major energies grid)."""
+def landscape_svg(path, title: str, alphas, betas, energies, best) -> None:
+    """Heatmap of the energy landscape (row-major energies grid), the (alpha, beta) best marked."""
     alphas = np.asarray(alphas, dtype=float)
     betas = np.asarray(betas, dtype=float)
     grid = np.asarray(energies, dtype=float).reshape(len(alphas), len(betas))
@@ -271,10 +270,10 @@ def landscape_svg(path, title: str, alphas, betas, energies, best=None) -> None:
     for i, (row_r, row_b) in enumerate(zip(reds, blues)):
         y = f"{fr.height - fr.margin - (i + 1) * ch:.1f}"
         parts += [f'<rect x="{x}" y="{y}" {size} fill="rgb({r},60,{b})"/>' for x, r, b in zip(xs, row_r, row_b)]
-    if best is not None:  # centred on the grid cell nearest the optimum, which may lie off the grid
-        bx = fr.margin + (np.argmin(np.abs(betas - best[1])) + 0.5) * cw
-        by = fr.height - fr.margin - (np.argmin(np.abs(alphas - best[0])) + 0.5) * ch
-        parts.append(f'<circle cx="{bx:.1f}" cy="{by:.1f}" r="5" fill="none" stroke="white" stroke-width="2"/>')
+    # centred on the grid cell nearest the optimum, which may lie off the grid
+    bx = fr.margin + (np.argmin(np.abs(betas - best[1])) + 0.5) * cw
+    by = fr.height - fr.margin - (np.argmin(np.abs(alphas - best[0])) + 0.5) * ch
+    parts.append(f'<circle cx="{bx:.1f}" cy="{by:.1f}" r="5" fill="none" stroke="white" stroke-width="2"/>')
     parts.append(
         f'<text x="{fr.width/2:.0f}" y="{fr.height-10}" text-anchor="middle" font-size="12" '
         f'font-family="sans-serif">beta (energy color: blue=min, red=max)</text>'

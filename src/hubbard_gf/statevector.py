@@ -190,14 +190,19 @@ def apply_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray:
     return out
 
 
-def expectation_pauli(amps: np.ndarray, p: PauliString) -> float:
-    """<s|P|s> for Hermitian P; the imaginary residue is checked and discarded."""
+def expectation_pauli(amps: np.ndarray, p: PauliString) -> np.ndarray | float:
+    """<s|P|s> for Hermitian P over the trailing axis: an array over the leading (batch)
+    axes, a float for one state.  An imaginary residue above 1e-10 is an error."""
     if not p.is_hermitian:
         raise ValueError(f"expectation needs a Hermitian string, got {p.label}")
-    val = complex(np.vdot(amps, apply_pauli(amps, p)))
-    if abs(val.imag) > 1e-10:
-        raise ValueError(f"expectation came out complex: {val}")
-    return val.real
+    if amps.shape[-1] != 1 << p.width:
+        raise ValueError(f"width mismatch: string {p.width}, state {amps.shape[-1]} amplitudes")
+    perm, coef = pauli_action(p)  # (P s)[perm] = coef * s
+    vals = np.einsum("...i,i,...i->...", amps[..., perm].conj(), coef, amps)
+    bad = np.abs(vals.imag) > 1e-10
+    if bad.any():
+        raise ValueError(f"expectation came out complex: {vals[bad][0]}")
+    return vals.real if vals.ndim else float(vals.real)
 
 
 # -- measurement --------------------------------------------------------------

@@ -27,11 +27,11 @@ from .statevector import (
     GateOp,
     apply_matrix_inplace,
     child_seeds,
+    expectation_pauli,
     gate_matrix,
     marginal_probs,
     multinomial_counts,
     parity_signs,
-    pauli_action,
     shot_stderr,
 )
 
@@ -40,20 +40,14 @@ TWO_PI = 2 * math.pi
 
 @dataclass(frozen=True)
 class VhaParams:
-    """Per-layer (alpha, beta) pairs; the dimer needs a single layer."""
+    """The dimer ansatz's one angle pair: interaction angle alpha, hopping angle beta."""
 
-    layers: tuple[tuple[float, float], ...]
+    alpha: float
+    beta: float
 
     def __post_init__(self):
-        if len(self.layers) < 1:
-            raise ValueError("need at least one layer")
-        for a, b in self.layers:
-            if not (-TWO_PI < a <= TWO_PI and -TWO_PI < b <= TWO_PI):
-                raise ValueError(f"angles must lie in (-2pi, 2pi], got {(a, b)}")
-
-    @classmethod
-    def single(cls, alpha: float, beta: float) -> "VhaParams":
-        return cls(((alpha, beta),))
+        if not (-TWO_PI < self.alpha <= TWO_PI and -TWO_PI < self.beta <= TWO_PI):
+            raise ValueError(f"angles must lie in (-2pi, 2pi], got {(self.alpha, self.beta)}")
 
 
 @dataclass(frozen=True)
@@ -87,11 +81,9 @@ def slater_prep_circuit() -> Circuit:
 
 
 def vha_circuit(params: VhaParams) -> Circuit:
-    """Slater prep followed by p layers of interaction(alpha) then hopping(beta)."""
-    circ = slater_prep_circuit()
-    for alpha, beta in params.layers:
-        circ = (circ + dimer_interaction_step(alpha) + dimer_hopping_layer(beta)).with_barrier("layer")
-    return circ
+    """Slater prep followed by the layer interaction(alpha) then hopping(beta)."""
+    layer = dimer_interaction_step(params.alpha) + dimer_hopping_layer(params.beta)
+    return (slater_prep_circuit() + layer).with_barrier("layer")
 
 
 def vha_state(params: VhaParams) -> np.ndarray:
@@ -133,26 +125,11 @@ _BLOCK_ROWS = 1024  # bounds the temporaries _pauli_sum allocates per term
 
 
 def _pauli_sum(amps: np.ndarray, terms) -> np.ndarray:
-    """Exact sum of c * <P> over weighted Pauli terms, for every row of a state batch.
-
-    Each row gets expectation_pauli's checks: the strings must be Hermitian and
-    an imaginary residue above 1e-10 is an error.
-    """
+    """Exact sum of c * <P> over weighted Pauli terms, for every row of a state batch."""
     total = np.zeros(len(amps))
-    vals = np.empty(len(amps), dtype=complex)
     for c, p in terms:
-        if not p.is_hermitian:
-            raise ValueError(f"expectation needs a Hermitian string, got {p.label}")
-        if amps.shape[-1] != 1 << p.width:
-            raise ValueError(f"width mismatch: string {p.width}, state {amps.shape[-1]} amplitudes")
-        perm, coef = pauli_action(p)  # (P s)[perm] = coef * s
         for lo in range(0, len(amps), _BLOCK_ROWS):
-            rows = amps[lo : lo + _BLOCK_ROWS]
-            vals[lo : lo + _BLOCK_ROWS] = np.einsum("bi,i,bi->b", rows[:, perm].conj(), coef, rows)
-        bad = np.abs(vals.imag) > 1e-10
-        if bad.any():
-            raise ValueError(f"expectation came out complex: {vals[bad][0]}")
-        total += c * vals.real
+            total[lo : lo + _BLOCK_ROWS] += c * expectation_pauli(amps[lo : lo + _BLOCK_ROWS], p)
     return total
 
 
@@ -320,16 +297,14 @@ class OptimizeResult:
     evaluations: int
 
 
-def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int = 400, shots: int = 0,
-             seed: int = 0) -> OptimizeResult:
-    """Coarse grid seed then coordinate descent; deterministic for a given seed.
+def optimize(t: float, u: float, budget: int = 400) -> OptimizeResult:
+    """Exact search from (0, 0): a coarse grid, then coordinate descent.
 
     Best-so-far is returned when the evaluation budget runs out; the recorded
     best-energy trace is monotone non-increasing by construction.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    seeds = iter(child_seeds(seed, budget)) if shots else None
     h = FermionHamiltonian.dimer(t, u)
     evals = 0
     trace: list[float] = []
@@ -337,10 +312,9 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
     def energy(a: float, b: float) -> float:
         nonlocal evals
         evals += 1
-        seed = next(seeds) if shots else 0
-        return measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots, seed).value
+        return measure_energy(vha_circuit(VhaParams(a, b)), h, 0).value
 
-    best_a, best_b = (initial.layers[0] if initial is not None else (0.0, 0.0))
+    best_a, best_b = 0.0, 0.0
     best_e = energy(best_a, best_b)
     trace.append(best_e)
 
@@ -372,7 +346,7 @@ def optimize(t: float, u: float, initial: VhaParams | None = None, budget: int =
         if not improved:
             step /= 2
     best_a, best_b = canonical_angles(best_a, best_b)
-    return OptimizeResult(VhaParams.single(best_a, best_b), best_e, tuple(trace), evals)
+    return OptimizeResult(VhaParams(best_a, best_b), best_e, tuple(trace), evals)
 
 
 def _wrap_angle(a: float) -> float:

@@ -72,13 +72,13 @@ def test_criterion_1_ground_state_closed_forms():
         e_ref = dimer_ground_energy(t, u)
         h = FermionHamiltonian.dimer(t, u)
         e_ed, _ = ground_state(build_matrix(h))
-        e_vha = measure_energy(vha_circuit(VhaParams.single(*optimal_angles(t, u))), h, shots=0).value
+        e_vha = measure_energy(vha_circuit(VhaParams(*optimal_angles(t, u))), h, shots=0).value
         worst = max(worst, abs(e_ed - e_ref), abs(e_vha - e_ref))
     elapsed = time.perf_counter() - t0
     criterion(1, worst < 1e-10 and elapsed < 1.0,
               f"ED and VHA energies match closed form (max err {worst:.2e}, {elapsed:.2f}s < 1s)")
     res = optimize(1.0, 4.0, budget=300)
-    a, b = res.params.layers[0]
+    a, b = res.params.alpha, res.params.beta
     ok = abs(a - (-0.92)) < 0.02 and abs(b - 0.39) < 0.02
     criterion(1, ok, f"optimal angles ({a:.4f}, {b:.4f}) within 0.02 of (-0.92, 0.39)")
 

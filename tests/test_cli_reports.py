@@ -69,7 +69,7 @@ def test_landscape_header_names_folded_optimum(tmp_path, capsys):
     one_point = LandscapeResult(*(np.array([x]) for x in (best.alpha, best.beta)),
                                 *(np.array([[x]]) for x in (best.energy, best.stderr)))
     assert one_point.best == best
-    write_landscape_csv(tmp_path / "l.csv", one_point)
+    write_landscape_csv(tmp_path / "l.csv", one_point, {})
     header, _, _ = read_csv(tmp_path / "l.csv")
     alpha, beta = canonical_angles(best.alpha, best.beta)
     assert (header["optimum_alpha"], header["optimum_beta"]) == (repr(alpha), repr(beta))
@@ -331,6 +331,8 @@ sys.exit(cli.main(sys.argv[2:]))
                      id="compare-steps-1e12"),
         pytest.param(["compare", "--csv", "LIE=16777215"],
                      "taus are not the 16777216 points of the dtau=0.314 time grid", id="compare-steps-2**24-1"),
+        # a model's width sizes nothing: its pair keys are checked one by one
+        pytest.param(_NOISY[:-1] + ["WIDE"], "model covers 1000000 qubits, circuit has 5", id="model-n_qubits-1e6"),
     ],
 )
 def test_size_flags_are_refused_before_allocating(tmp_path, capsys, flags, message):
@@ -338,9 +340,10 @@ def test_size_flags_are_refused_before_allocating(tmp_path, capsys, flags, messa
     # into an exit code rather than a starved host
     from hubbard_gf.noise import NoiseModel
 
-    model, out = tmp_path / "zero.json", tmp_path / "out"
+    model, wide, out = tmp_path / "zero.json", tmp_path / "wide.json", tmp_path / "out"
     NoiseModel(5).to_json(model)
-    argv = [str(model) if a == "MODEL" else a for a in flags]
+    wide.write_text('{"n_qubits": 1000000}')
+    argv = [{"MODEL": str(model), "WIDE": str(wide)}.get(a, a) for a in flags]
     if argv[0] == "compare":  # a 2-step CSV whose header claims LIE=<steps>
         code, _, _ = run_cli(_NOISELESS + ["--outdir", str(tmp_path)], capsys)
         assert code == 0
@@ -905,7 +908,7 @@ def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha2
     "argv, name, csv_sha256",
     [
         (["--shots", "0"], "y2y2",
-         "8b6e47ac29400a558448b721e1ff68af6c968571b58a7257c420c3642ca49b03"),
+         "b2c6b0b9822c610f1005bf1a7d04e1964a33f3abee74c24f0ba40e3394a12f99"),
         (["--shots", "4096", "--seed", "7"], "y2y2",
          "05ffbcaae82a6cd0bf9ab5e0cd2211f73a7e21c6a08376fdbe3e69098ff7b3fa"),
         (["--shots", "4096", "--seed", "7", "--protocol", "hadamard"], "y2y2",
@@ -913,14 +916,15 @@ def test_landscape_files_are_pinned(tmp_path, capsys, argv, csv_sha256, svg_sha2
         (["--shots", "0", "--protocol", "advanced-hadamard", "--kind", "keldysh"], "x3y2",
          "da814fb3625320465847f6251cf0150e8265c37f6bea8915deed4b68f4468538"),
         (["--shots", "0", "--kind", "keldysh", "--pair", "x3y2"], "x3y2",
-         "22289452d04046ff1a18f9ebb49a682873a94179e783668df117e2b8576d4956"),
+         "f840b6eeae90b0c4fff6cfd49fb9b2811e32630b5fe15ed209e30d21e3bfa8ef"),
     ],
 )
 def test_correlator_files_are_pinned(tmp_path, capsys, argv, name, csv_sha256):
     # identical configs must give identical CSV bytes; the shot runs' digests predate
     # the protocols measuring on their plan's time grid, except the Hadamard shot run's,
-    # which each pair draws from its own child of the run seed; the exact runs' were
-    # taken when each noiseless Trotter step became one fused unitary (last-ulp moves)
+    # which each pair draws from its own child of the run seed; the exact advanced-Hadamard
+    # run's was taken when each noiseless Trotter step became one fused unitary, and the
+    # exact direct runs' when expectation_pauli became one einsum (last-ulp moves each)
     code, _, _ = run_cli(["correlator", "--steps", "6", *argv, "--outdir", str(tmp_path)], capsys)
     assert code == 0
     assert hashlib.sha256((tmp_path / f"{name}.csv").read_bytes()).hexdigest() == csv_sha256

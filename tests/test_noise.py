@@ -31,6 +31,7 @@ from hubbard_gf.statevector import (
     apply_gate_inplace,
     apply_matrix_inplace,
     basis_state,
+    marginal_probs,
     marginalize,
     parity_expectation,
     sample_counts,
@@ -244,7 +245,8 @@ def test_density_matrix_equals_sum_over_pauli_error_branches(case):
 @st.composite
 def fusable_cases(draw):
     """Up to 40 gates of every kind on 2-5 qubits, most of them reusing the
-    previous gate's qubits in either order, so runs grow long and then flush."""
+    previous gate's qubits in either order, so runs grow long and then flush.
+    Some models have no gate noise and no drift, their readout kept."""
     n = draw(st.integers(2, 5))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gates, last = [], tuple(int(q) for q in rng.permutation(n)[:2])
@@ -254,7 +256,10 @@ def fusable_cases(draw):
         if len(gates[-1].targets) == 2:
             last = gates[-1].targets
     measured = tuple(int(q) for q in rng.permutation(n)[: draw(st.integers(1, n))])
-    return Circuit(n, tuple(gates)), _random_model(rng, n), measured
+    model = _random_model(rng, n)
+    if draw(st.integers(0, 3)) == 0:
+        model = NoiseModel(n, readout=model.readout, durations=model.durations)
+    return Circuit(n, tuple(gates)), model, measured
 
 
 def per_gate_distribution(circuit, model, measured):
@@ -289,6 +294,12 @@ def test_fused_runs_equal_per_gate_superoperators(case):
     got = noisy_distribution(circuit, model, measured)
     want = per_gate_distribution(circuit, model, measured)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    if not (any(model.p1.values()) or any(model.p2.values()) or model.idle_rate):
+        # the one engine at zero noise: the noiseless state's marginal, read out
+        from hubbard_gf.noise import _readout
+
+        noiseless = _readout(marginal_probs(simulate(circuit), measured), measured, model)
+        np.testing.assert_allclose(got, noiseless, rtol=0, atol=1e-13)
 
 
 def test_fusion_cuts_density_matrix_passes(monkeypatch):

@@ -11,7 +11,10 @@ private name (`from m import _x`) or reads one off a module it imported
 (`m._x`), and `SeedSequence` is named in exactly one function of the package.
 Every public module-level function or class, and every public method of such a
 class, is referenced elsewhere in the package, imported by `perfbench/` or named
-by its tracing layers, or listed with its reason in `REACH_ALLOWLIST`.
+by its tracing layers, or listed with its reason in `REACH_ALLOWLIST`.  Every
+parameter with a default of a public module-level function is passed by some
+call in the package or in `perfbench/`, or listed with its reason in
+`PARAM_ALLOWLIST`.
 """
 import ast
 from collections import Counter
@@ -226,6 +229,103 @@ def test_every_public_name_is_reached():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     outside = _outside_references({path.stem: path.read_text() for path in sorted(PERFBENCH.glob("*.py"))})
     assert sorted(_unreached_publics(sources, outside)) == sorted(REACH_ALLOWLIST)
+
+
+def _defaulted_parameters(tree: ast.Module):
+    """(function, parameter, position) per parameter with a default of each public module-level
+    function; the position is None for a keyword-only parameter."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_"):
+            positional = node.args.posonlyargs + node.args.args
+            first = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def _passed_parameters(sources: dict[str, str]) -> set[tuple[str, str | int]]:
+    """What the calls in these modules pass, by the called name (a name or an attribute):
+    (name, keyword) per keyword argument and (name, i) per positional index, where a call
+    with *args passes every index, written as (name, -1)."""
+    passed = set()
+    for source in sources.values():
+        for n in ast.walk(ast.parse(source)):
+            if not isinstance(n, ast.Call):
+                continue
+            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+            passed.update((name, k.arg) for k in n.keywords if k.arg)
+            if any(isinstance(a, ast.Starred) for a in n.args):
+                passed.add((name, -1))
+            passed.update((name, i) for i in range(len(n.args)))
+    return passed
+
+
+def _unreached_parameters(sources: dict[str, str], callers: dict[str, str]) -> list[str]:
+    """Defaulted parameters (module.function.parameter) of these modules' public functions
+    that no call in the callers passes."""
+    passed = _passed_parameters(callers)
+    unreached = []
+    for module, source in sources.items():
+        for function, param, position in _defaulted_parameters(ast.parse(source)):
+            ways = {(function, param)} | ({(function, position), (function, -1)} if position is not None else set())
+            if not ways & passed:
+                unreached.append(f"{module}.{function}.{param}")
+    return unreached
+
+
+def test_the_check_flags_a_parameter_no_call_passes():
+    sources = {
+        "a": (
+            "def f(x, y=1, z=2, *, k=3, m=4):\n"
+            "    return x\n"
+            "def g(a, b=1, /, c=2):\n"
+            "    return a\n"
+            "def h(level=0):\n"
+            "    return h(level=level + 1) if level < 3 else level\n"
+            "def _private(q=1):\n"
+            "    return q\n"
+            "class C:\n"
+            "    def method(self, r=1):\n"
+            "        return r\n"
+        ),
+        "b": (
+            "from .a import f, g\n"
+            "def use(args, obj):\n"
+            "    return f(0, 1, k=2) + g(*args) + obj.f(0, m=5)\n"
+        ),
+    }
+    assert _unreached_parameters(sources, sources) == ["a.f.z"]
+    assert _unreached_parameters(sources, {"b": sources["b"]}) == ["a.f.z", "a.h.level"]
+
+
+# Defaulted parameters that no call in src/ or perfbench/ passes, each with what sets it
+PARAM_ALLOWLIST = {
+    "circuit.dimer_interaction_step.form": "criterion 9 checks both forms against the exact exponential",
+    "greens.dimer_suite.pairs": "ROADMAP item 2 (correlator --pair is to pass it); test_greens pins a one-pair run",
+    **dict.fromkeys(
+        ("greens.hadamard_test.kind", "greens.advanced_hadamard_test.kind"),
+        "cli.cmd_correlator passes it by position through `runner`, a name the rule does not resolve",
+    ),
+    **dict.fromkeys(
+        ("local_mapping.source_operator.spin", "local_mapping.source_bilinear.spin"),
+        "criterion 7: conftest.mapping_inventory maps both spins",
+    ),
+    "noise.kolkata_dimer_model.idle_rate": "the drift pin and the drift tests build the model with idle drift",
+    "noise.run_noisy.measure_qubits": "the seeded-counts pin and the outcome-index convention read chosen qubits",
+    "oracle.lehmann_correlator.spectral": "criteria 3 and 4 share one spectrum across their correlators",
+    "statevector.basis_state.index": "the simulator tests start from chosen basis states",
+    "vha.optimize.budget": "criterion 1 runs optimize(1.0, 4.0, budget=300)",
+    "vha.measure_energy.seed": "the shot-mode energy tests draw at chosen seeds",
+}
+
+
+def test_every_defaulted_parameter_is_passed():
+    # by a call in the package or in perfbench, or by one entry above; no entry outlives its reason
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    callers = sources | {f"perfbench.{path.stem}": path.read_text() for path in sorted(PERFBENCH.glob("*.py"))}
+    assert sorted(_unreached_parameters(sources, callers)) == sorted(PARAM_ALLOWLIST)
 
 
 def _private_imports(sources: dict[str, str]) -> list[str]:

@@ -398,3 +398,36 @@ def test_parity_signs_are_cached_read_only():
         signs[0] = 5
     weights = np.arange(8.0)
     assert parity_expectation(weights, 2.0) == float(np.sum(weights * signs)) / 2.0
+
+
+@st.composite
+def _expectation_batches(draw):
+    """A (rows, 2^n) batch of random states, n from 1 to 5, and a Hermitian string on n qubits."""
+    n = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    shape = (draw(st.integers(1, 6)), 1 << n)
+    batch = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    batch /= np.linalg.norm(batch, axis=1, keepdims=True)
+    bits = st.integers(0, (1 << n) - 1)
+    return batch, PauliString(n, draw(bits), draw(bits), draw(st.sampled_from((0, 2))))
+
+
+def _refusal(amps, p) -> str:
+    with pytest.raises(ValueError) as e:
+        expectation_pauli(amps, p)
+    return str(e.value)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_expectation_batches())
+def test_batched_expectation_rows_equal_single_expectations(case):
+    # leading axes are a batch, as for every other statevector function; one state gives a float
+    batch, p = case
+    singles = [expectation_pauli(row, p) for row in batch]
+    assert all(type(v) is float for v in singles)
+    got = expectation_pauli(batch, p)
+    assert got.shape == (len(batch),)
+    assert got.tobytes() == np.array(singles).tobytes()  # bit for bit
+    # a batch is refused as one state is, with the same message
+    for bad in (p.times_i(), PauliString(p.width + 1, p.xbits, p.zbits, p.phase_exp)):
+        assert _refusal(batch, bad) == _refusal(batch[0], bad)

@@ -49,10 +49,9 @@ from hubbard_gf.statevector import GateOp, sample_counts
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        VhaParams(())
-    with pytest.raises(ValueError):
-        VhaParams.single(7.0, 0.0)
-    assert len(VhaParams.single(0.1, 0.2).layers) == 1
+        VhaParams(7.0, 0.0)
+    params = VhaParams(0.1, 0.2)
+    assert (params.alpha, params.beta) == (0.1, 0.2)
 
 
 def test_slater_state_particle_number_and_fidelity():
@@ -74,7 +73,7 @@ def test_slater_hopping_energy():
 
 
 def test_vha_zero_angles_is_slater():
-    s1 = vha_state(VhaParams.single(0.0, 0.0))
+    s1 = vha_state(VhaParams(0.0, 0.0))
     s2 = simulate(slater_prep_circuit())
     assert abs(np.vdot(s1, s2)) ** 2 == pytest.approx(1.0, abs=1e-12)
 
@@ -85,7 +84,7 @@ def test_vha_energy_matches_closed_form_random_angles():
     h = FermionHamiltonian.dimer(t, u)
     for _ in range(25):
         a, b = rng.uniform(-math.pi, math.pi, size=2)
-        est = measure_energy(vha_circuit(VhaParams.single(float(a), float(b))), h, shots=0)
+        est = measure_energy(vha_circuit(VhaParams(float(a), float(b))), h, shots=0)
         assert est.value == pytest.approx(variational_energy_formula(t, u, a, b), abs=1e-12)
 
 
@@ -93,9 +92,9 @@ def test_vha_energy_at_printed_values():
     t, u = 1.0, 4.0
     assert variational_energy_formula(t, u, 0.0, 0.0) == pytest.approx(-3.0)
     h = FermionHamiltonian.dimer(t, u)
-    est = measure_energy(vha_circuit(VhaParams.single(0.0, 0.0)), h, shots=0)
+    est = measure_energy(vha_circuit(VhaParams(0.0, 0.0)), h, shots=0)
     assert est.value == pytest.approx(-3.0, abs=1e-12)
-    est = measure_energy(vha_circuit(VhaParams.single(-0.92, 0.39)), h, shots=0)
+    est = measure_energy(vha_circuit(VhaParams(-0.92, 0.39)), h, shots=0)
     assert est.value == pytest.approx(-3.2360, abs=1e-3)
 
 
@@ -103,10 +102,10 @@ def test_optimal_angles_reach_ground_energy_and_fidelity():
     for t, u in [(1.0, 0.0), (1.0, 4.0), (1.0, 8.0)]:
         a, b = optimal_angles(t, u)
         h = FermionHamiltonian.dimer(t, u)
-        est = measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots=0)
+        est = measure_energy(vha_circuit(VhaParams(a, b)), h, shots=0)
         assert est.value == pytest.approx(dimer_ground_energy(t, u), abs=1e-10)
         _, gs = ground_state(build_matrix(h))
-        assert abs(np.vdot(vha_state(VhaParams.single(a, b)), gs)) ** 2 >= 1 - 1e-8
+        assert abs(np.vdot(vha_state(VhaParams(a, b)), gs)) ** 2 >= 1 - 1e-8
 
 
 def test_optimal_angles_match_figure_values():
@@ -125,7 +124,7 @@ def test_optimal_alpha_keeps_its_bits_wherever_8t_is_finite(t, u):
 
 def test_energy_breakdown_matches_sector_energies():
     t, u = 1.0, 4.0
-    circuit = vha_circuit(VhaParams.single(*optimal_angles(t, u)))
+    circuit = vha_circuit(VhaParams(*optimal_angles(t, u)))
     est = measure_energy(circuit, FermionHamiltonian.dimer(t, u), shots=0)
     e_hop, e_int = dimer_sector_energies(t, u)
     assert est.hopping == pytest.approx(e_hop, abs=1e-10)
@@ -150,7 +149,7 @@ def test_repulsion_estimator_exact_on_computational_state():
 
 def test_shot_mode_converges_to_exact():
     t, u = 1.0, 4.0
-    circuit, h = vha_circuit(VhaParams.single(*optimal_angles(t, u))), FermionHamiltonian.dimer(t, u)
+    circuit, h = vha_circuit(VhaParams(*optimal_angles(t, u))), FermionHamiltonian.dimer(t, u)
     exact = measure_energy(circuit, h, shots=0).value
     errs = []
     for shots in (256, 4096, 65536):
@@ -162,7 +161,7 @@ def test_shot_mode_converges_to_exact():
 
 
 def test_stderr_scaling():
-    circuit, h = vha_circuit(VhaParams.single(-0.9, 0.4)), FermionHamiltonian.dimer(1.0, 4.0)
+    circuit, h = vha_circuit(VhaParams(-0.9, 0.4)), FermionHamiltonian.dimer(1.0, 4.0)
     est1 = measure_energy(circuit, h, shots=256, seed=3)
     est2 = measure_energy(circuit, h, shots=256 * 16, seed=3)
     assert est2.stderr == pytest.approx(est1.stderr / 4, rel=0.3)
@@ -170,7 +169,7 @@ def test_stderr_scaling():
 
 def test_4096_shot_estimate_within_4_sigma():
     t, u = 1.0, 4.0
-    est = measure_energy(vha_circuit(VhaParams.single(*optimal_angles(t, u))), FermionHamiltonian.dimer(t, u),
+    est = measure_energy(vha_circuit(VhaParams(*optimal_angles(t, u))), FermionHamiltonian.dimer(t, u),
                          shots=4096, seed=7)
     assert abs(est.value - (-3.23607)) <= 4 * est.stderr + 1e-6
 
@@ -210,7 +209,7 @@ def test_exact_landscape_equals_closed_form_and_per_point_energy(alphas, betas, 
     h = FermionHamiltonian.dimer(t, u)
     for (i, a), (j, b) in itertools.product(enumerate(alphas), enumerate(betas)):
         assert abs(res.energies[i, j] - variational_energy_formula(t, u, a, b)) < 1e-12
-        single = measure_energy(vha_circuit(VhaParams.single(a, b)), h, shots=0)
+        single = measure_energy(vha_circuit(VhaParams(a, b)), h, shots=0)
         assert abs(res.energies[i, j] - single.value) < 1e-12
     # the first grid point, row-major, with the lowest energy
     low = res.energies.min()
@@ -289,7 +288,7 @@ def test_exact_optimize_measures_through_measure_energy(monkeypatch):
     # the trace holds the best energy so far, each one of measure_energy's values bit for bit
     assert res.trace[0] == energies[0] and set(res.trace) <= set(energies)
     assert all(best <= e + 1e-15 for best, e in zip(res.trace, energies))  # descent takes gains > 1e-15
-    assert res.params.layers == ((-0.9272952249739105, 0.3926990816987235),)
+    assert (res.params.alpha, res.params.beta) == (-0.9272952249739105, 0.3926990816987235)
     assert res.energy == -3.2360679774997787
 
 
@@ -299,8 +298,8 @@ def test_optimize_u_zero_alpha_irrelevant():
 
 
 def test_optimize_budget_and_improvement():
-    start = VhaParams.single(0.5, -0.5)
-    res = optimize(1.0, 4.0, initial=start, budget=40)
+    start = VhaParams(0.0, 0.0)  # the search's one starting point
+    res = optimize(1.0, 4.0, budget=40)
     start_e = measure_energy(vha_circuit(start), FermionHamiltonian.dimer(1.0, 4.0), shots=0).value
     assert res.energy <= start_e
     assert res.evaluations <= 40
@@ -379,7 +378,7 @@ def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed
     h = FermionHamiltonian.dimer(t, u)
     if chain:
         h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, t),), repulsions=(Repulsion(0, u), Repulsion(1, u)))
-    amps = np.array([vha_state(VhaParams.single(a, b)) for a in alphas for b in betas])
+    amps = np.array([vha_state(VhaParams(a, b)) for a in alphas for b in betas])
     seeds = np.random.SeedSequence(seed).generate_state(len(amps))
     batched = _energy_estimates(amps, h, shots, seeds)
     assert list(zip(*(x.tolist() for x in batched))) == _per_point_reference(amps, h, shots, seeds)
@@ -400,7 +399,7 @@ def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid(chain):
     if chain:
         h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, 1.0),), repulsions=(Repulsion(0, 4.0), Repulsion(1, 4.0)))
     axis = np.linspace(-math.pi, math.pi, 13).tolist()
-    amps = np.array([vha_state(VhaParams.single(a, b)) for a in axis for b in axis])
+    amps = np.array([vha_state(VhaParams(a, b)) for a in axis for b in axis])
     seeds = np.random.SeedSequence(17).generate_state(len(amps))
     batched = _energy_estimates(amps, h, 256, seeds)
     assert list(zip(*(x.tolist() for x in batched))) == _per_point_reference(amps, h, 256, seeds)
@@ -408,7 +407,7 @@ def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid(chain):
 
 @pytest.mark.parametrize("shots, seed", [(0, 0), (7, 3), (256, 11)])
 def test_measure_energy_is_the_batch_of_one(shots, seed):
-    circuit = vha_circuit(VhaParams.single(-0.7, 0.3))
+    circuit = vha_circuit(VhaParams(-0.7, 0.3))
     h = FermionHamiltonian.dimer(1.0, 4.0)
     est = measure_energy(circuit, h, shots, seed)
     row = [float(x[0]) for x in _energy_estimates(simulate(circuit)[None], h, shots, (seed,))]
