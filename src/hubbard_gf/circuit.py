@@ -194,26 +194,13 @@ def dimer_trotter_step(t: float, u: float, dtau: float) -> Circuit:
 # -- measurement bases ----------------------------------------------------------
 
 
-def measurement_basis_circuit(kind: str, m: int, n: int, n_qubits: int | None = None) -> Circuit:
-    """Pre-measurement unitary B so a computational readout of (m, n) gives the target.
-
-    yx_pair:  B^dag (Z_m Z_n) B = i y_m x_n   (string remover + Hadamards)
-    xy_pair:  B^dag (Z_m Z_n) B = -i x_m y_n  (Hadamards replaced by X half-turns)
-    horizontal_hop: diagonalizes (X_m X_n + Y_m Y_n)/2 into the difference of the
-    |m=1,n=0> and |m=0,n=1> populations; see horizontal_hop_value.
-    """
+def hop_basis_circuit(m: int, n: int, n_qubits: int) -> Circuit:
+    """Pre-measurement unitary that diagonalizes (X_m X_n + Y_m Y_n)/2 for JW-adjacent
+    modes m < n into the difference of the |m=1,n=0> and |m=0,n=1> populations; see
+    horizontal_hop_value."""
     if m >= n:
         raise ValueError(f"need m < n, got ({m}, {n})")
-    width = n_qubits if n_qubits is not None else n + 1
-    if kind == "yx_pair":
-        gates = jw_string_remover(m, n) + [GateOp("H", (m,)), GateOp("H", (n,))]
-    elif kind == "xy_pair":
-        gates = jw_string_remover(m, n) + [GateOp("XHALF", (m,)), GateOp("XHALF", (n,))]
-    elif kind == "horizontal_hop":
-        gates = [GateOp("CNOT", (n, m)), GateOp("H", (n,)), GateOp("CNOT", (n, m))]
-    else:
-        raise ValueError(f"unknown measurement basis kind {kind!r}")
-    return Circuit(width, tuple(gates))
+    return Circuit(n_qubits, (GateOp("CNOT", (n, m)), GateOp("H", (n,)), GateOp("CNOT", (n, m))))
 
 
 def horizontal_hop_value(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

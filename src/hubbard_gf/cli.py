@@ -210,6 +210,8 @@ def cmd_correlator(args) -> int:
         zne_scales=tuple(args.zne_scales),
         zne_order=args.zne_order,
     )
+    if config != MitigationConfig() and not args.noise_model:  # a noiseless run would drop them
+        raise ValueError("mitigation flags need --noise-model")
     seed = args.seed or 0
     seeds = pair_seeds(seed, args.shots)
     plan = TrotterPlan(args.dtau, args.steps)

@@ -271,7 +271,8 @@ def direct_point_circuit(
     """Fully gate-level 5-qubit circuit for one direct-protocol time point.
 
     Returns (circuit, parity qubits, estimator sign) for direct_estimate.  The
-    ancilla phase is spread as one Z^dag rotation per Trotter step.  Used by the
+    circuit is the prep, the kick, n_steps times the step and its share of the
+    ancilla phase (one Z^dag rotation per step), then the basis.  Used by the
     noisy pipeline; the noiseless runner applies the same pieces with the phase
     as a single rotation.
     """
@@ -280,14 +281,7 @@ def direct_point_circuit(
         evolution = (GateOp("RZ", (p.anc,), -lam),)
     else:
         evolution = (p.step.gates + (GateOp("RZ", (p.anc,), -lam / n_steps),)) * n_steps
-    kicked = len(p.prep) + len(p.kick)
-    gates = p.prep.gates + p.kick.gates + evolution + p.basis.gates
-    barriers = p.prep.barriers + (
-        (len(p.prep), "perturbation"),
-        (kicked, "evolution"),
-        (kicked + len(evolution), "measurement"),
-    )
-    return Circuit(p.prep.n_qubits, gates, barriers), p.meas_qubits, p.sign
+    return Circuit(p.anc + 1, p.prep.gates + p.kick.gates + evolution + p.basis.gates), p.meas_qubits, p.sign
 
 
 # -- the dimer experiment ---------------------------------------------------------------

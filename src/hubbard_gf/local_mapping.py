@@ -203,18 +203,23 @@ def _hopping_paths(r: tuple[int, int], sigma: str, direction: str, layout: Latti
             mid = layout.majorana(r, "up", "x", "auxiliary")
         else:
             mid = layout.majorana(dest, "down", "x", "auxiliary")
-    else:
+    elif direction == "y":
         dest = (rx, ry + 1)
         if sigma == "up":
             mid = layout.majorana(r, "down", "x", "auxiliary")
         else:
             mid = layout.majorana(dest, "up", "x", "auxiliary")
+    else:
+        raise ValueError(f"direction must be x or y, got {direction!r}")
     if not (layout.is_physical_cell(r) and layout.is_physical_cell(dest)):
         raise ValueError(f"hopping {r}->{dest} leaves the physical cluster")
     return dest, mid
 
 
-def _map_hopping(r, sigma, direction, layout) -> tuple[PauliString, PauliString]:
+def map_hopping(
+    r: tuple[int, int], sigma: str, direction: str, layout: LatticeLayout
+) -> tuple[PauliString, PauliString]:
+    """The two commuting summands of the hopping from r in direction x or y; their mean is T."""
     dest, mid = _hopping_paths(r, sigma, direction, layout)
     y_first = _chain(
         [layout.majorana(r, sigma, "y"), mid, layout.majorana(dest, sigma, "x")], layout
@@ -224,16 +229,6 @@ def _map_hopping(r, sigma, direction, layout) -> tuple[PauliString, PauliString]
     )
     # T = (i/2)(y_r x_dest - x_r y_dest) = (sum of the two returned strings) / 2
     return -x_first, y_first
-
-
-def map_hopping_x(r: tuple[int, int], sigma: str, layout: LatticeLayout) -> tuple[PauliString, PauliString]:
-    """The two commuting summands of the x-direction hopping; their mean is T^x."""
-    return _map_hopping(r, sigma, "x", layout)
-
-
-def map_hopping_y(r: tuple[int, int], sigma: str, layout: LatticeLayout) -> tuple[PauliString, PauliString]:
-    """The two commuting summands of the y-direction hopping; their mean is T^y."""
-    return _map_hopping(r, sigma, "y", layout)
 
 
 def hopping_bilinears(r, sigma, direction, layout) -> list[tuple[float, BilinearOp]]:
@@ -248,11 +243,7 @@ def hopping_bilinears(r, sigma, direction, layout) -> list[tuple[float, Bilinear
 def source_operator(r: tuple[int, int], layout: LatticeLayout, spin: str = "up") -> PauliString:
     """The local source bilinear i y_r^spin a-x_r^(other spin); its half is the
     perturbation generator used by the measurement protocol."""
-    other = "down" if spin == "up" else "up"
-    return map_elementary_bilinear(
-        BilinearOp(layout.majorana(r, spin, "y"), layout.majorana(r, other, "x", "auxiliary")),
-        layout,
-    )
+    return map_elementary_bilinear(source_bilinear(r, layout, spin), layout)
 
 
 def source_bilinear(r, layout, spin="up") -> BilinearOp:

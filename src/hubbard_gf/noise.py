@@ -7,11 +7,11 @@ channel on its targets.  Each maximal run of consecutive gates and idle drifts
 on at most two qubits acts on rho as one fused superoperator: the product of
 its per-gate superoperators embedded in the run's bit order.  A bounded
 process-wide cache holds the per-gate factors; the run products live only as
-long as the one twirl variant whose gates (each keyed once) they fuse.  Z-axis
-rotations (RZ, Z, GPHASE) are virtual: no error, no duration.  Idle
-qubits accumulate a deterministic Z-phase drift at a per-qubit rate, which is
-what an XX decoupling sequence refocuses; T1/T2 from the device tables ride
-along as metadata only.  Readout confusion multiplies the measured marginal,
+long as the one twirl variant whose gates they fuse.  Z-axis rotations (RZ,
+Z, GPHASE) are virtual: no error, no duration.  Idle qubits accumulate a
+deterministic Z-phase drift at a per-qubit rate, which is what an XX
+decoupling sequence refocuses; T1/T2 from the device tables ride along as
+metadata only.  Readout confusion multiplies the measured marginal,
 and the counts are one seeded multinomial draw from the result.
 
 Global folding G -> G (G^dag G)^k keeps G as the head of every folded circuit,
@@ -303,17 +303,9 @@ def _block_superoperator(key: tuple, block: tuple[int, ...]) -> np.ndarray:
     return s
 
 
-def _compile(gates, keys: dict, model: NoiseModel) -> list[tuple]:
-    """Each gate as its key (kind, targets, angle, error probability): what fixes
-    its superoperator.  keys maps each gate already seen to its key, so a gate
-    that recurs (in the prefix or in any fold tail) is keyed once."""
-    out = []
-    for g in gates:
-        key = keys.get(g)
-        if key is None:
-            key = keys[g] = (g.kind, g.targets, g.angle, _error_prob(g, model))
-        out.append(key)
-    return out
+def _keys(gates, model: NoiseModel) -> list[tuple]:
+    """Each gate as its key (kind, targets, angle, error probability): what fixes its superoperator."""
+    return [(g.kind, g.targets, g.angle, _error_prob(g, model)) for g in gates]
 
 
 def _two_qubit_runs(stream):
@@ -371,7 +363,7 @@ def _distributions(
     which each tail re-runs with its own gates: runs split as they would over the
     whole stream, and with drift on each tail's schedule continues from the
     circuit's ready times, so every distribution is the one of the whole circuit.
-    Gate keys and run products are computed once per call and dropped with it.
+    Run products are computed once per call and dropped with it.
     """
     if circuit.n_qubits != model.n_qubits:
         raise ValueError(
@@ -384,9 +376,8 @@ def _distributions(
     rho = np.zeros(1 << (2 * n), dtype=complex)
     rho[0] = 1.0
     ready = [0.0] * n if any(model.idle_rate.values()) else None
-    keys: dict[GateOp, tuple] = {}
     products: dict[tuple, tuple] = {}
-    runs = list(_two_qubit_runs(_compile(_acting_gates(circuit.gates, model, ready), keys, model)))
+    runs = list(_two_qubit_runs(_keys(_acting_gates(circuit.gates, model, ready), model)))
     last = list(runs.pop()[1]) if runs else []
     _apply_runs(rho, runs, products, n)
     out = []
@@ -395,18 +386,10 @@ def _distributions(
         gates = _acting_gates(tail, model, tail_ready)
         if tail_ready is not None:
             gates += _drift_gates(_idle_tail(tail_ready), model)
-        point = _apply_runs(rho.copy(), _two_qubit_runs(last + _compile(gates, keys, model)), products, n)
+        point = _apply_runs(rho.copy(), _two_qubit_runs(last + _keys(gates, model)), products, n)
         diag = point[:: (1 << n) + 1].real  # rho[i, i] sits at i + (i << n)
         out.append(_readout(marginalize(diag, n, measure_qubits), measure_qubits, model))
     return out
-
-
-def noisy_distribution(
-    circuit: Circuit, model: NoiseModel, measure_qubits: tuple[int, ...]
-) -> np.ndarray:
-    """Exact distribution of the read-out bits of measure_qubits (bit i of the
-    index = measure_qubits[i]) under the model: what run_noisy draws from."""
-    return _distributions(circuit, ((),), model, measure_qubits)[0]
 
 
 def run_noisy(
@@ -432,7 +415,7 @@ def run_noisy(
         raise ValueError("shots must be >= 1")
     if measure_qubits is None:
         measure_qubits = tuple(range(circuit.n_qubits))
-    return multinomial_counts(noisy_distribution(circuit, model, tuple(measure_qubits)), shots, seed)
+    return multinomial_counts(_distributions(circuit, ((),), model, tuple(measure_qubits))[0], shots, seed)
 
 
 # -- readout mitigation -----------------------------------------------------------
@@ -514,8 +497,7 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     Each variant's unitary equals the original exactly (a GPHASE absorbs the
     sandwich sign), so the twirled ensemble average is unbiased by construction.
     The pre pairs of all variants come from one draw of uniform letter indices,
-    which yields the same letters as one two-letter draw per gate.  A sandwich
-    stays in the barrier stage of the gate it wraps.
+    which yields the same letters as one two-letter draw per gate.
     """
     if n_variants < 1:
         raise ValueError("n_variants must be >= 1")
@@ -528,9 +510,7 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     for pre_pairs in draws.tolist():
         pre_pairs = iter(pre_pairs)
         gates: list[GateOp] = []
-        starts = []
         for g in circuit.gates:
-            starts.append(len(gates))
             if g.kind not in _TWIRL_KINDS:
                 gates.append(g)
                 continue
@@ -543,15 +523,8 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
             gates += [_pauli_gate(x, q) for x, q in ((post_a, a), (post_b, b)) if x != "I"]
             if flip:
                 gates.append(GateOp("GPHASE", (), math.pi))
-        variants.append(_with_insertions(circuit, gates, starts))
+        variants.append(Circuit(circuit.n_qubits, tuple(gates)))
     return variants
-
-
-def _with_insertions(circuit: Circuit, gates: list[GateOp], starts: list[int]) -> Circuit:
-    """The circuit rebuilt from gates, whose run for its gate i (insertions first) begins
-    at starts[i]; each barrier moves to the start of the run of the gate it stood before."""
-    ends = starts + [len(gates)]
-    return Circuit(circuit.n_qubits, tuple(gates), tuple((ends[i], label) for i, label in circuit.barriers))
 
 
 # -- dynamical decoupling --------------------------------------------------------------
@@ -562,7 +535,7 @@ def dynamical_decoupling(circuit: Circuit, model: NoiseModel) -> Circuit:
 
     The pair flips the sign of the coherent idle drift halfway through the window,
     refocusing it; the composed unitary is unchanged.  A pair goes in front of
-    the gate that ends its window, in that gate's barrier stage.
+    the gate that ends its window.
     """
     x_dur = model.durations.get("X", model.durations.get("default", 0.0))
     windows = idle_windows(circuit, model)
@@ -583,12 +556,10 @@ def dynamical_decoupling(circuit: Circuit, model: NoiseModel) -> Circuit:
     if not insertions:
         return circuit
     gates: list[GateOp] = []
-    starts = []
     for i, g in enumerate(circuit.gates):
-        starts.append(len(gates))
         gates.extend(insertions.get(i, ()))
         gates.append(g)
-    return _with_insertions(circuit, gates, starts)
+    return Circuit(circuit.n_qubits, tuple(gates))
 
 
 # -- zero-noise extrapolation -----------------------------------------------------------

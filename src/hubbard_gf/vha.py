@@ -16,8 +16,8 @@ from .circuit import (
     Circuit,
     dimer_hopping_layer,
     dimer_interaction_step,
+    hop_basis_circuit,
     horizontal_hop_value,
-    measurement_basis_circuit,
     simulate,
 )
 from .model import FermionHamiltonian
@@ -31,7 +31,6 @@ from .statevector import (
     gate_matrix,
     marginal_probs,
     multinomial_counts,
-    parity_signs,
     shot_stderr,
 )
 
@@ -133,17 +132,20 @@ def _pauli_sum(amps: np.ndarray, terms) -> np.ndarray:
     return total
 
 
-def _hop_bases(h: FermionHamiltonian):
-    """(amplitude, m, n, basis kinds) per hopping bond and spin, in measurement order.
+def _hop_pairs(h: FermionHamiltonian) -> list[tuple[float, int, int]]:
+    """(amplitude, m, n) per hopping bond and spin, in measurement order, m < n.
 
-    A bond whose mode qubits are JW-adjacent runs the two-qubit diagonalization
-    circuit; otherwise it runs the two string-removed parity bases.
+    Each bond runs the two-qubit diagonalization circuit, so its mode qubits must
+    be JW-adjacent; any other bond is refused, whether or not shots are drawn.
     """
+    pairs = []
     for hop in h.hoppings:
         for spin in ("up", "down"):
             m, n = sorted((h.mode_of(hop.i, spin), h.mode_of(hop.j, spin)))
-            kinds = ("horizontal_hop",) if n == m + 1 else ("yx_pair", "xy_pair")
-            yield hop.amplitude, m, n, kinds
+            if n != m + 1:
+                raise ValueError(f"hopping bond ({hop.i}, {hop.j}) maps to non-adjacent modes {m} and {n}")
+            pairs.append((hop.amplitude, m, n))
+    return pairs
 
 
 def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds):
@@ -151,23 +153,22 @@ def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds
 
     shots = 0 evaluates exact expectations.  Otherwise one computational-basis
     run covers every repulsion (the |11> population of each site's qubit pair)
-    and chemical shift; each hopping bond runs the two-qubit diagonalization
-    circuit when its modes are JW-adjacent and the two string-removed parity
-    bases when they are not.  Each run rotates and marginalizes the batch once;
-    row k draws `shots` samples per run, one multinomial each, run r seeded by
-    child r of seeds[k] (statevector.child_seeds).  The estimators are array
-    arithmetic in a one-row batch's operation order.
+    and chemical shift, and each hopping bond runs the two-qubit diagonalization
+    circuit.  Each run rotates and marginalizes the batch once; row k draws
+    `shots` samples per run, one multinomial each, run r seeded by child r of
+    seeds[k] (statevector.child_seeds).  The estimators are array arithmetic in
+    a one-row batch's operation order.  A bond whose modes are not JW-adjacent
+    is refused in either mode.
     """
     if shots < 0:
         raise ValueError("shots must be >= 0")
+    pairs = _hop_pairs(h)
     if shots == 0:
         e_hop, e_int = (_pauli_sum(amps, terms) for terms in split_pauli_terms(h))
         return e_hop + e_int, np.zeros(len(amps)), e_hop, e_int
     n = h.n_modes
-    runs = [(amps, tuple(range(n)))] + [
-        (simulate(measurement_basis_circuit(kind, a, b, n), amps), (a, b))
-        for _, a, b, kinds in _hop_bases(h) for kind in kinds
-    ]
+    runs = [(amps, tuple(range(n)))]
+    runs += [(simulate(hop_basis_circuit(a, b, n), amps), (a, b)) for _, a, b in pairs]
     probs = [marginal_probs(batch, qubits) for batch, qubits in runs]
     probs = [p / p.sum(axis=1, keepdims=True) for p in probs]
     counts = [np.empty(p.shape, dtype=np.int64) for p in probs]
@@ -185,25 +186,16 @@ def _energy_estimates(amps: np.ndarray, h: FermionHamiltonian, shots: int, seeds
         p1 = counts[0][:, bits & 1 == 1].sum(axis=1) / shots
         e_int += weight * p1
         var_int += np.float_power(weight * shot_stderr(p1, shots, p1), 2)
-    hop_counts = iter(counts[1:])
-    for amplitude, _, _, kinds in _hop_bases(h):
-        if kinds == ("horizontal_hop",):
-            mean, err = horizontal_hop_value(next(hop_counts))
-            e_hop += amplitude * mean
-            var_hop += np.float_power(amplitude * err, 2)
-        else:
-            mean = var = 0.0
-            for _ in kinds:
-                parity = next(hop_counts) @ parity_signs(4) / shots
-                mean += 0.5 * parity
-                var += 0.25 * np.float_power(shot_stderr(parity, shots), 2)
-            e_hop += amplitude * mean
-            var_hop += (amplitude ** 2) * var
+    for (amplitude, _, _), hop_counts in zip(pairs, counts[1:]):
+        mean, err = horizontal_hop_value(hop_counts)
+        e_hop += amplitude * mean
+        var_hop += np.float_power(amplitude * err, 2)
     return e_hop + e_int, np.sqrt(var_hop + var_int), e_hop, e_int
 
 
 def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: int = 0) -> EnergyEstimate:
     """Energy of the circuit's output state under h: the one-row batch of _energy_estimates."""
+    _hop_pairs(h)  # a bond the schedule cannot measure is refused before the circuit runs
     state = simulate(circuit)[None]
     value, stderr, hopping, interaction = (float(x[0]) for x in _energy_estimates(state, h, shots, (seed,)))
     return EnergyEstimate(value, stderr, shots, hopping, interaction)

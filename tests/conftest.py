@@ -7,8 +7,7 @@ from hubbard_gf.local_mapping import (
     build_measurement_string,
     hopping_bilinears,
     jw_reference_bilinear,
-    map_hopping_x,
-    map_hopping_y,
+    map_hopping,
     measurement_bilinear,
     source_bilinear,
     source_operator,
@@ -27,12 +26,12 @@ def mapping_inventory(lay):
     out = []
     for r in itertools.product(range(lay.L), repeat=2):
         for sigma in ("up", "down"):
-            for direction, builder in (("x", map_hopping_x), ("y", map_hopping_y)):
+            for direction in ("x", "y"):
                 rx, ry = r
                 dest = (rx + 1, ry) if direction == "x" else (rx, ry + 1)
                 if not lay.is_physical_cell(dest):
                     continue
-                mapped = builder(r, sigma, lay)
+                mapped = map_hopping(r, sigma, direction, lay)
                 for (coef, bil), m in zip(hopping_bilinears(r, sigma, direction, lay), mapped):
                     out.append((m, jw_reference_bilinear(bil, lay)))
             out.append(

@@ -10,14 +10,14 @@ from hubbard_gf.circuit import (
     dimer_trotter_step,
     hopping_pair_block,
     hopping_step,
+    hop_basis_circuit,
     horizontal_hop_value,
-    measurement_basis_circuit,
     repulsion_step,
     simulate,
 )
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import build_matrix
-from hubbard_gf.pauli import PauliString, jw_mode
+from hubbard_gf.pauli import PauliString
 from hubbard_gf.statevector import GateOp, basis_state, sample_counts
 
 
@@ -185,21 +185,8 @@ def test_trotter_plan_validation():
         TrotterPlan(1e308, 2)  # each dtau is finite, the last grid point is not
 
 
-def test_measurement_basis_yx_xy():
-    for kind in ("yx_pair", "xy_pair"):
-        c = measurement_basis_circuit(kind, 0, 3, 5)
-        u = circuit_unitary(c)
-        zz = PauliString.from_letter_map(5, {0: "Z", 3: "Z"}).to_matrix()
-        got = u.conj().T @ zz @ u
-        if kind == "yx_pair":
-            target = (jw_mode(0, 5, "y") * jw_mode(3, 5, "x")).times_i()
-        else:
-            target = -(jw_mode(0, 5, "x") * jw_mode(3, 5, "y")).times_i()
-        np.testing.assert_allclose(got, target.to_matrix(), atol=1e-11)
-
-
 def test_measurement_basis_horizontal():
-    c = measurement_basis_circuit("horizontal_hop", 1, 2, 4)
+    c = hop_basis_circuit(1, 2, 4)
     u = circuit_unitary(c)
     target = pauli_sum_matrix(
         __import__("hubbard_gf.oracle", fromlist=["hopping_pauli_terms"]).hopping_pauli_terms(1, 2, 4), 4
@@ -215,7 +202,7 @@ def test_horizontal_hop_value_readout():
     # eigenstate (|01> + |10>)/sqrt(2) of the hop on qubits (0,1) has value +1
     amps = np.zeros(4, dtype=complex)
     amps[1] = amps[2] = 1 / np.sqrt(2)
-    c = measurement_basis_circuit("horizontal_hop", 0, 1, 2)
+    c = hop_basis_circuit(0, 1, 2)
     out = simulate(c, amps)
     counts = sample_counts(out, (0, 1), 500, seed=1)
     mean, err = horizontal_hop_value(counts)
@@ -230,9 +217,7 @@ def test_horizontal_hop_value_readout():
 
 def test_measurement_basis_validation():
     with pytest.raises(ValueError):
-        measurement_basis_circuit("bogus", 0, 1, 2)
-    with pytest.raises(ValueError):
-        measurement_basis_circuit("yx_pair", 2, 1, 3)
+        hop_basis_circuit(2, 1, 3)
 
 
 def test_hopping_gate_count_constant_in_cluster_size():

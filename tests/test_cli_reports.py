@@ -225,6 +225,15 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
                      id="noiseless-zne-nan"),
         pytest.param(_NOISELESS + ["--zne-order", "-1", "--zne-scales", "1", "2"], "order",
                      id="noiseless-zne-order--1"),
+        # valid mitigation flags without a noise model would be dropped: each is refused
+        pytest.param(_NOISELESS + ["--readout-mitigation"], "mitigation flags need --noise-model",
+                     id="noiseless-readout-mitigation"),
+        pytest.param(_NOISELESS + ["--twirl", "4"], "mitigation flags need --noise-model", id="noiseless-twirl-4"),
+        pytest.param(_NOISELESS + ["--dd", "XX"], "mitigation flags need --noise-model", id="noiseless-dd-XX"),
+        pytest.param(_NOISELESS + ["--zne-scales", "1", "2"], "mitigation flags need --noise-model",
+                     id="noiseless-zne-scales-1-2"),
+        pytest.param(_NOISELESS + ["--zne-order", "2"], "mitigation flags need --noise-model",
+                     id="noiseless-zne-order-2"),
         # a refused run leaves no output directory behind
         pytest.param(_NOISELESS + ["--steps", "0"], "steps", id="steps-0"),
         pytest.param(_NOISELESS + ["--dtau", "-1"], "dtau", id="dtau--1"),
@@ -858,6 +867,8 @@ def test_config_file_defaults_flags_win(tmp_path, capsys):
         ({"readout-mitigation": "yes"}, ["correlator", "--steps", "2"], "argument --readout-mitigation: --config value must be true or false"),
         ({"seed": -3}, ["correlator", "--steps", "2", "--shots", "0"], "--seed must be >= 0, got -3"),
         ({"seed": -1}, ["vha-sweep", "--grid", "3", "--shots", "16"], "--seed must be >= 0, got -1"),
+        ({"readout-mitigation": True}, ["correlator", "--steps", "2", "--shots", "0"],
+         "mitigation flags need --noise-model"),
     ],
 )
 def test_config_values_are_checked_like_flags(tmp_path, capsys, config, argv, message):

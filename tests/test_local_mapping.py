@@ -10,8 +10,7 @@ from hubbard_gf.local_mapping import (
     hopping_bilinears,
     jw_reference_bilinear,
     map_elementary_bilinear,
-    map_hopping_x,
-    map_hopping_y,
+    map_hopping,
     measurement_bilinear,
     measurement_prep_rotations,
     reduced_target,
@@ -149,8 +148,8 @@ def test_mapped_bilinears_hermitian_involutory(lay):
             lay,
         ),
         source_operator((0, 1), lay, "down"),
-        *map_hopping_x((0, 0), "up", lay),
-        *map_hopping_y((1, 0), "down", lay),
+        *map_hopping((0, 0), "up", "x", lay),
+        *map_hopping((1, 0), "down", "y", lay),
         build_measurement_string((0, 1), (1, 0), lay),
     ]
     for p in ops:
@@ -183,7 +182,7 @@ def test_orientation_flip_negates(lay):
 
 def test_hopping_x_matches_printed_strings(lay):
     r, d = (0, 0), (1, 0)
-    xzx, yzy = map_hopping_x(r, "up", lay)
+    xzx, yzy = map_hopping(r, "up", "x", lay)
     trail = {
         q(lay, r, "up", "auxiliary", 2): "Z",
         q(lay, d, "up", "physical", 2): "Z",
@@ -212,7 +211,7 @@ def test_hopping_x_matches_printed_strings(lay):
 
 def test_hopping_y_matches_printed_strings(lay):
     r, d = (0, 0), (0, 1)
-    xy_neg, yx = map_hopping_y(r, "up", lay)
+    xy_neg, yx = map_hopping(r, "up", "y", lay)
     trail = {
         q(lay, r, "up", "physical", 2): "Y",
         q(lay, r, "down", "auxiliary", 2): "Z",
@@ -234,7 +233,7 @@ def test_hopping_y_spin_down_substitution(lay):
     # spins reverted except the string qubit, which moves to the destination cell's
     # spin-up auxiliary
     r, d = (1, 0), (1, 1)
-    xy_neg, yx = map_hopping_y(r, "down", lay)
+    xy_neg, yx = map_hopping(r, "down", "y", lay)
     trail = {
         q(lay, r, "down", "physical", 2): "Y",
         q(lay, d, "up", "auxiliary", 2): "Z",
@@ -255,9 +254,9 @@ def test_hopping_y_spin_down_substitution(lay):
 
 
 def test_hopping_summands_commute_and_are_local(lay):
-    for builder, r in ((map_hopping_x, (0, 1)), (map_hopping_y, (1, 0))):
+    for direction, r in (("x", (0, 1)), ("y", (1, 0))):
         for sigma in ("up", "down"):
-            s1, s2 = builder(r, sigma, lay)
+            s1, s2 = map_hopping(r, sigma, direction, lay)
             assert commutes(s1, s2)
             assert s1.weight == 5 and s2.weight == 5  # five neighboring qubits
             # beyond the two register-1 endpoint letters, the string part is
@@ -269,14 +268,16 @@ def test_hopping_summands_commute_and_are_local(lay):
 
 def test_hopping_boundary_violation(lay):
     with pytest.raises(ValueError):
-        map_hopping_x((1, 0), "up", lay)  # destination leaves the physical cluster
+        map_hopping((1, 0), "up", "x", lay)  # destination leaves the physical cluster
+    with pytest.raises(ValueError, match="direction must be x or y"):
+        map_hopping((0, 0), "up", "z", lay)
 
 
 def test_hopping_anticommutes_with_partner_bilinears(lay):
     # each summand's commutation with same-cell partner bilinears matches the
     # fermionic algebra through the JW reference
     r = (0, 0)
-    s_xy_neg, s_yx = map_hopping_x(r, "up", lay)
+    s_xy_neg, s_yx = map_hopping(r, "up", "x", lay)
     pairs = hopping_bilinears(r, "up", "x", lay)
     partner = source_bilinear(r, lay, "up")
     partner_mapped = source_operator(r, lay, "up")

@@ -207,8 +207,8 @@ def test_the_check_flags_an_unreached_public_name():
 REACH_ALLOWLIST = {
     **dict.fromkeys(
         (f"local_mapping.{name}" for name in (
-            "jw_reference_bilinear", "map_hopping_x", "map_hopping_y", "hopping_bilinears",
-            "source_operator", "source_bilinear", "measurement_bilinear",
+            "jw_reference_bilinear", "map_hopping", "hopping_bilinears", "source_operator",
+            "measurement_bilinear",
         )),
         "criterion 7, through conftest.mapping_inventory",
     ),
@@ -245,20 +245,40 @@ def _defaulted_parameters(tree: ast.Module):
                     yield node.name, arg.arg, None
 
 
+def _tuple_lengths(trees) -> dict[str, int]:
+    """name -> k per module-level dict whose values are all tuple displays of length k."""
+    lengths = {}
+    for tree in trees:
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and isinstance(node.value, ast.Dict):
+                sizes = {len(v.elts) if isinstance(v, ast.Tuple) else -1 for v in node.value.values}
+                if len(sizes) == 1 and -1 not in sizes:
+                    lengths.update((t.id, *sizes) for t in node.targets if isinstance(t, ast.Name))
+    return lengths
+
+
 def _passed_parameters(sources: dict[str, str]) -> set[tuple[str, str | int]]:
     """What the calls in these modules pass, by the called name (a name or an attribute):
-    (name, keyword) per keyword argument and (name, i) per positional index, where a call
-    with *args passes every index, written as (name, -1)."""
+    (name, keyword) per keyword argument and (name, i) per positional index.  A starred
+    subscript of a module-level dict of k-tuples (*DIMER_PAIRS[name]) passes k positions;
+    any other *args passes every index, written as (name, -1)."""
+    trees = [ast.parse(source) for source in sources.values()]
+    lengths = _tuple_lengths(trees)
     passed = set()
-    for source in sources.values():
-        for n in ast.walk(ast.parse(source)):
-            if not isinstance(n, ast.Call):
-                continue
-            name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
-            passed.update((name, k.arg) for k in n.keywords if k.arg)
-            if any(isinstance(a, ast.Starred) for a in n.args):
+    for n in (n for tree in trees for n in ast.walk(tree)):
+        if not isinstance(n, ast.Call):
+            continue
+        name = n.func.id if isinstance(n.func, ast.Name) else getattr(n.func, "attr", None)
+        passed.update((name, k.arg) for k in n.keywords if k.arg)
+        width = 0
+        for a in n.args:
+            if not isinstance(a, ast.Starred):
+                width += 1
+            elif isinstance(a.value, ast.Subscript) and getattr(a.value.value, "id", None) in lengths:
+                width += lengths[a.value.value.id]
+            else:
                 passed.add((name, -1))
-            passed.update((name, i) for i in range(len(n.args)))
+        passed.update((name, i) for i in range(width))
     return passed
 
 
@@ -286,32 +306,40 @@ def test_the_check_flags_a_parameter_no_call_passes():
             "    return h(level=level + 1) if level < 3 else level\n"
             "def _private(q=1):\n"
             "    return q\n"
+            "def s(p, q, r=1, w=2):\n"
+            "    return p\n"
             "class C:\n"
             "    def method(self, r=1):\n"
             "        return r\n"
         ),
         "b": (
-            "from .a import f, g\n"
-            "def use(args, obj):\n"
-            "    return f(0, 1, k=2) + g(*args) + obj.f(0, m=5)\n"
+            "from .a import f, g, s\n"
+            "PAIRS = {'one': (0, 1), 'two': (2, 3)}\n"
+            "MIXED = {'one': (0,), 'two': (2, 3)}\n"
+            "def use(args, obj, key):\n"
+            "    return f(0, 1, k=2) + g(*args) + obj.f(0, m=5) + s(*PAIRS[key], 4)\n"
         ),
     }
-    assert _unreached_parameters(sources, sources) == ["a.f.z"]
-    assert _unreached_parameters(sources, {"b": sources["b"]}) == ["a.f.z", "a.h.level"]
+    # *PAIRS[key] passes two positions, so s's w stays unpassed; *args passes every index
+    assert _tuple_lengths([ast.parse(sources["b"])]) == {"PAIRS": 2}
+    assert _unreached_parameters(sources, sources) == ["a.f.z", "a.s.w"]
+    assert _unreached_parameters(sources, {"b": sources["b"]}) == ["a.f.z", "a.h.level", "a.s.w"]
+    starred_mixed = {"b": sources["b"].replace("s(*PAIRS[key], 4)", "s(*MIXED[key], 4)")}
+    assert _unreached_parameters(sources, starred_mixed) == ["a.f.z", "a.h.level"]
 
 
 # Defaulted parameters that no call in src/ or perfbench/ passes, each with what sets it
 PARAM_ALLOWLIST = {
     "circuit.dimer_interaction_step.form": "criterion 9 checks both forms against the exact exponential",
+    "greens.direct_measurement.evolution": (
+        "tests' exact reference: test_greens checks the Trotter runner and the Lehmann oracle through it"
+    ),
     "greens.dimer_suite.pairs": "ROADMAP item 2 (correlator --pair is to pass it); test_greens pins a one-pair run",
     **dict.fromkeys(
         ("greens.hadamard_test.kind", "greens.advanced_hadamard_test.kind"),
         "cli.cmd_correlator passes it by position through `runner`, a name the rule does not resolve",
     ),
-    **dict.fromkeys(
-        ("local_mapping.source_operator.spin", "local_mapping.source_bilinear.spin"),
-        "criterion 7: conftest.mapping_inventory maps both spins",
-    ),
+    "local_mapping.source_operator.spin": "criterion 7: conftest.mapping_inventory maps both spins",
     "noise.kolkata_dimer_model.idle_rate": "the drift pin and the drift tests build the model with idle drift",
     "noise.run_noisy.measure_qubits": "the seeded-counts pin and the outcome-index convention read chosen qubits",
     "oracle.lehmann_correlator.spectral": "criteria 3 and 4 share one spectrum across their correlators",

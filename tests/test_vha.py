@@ -24,7 +24,7 @@ from hubbard_gf.vha import (
     LandscapeResult,
     VhaParams,
     _energy_estimates,
-    _hop_bases,
+    _hop_pairs,
     _run_per_angle,
     landscape_sweep,
     measure_energy,
@@ -40,8 +40,7 @@ from hubbard_gf.circuit import (
     circuit_unitary,
     dimer_hopping_layer,
     dimer_interaction_step,
-    hopping_step,
-    measurement_basis_circuit,
+    hop_basis_circuit,
     simulate,
 )
 from hubbard_gf.statevector import GateOp, sample_counts
@@ -229,23 +228,17 @@ def test_shot_landscape_seeded_and_within_4_sigma():
     assert np.mean(np.abs(res.energies - closed) <= 4 * res.stderrs) >= 0.95
 
 
-def test_parity_basis_schedule_within_5_sigma():
-    # site-major ordering puts each bond's modes two qubits apart, so every
-    # hopping runs the two string-removed parity bases instead of the
-    # diagonalization circuit
+@pytest.mark.parametrize("shots", [0, 4096])
+def test_a_bond_between_non_adjacent_modes_is_refused_before_evolving(shots, monkeypatch):
+    # site-major ordering puts the chain's bond two qubits apart: no two-qubit basis measures it
+    from hubbard_gf import vha
+
     h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, 1.0),), repulsions=(Repulsion(0, 4.0), Repulsion(1, 4.0)))
-    # both electrons on site 0, partly hopped to site 1, the hop phase made real
-    prep = (
-        Circuit(4, (GateOp("X", (0,)), GateOp("X", (1,))))
-        + hopping_step(1, 2, "up", 0.6, 2)
-        + hopping_step(1, 2, "down", 0.4, 2)
-        + Circuit(4, (GateOp("RZ", (2,), math.pi / 2), GateOp("RZ", (3,), math.pi / 2)))
-    )
-    exact = measure_energy(prep, h, shots=0)
-    assert abs(exact.hopping) > 0.1
-    est = measure_energy(prep, h, shots=4096, seed=2)
-    assert abs(est.hopping - exact.hopping) < 5 * est.stderr
-    assert abs(est.value - exact.value) < 5 * est.stderr
+    monkeypatch.setattr(vha, "simulate", None)  # nothing is evolved before the refusal
+    with pytest.raises(ValueError, match="non-adjacent modes 0 and 2"):
+        measure_energy(slater_prep_circuit(), h, shots, seed=2)
+    with pytest.raises(ValueError, match="non-adjacent modes 0 and 2"):
+        _energy_estimates(simulate(slater_prep_circuit())[None], h, shots, (2,))
 
 
 def test_landscape_periodicity():
@@ -315,12 +308,10 @@ def _per_point_reference(amps, h, shots, seeds):
     time: each row rotated by its own simulate call, sample_counts per run, then Python
     float arithmetic on that point's histograms."""
     n = h.n_modes
-    runs = [(Circuit(n), tuple(range(n)))] + [
-        (measurement_basis_circuit(kind, a, b, n), (a, b))
-        for _, a, b, kinds in _hop_bases(h) for kind in kinds
-    ]
+    runs = [(Circuit(n), tuple(range(n)))]
+    runs += [(hop_basis_circuit(a, b, n), (a, b)) for _, a, b in _hop_pairs(h)]
 
-    def stderr(mean, second=1.0):
+    def stderr(mean, second):
         return math.sqrt(max(0.0, second - mean * mean) / shots)
 
     out = []
@@ -342,20 +333,11 @@ def _per_point_reference(amps, h, shots, seeds):
                 e_int += sh.value * p1
                 var_int += (sh.value * stderr(p1, p1)) ** 2
         e_hop = var_hop = 0.0
-        for amplitude, _, _, kinds in _hop_bases(h):
-            if kinds == ("horizontal_hop",):
-                _, plus, minus, _ = next(counts).tolist()
-                mean = plus / shots - minus / shots
-                e_hop += amplitude * mean
-                var_hop += (amplitude * stderr(mean, plus / shots + minus / shots)) ** 2
-            else:
-                mean = var = 0.0
-                for _ in kinds:
-                    parity = float(np.sum(next(counts) * np.array([1, -1, -1, 1]))) / shots
-                    mean += 0.5 * parity
-                    var += 0.25 * stderr(parity) ** 2
-                e_hop += amplitude * mean
-                var_hop += (amplitude ** 2) * var
+        for amplitude, _, _ in _hop_pairs(h):
+            _, plus, minus, _ = next(counts).tolist()
+            mean = plus / shots - minus / shots
+            e_hop += amplitude * mean
+            var_hop += (amplitude * stderr(mean, plus / shots + minus / shots)) ** 2
         out.append((e_hop + e_int, math.sqrt(var_hop + var_int), e_hop, e_int))
     return out
 
@@ -371,13 +353,9 @@ _axis = st.lists(st.floats(-math.pi, math.pi), min_size=1, max_size=5)
     u=st.floats(0.0, 8.0),
     shots=st.sampled_from((1, 7, 256)),
     seed=st.integers(0, 2**32 - 1),
-    chain=st.booleans(),
 )
-def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed, chain):
-    # the chain's site-major modes put each bond two qubits apart: parity bases
+def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed):
     h = FermionHamiltonian.dimer(t, u)
-    if chain:
-        h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, t),), repulsions=(Repulsion(0, u), Repulsion(1, u)))
     amps = np.array([vha_state(VhaParams(a, b)) for a in alphas for b in betas])
     seeds = np.random.SeedSequence(seed).generate_state(len(amps))
     batched = _energy_estimates(amps, h, shots, seeds)
@@ -391,13 +369,10 @@ def test_batched_estimates_equal_per_point_loop(alphas, betas, t, u, shots, seed
         assert value[k] == hop[k] + inter[k]
 
 
-@pytest.mark.parametrize("chain", [False, True])
-def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid(chain):
+def test_batched_estimates_equal_per_point_loop_on_a_13x13_grid():
     # numpy squares an array as x * x and Python a float with libm pow; they differ
     # about once in a thousand squares, which small hypothesis batches rarely show
     h = FermionHamiltonian.dimer(1.0, 4.0)
-    if chain:
-        h = FermionHamiltonian(2, hoppings=(Hopping(0, 1, 1.0),), repulsions=(Repulsion(0, 4.0), Repulsion(1, 4.0)))
     axis = np.linspace(-math.pi, math.pi, 13).tolist()
     amps = np.array([vha_state(VhaParams(a, b)) for a in axis for b in axis])
     seeds = np.random.SeedSequence(17).generate_state(len(amps))
