@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import importlib.util
 import json
 import math
 import os
@@ -36,7 +37,6 @@ from .greens import (
     hadamard_test,
     pair_seeds,
 )
-from .noise import MitigationConfig, NoiseModel, noisy_dimer_series, zne
 from .oracle import dimer_analytic
 from .reports import (
     correlator_svg,
@@ -55,6 +55,25 @@ from .vha import (
     slater_prep_circuit,
     vha_circuit,
 )
+
+
+def _lazy_import(name: str):
+    """The package's module `name`, bound as an import binds it, with its body run on the
+    first attribute access; a module already imported is reused, so its body runs once."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module  # where perfbench's tracer looks each layer's module up
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# Only a noisy correlator and zne-demo run the noise engine, so no other command compiles it.
+noise = _lazy_import(f"{__package__}.noise")
 
 # A command is one short process, and what these imports built (numpy's and this
 # package's module graph) stays alive until it exits.  Freezing it moves it out of
@@ -198,20 +217,26 @@ def cmd_vha_sweep(args) -> int:
     return 0
 
 
+# noise.MitigationConfig(), which the correlator's flag defaults give: no mitigation
+_NO_MITIGATION = {"readout": False, "twirl_variants": 1, "dd_sequence": "none", "zne_scales": (), "zne_order": 1}
+
+
 def cmd_correlator(args) -> int:
     if not args.t > 0:  # the dimer closed forms behind every overlay need a positive hopping
         raise ValueError(f"--t must be positive, got {args.t}")
     if args.noise_model and args.protocol != "direct":
         raise ValueError("--noise-model runs the direct protocol only")
-    config = MitigationConfig(  # mitigation flags are validated on noiseless runs too
-        readout=args.readout_mitigation,
-        twirl_variants=args.twirl,
-        dd_sequence=args.dd,
-        zne_scales=tuple(args.zne_scales),
-        zne_order=args.zne_order,
-    )
-    if config != MitigationConfig() and not args.noise_model:  # a noiseless run would drop them
-        raise ValueError("mitigation flags need --noise-model")
+    mitigation = {
+        "readout": args.readout_mitigation,
+        "twirl_variants": args.twirl,
+        "dd_sequence": args.dd,
+        "zne_scales": tuple(args.zne_scales),
+        "zne_order": args.zne_order,
+    }
+    if args.noise_model or mitigation != _NO_MITIGATION:  # only then is the engine loaded
+        config = noise.MitigationConfig(**mitigation)  # mitigation flags are validated on noiseless runs too
+        if not args.noise_model:  # a noiseless run would drop them
+            raise ValueError("mitigation flags need --noise-model")
     seed = args.seed or 0
     seeds = pair_seeds(seed, args.shots)
     plan = TrotterPlan(args.dtau, args.steps)
@@ -220,9 +245,9 @@ def cmd_correlator(args) -> int:
     dense = np.linspace(0, plan.steps * plan.dtau, 200)
     overlays = {name: _analytic(name, args.kind, args.t, args.u, dense) for name in pairs}
     if args.noise_model:
-        model = NoiseModel.from_json(args.noise_model)
+        model = noise.NoiseModel.from_json(args.noise_model)
         records = {
-            name: noisy_dimer_series(
+            name: noise.noisy_dimer_series(
                 *DIMER_PAIRS[name], args.t, args.u, plan, args.phi, args.shots, seeds[name], model, config,
                 args.kind,
             )
@@ -314,7 +339,7 @@ def _trotter_bound(csv) -> float:
 
 def cmd_zne_demo(args) -> int:
     scales = (1.0, 1.5, 2.0, 2.5, 3.0)
-    res = zne(scales, [1 - 0.1 * s - 0.02 * s * s for s in scales], args.order)
+    res = noise.zne(scales, [1 - 0.1 * s - 0.02 * s * s for s in scales], args.order)
     print(f"scales={scales} order={args.order}")
     print(f"samples={tuple(round(v, 6) for v in res.samples)}")
     print(f"zero-noise estimate={res.value:.12f} (truth 1.0), fit residual={res.residual:.2e}")

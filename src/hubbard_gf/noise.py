@@ -656,8 +656,9 @@ class MitigationConfig:
                 raise ValueError("scale factors must be sorted and >= 1")
             if self.zne_scales[-1] > MAX_GATES:  # a one-gate circuit folded that far passes the budget
                 raise ValueError(f"scale factors must be <= 2**{MAX_QUBITS}, got {self.zne_scales[-1]:g}")
-            if self.zne_order >= len(self.zne_scales):
-                raise ValueError("polynomial order must be below the number of factors")
+            # folding can still merge distinct factors into one realized scale: zne refuses that fit
+            if self.zne_order >= len(set(self.zne_scales)):
+                raise ValueError("polynomial order must be below the number of distinct factors")
 
 
 def noisy_parity_estimate(

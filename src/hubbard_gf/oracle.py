@@ -1,4 +1,4 @@
-"""Classical ground truth: dense diagonalization, Lehmann correlators, dimer closed forms."""
+"""Classical ground truth: Pauli forms of the Hamiltonian, dense diagonalization, dimer closed forms."""
 from __future__ import annotations
 
 import math
@@ -87,14 +87,6 @@ class SpectralData:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    @property
-    def ground_energy(self) -> float:
-        return float(self.eigenvalues[0])
-
-    @property
-    def ground_vector(self) -> np.ndarray:
-        return self.eigenvectors[:, 0]
-
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     out = vecs.copy()
@@ -117,53 +109,6 @@ def diagonalize(m: np.ndarray) -> SpectralData:
     if resid > 1e-9:
         raise AssertionError(f"eigenpair residual too large: {resid}")
     return SpectralData(evals, evecs)
-
-
-def ground_state(m: np.ndarray) -> tuple[float, np.ndarray]:
-    spec = diagonalize(m)
-    return spec.ground_energy, np.asarray(spec.ground_vector, dtype=complex)
-
-
-def lehmann_correlator(
-    opA: PauliString,
-    opB: PauliString,
-    h: FermionHamiltonian,
-    tau,
-    spectral: SpectralData | None = None,
-):
-    """<psi| A(tau) B |psi> in the ground state psi, via the eigenstate decomposition of
-    the propagator.
-
-    A(tau) = e^{iHt} A e^{-iHt}.  `tau` may be a scalar or an array; the return matches.
-    """
-    if opA.width != opB.width:
-        raise ValueError("operator widths differ")
-    if spectral is None:
-        spectral = diagonalize(build_matrix(h))
-    if opA.width != int(np.log2(len(spectral.eigenvalues))):
-        raise ValueError("operator width does not match the Hamiltonian")
-    psi = spectral.ground_vector
-    v = spectral.eigenvectors
-    wb = v.conj().T @ (opB.to_matrix() @ psi)
-    u_psi = v.conj().T @ psi
-    a_eig = v.conj().T @ opA.to_matrix() @ v
-    taus = np.atleast_1d(np.asarray(tau, dtype=float))
-    # <psi| e^{iHt} A e^{-iHt} B |psi> = (e^{-iHt} psi)^dag A (e^{-iHt} B psi), in eigenbasis
-    phases = np.exp(-1j * np.outer(taus, spectral.eigenvalues))
-    out = np.einsum("tm,mk,tk->t", np.conj(phases * u_psi[None, :]), a_eig, phases * wb[None, :])
-    return complex(out[0]) if np.ndim(tau) == 0 else out
-
-
-def dimer_ground_energy(t: float, u: float) -> float:
-    return -0.25 * (u + np.sqrt(u * u + 64 * t * t))
-
-
-def dimer_sector_energies(t: float, u: float) -> tuple[float, float]:
-    """Ground-state expectations of the hopping and interaction parts."""
-    u2 = np.sqrt(u * u + 64 * t * t)
-    e_hop = -16 * t * t / u2
-    e_int = -(u / 4) * (1 + u / u2)
-    return float(e_hop), float(e_int)
 
 
 def dimer_analytic(which: str, t: float, u: float, tau):
@@ -189,8 +134,3 @@ def dimer_analytic(which: str, t: float, u: float, tau):
     else:
         raise ValueError(f"unknown correlator {which!r}")
     return complex(out) if np.ndim(tau) == 0 else out
-
-
-def dimer_spectral(t: float, u: float) -> tuple[FermionHamiltonian, SpectralData]:
-    h = FermionHamiltonian.dimer(t, u)
-    return h, diagonalize(build_matrix(h))

@@ -1,4 +1,4 @@
-"""Variational Hamiltonian ansatz for the dimer: state prep, energy measurement, optimization.
+"""Variational Hamiltonian ansatz for the dimer: state prep, energy measurement, landscape sweep.
 
 The single-layer ansatz applies the interaction block with angle alpha first, then
 the hopping blocks with angle beta, on top of a Slater-determinant trial state.
@@ -201,7 +201,7 @@ def measure_energy(circuit: Circuit, h: FermionHamiltonian, shots: int, seed: in
     return EnergyEstimate(value, stderr, shots, hopping, interaction)
 
 
-# -- landscape and optimization ----------------------------------------------------
+# -- landscape --------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -279,71 +279,3 @@ def landscape_sweep(t: float, u: float, alphas, betas, shots: int = 0, seed: int
         raise ValueError(f"the energies at t={t}, U={u} overflow the float range")
     shape = (alphas.size, betas.size)
     return LandscapeResult(alphas, betas, energies.reshape(shape), stderrs.reshape(shape))
-
-
-@dataclass(frozen=True)
-class OptimizeResult:
-    params: VhaParams
-    energy: float
-    trace: tuple[float, ...]
-    evaluations: int
-
-
-def optimize(t: float, u: float, budget: int = 400) -> OptimizeResult:
-    """Exact search from (0, 0): a coarse grid, then coordinate descent.
-
-    Best-so-far is returned when the evaluation budget runs out; the recorded
-    best-energy trace is monotone non-increasing by construction.
-    """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
-    h = FermionHamiltonian.dimer(t, u)
-    evals = 0
-    trace: list[float] = []
-
-    def energy(a: float, b: float) -> float:
-        nonlocal evals
-        evals += 1
-        return measure_energy(vha_circuit(VhaParams(a, b)), h, 0).value
-
-    best_a, best_b = 0.0, 0.0
-    best_e = energy(best_a, best_b)
-    trace.append(best_e)
-
-    # coarse 7x7 grid around the full angle range
-    coarse = np.linspace(-math.pi, math.pi, 7)
-    for a in coarse:
-        for b in coarse:
-            if evals >= budget:
-                break
-            e = energy(float(a), float(b))
-            if e < best_e:
-                best_a, best_b, best_e = float(a), float(b), e
-            trace.append(best_e)
-
-    # coordinate descent with shrinking bracket
-    step = math.pi / 6
-    while evals + 2 <= budget and step > 1e-8:
-        improved = False
-        for da, db in ((step, 0.0), (-step, 0.0), (0.0, step), (0.0, -step)):
-            if evals >= budget:
-                break
-            a2 = _wrap_angle(best_a + da)
-            b2 = _wrap_angle(best_b + db)
-            e = energy(a2, b2)
-            if e < best_e - 1e-15:
-                best_a, best_b, best_e = a2, b2, e
-                improved = True
-            trace.append(best_e)
-        if not improved:
-            step /= 2
-    best_a, best_b = canonical_angles(best_a, best_b)
-    return OptimizeResult(VhaParams(best_a, best_b), best_e, tuple(trace), evals)
-
-
-def _wrap_angle(a: float) -> float:
-    while a <= -TWO_PI:
-        a += 2 * TWO_PI
-    while a > TWO_PI:
-        a -= 2 * TWO_PI
-    return a

@@ -42,11 +42,7 @@ from hubbard_gf.noise import (
 from hubbard_gf.oracle import (
     build_matrix,
     dimer_analytic,
-    dimer_ground_energy,
-    dimer_spectral,
-    ground_state,
     hopping_pauli_terms,
-    lehmann_correlator,
     majorana_operator,
 )
 from hubbard_gf.pauli import MajoranaIndex
@@ -56,9 +52,15 @@ from hubbard_gf.vha import (
     landscape_sweep,
     measure_energy,
     optimal_angles,
-    optimize,
     variational_energy_formula,
     vha_circuit,
+)
+from reference import (
+    dimer_ground_energy,
+    dimer_spectral,
+    ground_state,
+    lehmann_correlator,
+    optimize,
 )
 
 

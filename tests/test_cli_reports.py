@@ -220,6 +220,9 @@ _SWEEP = ["vha-sweep", "--grid", "5"]
         pytest.param(_NOISY + ["--zne-scales", "1", "nan"], "finite", id="zne-nan"),
         pytest.param(_NOISY + ["--zne-order", "-1", "--zne-scales", "1", "2"], "order",
                      id="zne-order--1"),
+        # a fit needs order + 1 distinct factors: repeated ones are refused before any evolution
+        pytest.param(_NOISY + ["--zne-scales", "1", "1", "--zne-order", "1"],
+                     "polynomial order must be below the number of distinct factors", id="zne-repeated-factors"),
         pytest.param(_NOISELESS + ["--zne-scales", "1", "inf"], "finite", id="noiseless-zne-inf"),
         pytest.param(_NOISELESS + ["--zne-scales", "1", "2", "nan"], "finite",
                      id="noiseless-zne-nan"),
@@ -457,41 +460,83 @@ def test_correlator_byte_reproducible(tmp_path, capsys):
 
 
 _FRESH_MAIN = """
-import sys
+import sys, types
 sys.path.insert(0, sys.argv[1])
 from hubbard_gf import cli
 code = cli.main(sys.argv[2:])
-print(code, "numpy.random" in sys.modules)
+# the noise engine is bound lazily: its module is a plain module once its body has run
+print(code, "numpy.random" in sys.modules, type(sys.modules["hubbard_gf.noise"]) is types.ModuleType)
 """
 
 
 @pytest.mark.parametrize(
-    "argv, loads",
+    "argv, loads, engine",
     [
-        (["compare", "--csv", "CSV"], False),
-        (["vha-sweep", "--grid", "5", "--shots", "0"], False),
-        (["correlator", "--protocol", "hadamard", "--shots", "0", "--steps", "2"], False),
-        (["correlator", "--shots", "0", "--seed", "1", "--steps", "2"], False),
-        (["correlator", "--shots", "64", "--seed", "1", "--steps", "2"], True),
+        (["compare", "--csv", "CSV"], False, False),
+        (["vha-sweep", "--grid", "5", "--shots", "0"], False, False),
+        (["correlator", "--protocol", "hadamard", "--shots", "0", "--steps", "2"], False, False),
+        (["correlator", "--shots", "0", "--seed", "1", "--steps", "2"], False, False),
+        (["correlator", "--shots", "64", "--seed", "1", "--steps", "2"], True, False),
+        (["vha-sweep", "--grid", "5", "--shots", "64", "--seed", "1"], True, False),
+        (["dump-circuit", "--which", "trotter-step"], False, False),
+        (["correlator", "--shots", "64", "--seed", "1", "--steps", "2", "--pair", "y2y2",
+          "--noise-model", "MODEL"], True, True),
+        (["zne-demo"], False, True),
     ],
-    ids=["compare", "vha-sweep-exact", "hadamard-exact", "direct-exact", "direct-shots"],
+    ids=["compare", "vha-sweep-exact", "hadamard-exact", "direct-exact", "direct-shots", "vha-sweep-shots",
+         "dump-circuit", "noisy", "zne-demo"],
 )
-def test_only_shot_runs_load_numpy_random(tmp_path, capsys, argv, loads):
+def test_only_shot_runs_load_numpy_random(tmp_path, capsys, argv, loads, engine):
     # a fresh interpreter, since this one already holds numpy.random: shot-free
-    # runs derive no seeds, so they never import it
+    # runs derive no seeds, so they never import it; and only a noisy run and
+    # zne-demo run the body of the noise engine
+    from hubbard_gf.noise import NoiseModel
+
     code, _, _ = run_cli(
         ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--outdir", str(tmp_path)], capsys
     )
     assert code == 0
-    argv = [str(tmp_path / "y2y2.csv") if a == "CSV" else a for a in argv]
-    outdir = [] if argv[0] == "compare" else ["--outdir", str(tmp_path / "out")]
+    NoiseModel(5).to_json(tmp_path / "zero.json")
+    paths = {"CSV": str(tmp_path / "y2y2.csv"), "MODEL": str(tmp_path / "zero.json")}
+    argv = [paths.get(a, a) for a in argv]
+    outdir = [] if argv[0] in ("compare", "dump-circuit", "zne-demo") else ["--outdir", str(tmp_path / "out")]
     src = Path(__file__).resolve().parents[1] / "src"
     proc = subprocess.run(
         [sys.executable, "-c", _FRESH_MAIN, str(src), *argv, *outdir],
         capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == f"0 {loads}"
+    assert proc.stdout.splitlines()[-1] == f"0 {loads} {engine}"
+
+
+_NOISE_BINDING = """
+import json, sys, types
+sys.path.insert(0, sys.argv[1])
+runs = []  # the noise module's body runs through exec, which raises this audit event
+sys.addaudithook(lambda event, args: runs.append(1) if event == "exec" and
+                 getattr(args[0], "co_filename", "").endswith("noise.py") else None)
+if sys.argv[2] == "noise-first":
+    from hubbard_gf import noise as first
+import hubbard_gf.cli
+lazy = type(sys.modules["hubbard_gf.noise"]) is not types.ModuleType
+import hubbard_gf.noise
+from hubbard_gf import noise
+same = [hubbard_gf.noise is noise, hubbard_gf.cli.noise is noise, sys.modules["hubbard_gf.noise"] is noise]
+if sys.argv[2] == "noise-first":
+    same.append(first is noise)
+print(json.dumps([lazy, all(same), noise.MitigationConfig().zne_order, len(runs)]))
+"""
+
+
+@pytest.mark.parametrize("order, lazy", [("cli-first", True), ("noise-first", False)])
+def test_the_lazy_noise_binding_acts_like_an_import(order, lazy):
+    # cli binds the engine unloaded; importing it either way then gives that one module,
+    # bound on the package, whose body runs once; a noise module imported before cli is reused
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.run([sys.executable, "-c", _NOISE_BINDING, src, order],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [lazy, True, 1, 1]
 
 
 _FRESH_IMPORT = """

@@ -19,12 +19,11 @@ from hubbard_gf.greens import (
 )
 from hubbard_gf.oracle import (
     dimer_analytic,
-    dimer_spectral,
-    lehmann_correlator,
     majorana_operator,
 )
 from hubbard_gf.noise import MitigationConfig, NoiseModel, noisy_dimer_series
 from hubbard_gf.pauli import MajoranaIndex
+from reference import dimer_spectral, lehmann_correlator
 
 T, U = 1.0, 4.0
 PLAN = TrotterPlan(0.314, 25)

@@ -6,14 +6,16 @@ from hubbard_gf.oracle import (
     build_matrix,
     diagonalize,
     dimer_analytic,
+    majorana_operator,
+)
+from hubbard_gf.statevector import MAX_QUBITS, basis_state
+from reference import (
     dimer_ground_energy,
     dimer_sector_energies,
     dimer_spectral,
     ground_state,
     lehmann_correlator,
-    majorana_operator,
 )
-from hubbard_gf.statevector import MAX_QUBITS, basis_state
 
 
 def fermion_ops(h):
@@ -226,7 +228,7 @@ def test_full_space_vs_half_filling_block():
     # lies in the half-filling sector (the ground state does)
     t, u = 1.0, 4.0
     h, spec = dimer_spectral(t, u)
-    gs = spec.ground_vector
+    gs = spec.eigenvectors[:, 0]
     num = np.zeros((16, 16), dtype=complex)
     for s in (0, 1):
         for sp in ("up", "down"):

@@ -65,6 +65,47 @@ with open(out + "/spans.json", "w") as f:
 """
 
 
+_TRACED_NOISELESS_RUN = """
+import json, sys
+src, perfbench, out = sys.argv[1:4]
+sys.path[:0] = [src, perfbench]
+from hubbard_gf import cli
+from tracing import LAYERS, Recorder, summarize
+
+argv = ["correlator", "--steps", "2", "--shots", "0", "--pair", "y2y2", "--outdir"]
+plain = cli.main(argv + [out + "/plain"])
+recorder = Recorder()
+recorder.install()  # before any command has loaded the noise engine
+wrapped = []
+for layer in LAYERS.values():
+    for attr in layer.attrs:
+        owner = sys.modules[layer.module]
+        for part in attr.split("."):
+            owner = getattr(owner, part)
+        wrapped.append(hasattr(owner, "__wrapped__"))
+rc = cli.main(argv + [out + "/traced"])
+totals = {}
+summarize(recorder.spans, totals)
+with open(out + "/spans.json", "w") as f:
+    json.dump({"plain": plain, "rc": rc, "wrapped": all(wrapped), **totals}, f)
+"""
+
+
+def test_traced_noiseless_run_resolves_every_layer(tmp_path):
+    # the tracer looks each layer's module up in sys.modules, the noise engine's too, in a
+    # process whose command never runs it: every layer is wrapped and the CSV keeps its bytes
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")  # leave perfbench/ untouched
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_NOISELESS_RUN, str(ROOT / "src"), str(ROOT / "perfbench"), str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    totals = json.loads((tmp_path / "spans.json").read_text())
+    assert (totals["plain"], totals["rc"], totals["wrapped"]) == (0, 0, True)
+    assert totals["greens.dimer_suite.calls"] == 1
+    assert (tmp_path / "traced" / "y2y2.csv").read_bytes() == (tmp_path / "plain" / "y2y2.csv").read_bytes()
+
+
 def test_noisy_run_spans_its_point_circuits(tmp_path):
     # the noisy series builds each point with the traced direct_point_circuit,
     # so a traced noisy run counts one circuit and one estimate per time point

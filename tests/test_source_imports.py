@@ -213,13 +213,7 @@ REACH_ALLOWLIST = {
         "criterion 7, through conftest.mapping_inventory",
     ),
     "local_mapping.build_measurement_reducer": "criterion 7: the reducer's CNOT count",
-    "oracle.ground_state": "criterion 1",
-    "oracle.dimer_ground_energy": "criterion 1",
-    "vha.optimize": "criterion 1",
-    "oracle.lehmann_correlator": "criteria 3 and 4",
-    "oracle.dimer_spectral": "criteria 3 and 4",
     "pauli.commutes": "criterion 7",
-    "oracle.dimer_sector_energies": "the closed-form reference of test_vha's hopping/interaction split",
     "noise.NoiseModel.to_json": "perfbench's workloads write the noisy example's model file with it",
 }
 
@@ -342,9 +336,7 @@ PARAM_ALLOWLIST = {
     "local_mapping.source_operator.spin": "criterion 7: conftest.mapping_inventory maps both spins",
     "noise.kolkata_dimer_model.idle_rate": "the drift pin and the drift tests build the model with idle drift",
     "noise.run_noisy.measure_qubits": "the seeded-counts pin and the outcome-index convention read chosen qubits",
-    "oracle.lehmann_correlator.spectral": "criteria 3 and 4 share one spectrum across their correlators",
     "statevector.basis_state.index": "the simulator tests start from chosen basis states",
-    "vha.optimize.budget": "criterion 1 runs optimize(1.0, 4.0, budget=300)",
     "vha.measure_energy.seed": "the shot-mode energy tests draw at chosen seeds",
 }
 

@@ -8,12 +8,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hubbard_gf.model import FermionHamiltonian, Hopping, Repulsion
-from hubbard_gf.oracle import (
-    build_matrix,
-    dimer_ground_energy,
-    dimer_sector_energies,
-    ground_state,
-)
+from hubbard_gf.oracle import build_matrix
 from hubbard_gf.pauli import PauliString
 from hubbard_gf.statevector import expectation_pauli
 from hubbard_gf.vha import (
@@ -29,7 +24,6 @@ from hubbard_gf.vha import (
     landscape_sweep,
     measure_energy,
     optimal_angles,
-    optimize,
     slater_prep_circuit,
     variational_energy_formula,
     vha_circuit,
@@ -44,6 +38,7 @@ from hubbard_gf.circuit import (
     simulate,
 )
 from hubbard_gf.statevector import GateOp, sample_counts
+from reference import dimer_ground_energy, dimer_sector_energies, ground_state, optimize
 
 
 def test_params_validation():
