@@ -569,6 +569,8 @@ def fold_circuit(circuit: Circuit, scale: float) -> tuple[Circuit, float]:
     """Global unitary folding G -> G (G^dag G)^k with a partial suffix fold for
     fractional factors; returns the folded circuit and the realized scale
     (counted over noisy gates only)."""
+    if not math.isfinite(scale):
+        raise ValueError("scale must be finite")
     if scale < 1:
         raise ValueError("scale must be >= 1")
     noisy_idx = [i for i, g in enumerate(circuit.gates) if g.kind not in VIRTUAL_KINDS]
@@ -610,6 +612,8 @@ def zne(scales, samples, order: int) -> ZneResult:
     """
     xs = tuple(float(s) for s in scales)
     ys = tuple(float(v) for v in samples)
+    if not all(map(math.isfinite, xs + ys)):  # the fit would warn or fail inside LAPACK
+        raise ValueError("scales and samples must be finite")
     if sorted(xs) != list(xs) or any(s < 1 for s in xs):
         raise ValueError("scales must be sorted and >= 1")
     if len(ys) != len(xs):

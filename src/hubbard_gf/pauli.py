@@ -86,14 +86,6 @@ class PauliString:
         return tuple(q for q in range(self.width) if (bits >> q) & 1)
 
     @property
-    def weight(self) -> int:
-        return (self.xbits | self.zbits).bit_count()
-
-    @property
-    def is_identity_letters(self) -> bool:
-        return self.xbits == 0 and self.zbits == 0
-
-    @property
     def is_hermitian(self) -> bool:
         """True iff the operator is Hermitian, i.e. the letter phase is +-1."""
         return self.phase_exp % 2 == 0
@@ -120,9 +112,6 @@ class PauliString:
 
     def times_i(self) -> "PauliString":
         return PauliString(self.width, self.xbits, self.zbits, self.phase_exp + 1)
-
-    def same_letters(self, other: "PauliString") -> bool:
-        return (self.width, self.xbits, self.zbits) == (other.width, other.xbits, other.zbits)
 
 
 def _canonical_exp(p: PauliString) -> int:
@@ -157,20 +146,17 @@ FLAVORS = ("x", "y")
 
 @dataclass(frozen=True)
 class MajoranaIndex:
-    """One Majorana mode: lattice site, spin, x/y flavor, physical or auxiliary register."""
+    """One Majorana mode: lattice site, spin, x/y flavor."""
 
     site: int
     spin: str
     flavor: str
-    register: str = "physical"
 
     def __post_init__(self):
         if self.spin not in SPINS:
             raise ValueError(f"spin must be one of {SPINS}")
         if self.flavor not in FLAVORS:
             raise ValueError(f"flavor must be one of {FLAVORS}")
-        if self.register not in ("physical", "auxiliary"):
-            raise ValueError("register must be 'physical' or 'auxiliary'")
 
 
 def jw_mode(mode: int, n_modes: int, flavor: str) -> PauliString:

@@ -3,7 +3,7 @@ import itertools
 import pytest
 from hypothesis import settings
 
-from hubbard_gf.local_mapping import (
+from local_mapping import (
     build_measurement_string,
     hopping_bilinears,
     jw_reference_bilinear,

@@ -16,14 +16,16 @@ register-2 block, which keeps the long measurement strings contiguous.
 
 All verification here is symbolic (Pauli-string level): commutation of mapped
 bilinears is checked against a plain Jordan-Wigner reference encoding of the same
-extended lattice, which is what the measurement protocol relies on.
+extended lattice, which is what the measurement protocol relies on.  No command
+runs the encoding: criterion 7 and test_local_mapping check it, and import it as
+`from local_mapping import ...`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .pauli import MajoranaIndex, PauliString, clifford_conjugate, jw_mode
-from .statevector import GateOp, inverse_gate
+from hubbard_gf.pauli import MajoranaIndex, PauliString, clifford_conjugate, jw_mode
+from hubbard_gf.statevector import GateOp, inverse_gate
 
 # (spin, register) -> offset inside the 2x2 cell patch
 _CELL_OFFSETS = {
@@ -35,11 +37,23 @@ _CELL_OFFSETS = {
 
 
 @dataclass(frozen=True)
+class ModeIndex(MajoranaIndex):
+    """One Majorana mode of the extended cluster: a site's mode, or its auxiliary partner."""
+
+    register: str = "physical"
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.register not in ("physical", "auxiliary"):
+            raise ValueError("register must be 'physical' or 'auxiliary'")
+
+
+@dataclass(frozen=True)
 class BilinearOp:
     """i * first * second for two distinct Majorana modes (Hermitian as written)."""
 
-    first: MajoranaIndex
-    second: MajoranaIndex
+    first: ModeIndex
+    second: ModeIndex
 
     def __post_init__(self):
         if (self.first.site, self.first.spin, self.first.register) == (
@@ -91,24 +105,24 @@ class LatticeLayout:
 
     def majorana(
         self, cell: tuple[int, int], spin: str, flavor: str, register: str = "physical"
-    ) -> MajoranaIndex:
-        return MajoranaIndex(self.cell_index(cell), spin, flavor, register)
+    ) -> ModeIndex:
+        return ModeIndex(self.cell_index(cell), spin, flavor, register)
 
-    def grid_pos(self, m: MajoranaIndex) -> tuple[int, int]:
+    def grid_pos(self, m: ModeIndex) -> tuple[int, int]:
         rx, ry = self.cell_of(m.site)
         dx, dy = _CELL_OFFSETS[(m.spin, m.register)]
         return 2 * rx + dx, 2 * ry + dy
 
-    def mode_index(self, m: MajoranaIndex) -> int:
+    def mode_index(self, m: ModeIndex) -> int:
         sx, sy = self.grid_pos(m)
         return sy * self.side_sites + sx
 
-    def qubits(self, m: MajoranaIndex) -> tuple[int, int]:
+    def qubits(self, m: ModeIndex) -> tuple[int, int]:
         """(register-1 qubit, register-2 qubit) of the mode."""
         idx = self.mode_index(m)
         return idx, self.n_modes + idx
 
-    def jw_reference(self, m: MajoranaIndex) -> PauliString:
+    def jw_reference(self, m: ModeIndex) -> PauliString:
         """Plain Jordan-Wigner image of the same mode, width n_modes (oracle side)."""
         return jw_mode(self.mode_index(m), self.n_modes, m.flavor)
 
@@ -173,7 +187,7 @@ def map_elementary_bilinear(b: BilinearOp, layout: LatticeLayout) -> PauliString
     return PauliString.from_letter_map(layout.n_qubits, letters, sign_exp + swap_exp)
 
 
-def _chain(path: list[MajoranaIndex], layout: LatticeLayout) -> PauliString:
+def _chain(path: list[ModeIndex], layout: LatticeLayout) -> PauliString:
     """Image of i * sigma_0 ... sigma_k along a grid-adjacent mode path.
 
     Intermediate squares collapse; the product of the k mapped links carries an
@@ -270,7 +284,7 @@ def _measurement_geometry(r, r_prime, layout):
     return a, b, corner
 
 
-def measurement_path(r, r_prime, layout) -> list[MajoranaIndex]:
+def measurement_path(r, r_prime, layout) -> list[ModeIndex]:
     """Mode path of the probe bilinear i x_r^dn a-x_{r'}^dn: right along the
     spin-down row to the corner cell's auxiliary, then down to r'."""
     a, b, corner = _measurement_geometry(r, r_prime, layout)
@@ -295,7 +309,7 @@ def measurement_bilinear(r, r_prime, layout) -> BilinearOp:
 def build_measurement_string(r, r_prime, layout: LatticeLayout) -> PauliString:
     """Pauli image of i x_r^dn a-x_{r'}^dn; its half is the measured bilinear."""
     out = _chain(measurement_path(r, r_prime, layout), layout)
-    if not (out * out).is_identity_letters or (out * out).phase_exp != 0:
+    if out * out != PauliString.identity(out.width):
         raise AssertionError("measurement string is not involutory")
     return out
 
@@ -361,7 +375,7 @@ def build_measurement_reducer(r, r_prime, layout: LatticeLayout) -> tuple[GateOp
     got = clifford_conjugate(gates, parity)
     if got == target:
         return tuple(gates)
-    if got.same_letters(target):
+    if (got.xbits, got.zbits) == (target.xbits, target.zbits):
         return (GateOp("Z", (meas_q1,)), *gates)
     raise AssertionError("reducer conjugation does not reproduce the measurement string")
 

@@ -539,6 +539,44 @@ def test_the_lazy_noise_binding_acts_like_an_import(order, lazy):
     assert json.loads(proc.stdout) == [lazy, True, 1, 1]
 
 
+_PACKAGE_LOADED = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from hubbard_gf import cli
+cli.noise.NoiseModel  # the engine's body runs on first use, as a noisy correlator or zne-demo runs it
+print(json.dumps(sorted(name for name in sys.modules if name.partition(".")[0] == "hubbard_gf")))
+"""
+
+
+def test_every_package_module_is_loaded_by_the_cli():
+    # the package ships only what its commands run: the CLI, with the engine it loads on
+    # first use, loads every module under src/, so a module no command runs lives in tests/
+    src = Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run([sys.executable, "-c", _PACKAGE_LOADED, str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    stems = {p.stem for p in (src / "hubbard_gf").glob("*.py")}
+    assert set(json.loads(proc.stdout)) == {"hubbard_gf"} | {f"hubbard_gf.{s}" for s in stems - {"__init__"}}
+
+
+def test_the_no_mitigation_defaults_agree():
+    # a correlator loads the engine only when its mitigation flags differ from cli._NO_MITIGATION,
+    # so that must be both the flags' defaults and MitigationConfig()'s, which mitigate nothing
+    from dataclasses import asdict
+
+    from hubbard_gf.noise import MitigationConfig
+
+    parser = cli.build_parser()[1]["correlator"]
+    dests = {"readout": "readout_mitigation", "twirl_variants": "twirl", "dd_sequence": "dd",
+             "zne_scales": "zne_scales", "zne_order": "zne_order"}
+    flags = {field: parser.get_default(dest) for field, dest in dests.items()}
+    flags["zne_scales"] = tuple(flags["zne_scales"])  # cmd_correlator's conversion
+    assert flags == asdict(MitigationConfig()) == cli._NO_MITIGATION
+    assert flags == {
+        "readout": False, "twirl_variants": 1, "dd_sequence": "none", "zne_scales": (), "zne_order": 1
+    }
+
+
 _FRESH_IMPORT = """
 import gc, json, os, sys
 sys.path.insert(0, sys.argv[1])

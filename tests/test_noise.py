@@ -717,6 +717,14 @@ def test_zne_constant_runner_and_validation():
         zne([1.0, 2.0], [1.0, 2.0], order=2)
     with pytest.raises(ValueError):
         zne([1.0, 1.0, 1.0], [1.0] * 3, order=1)  # degenerate realized scales
+    # a non-finite scale or sample is refused before the fit, where LAPACK would fail, the fit
+    # warn, or a nan sample come out as a nan value; folding refuses a non-finite scale alike
+    for bad in (math.nan, math.inf, -math.inf):
+        for scales, samples in (((1.0, bad), (1.0, 0.5)), ((1.0, 2.0), (1.0, bad))):
+            with pytest.raises(ValueError, match="scales and samples must be finite"):
+                zne(scales, samples, order=1)
+        with pytest.raises(ValueError, match="scale must be finite"):
+            fold_circuit(bell_circuit(), bad)
 
 
 def test_zne_uses_realized_abscissa():

@@ -1,6 +1,8 @@
 """No module of the package keeps a module-level import it never reads, nor a
 private name the package never uses, nor a public name nothing reaches, nor
 reaches into another module's private names, and one function derives every seed.
+The import check also covers the code the tests keep beside them, `reference.py`
+and `local_mapping.py`, which left the package because no command runs it.
 
 Static checks on the source with `ast` (no lint tool is needed): every name a
 module-level `import` binds must be read somewhere in the module (`from
@@ -22,7 +24,8 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "hubbard_gf"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "hubbard_gf"
 PERFBENCH = SRC.parent.parent / "perfbench"
 
 
@@ -56,7 +59,9 @@ def test_the_check_flags_an_unused_import_and_spares_the_exempt_ones():
     assert _unused_imports(source) == ["loads (line 5)"]
 
 
-@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", [*sorted(SRC.glob("*.py")), TESTS / "reference.py", TESTS / "local_mapping.py"], ids=lambda p: p.name
+)
 def test_no_module_keeps_an_unused_import(path):
     assert _unused_imports(path.read_text()) == []
 
@@ -205,14 +210,6 @@ def test_the_check_flags_an_unreached_public_name():
 
 # Public names the reach rule does not see used, each with what it serves; anything else unreached is deleted
 REACH_ALLOWLIST = {
-    **dict.fromkeys(
-        (f"local_mapping.{name}" for name in (
-            "jw_reference_bilinear", "map_hopping", "hopping_bilinears", "source_operator",
-            "measurement_bilinear",
-        )),
-        "criterion 7, through conftest.mapping_inventory",
-    ),
-    "local_mapping.build_measurement_reducer": "criterion 7: the reducer's CNOT count",
     "pauli.commutes": "criterion 7",
     "noise.NoiseModel.to_json": "perfbench's workloads write the noisy example's model file with it",
 }
@@ -333,7 +330,6 @@ PARAM_ALLOWLIST = {
         ("greens.hadamard_test.kind", "greens.advanced_hadamard_test.kind"),
         "cli.cmd_correlator passes it by position through `runner`, a name the rule does not resolve",
     ),
-    "local_mapping.source_operator.spin": "criterion 7: conftest.mapping_inventory maps both spins",
     "noise.kolkata_dimer_model.idle_rate": "the drift pin and the drift tests build the model with idle drift",
     "noise.run_noisy.measure_qubits": "the seeded-counts pin and the outcome-index convention read chosen qubits",
     "statevector.basis_state.index": "the simulator tests start from chosen basis states",
