@@ -159,25 +159,14 @@ def repulsion_step(i: int, theta: float, n_sites: int) -> Circuit:
 DIMER_QUBITS = {"c_up": 0, "b_up": 1, "c_dn": 2, "b_dn": 3}
 
 
-def dimer_interaction_step(theta: float, form: str = "cnot") -> Circuit:
+def dimer_interaction_step(theta: float) -> Circuit:
     """exp(-i theta/4 (Z_0 Z_2 - 1)): the (U/2)(n_c^2 - 2 n_c) slice with theta = U dtau.
 
-    Both printed forms are available: the CNOT-conjugated Z rotation and the
-    controlled-phase variant; their unitaries are identical.
+    Printed as the phase theta/4 (GPHASE) and the CNOT-conjugated rotation
+    exp(-i theta/4 Z_0 Z_2).
     """
     a, b = DIMER_QUBITS["c_up"], DIMER_QUBITS["c_dn"]
-    if form == "cnot":
-        gates = [GateOp("GPHASE", (), theta / 4), *_zz_rotation(a, b, theta / 2)]
-    elif form == "cphase":
-        gates = [
-            GateOp("GPHASE", (), theta / 2),
-            GateOp("RZ", (a,), theta / 2),
-            GateOp("RZ", (b,), theta / 2),
-            GateOp("CPHASE", (a, b), -theta),
-        ]
-    else:
-        raise ValueError(f"unknown form {form!r}")
-    return Circuit(4, tuple(gates))
+    return Circuit(4, (GateOp("GPHASE", (), theta / 4), *_zz_rotation(a, b, theta / 2)))
 
 
 def dimer_hopping_layer(beta: float) -> Circuit:

@@ -28,7 +28,6 @@ from .circuit import (
     simulate,
 )
 from .model import FermionHamiltonian
-from .oracle import build_matrix, diagonalize
 from .pauli import MajoranaIndex, PauliString, jw_mode, jw_string_remover
 from .statevector import (
     GateOp,
@@ -209,30 +208,21 @@ def direct_measurement(
     shots: int,
     seed: int,
     kind: str = "retarded",
-    evolution: str = "trotter",
 ) -> MeasurementRecord:
     """Kubo-style estimate of the probe-source correlator on the plan's time grid, exact at any Phi.
 
     Occupy the ancilla and kick once with exp(Phi/2 sigma_src x_d), then give
     the kicked state the ancilla Z^dag phase lambda (the step never touches the
-    ancilla, so the phase commutes with every step).  Carry it one step per
-    grid point, as one kernel call with the step's 16x16 unitary: the Trotter
-    step (trotter) or exp(-i H dtau) from the dense spectrum (exact).  At each
+    ancilla, so the phase commutes with every step).  Carry it one Trotter step
+    per grid point, as one kernel call with the step's 16x16 unitary.  At each
     point i sigma_probe x_d is reduced to a two-qubit parity, estimated and
     scaled by 2 / sin Phi.  Shot point k draws from child k of the seed
     (statevector.child_seeds); a shot-free run derives no seeds.
     """
     lam = kind_lambda(kind)
-    if evolution not in ("trotter", "exact"):
-        raise ValueError(f"unknown evolution mode {evolution!r}")
     pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
     point = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
-    if evolution == "exact":
-        spect = diagonalize(build_matrix(FermionHamiltonian.dimer(t, u)))
-        v = spect.eigenvectors
-        step = (v * np.exp(-1j * spect.eigenvalues * plan.dtau)) @ v.conj().T
-    else:
-        step = circuit_unitary(pieces.step)
+    step = circuit_unitary(pieces.step)
     system = tuple(range(pieces.anc))
     taus = time_grid(plan)
     seeds = child_seeds(seed, len(taus)) if shots else None

@@ -134,13 +134,29 @@ class NoiseModel:
             raise ValueError(f"noise model {path}: {e}") from None
 
 
+def _json_integer(x) -> int:
+    """A JSON integer as read; TypeError for anything else (a float, a string or a boolean)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"{x!r} is not an integer")
+    return x
+
+
+def _json_float(x) -> float:
+    """A JSON number as a float; TypeError for anything else (a string or a boolean)."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"{x!r} is not a number")
+    return float(x)
+
+
 _JSON_FIELDS = {  # to_json key -> (NoiseModel field, reader)
-    "n_qubits": ("n_qubits", int),
-    "single_qubit": ("p1", lambda v: {int(q): float(e["error"]) for q, e in v.items()}),
-    "two_qubit": ("p2", lambda v: {tuple(map(int, k.split(","))): float(e["error"]) for k, e in v.items()}),
-    "readout": ("readout", lambda v: {int(q): np.asarray(c, dtype=float) for q, c in v.items()}),
-    "idle_rate": ("idle_rate", lambda v: {int(q): float(r) for q, r in v.items()}),
-    "durations": ("durations", lambda v: {k: float(x) for k, x in v.items()}),
+    "n_qubits": ("n_qubits", _json_integer),
+    "single_qubit": ("p1", lambda v: {int(q): _json_float(e["error"]) for q, e in v.items()}),
+    "two_qubit": ("p2", lambda v: {tuple(map(int, k.split(","))): _json_float(e["error"]) for k, e in v.items()}),
+    "readout": ("readout", lambda v: {
+        int(q): np.array([[_json_float(x) for x in row] for row in c]) for q, c in v.items()
+    }),
+    "idle_rate": ("idle_rate", lambda v: {int(q): _json_float(r) for q, r in v.items()}),
+    "durations": ("durations", lambda v: {k: _json_float(x) for k, x in v.items()}),
 }
 
 
@@ -149,8 +165,8 @@ def confusion(p01: float, p10: float) -> np.ndarray:
     return np.array([[1 - p01, p01], [p10, 1 - p10]], dtype=float)
 
 
-def kolkata_dimer_model(idle_rate: float = 0.0) -> NoiseModel:
-    """Five-qubit model parameterized from the device calibration tables."""
+def kolkata_dimer_model() -> NoiseModel:
+    """Five-qubit model parameterized from the device calibration tables, without idle drift."""
     single = [1.98e-4, 4.22e-4, 2.59e-4, 1.73e-4, 1.65e-4]
     meas = [7.4e-3, 6.1e-3, 6.8e-3, 7.9e-3, 5.3e-3]
     cx = {(0, 1): 1.62e-2, (1, 2): 8.77e-3, (2, 3): 5.39e-3, (3, 4): 5.34e-3}
@@ -169,7 +185,7 @@ def kolkata_dimer_model(idle_rate: float = 0.0) -> NoiseModel:
         p1={q: single[q] for q in range(5)},
         p2=two,
         readout={q: confusion(meas[q], meas[q]) for q in range(5)},
-        idle_rate={q: idle_rate for q in range(5)},
+        idle_rate=dict.fromkeys(range(5), 0.0),
         durations={
             "H": 3.56e-8,
             "X": 3.56e-8,
@@ -178,7 +194,7 @@ def kolkata_dimer_model(idle_rate: float = 0.0) -> NoiseModel:
             "XHALF_DG": 3.56e-8,
             "CNOT": 5.05e-7,
             "CZ": 5.05e-7,
-            "CPHASE": 5.05e-7,
+            "CPHASE": 5.05e-7,  # the device table's entry; no circuit here uses the gate
             "measure": 6.76e-7,
             "default": 3.56e-8,
         },

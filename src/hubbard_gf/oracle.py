@@ -9,8 +9,6 @@ import numpy as np
 from .model import FermionHamiltonian
 from .pauli import PauliString, jw_mode
 
-MAX_MATRIX_QUBITS = 12
-
 
 def majorana_operator(h: FermionHamiltonian, site: int, spin: str, flavor: str) -> PauliString:
     """Jordan-Wigner image of the (site, spin) Majorana in this Hamiltonian's mode order."""
@@ -63,20 +61,6 @@ def split_pauli_terms(h: FermionHamiltonian) -> tuple[list, list]:
         h.n_sites, repulsions=h.repulsions, shifts=h.shifts, mode_order=h.mode_order
     )
     return hamiltonian_pauli_terms(hop), hamiltonian_pauli_terms(inter)
-
-
-def build_matrix(h: FermionHamiltonian) -> np.ndarray:
-    """Dense Hermitian matrix assembled from the Jordan-Wigner Pauli terms."""
-    if h.n_modes > MAX_MATRIX_QUBITS:
-        raise ValueError(f"{h.n_modes} qubits exceeds dense oracle capacity {MAX_MATRIX_QUBITS}")
-    dim = 1 << h.n_modes
-    out = np.zeros((dim, dim), dtype=complex)
-    for coef, p in hamiltonian_pauli_terms(h):
-        out += coef * p.to_matrix()
-    herm_defect = np.max(np.abs(out - out.conj().T))
-    if herm_defect > 1e-12:
-        raise AssertionError(f"assembled matrix not Hermitian (defect {herm_defect})")
-    return out
 
 
 @dataclass(frozen=True)

@@ -44,7 +44,7 @@ _FIXED = {
 }
 
 ONE_QUBIT_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "RZ", "DELAY")
-TWO_QUBIT_KINDS = ("CNOT", "CZ", "CPHASE")
+TWO_QUBIT_KINDS = ("CNOT", "CZ")
 ZERO_QUBIT_KINDS = ("GPHASE",)  # bookkeeping gate so builders are phase-exact
 _ARITY = {k: n for n, kinds in enumerate((ZERO_QUBIT_KINDS, ONE_QUBIT_KINDS, TWO_QUBIT_KINDS)) for k in kinds}
 
@@ -65,7 +65,7 @@ class GateOp:
             raise ValueError(f"{self.kind} takes {n_targets} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets in {self.kind}{self.targets}")
-        if self.kind in ("RZ", "CPHASE", "GPHASE", "DELAY") and self.angle is None:
+        if self.kind in ("RZ", "GPHASE", "DELAY") and self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
@@ -79,9 +79,7 @@ def gate_matrix(g: GateOp) -> np.ndarray:
         return np.array([[np.exp(1j * g.angle)]], dtype=complex)
     if g.kind == "DELAY":  # identity placeholder; the angle is a duration in seconds
         return np.eye(2, dtype=complex)
-    if g.kind == "RZ":
-        return np.array([[np.exp(-1j * g.angle / 2), 0], [0, np.exp(1j * g.angle / 2)]])
-    return np.diag([1, 1, 1, np.exp(1j * g.angle)])  # CPHASE
+    return np.array([[np.exp(-1j * g.angle / 2), 0], [0, np.exp(1j * g.angle / 2)]])  # RZ
 
 
 def inverse_gate(g: GateOp) -> GateOp:
@@ -90,18 +88,18 @@ def inverse_gate(g: GateOp) -> GateOp:
         return g
     if g.kind in ("XHALF", "XHALF_DG"):
         return GateOp("XHALF_DG" if g.kind == "XHALF" else "XHALF", g.targets)
-    return GateOp(g.kind, g.targets, -g.angle)  # RZ, CPHASE, GPHASE
+    return GateOp(g.kind, g.targets, -g.angle)  # RZ, GPHASE
 
 
 # -- states and kernels -------------------------------------------------------
 
 
-def basis_state(n: int, index: int = 0) -> np.ndarray:
-    """The amplitudes of basis state |index> over n qubits."""
+def basis_state(n: int) -> np.ndarray:
+    """The amplitudes of |0...0> over n qubits."""
     if n > MAX_QUBITS:
         raise ValueError(f"{n} qubits exceeds dense capacity {MAX_QUBITS}")
     amps = np.zeros(1 << n, dtype=complex)
-    amps[index] = 1.0
+    amps[0] = 1.0
     return amps
 
 

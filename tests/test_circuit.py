@@ -16,9 +16,9 @@ from hubbard_gf.circuit import (
     simulate,
 )
 from hubbard_gf.model import FermionHamiltonian
-from hubbard_gf.oracle import build_matrix
 from hubbard_gf.pauli import PauliString
-from hubbard_gf.statevector import GateOp, basis_state, sample_counts
+from hubbard_gf.statevector import GateOp, sample_counts
+from reference import build_matrix
 
 
 def pauli_sum_matrix(terms, width):
@@ -121,27 +121,24 @@ def test_repulsion_step_matches_expm():
 def test_repulsion_phases():
     theta = 0.5
     c = repulsion_step(1, theta, 1)
-    s = simulate(c, basis_state(2, 3))  # |11>
-    ref = simulate(c, basis_state(2, 0))  # |00>
+    basis = np.eye(4, dtype=complex)
+    s = simulate(c, basis[3])  # |11>
+    ref = simulate(c, basis[0])  # |00>
     rel = (s[3] / ref[0])
     np.testing.assert_allclose(rel, np.exp(-1j * theta), atol=1e-12)
     for idx in (1, 2):  # single occupancy: no phase relative to |00>
-        s1 = simulate(c, basis_state(2, idx))
+        s1 = simulate(c, basis[idx])
         np.testing.assert_allclose(s1[idx] / ref[0], 1.0, atol=1e-12)
 
 
-def test_dimer_interaction_forms_agree_and_match_generator():
+def test_dimer_interaction_matches_generator():
     z = np.diag([1.0, -1.0]).astype(complex)
     eye = np.eye(2)
     z0z2 = np.kron(eye, np.kron(z, np.kron(eye, z)))  # qubits 3,2,1,0
     for theta in (0.1, 1.0, np.pi):
         gen = 0.25 * (z0z2 - np.eye(16))
-        u_cnot = circuit_unitary(dimer_interaction_step(theta, form="cnot"))
-        u_cp = circuit_unitary(dimer_interaction_step(theta, form="cphase"))
-        np.testing.assert_allclose(u_cnot, expm(-1j * theta * gen), atol=1e-12)
-        np.testing.assert_allclose(u_cp, u_cnot, atol=1e-12)
-    with pytest.raises(ValueError):
-        dimer_interaction_step(0.1, form="magic")
+        u = circuit_unitary(dimer_interaction_step(theta))
+        np.testing.assert_allclose(u, expm(-1j * theta * gen), atol=1e-12)
 
 
 def test_dimer_trotter_step_equals_term_product():
@@ -209,7 +206,7 @@ def test_horizontal_hop_value_readout():
     assert mean == pytest.approx(1.0)
     # and on |00>, |11> the value is 0
     for idx in (0, 3):
-        out = simulate(c, basis_state(2, idx))
+        out = simulate(c, np.eye(4, dtype=complex)[idx])
         counts = sample_counts(out, (0, 1), 500, seed=2)
         mean, _ = horizontal_hop_value(counts)
         assert mean == pytest.approx(0.0)

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -389,10 +390,22 @@ def test_size_flags_are_refused_before_allocating(tmp_path, capsys, flags, messa
          "readout confusion for qubit 4 is not a finite row-stochastic matrix"),
         ('{"n_qubits": 5, "idle_rate": {"2": NaN}}', "idle_rate of qubit 2 must be finite, got nan"),
         ('{"n_qubits": 5, "idle_rate": {"1": -Infinity}}', "idle_rate of qubit 1 must be finite, got -inf"),
+        # JSON values are read as written: no float, string or boolean stands in for another type
+        ('{"n_qubits": 5.9}', "invalid n_qubits (TypeError: 5.9 is not an integer)"),
+        ('{"n_qubits": true}', "invalid n_qubits (TypeError: True is not an integer)"),
+        ('{"n_qubits": "5"}', "invalid n_qubits (TypeError: '5' is not an integer)"),
+        ('{"n_qubits": 5, "single_qubit": {"0": {"error": true}}}',
+         "invalid single_qubit (TypeError: True is not a number)"),
+        ('{"n_qubits": 5, "two_qubit": {"0,1": {"error": "0.01"}}}',
+         "invalid two_qubit (TypeError: '0.01' is not a number)"),
+        ('{"n_qubits": 5, "durations": {"X": "3.56e-8"}}', "invalid durations (TypeError: '3.56e-8' is not a number)"),
+        ('{"n_qubits": 5, "idle_rate": {"0": false}}', "invalid idle_rate (TypeError: False is not a number)"),
+        ('{"n_qubits": 5, "readout": {"0": [["1", 0], [0, 1]]}}', "invalid readout (TypeError: '1' is not a number)"),
     ],
     ids=["list", "no-n_qubits", "bare-error-rate", "pair-reversed", "pair-one-qubit", "single-qubit-9",
          "readout-qubit-7", "negative-duration", "readout-nan-unmeasured", "readout-nan-measured",
-         "idle-rate-nan", "idle-rate-inf"],
+         "idle-rate-nan", "idle-rate-inf", "n_qubits-float", "n_qubits-bool", "n_qubits-string",
+         "error-bool", "error-string", "duration-string", "idle-rate-bool", "readout-string"],
 )
 def test_malformed_noise_model_is_a_usage_error(tmp_path, capsys, text, message):
     model = tmp_path / "model.json"
@@ -1031,7 +1044,7 @@ def test_noisy_drift_run_is_pinned(tmp_path, capsys, monkeypatch):
     from hubbard_gf.noise import kolkata_dimer_model
 
     monkeypatch.chdir(tmp_path)  # the CSV header names the model path as given
-    kolkata_dimer_model(idle_rate=2e5).to_json("model.json")
+    replace(kolkata_dimer_model(), idle_rate=dict.fromkeys(range(5), 2e5)).to_json("model.json")
     code, _, _ = run_cli(
         ["correlator", "--steps", "4", "--shots", "4096", "--seed", "5", "--pair", "y2y2",
          "--noise-model", "model.json", "--dd", "XX", "--readout-mitigation", "--twirl", "4",

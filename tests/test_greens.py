@@ -23,7 +23,7 @@ from hubbard_gf.oracle import (
 )
 from hubbard_gf.noise import MitigationConfig, NoiseModel, noisy_dimer_series
 from hubbard_gf.pauli import MajoranaIndex
-from reference import dimer_spectral, lehmann_correlator
+from reference import dimer_spectral, exact_direct_measurement, lehmann_correlator
 
 T, U = 1.0, 4.0
 PLAN = TrotterPlan(0.314, 25)
@@ -92,18 +92,22 @@ def test_direct_exact_mode_phi_independent_and_matches_oracle(plan):
     ref = lehmann_correlator(a, b, h, np.array(time_grid(plan)), spect)
     vals = {}
     for phi in (0.3, 0.8, math.pi / 2):
-        rec = direct_measurement(y1, x0, T, U, plan, phi, 0, 0, "retarded", evolution="exact")
+        rec = exact_direct_measurement(y1, x0, T, U, plan, phi, "retarded")
         np.testing.assert_allclose(np.array(rec.estimates) / 2, ref.real, atol=1e-10)
         vals[phi] = np.array(rec.estimates) / 2
-        rec_k = direct_measurement(y1, x0, T, U, plan, phi, 0, 0, "keldysh", evolution="exact")
+        rec_k = exact_direct_measurement(y1, x0, T, U, plan, phi, "keldysh")
         np.testing.assert_allclose(np.array(rec_k.estimates) / 2, ref.imag, atol=1e-10)
     a_vals = np.array(list(vals.values()))
     assert np.max(np.abs(a_vals - a_vals[0])) < 1e-10
 
 
-def test_direct_trotter_matches_trotterized_oracle():
+@pytest.mark.parametrize("kind", ["retarded", "keldysh"])
+@pytest.mark.parametrize("phi", [0.3, 0.8, math.pi / 2], ids=["0.3", "0.8", "pi-half"])
+def test_direct_trotter_matches_trotterized_oracle(phi, kind):
+    # the product runner is exact at any kick: 2 Re (retarded) or 2 Im (keldysh) of the
+    # correlator under the Trotterized propagator, at criterion 4's kicks
     taus = time_grid(SHORT)
-    rec = direct_measurement(y1, x0, T, U, SHORT, 0.8, 0, 0, evolution="trotter")
+    rec = direct_measurement(y1, x0, T, U, SHORT, phi, 0, 0, kind)
     h, spect = dimer_spectral(T, U)
     from hubbard_gf.circuit import simulate
 
@@ -114,7 +118,7 @@ def test_direct_trotter_matches_trotterized_oracle():
     for k, tau in enumerate(taus):
         u_t = np.linalg.matrix_power(step_u, k)
         ref = (u_t @ psi).conj() @ (a_m @ (u_t @ (b_m @ psi)))
-        assert rec.estimates[k] / 2 == pytest.approx(ref.real, abs=1e-10)
+        assert rec.estimates[k] / 2 == pytest.approx(ref.real if kind == "retarded" else ref.imag, abs=1e-10)
 
 
 def test_dimer_suite_weak_kick_shot_mode_within_4_sigma():
@@ -174,7 +178,7 @@ def test_hadamard_shot_mode():
 def test_keldysh_cross_check_lehmann():
     h, spect = dimer_spectral(T, U)
     plan = TrotterPlan(0.5, 2)
-    rec = direct_measurement(x0, x0, T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
+    rec = exact_direct_measurement(x0, x0, T, U, plan, math.pi / 2, "keldysh")
     a = majorana_operator(h, 0, "up", "x")
     ref = lehmann_correlator(a, a, h, np.array(time_grid(plan)), spect)
     # -i<[x(tau), x]> = 2 Im <x(tau) x>
@@ -197,7 +201,7 @@ def test_dimer_suite_tau_zero_and_analytic_tracking():
 def test_dimer_suite_exact_evolution_matches_analytic():
     plan = TrotterPlan(0.314, 6)
     suite = {
-        name: direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, evolution="exact")
+        name: exact_direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, "retarded")
         for name in DIMER_PAIRS
     }
     taus = np.array(suite["y2y2"].taus)
@@ -209,7 +213,7 @@ def test_dimer_suite_exact_evolution_matches_analytic():
 def test_dimer_suite_keldysh_kind():
     plan = TrotterPlan(0.314, 5)
     suite = {
-        name: direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, 0, 0, "keldysh", evolution="exact")
+        name: exact_direct_measurement(*DIMER_PAIRS[name], T, U, plan, math.pi / 2, "keldysh")
         for name in DIMER_PAIRS
     }
     taus = np.array(suite["y2y2"].taus)
@@ -268,7 +272,7 @@ def test_protocols_follow_t_and_u(t, u, phi, kind, pair):
         majorana_operator(h, source.site, source.spin, source.flavor),
         h, np.array(taus), spect,
     )
-    exact = direct_measurement(source, probe, t, u, plan, phi, 0, 0, kind, evolution="exact")
+    exact = exact_direct_measurement(source, probe, t, u, plan, phi, kind)
     np.testing.assert_allclose(
         np.array(exact.estimates) / 2, ref.real if kind == "retarded" else ref.imag, rtol=0, atol=1e-10
     )

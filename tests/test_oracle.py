@@ -3,13 +3,13 @@ import pytest
 
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import (
-    build_matrix,
     diagonalize,
     dimer_analytic,
     majorana_operator,
 )
 from hubbard_gf.statevector import MAX_QUBITS, basis_state
 from reference import (
+    build_matrix,
     dimer_ground_energy,
     dimer_sector_energies,
     dimer_spectral,

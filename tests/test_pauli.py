@@ -216,7 +216,6 @@ def test_unsupported_gate():
     # GPHASE has no targets: the kind is refused before any width check reads them
     for gate in (
         GateOp("RZ", (0,), 0.3),
-        GateOp("CPHASE", (0, 1), 0.3),
         GateOp("GPHASE", (), 0.3),
         GateOp("DELAY", (0,), 1e-7),
     ):

@@ -16,10 +16,13 @@ class, is referenced elsewhere in the package, imported by `perfbench/` or named
 by its tracing layers, or listed with its reason in `REACH_ALLOWLIST`.  Every
 parameter with a default of a public module-level function is passed by some
 call in the package or in `perfbench/`, or listed with its reason in
-`PARAM_ALLOWLIST`.
+`PARAM_ALLOWLIST`.  And the simulator's gate table holds exactly the kinds that
+the commands' circuits use.
 """
 import ast
+import math
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -212,6 +215,7 @@ def test_the_check_flags_an_unreached_public_name():
 REACH_ALLOWLIST = {
     "pauli.commutes": "criterion 7",
     "noise.NoiseModel.to_json": "perfbench's workloads write the noisy example's model file with it",
+    "pauli.PauliString.to_matrix": "perfbench/checks.py builds its dense Majorana matrices with it",
 }
 
 
@@ -321,18 +325,12 @@ def test_the_check_flags_a_parameter_no_call_passes():
 
 # Defaulted parameters that no call in src/ or perfbench/ passes, each with what sets it
 PARAM_ALLOWLIST = {
-    "circuit.dimer_interaction_step.form": "criterion 9 checks both forms against the exact exponential",
-    "greens.direct_measurement.evolution": (
-        "tests' exact reference: test_greens checks the Trotter runner and the Lehmann oracle through it"
-    ),
     "greens.dimer_suite.pairs": "ROADMAP item 2 (correlator --pair is to pass it); test_greens pins a one-pair run",
     **dict.fromkeys(
         ("greens.hadamard_test.kind", "greens.advanced_hadamard_test.kind"),
         "cli.cmd_correlator passes it by position through `runner`, a name the rule does not resolve",
     ),
-    "noise.kolkata_dimer_model.idle_rate": "the drift pin and the drift tests build the model with idle drift",
     "noise.run_noisy.measure_qubits": "the seeded-counts pin and the outcome-index convention read chosen qubits",
-    "statevector.basis_state.index": "the simulator tests start from chosen basis states",
     "vha.measure_energy.seed": "the shot-mode energy tests draw at chosen seeds",
 }
 
@@ -342,6 +340,45 @@ def test_every_defaulted_parameter_is_passed():
     sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
     callers = sources | {f"perfbench.{path.stem}": path.read_text() for path in sorted(PERFBENCH.glob("*.py"))}
     assert sorted(_unreached_parameters(sources, callers)) == sorted(PARAM_ALLOWLIST)
+
+
+def _command_circuits():
+    """The circuits the commands build, at the README settings: the five dump-circuit
+    builders; every pair's noisy point circuit, twirled, decoupled under drift and folded;
+    the Hadamard step and ground circuit; the VHA sweep's blocks and bond basis change."""
+    from hubbard_gf.circuit import (
+        TrotterPlan, dimer_hopping_layer, dimer_interaction_step, dimer_trotter_step, hop_basis_circuit,
+        hopping_step, repulsion_step,
+    )
+    from hubbard_gf.greens import DIMER_PAIRS, dimer_ground_circuit, direct_point_circuit
+    from hubbard_gf.noise import dynamical_decoupling, fold_circuit, kolkata_dimer_model, pauli_twirl
+    from hubbard_gf.vha import VhaParams, optimal_angles, slater_prep_circuit, vha_circuit
+
+    t, u, plan = 1.0, 4.0, TrotterPlan(0.314, 6)
+    yield slater_prep_circuit()
+    yield vha_circuit(VhaParams(*optimal_angles(t, u)))
+    yield dimer_trotter_step(t, u, plan.dtau)
+    yield hopping_step(1, 2, "up", 0.3, 2)
+    yield repulsion_step(1, 0.3, 2)
+    drifting = replace(kolkata_dimer_model(), idle_rate=dict.fromkeys(range(5), 2e5))
+    for source, probe in DIMER_PAIRS.values():
+        circuit, _, _ = direct_point_circuit(source, probe, t, u, plan, plan.steps, math.pi / 2, math.pi / 2)
+        yield circuit
+        yield from pauli_twirl(circuit, 4, 42)
+        yield dynamical_decoupling(circuit, drifting)
+        yield from (fold_circuit(circuit, scale)[0] for scale in (1.5, 2.0))
+    yield dimer_ground_circuit(t, u)
+    yield dimer_interaction_step(0.3)
+    yield dimer_hopping_layer(0.3)
+    yield hop_basis_circuit(0, 1, 4)
+
+
+def test_the_gate_table_holds_exactly_the_kinds_the_commands_use():
+    # a kind no command emits is dead weight in the table, a kind missing from it cannot run
+    from hubbard_gf.statevector import ONE_QUBIT_KINDS, TWO_QUBIT_KINDS, ZERO_QUBIT_KINDS
+
+    used = {g.kind for circuit in _command_circuits() for g in circuit.gates}
+    assert sorted(used) == sorted(ZERO_QUBIT_KINDS + ONE_QUBIT_KINDS + TWO_QUBIT_KINDS)
 
 
 def _private_imports(sources: dict[str, str]) -> list[str]:

@@ -8,7 +8,6 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hubbard_gf.model import FermionHamiltonian, Hopping, Repulsion
-from hubbard_gf.oracle import build_matrix
 from hubbard_gf.pauli import PauliString
 from hubbard_gf.statevector import expectation_pauli
 from hubbard_gf.vha import (
@@ -38,7 +37,7 @@ from hubbard_gf.circuit import (
     simulate,
 )
 from hubbard_gf.statevector import GateOp, sample_counts
-from reference import dimer_ground_energy, dimer_sector_energies, ground_state, optimize
+from reference import build_matrix, dimer_ground_energy, dimer_sector_energies, ground_state, optimize
 
 
 def test_params_validation():
