@@ -17,11 +17,10 @@ from .statevector import MAX_QUBITS, GateOp, apply_gate_inplace, basis_state, sh
 
 @dataclass(frozen=True)
 class Circuit:
-    """Ordered gate list with optional named stage barriers (position, label)."""
+    """Ordered gate list on a register of n_qubits."""
 
     n_qubits: int
     gates: tuple[GateOp, ...] = ()
-    barriers: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self):
         for g in self.gates:
@@ -32,35 +31,15 @@ class Circuit:
     def __add__(self, other: "Circuit") -> "Circuit":
         if other.n_qubits != self.n_qubits:
             raise ValueError("cannot concatenate circuits of different widths")
-        shifted = tuple((pos + len(self.gates), label) for pos, label in other.barriers)
-        return Circuit(self.n_qubits, self.gates + other.gates, self.barriers + shifted)
-
-    def __len__(self) -> int:
-        return len(self.gates)
-
-    def with_barrier(self, label: str) -> "Circuit":
-        return Circuit(self.n_qubits, self.gates, self.barriers + ((len(self.gates), label),))
-
-    def widened(self, n_qubits: int) -> "Circuit":
-        """Same gates on a wider register."""
-        if n_qubits < self.n_qubits:
-            raise ValueError("cannot shrink a circuit")
-        return Circuit(n_qubits, self.gates, self.barriers)
+        return Circuit(self.n_qubits, self.gates + other.gates)
 
     def text_dump(self) -> str:
-        """One gate per line: NAME[(angle)] targets; barriers as 'barrier <label>' lines."""
-        marks: dict[int, list[str]] = {}
-        for pos, label in self.barriers:
-            marks.setdefault(pos, []).append(label)
+        """One gate per line: NAME[(angle)] targets."""
         lines = []
-        for i, g in enumerate(self.gates):
-            for label in marks.get(i, ()):
-                lines.append(f"barrier {label}")
+        for g in self.gates:
             ang = f"({g.angle:.12g})" if g.angle is not None else ""
             tgt = (" " + " ".join(str(t) for t in g.targets)) if g.targets else ""
             lines.append(f"{g.kind}{ang}{tgt}")
-        for label in marks.get(len(self.gates), ()):
-            lines.append(f"barrier {label}")
         return "\n".join(lines) + "\n"
 
 

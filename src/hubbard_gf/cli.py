@@ -53,7 +53,7 @@ from .vha import (
     landscape_sweep,
     optimal_angles,
     slater_prep_circuit,
-    vha_circuit,
+    vha_layer,
 )
 
 
@@ -347,11 +347,13 @@ def cmd_zne_demo(args) -> int:
 
 
 def cmd_dump_circuit(args) -> int:
-    if args.which == "slater":
-        circ = slater_prep_circuit()
-    elif args.which == "vha":
-        circ = vha_circuit(VhaParams(*optimal_angles(args.t, args.u)))
-    elif args.which == "trotter-step":
+    if args.which in ("slater", "vha"):  # the VHA listings close each stage with its label
+        stages = [("slater", slater_prep_circuit())]
+        if args.which == "vha":
+            stages.append(("layer", vha_layer(VhaParams(*optimal_angles(args.t, args.u)))))
+        sys.stdout.write("".join(f"{circ.text_dump()}barrier {label}\n" for label, circ in stages))
+        return 0
+    if args.which == "trotter-step":
         circ = dimer_trotter_step(args.t, args.u, args.dtau)
     elif args.which == "hopping":
         circ = hopping_step(1, 2, "up", args.theta, 2)

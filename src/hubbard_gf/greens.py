@@ -161,7 +161,7 @@ def advanced_hadamard_test(
 class _DirectPieces:
     """What a direct-protocol point is built from; callers add the ancilla phase lambda."""
 
-    prep: Circuit  # widened ground circuit, then X on the ancilla
+    prep: Circuit  # ground circuit, then X on the ancilla
     kick: Circuit  # exp(Phi/2 sigma_src x_d)
     step: Circuit  # one Trotter step on the system qubits, below the ancilla
     observable: PauliString  # i sigma_probe x_d
@@ -186,7 +186,7 @@ def _direct_pieces(
         raise AssertionError("bilinears must be Hermitian")
     m, n = observable.support[0], observable.support[-1]
     return _DirectPieces(
-        prep=dimer_ground_circuit(t, u).widened(width) + Circuit(width, (GateOp("X", (anc,)),)),
+        prep=Circuit(width, dimer_ground_circuit(t, u).gates + (GateOp("X", (anc,)),)),
         kick=Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi))),
         step=dimer_trotter_step(t, u, dtau),
         observable=observable,

@@ -36,6 +36,7 @@ from .pauli import MajoranaIndex, PauliString, clifford_conjugate
 from .reports import write_text
 from .statevector import (
     MAX_QUBITS,
+    TWO_QUBIT_KINDS,
     GateOp,
     apply_matrix_inplace,
     child_seeds,
@@ -101,8 +102,9 @@ class NoiseModel:
             return 0.0
         return float(self.durations.get(g.kind, self.durations.get("default", 0.0)))
 
-    def to_json(self, path) -> None:
-        payload = {
+    def _payload(self) -> dict:
+        """The JSON object to_json writes."""
+        return {
             "n_qubits": self.n_qubits,
             "single_qubit": {str(q): {"error": p} for q, p in self.p1.items()},
             "two_qubit": {f"{a},{b}": {"error": p} for (a, b), p in self.p2.items()},
@@ -111,11 +113,13 @@ class NoiseModel:
             "durations": self.durations,
             "metadata": self.metadata,
         }
-        write_text(path, json.dumps(payload, indent=2, sort_keys=True))
+
+    def to_json(self, path) -> None:
+        write_text(path, json.dumps(self._payload(), indent=2, sort_keys=True))
 
     @classmethod
     def from_json(cls, path) -> "NoiseModel":
-        """Read a to_json file; a ValueError names the path and the key it cannot use."""
+        """Read a to_json file; a ValueError names the path and the first key not as to_json writes it."""
         with open(path, encoding="utf-8") as f:
             d = json.load(f)
         if not isinstance(d, dict) or "n_qubits" not in d:
@@ -129,9 +133,22 @@ class NoiseModel:
             except (AttributeError, KeyError, OverflowError, TypeError, ValueError) as e:
                 raise ValueError(f"noise model {path}: invalid {key} ({type(e).__name__}: {e})") from None
         try:
-            return cls(**fields)
+            model = cls(**fields)
+            _check_written(d, model._payload(), "")
         except ValueError as e:
             raise ValueError(f"noise model {path}: {e}") from None
+        return model
+
+
+def _check_written(held: dict, written: dict, where: str) -> None:
+    """ValueError at the first key of held that the object written lacks or holds another value under."""
+    for k, v in held.items():
+        if k not in written:
+            raise ValueError(f"unknown key {where + k!r}")
+        if v != written[k]:  # containers compare items by identity first, so a shared NaN is equal
+            if isinstance(v, dict) and isinstance(written[k], dict):
+                _check_written(v, written[k], f"{where}{k}/")
+            raise ValueError(f"key {where + k!r} holds {v!r}, which to_json writes as {written[k]!r}")
 
 
 def _json_integer(x) -> int:
@@ -485,7 +502,6 @@ def mitigate_readout(counts: np.ndarray, confusions: list) -> MitigatedDistribut
 # -- Pauli twirling -----------------------------------------------------------------
 
 
-_TWIRL_KINDS = ("CNOT", "CZ")
 _PAULIS = ("I", "X", "Y", "Z")
 
 
@@ -495,7 +511,7 @@ def _twirl_table() -> dict[tuple[str, str, str], tuple[str, str, bool]]:
     sign flip): conjugating the pre pair by the gate gives the post pair, negated
     when the flag is set.  All 32 entries come from clifford_conjugate."""
     table = {}
-    for kind, la, lb in itertools.product(_TWIRL_KINDS, _PAULIS, _PAULIS):
+    for kind, la, lb in itertools.product(TWO_QUBIT_KINDS, _PAULIS, _PAULIS):
         post = clifford_conjugate((GateOp(kind, (0, 1)),), PauliString.from_letter_map(2, {0: la, 1: lb}))
         table[kind, la, lb] = (post.letter_at(0), post.letter_at(1), post.phase_exp == 2)
     return table
@@ -517,17 +533,17 @@ def pauli_twirl(circuit: Circuit, n_variants: int, seed: int) -> list[Circuit]:
     """
     if n_variants < 1:
         raise ValueError("n_variants must be >= 1")
-    if n_variants * len(circuit) > MAX_GATES:
-        raise ValueError(f"{n_variants} twirl variants of {len(circuit)} gates exceed 2**{MAX_QUBITS} gates")
+    if n_variants * len(circuit.gates) > MAX_GATES:
+        raise ValueError(f"{n_variants} twirl variants of {len(circuit.gates)} gates exceed 2**{MAX_QUBITS} gates")
     table = _twirl_table()
-    n_twirled = sum(g.kind in _TWIRL_KINDS for g in circuit.gates)
+    n_twirled = sum(g.kind in TWO_QUBIT_KINDS for g in circuit.gates)
     draws = np.random.default_rng(seed).choice(len(_PAULIS), size=(n_variants, n_twirled, 2))
     variants = []
     for pre_pairs in draws.tolist():
         pre_pairs = iter(pre_pairs)
         gates: list[GateOp] = []
         for g in circuit.gates:
-            if g.kind not in _TWIRL_KINDS:
+            if g.kind not in TWO_QUBIT_KINDS:
                 gates.append(g)
                 continue
             a, b = g.targets
@@ -596,9 +612,9 @@ def fold_circuit(circuit: Circuit, scale: float) -> tuple[Circuit, float]:
     k_full = int((scale - 1) // 2)
     remainder = (scale - 1) / 2 - k_full
     m = int(round(remainder * n_noisy))
-    suffix_start = noisy_idx[n_noisy - m] if m > 0 else len(circuit)
-    if len(circuit) * (1 + 2 * k_full) + 2 * (len(circuit) - suffix_start) > MAX_GATES:
-        raise ValueError(f"folding {len(circuit)} gates to scale {scale:g} exceeds 2**{MAX_QUBITS} gates")
+    suffix_start = noisy_idx[n_noisy - m] if m > 0 else len(circuit.gates)
+    if len(circuit.gates) * (1 + 2 * k_full) + 2 * (len(circuit.gates) - suffix_start) > MAX_GATES:
+        raise ValueError(f"folding {len(circuit.gates)} gates to scale {scale:g} exceeds 2**{MAX_QUBITS} gates")
     gates = list(circuit.gates)
     if k_full:
         inv_all = [inverse_gate(g) for g in reversed(circuit.gates)]

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .statevector import GateOp, gate_matrix
+from .statevector import FIXED_MATRICES, GateOp, gate_matrix
 
 PHASE_LABELS = {0: "+", 1: "+i", 2: "-", 3: "-i"}
 _LETTER_TO_BITS = {"I": (0, 0), "X": (1, 0), "Y": (1, 1), "Z": (0, 1)}
@@ -179,9 +179,6 @@ def jw_mode(mode: int, n_modes: int, flavor: str) -> PauliString:
 
 # -- symbolic Clifford conjugation of GateOp sequences ------------------------
 
-CLIFFORD_KINDS = ("H", "X", "Y", "Z", "XHALF", "XHALF_DG", "CNOT", "CZ")
-
-
 @lru_cache(maxsize=None)
 def _pauli_matrices(n: int) -> tuple[tuple[str, np.ndarray], ...]:
     """Every n-letter Pauli string (letters lsb-first) with its dense matrix."""
@@ -222,7 +219,7 @@ def _conjugation_table(kind: str, n: int) -> dict:
 
 
 def _conjugate_one_gate(g: GateOp, p: PauliString) -> PauliString:
-    if g.kind not in CLIFFORD_KINDS:  # before the width: a GPHASE has no targets
+    if g.kind not in FIXED_MATRICES:  # the Clifford kinds; before the width, as a GPHASE has no targets
         raise ValueError(f"unsupported Clifford gate {g.kind}{g.targets}")
     if max(g.targets) >= p.width:
         raise ValueError(f"gate {g.kind} targets {g.targets} exceed width {p.width}")

@@ -31,7 +31,7 @@ MAX_QUBITS = 24
 
 _SQ2 = 1.0 / np.sqrt(2.0)
 
-_FIXED = {
+FIXED_MATRICES = {
     "H": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
     "X": np.array([[0, 1], [1, 0]], dtype=complex),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
@@ -73,8 +73,8 @@ class GateOp:
 
 def gate_matrix(g: GateOp) -> np.ndarray:
     """Dense matrix of the gate on its own targets (bit 0 of the index = first target)."""
-    if g.kind in _FIXED:
-        return _FIXED[g.kind]
+    if g.kind in FIXED_MATRICES:
+        return FIXED_MATRICES[g.kind]
     if g.kind == "GPHASE":
         return np.array([[np.exp(1j * g.angle)]], dtype=complex)
     if g.kind == "DELAY":  # identity placeholder; the angle is a duration in seconds

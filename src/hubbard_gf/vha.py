@@ -76,13 +76,17 @@ def slater_prep_circuit() -> Circuit:
     gates = []
     for m, n in ((0, 1), (2, 3)):
         gates += [GateOp("H", (m,)), GateOp("CNOT", (m, n)), GateOp("X", (n,))]
-    return Circuit(4, tuple(gates)).with_barrier("slater")
+    return Circuit(4, tuple(gates))
+
+
+def vha_layer(params: VhaParams) -> Circuit:
+    """The ansatz layer: interaction(alpha), then hopping(beta)."""
+    return dimer_interaction_step(params.alpha) + dimer_hopping_layer(params.beta)
 
 
 def vha_circuit(params: VhaParams) -> Circuit:
-    """Slater prep followed by the layer interaction(alpha) then hopping(beta)."""
-    layer = dimer_interaction_step(params.alpha) + dimer_hopping_layer(params.beta)
-    return (slater_prep_circuit() + layer).with_barrier("layer")
+    """Slater prep followed by the layer."""
+    return slater_prep_circuit() + vha_layer(params)
 
 
 def vha_state(params: VhaParams) -> np.ndarray:

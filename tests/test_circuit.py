@@ -29,21 +29,19 @@ def pauli_sum_matrix(terms, width):
     return out
 
 
-def test_concat_and_barriers_associative():
-    a = Circuit(2, (GateOp("H", (0,)),)).with_barrier("prep")
+def test_concat_is_associative():
+    a = Circuit(2, (GateOp("H", (0,)),))
     b = Circuit(2, (GateOp("CNOT", (0, 1)),))
-    c = Circuit(2, (GateOp("Z", (1,)),)).with_barrier("end")
-    assert ((a + b) + c).gates == (a + (b + c)).gates
-    assert ((a + b) + c).barriers == (a + (b + c)).barriers
+    c = Circuit(2, (GateOp("Z", (1,)), GateOp("RZ", (0,), 0.5)))
+    assert (a + b) + c == a + (b + c) == Circuit(2, a.gates + b.gates + c.gates)
+    assert a + Circuit(2) == Circuit(2) + a == a
     with pytest.raises(ValueError):
         a + Circuit(3)
 
 
 def test_text_dump():
     c = Circuit(2, (GateOp("H", (0,)), GateOp("RZ", (1,), 0.25), GateOp("CNOT", (0, 1))))
-    c = c.with_barrier("measure")
-    dump = c.text_dump()
-    assert dump.splitlines() == ["H 0", "RZ(0.25) 1", "CNOT 0 1", "barrier measure"]
+    assert c.text_dump() == "H 0\nRZ(0.25) 1\nCNOT 0 1\n"
 
 
 def test_unitary_of_known_circuit():

@@ -401,11 +401,22 @@ def test_size_flags_are_refused_before_allocating(tmp_path, capsys, flags, messa
         ('{"n_qubits": 5, "durations": {"X": "3.56e-8"}}', "invalid durations (TypeError: '3.56e-8' is not a number)"),
         ('{"n_qubits": 5, "idle_rate": {"0": false}}', "invalid idle_rate (TypeError: False is not a number)"),
         ('{"n_qubits": 5, "readout": {"0": [["1", 0], [0, 1]]}}', "invalid readout (TypeError: '1' is not a number)"),
+        # every key is one to_json writes, spelled as it writes it: none is coerced or ignored
+        ('{"n_qubits": 5, "single_qubit": {"+3": {"error": 0.01}}}', "unknown key 'single_qubit/+3'"),
+        ('{"n_qubits": 5, "single_qubit": {"0_1": {"error": 0.01}}}', "unknown key 'single_qubit/0_1'"),
+        ('{"n_qubits": 5, "two_qubit": {" 0 , 1": {"error": 0.01}}}', "unknown key 'two_qubit/ 0 , 1'"),
+        ('{"n_qubits": 5, "singel_qubit": {"0": {"error": 0.01}}}', "unknown key 'singel_qubit'"),
+        ('{"n_qubits": 5, "single_qubit": {"0": {"error": 0.01, "eror": 0.5}}}',
+         "unknown key 'single_qubit/0/eror'"),
+        ('{"n_qubits": 5, "durations": {"X": 1152921504606846977}}',
+         "key 'durations/X' holds 1152921504606846977, which to_json writes as 1.152921504606847e+18"),
     ],
     ids=["list", "no-n_qubits", "bare-error-rate", "pair-reversed", "pair-one-qubit", "single-qubit-9",
          "readout-qubit-7", "negative-duration", "readout-nan-unmeasured", "readout-nan-measured",
          "idle-rate-nan", "idle-rate-inf", "n_qubits-float", "n_qubits-bool", "n_qubits-string",
-         "error-bool", "error-string", "duration-string", "idle-rate-bool", "readout-string"],
+         "error-bool", "error-string", "duration-string", "idle-rate-bool", "readout-string",
+         "qubit-plus-sign", "qubit-underscore", "pair-spaces", "field-misspelled", "error-extra-key",
+         "duration-past-float"],
 )
 def test_malformed_noise_model_is_a_usage_error(tmp_path, capsys, text, message):
     model = tmp_path / "model.json"

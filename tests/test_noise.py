@@ -1,10 +1,11 @@
+import json
 import math
 import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hubbard_gf.circuit import Circuit, circuit_unitary, simulate
@@ -54,6 +55,49 @@ def test_model_validation_and_json_round_trip(tmp_path):
     assert back.durations == model.durations
     np.testing.assert_allclose(back.readout[3], model.readout[3])
     assert back.metadata["T1"] == model.metadata["T1"]
+
+
+_PROB = st.floats(0, 1)
+_METADATA = st.dictionaries(st.text(max_size=4), st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+), max_size=3)
+
+
+@st.composite
+def _noise_models(draw):
+    n = draw(st.integers(1, 6))
+    qubits = st.integers(0, n - 1)
+    pairs = st.tuples(qubits, qubits).filter(lambda ab: ab[0] < ab[1])
+    return NoiseModel(
+        n_qubits=n,
+        p1=draw(st.dictionaries(qubits, _PROB, max_size=n)),
+        p2=draw(st.dictionaries(pairs, _PROB, max_size=3)) if n > 1 else {},
+        readout=draw(st.dictionaries(qubits, st.builds(confusion, _PROB, _PROB), max_size=n)),
+        idle_rate=draw(st.dictionaries(qubits, st.floats(allow_nan=False, allow_infinity=False), max_size=n)),
+        durations=draw(st.dictionaries(st.text(max_size=8), st.floats(0, 1e300), max_size=4)),
+        metadata=draw(_METADATA),
+    )
+
+
+def _json_fields(model):
+    """The model's fields, readout matrices as nested lists and metadata as its JSON text
+    (a NaN it holds is equal to itself there)."""
+    readout = {q: np.asarray(c).tolist() for q, c in model.readout.items()}
+    return (model.n_qubits, model.p1, model.p2, readout, model.idle_rate, model.durations,
+            json.dumps(model.metadata, sort_keys=True))
+
+
+@settings(max_examples=100, deadline=None)
+@given(model=_noise_models())
+@example(model=kolkata_dimer_model())
+@example(model=NoiseModel(1, metadata={"T1": math.nan, "T2": [math.nan]}))
+def test_from_json_reads_back_every_model_to_json_writes(tmp_path_factory, model):
+    # the reader refuses any key or value the writer would not write, so it must accept all it writes
+    path = tmp_path_factory.mktemp("model") / "model.json"
+    model.to_json(path)
+    assert _json_fields(NoiseModel.from_json(path)) == _json_fields(model)
 
 
 def test_a_smaller_model_written_over_a_larger_one_holds_its_own_bytes(tmp_path, monkeypatch):
