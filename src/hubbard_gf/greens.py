@@ -31,7 +31,6 @@ from .model import FermionHamiltonian
 from .pauli import MajoranaIndex, PauliString, jw_mode, jw_string_remover
 from .statevector import (
     GateOp,
-    apply_gate,
     apply_matrix_inplace,
     apply_pauli,
     expectation_pauli,
@@ -159,20 +158,19 @@ def advanced_hadamard_test(
 
 @dataclass(frozen=True)
 class _DirectPieces:
-    """What a direct-protocol point is built from; callers add the ancilla phase lambda."""
+    """A direct-protocol point is head + k x step + basis at lambda; the noiseless runner
+    carries the head's state one step per point."""
 
-    prep: Circuit  # ground circuit, then X on the ancilla
-    kick: Circuit  # exp(Phi/2 sigma_src x_d)
+    head: Circuit  # ground circuit, X on the ancilla, the kick exp(Phi/2 sigma_src x_d), RZ(-lambda) on it
     step: Circuit  # one Trotter step on the system qubits, below the ancilla
-    observable: PauliString  # i sigma_probe x_d
     basis: Circuit  # turns the observable into the parity of meas_qubits
+    observable: PauliString  # i sigma_probe x_d
     meas_qubits: tuple[int, int]
     sign: float  # direct_estimate's sign
-    anc: int
 
 
 def _direct_pieces(
-    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, dtau: float, phi: float
+    source: MajoranaIndex, probe: MajoranaIndex, t: float, u: float, dtau: float, phi: float, lam: float
 ) -> _DirectPieces:
     if abs(math.sin(phi)) < 1e-12:
         raise ValueError("Phi must not be a multiple of pi (zero response)")
@@ -185,16 +183,17 @@ def _direct_pieces(
     if not (pert_gen.is_hermitian and observable.is_hermitian):
         raise AssertionError("bilinears must be Hermitian")
     m, n = observable.support[0], observable.support[-1]
+    ground = dimer_ground_circuit(t, u).gates
+    kick = pauli_rotation_gates(pert_gen, phi)
     return _DirectPieces(
-        prep=Circuit(width, dimer_ground_circuit(t, u).gates + (GateOp("X", (anc,)),)),
-        kick=Circuit(width, tuple(pauli_rotation_gates(pert_gen, phi))),
+        # the step never touches the ancilla, so the ancilla phase can follow the kick at once
+        head=Circuit(width, (*ground, GateOp("X", (anc,)), *kick, GateOp("RZ", (anc,), -lam))),
         step=dimer_trotter_step(t, u, dtau),
-        observable=observable,
         # strip the Z string between the endpoints, then rotate their letters onto Z
         basis=Circuit(width, tuple(jw_string_remover(m, n) + letter_basis_gates(observable)[0])),
+        observable=observable,
         meas_qubits=(m, n),
         sign=1.0 if observable.phase_exp == 0 else -1.0,
-        anc=anc,
     )
 
 
@@ -220,17 +219,17 @@ def direct_measurement(
     (statevector.child_seeds); a shot-free run derives no seeds.
     """
     lam = kind_lambda(kind)
-    pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    point = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
+    pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi, lam)
+    point = simulate(pieces.head)
     step = circuit_unitary(pieces.step)
-    system = tuple(range(pieces.anc))
+    system = tuple(range(pieces.step.n_qubits))
     taus = time_grid(plan)
     seeds = child_seeds(seed, len(taus)) if shots else None
 
     estimates, stderrs = [], []
     for k in range(len(taus)):
         if k:
-            apply_matrix_inplace(point, step, system, pieces.anc + 1)
+            apply_matrix_inplace(point, step, system, pieces.head.n_qubits)
         if shots == 0:  # the observable carries the sign
             val, err = direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)
         else:
@@ -261,17 +260,14 @@ def direct_point_circuit(
     """Fully gate-level 5-qubit circuit for one direct-protocol time point.
 
     Returns (circuit, parity qubits, estimator sign) for direct_estimate.  The
-    circuit is the prep, the kick, n_steps times the step and its share of the
-    ancilla phase (one Z^dag rotation per step), then the basis.  Used by the
-    noisy pipeline; the noiseless runner applies the same pieces with the phase
-    as a single rotation.
+    circuit is _DirectPieces' head (its ancilla phase lambda included), n_steps
+    times the step, then the basis, so point k's circuit less its basis is a
+    prefix of point k + 1's.  Used by the noisy pipeline; the noiseless runner
+    carries the head's state through the same steps.
     """
-    p = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    if n_steps == 0:
-        evolution = (GateOp("RZ", (p.anc,), -lam),)
-    else:
-        evolution = (p.step.gates + (GateOp("RZ", (p.anc,), -lam / n_steps),)) * n_steps
-    return Circuit(p.anc + 1, p.prep.gates + p.kick.gates + evolution + p.basis.gates), p.meas_qubits, p.sign
+    p = _direct_pieces(source, probe, t, u, plan.dtau, phi, lam)
+    gates = p.head.gates + p.step.gates * n_steps + p.basis.gates
+    return Circuit(p.head.n_qubits, gates), p.meas_qubits, p.sign
 
 
 # -- the dimer experiment ---------------------------------------------------------------

@@ -49,7 +49,8 @@ from .statevector import (
     shot_stderr,
 )
 
-VIRTUAL_KINDS = {"RZ", "Z", "GPHASE", "DELAY"}
+_INERT_KINDS = ("GPHASE", "DELAY")  # a global phase or a wait changes no outcome
+VIRTUAL_KINDS = {"RZ", "Z", *_INERT_KINDS}
 # the dense budget 2^MAX_QUBITS, counted in gates (of one folded circuit or of all
 # twirl variants) and in draws per point: larger requests are refused before allocating
 MAX_GATES = 1 << MAX_QUBITS
@@ -280,15 +281,14 @@ def _drift_gates(gaps, model: NoiseModel) -> list[GateOp]:
 
 def _acting_gates(gates, model: NoiseModel, ready: list[float] | None) -> list[GateOp]:
     """The gates that act on rho, in order: each gate after the drift of the idle
-    gaps before it, with GPHASE and DELAY dropped (a global phase or a wait changes
-    no outcome).  ready is None when no qubit drifts: then no gap yields a gate, so
-    nothing is scheduled."""
+    gaps before it, with the inert kinds (GPHASE, DELAY) dropped.  ready is None
+    when no qubit drifts: then no gap yields a gate, so nothing is scheduled."""
     if ready is None:
-        return [g for g in gates if g.kind not in ("GPHASE", "DELAY")]
+        return [g for g in gates if g.kind not in _INERT_KINDS]
     out: list[GateOp] = []
     for g, gaps in _schedule(gates, model, ready):
         out += _drift_gates(gaps, model)
-        if g.kind not in ("GPHASE", "DELAY"):
+        if g.kind not in _INERT_KINDS:
             out.append(g)
     return out
 

@@ -51,7 +51,8 @@ _ARITY = {k: n for n, kinds in enumerate((ZERO_QUBIT_KINDS, ONE_QUBIT_KINDS, TWO
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate application: named kind, target qubits, optional angle."""
+    """One gate application: named kind, target qubits, and the angle of an RZ, GPHASE
+    or DELAY (the fixed-matrix kinds take none)."""
 
     kind: str
     targets: tuple[int, ...]
@@ -65,7 +66,10 @@ class GateOp:
             raise ValueError(f"{self.kind} takes {n_targets} target(s), got {self.targets}")
         if len(set(self.targets)) != len(self.targets):
             raise ValueError(f"duplicate targets in {self.kind}{self.targets}")
-        if self.kind in ("RZ", "GPHASE", "DELAY") and self.angle is None:
+        if self.kind in FIXED_MATRICES:
+            if self.angle is not None:
+                raise ValueError(f"{self.kind} takes no angle, got {self.angle}")
+        elif self.angle is None:
             raise ValueError(f"{self.kind} needs an angle")
         if self.angle is not None and not math.isfinite(self.angle):
             raise ValueError(f"{self.kind} angle must be finite, got {self.angle}")
@@ -84,10 +88,10 @@ def gate_matrix(g: GateOp) -> np.ndarray:
 
 def inverse_gate(g: GateOp) -> GateOp:
     """Gate with the inverse unitary (used for circuit folding and uncomputation)."""
-    if g.kind in ("H", "X", "Y", "Z", "CNOT", "CZ", "DELAY"):
-        return g
     if g.kind in ("XHALF", "XHALF_DG"):
         return GateOp("XHALF_DG" if g.kind == "XHALF" else "XHALF", g.targets)
+    if g.kind in FIXED_MATRICES or g.kind == "DELAY":  # every other fixed kind undoes itself, as a wait does
+        return g
     return GateOp(g.kind, g.targets, -g.angle)  # RZ, GPHASE
 
 
@@ -152,13 +156,6 @@ def apply_gate_inplace(arr: np.ndarray, g: GateOp, n: int) -> None:
         arr *= np.exp(1j * g.angle)
         return
     apply_matrix_inplace(arr, gate_matrix(g), g.targets, n)
-
-
-def apply_gate(amps: np.ndarray, g: GateOp) -> np.ndarray:
-    """Pure gate application; returns new amplitudes."""
-    out = amps.copy()
-    apply_gate_inplace(out, g, amps.shape[-1].bit_length() - 1)
-    return out
 
 
 # -- Pauli application and expectation ---------------------------------------

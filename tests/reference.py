@@ -19,7 +19,7 @@ from hubbard_gf.greens import MeasurementRecord, _direct_pieces, direct_estimate
 from hubbard_gf.model import FermionHamiltonian
 from hubbard_gf.oracle import SpectralData, diagonalize, hamiltonian_pauli_terms
 from hubbard_gf.pauli import MajoranaIndex, PauliString
-from hubbard_gf.statevector import GateOp, apply_gate, apply_matrix_inplace, expectation_pauli
+from hubbard_gf.statevector import apply_matrix_inplace, expectation_pauli
 from hubbard_gf.vha import TWO_PI, VhaParams, canonical_angles, vha_circuit
 
 MAX_MATRIX_QUBITS = 12
@@ -99,8 +99,8 @@ def exact_direct_measurement(
     the Trotter step: the same pieces, ancilla phase and estimator, carried one exact step
     per grid point, so the series is the full (anti)commutator at any Phi."""
     lam = kind_lambda(kind)
-    pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi)
-    point = apply_gate(simulate(pieces.kick, simulate(pieces.prep)), GateOp("RZ", (pieces.anc,), -lam))
+    pieces = _direct_pieces(source, probe, t, u, plan.dtau, phi, lam)
+    point = simulate(pieces.head)
     _, spect = dimer_spectral(t, u)
     v = spect.eigenvectors
     step = (v * np.exp(-1j * spect.eigenvalues * plan.dtau)) @ v.conj().T
@@ -108,7 +108,7 @@ def exact_direct_measurement(
     estimates = []
     for k in range(len(taus)):
         if k:
-            apply_matrix_inplace(point, step, tuple(range(pieces.anc)), pieces.anc + 1)
+            apply_matrix_inplace(point, step, tuple(range(pieces.step.n_qubits)), pieces.head.n_qubits)
         estimates.append(direct_estimate(1.0, expectation_pauli(point, pieces.observable), 0.0, phi)[0])
     return MeasurementRecord(taus, tuple(estimates), (0.0,) * len(taus), 0, "direct", phi, lam)
 

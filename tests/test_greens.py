@@ -253,6 +253,28 @@ def test_direct_point_circuit_matches_runner():
             assert val == pytest.approx(rec.estimates[k] / 2, abs=1e-10)
 
 
+@pytest.mark.parametrize("kind", ("retarded", "keldysh"))
+@pytest.mark.parametrize("pair", sorted(DIMER_PAIRS))
+def test_each_point_circuit_less_its_basis_is_a_prefix_of_the_next(pair, kind):
+    # point k is head + k steps + basis, the ancilla phase in the head, so point k + 1 adds
+    # exactly one dimer_trotter_step between point k's body and the basis
+    from hubbard_gf.greens import _direct_pieces, direct_point_circuit, kind_lambda
+    from hubbard_gf.statevector import GateOp
+
+    source, probe = DIMER_PAIRS[pair]
+    plan, phi, lam = TrotterPlan(0.314, 4), 0.9, kind_lambda(kind)
+    pieces = _direct_pieces(source, probe, T, U, plan.dtau, phi, lam)
+    assert pieces.head.gates[-1] == GateOp("RZ", (4,), -lam)
+    step, basis = dimer_trotter_step(T, U, plan.dtau).gates, pieces.basis.gates
+    points = [direct_point_circuit(source, probe, T, U, plan, k, phi, lam)[0].gates for k in range(plan.steps + 1)]
+    assert points[0] == pieces.head.gates + basis
+    for k in range(plan.steps):
+        body = points[k][: -len(basis)]
+        assert points[k][len(body):] == points[k + 1][-len(basis):] == basis
+        assert points[k + 1][: len(body)] == body
+        assert points[k + 1][len(body) : -len(basis)] == step
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     t=st.floats(0.2, 3.0),

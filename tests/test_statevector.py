@@ -5,11 +5,11 @@ from scipy.linalg import expm
 from hubbard_gf.circuit import Circuit, pauli_rotation_gates, simulate
 from hubbard_gf.pauli import PauliString
 from hubbard_gf.statevector import (
+    FIXED_MATRICES,
     ONE_QUBIT_KINDS,
     TWO_QUBIT_KINDS,
     ZERO_QUBIT_KINDS,
     GateOp,
-    apply_gate,
     apply_gate_inplace,
     apply_matrix_inplace,
     apply_pauli,
@@ -51,19 +51,22 @@ def embed(n, m, targets):
 
 
 def test_hadamard_on_zero():
-    s = apply_gate(basis_state(1), GateOp("H", (0,)))
+    s = basis_state(1)
+    apply_gate_inplace(s, GateOp("H", (0,)), 1)
     np.testing.assert_allclose(s, [1 / np.sqrt(2), 1 / np.sqrt(2)], atol=1e-15)
 
 
 def test_rz_phase_convention():
     # diag(e^{-i theta/2}, e^{i theta/2})
     theta = 0.731
-    s = apply_gate(np.eye(2, dtype=complex)[1], GateOp("RZ", (0,), theta))
+    s = np.eye(2, dtype=complex)[1]
+    apply_gate_inplace(s, GateOp("RZ", (0,), theta), 1)
     np.testing.assert_allclose(s[1], np.exp(1j * theta / 2), atol=1e-15)
 
 
 def test_xhalf_convention():
-    s = apply_gate(basis_state(1), GateOp("XHALF", (0,)))
+    s = basis_state(1)
+    apply_gate_inplace(s, GateOp("XHALF", (0,)), 1)
     np.testing.assert_allclose(s, [1 / np.sqrt(2), -1j / np.sqrt(2)], atol=1e-15)
 
 
@@ -74,7 +77,8 @@ def test_cnot_and_cz_match_dense():
             g = GateOp(kind, targets)
             amps = rng.normal(size=8) + 1j * rng.normal(size=8)
             amps /= np.linalg.norm(amps)
-            got = apply_gate(amps, g)
+            got = amps.copy()
+            apply_gate_inplace(got, g, 3)
             np.testing.assert_allclose(got, dense_on(3, g) @ amps, atol=1e-12)
 
 
@@ -94,7 +98,8 @@ def test_all_gates_match_dense_embedding():
     for g in gates:
         amps = rng.normal(size=8) + 1j * rng.normal(size=8)
         amps /= np.linalg.norm(amps)
-        got = apply_gate(amps, g)
+        got = amps.copy()
+        apply_gate_inplace(got, g, 3)
         np.testing.assert_allclose(got, dense_on(3, g) @ amps, atol=1e-12)
     # the kernel under every gate, on unitaries no gate kind names
     raw = [
@@ -113,6 +118,19 @@ def test_gate_op_refuses_raw_matrix_kinds():
     # the vocabulary is what the builders emit: no raw-matrix U1/U2 and no CY
     for kind, targets in (("U1", (0,)), ("U2", (0, 1)), ("CY", (0, 1))):
         with pytest.raises(ValueError, match="unknown gate kind"):
+            GateOp(kind, targets)
+
+
+def test_gate_op_refuses_an_angle_on_a_fixed_matrix_kind():
+    # only RZ, GPHASE and DELAY read an angle; any other kind would ignore it silently
+    for kind, m in FIXED_MATRICES.items():
+        targets = tuple(range(len(m).bit_length() - 1))
+        GateOp(kind, targets)
+        with pytest.raises(ValueError, match=f"{kind} takes no angle, got 0.7"):
+            GateOp(kind, targets, 0.7)
+    for kind, targets in (("RZ", (0,)), ("GPHASE", ()), ("DELAY", (0,))):
+        assert GateOp(kind, targets, 0.7).angle == 0.7
+        with pytest.raises(ValueError, match="needs an angle"):
             GateOp(kind, targets)
 
 
@@ -145,7 +163,7 @@ def test_gate_validation():
     with pytest.raises(ValueError):
         GateOp("RZ", (0,))
     with pytest.raises(ValueError):
-        apply_gate(basis_state(1), GateOp("H", (3,)))
+        apply_gate_inplace(basis_state(1), GateOp("H", (3,)), 1)
     for angle in (np.inf, -np.inf, np.nan):  # e.g. an overflowed U * dtau
         with pytest.raises(ValueError, match="angle must be finite"):
             GateOp("RZ", (0,), angle)
@@ -153,11 +171,14 @@ def test_gate_validation():
 
 def test_inverse_gate_round_trip():
     rng = np.random.default_rng(2)
-    for g in [GateOp("H", (0,)), GateOp("XHALF", (1,)), GateOp("RZ", (0,), 0.9),
-              GateOp("CNOT", (1, 0))]:
+    # every kind: the fixed ones (XHALF and XHALF_DG swap), and RZ and GPHASE with their angle negated
+    fixed = [GateOp(kind, (1, 0)[: len(m).bit_length() - 1]) for kind, m in FIXED_MATRICES.items()]
+    for g in fixed + [GateOp("RZ", (0,), 0.9), GateOp("GPHASE", (), 0.4), GateOp("DELAY", (1,), 3e-7)]:
         amps = rng.normal(size=4) + 1j * rng.normal(size=4)
         amps /= np.linalg.norm(amps)
-        back = apply_gate(apply_gate(amps, g), inverse_gate(g))
+        back = amps.copy()
+        apply_gate_inplace(back, g, 2)
+        apply_gate_inplace(back, inverse_gate(g), 2)
         np.testing.assert_allclose(back, amps, atol=1e-12)
 
 
@@ -223,7 +244,8 @@ def test_rotation_uncomputes():
 def test_expectation_basics():
     s = basis_state(3)
     assert expectation_pauli(s, PauliString.from_letter_map(3, {0: "Z"})) == pytest.approx(1.0)
-    plus = apply_gate(basis_state(1), GateOp("H", (0,)))
+    plus = basis_state(1)
+    apply_gate_inplace(plus, GateOp("H", (0,)), 1)
     assert expectation_pauli(plus, PauliString.from_letter_map(1, {0: "Z"})) == pytest.approx(0.0, abs=1e-12)
     with pytest.raises(ValueError):
         expectation_pauli(s, PauliString.from_letter_map(3, {0: "Z"}, phase_exp=1))
@@ -257,8 +279,9 @@ def test_norm_drift_over_many_gates():
 
 def test_marginals_and_sampling():
     # Bell pair on qubits (0, 1): only 00 and 11
-    s = apply_gate(basis_state(2), GateOp("H", (0,)))
-    s = apply_gate(s, GateOp("CNOT", (0, 1)))
+    s = basis_state(2)
+    apply_gate_inplace(s, GateOp("H", (0,)), 2)
+    apply_gate_inplace(s, GateOp("CNOT", (0, 1)), 2)
     probs = marginal_probs(s, (0, 1))
     np.testing.assert_allclose(probs, [0.5, 0, 0, 0.5], atol=1e-12)
     counts = sample_counts(s, (0, 1), 1000, seed=9)
@@ -267,7 +290,8 @@ def test_marginals_and_sampling():
 
 
 def test_sampling_determinism_and_binomial_bound():
-    plus = apply_gate(basis_state(1), GateOp("H", (0,)))
+    plus = basis_state(1)
+    apply_gate_inplace(plus, GateOp("H", (0,)), 1)
     c1 = sample_counts(plus, (0,), 4096, seed=42)
     c2 = sample_counts(plus, (0,), 4096, seed=42)
     assert c1.tolist() == c2.tolist()
